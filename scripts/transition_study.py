@@ -4,7 +4,7 @@
 The flux J is smooth and even in the field, but its derivative steepens
 without bound: J'/lambda grows like a logarithm and J'' blows down to
 minus infinity.  This script prints the scaled-derivative regression
-against the band-edge plateau coefficient and then tracks J, J'/lambda,
+against its closed-form rate (2/pi) f0 and then tracks J, J'/lambda,
 and J'' down a geometric field grid.
 """
 
@@ -25,11 +25,10 @@ def run(beta_l: float, beta_r: float) -> None:
     th = ThermalConfig(beta_l, beta_r)
     fit = divergence_fit(th)
     print(f"reservoirs: beta_l = {beta_l}, beta_r = {beta_r}")
-    print(f"plateau coefficient        {fit.C_theory:.12f}")
-    print(f"half plateau               {fit.C_theory / 2.0:.12f}")
+    print(f"theoretical rate (2/pi) f0 {fit.C_theory:.12f}")
     print(f"fitted slope of J'/lambda  {fit.C_fit:.12f}")
     print(f"fit residual               {fit.residual:.2e}")
-    print(f"relative gap to plateau    {fit.rel_error:.4f}")
+    print(f"relative gap to theory     {fit.rel_error:.2e}")
     print()
 
     header = f"{'lambda':>10}  {'J':>16}  {'J_prime/lambda':>16}  {'J_second':>12}"

@@ -2,11 +2,12 @@
 
 Everything here is deliberately independent of the quadrature modules: the
 chain is truncated to a window ``[-M, M]`` with open ends, the Hamiltonians
-are built densely from the shared stencil, the decoupled initial state is
-assembled by per-block functional calculus, and correlations are evolved
-exactly through the dense eigendecomposition.  Large-time averages of these
-finite evolutions are the yardstick the analytic formulas are tested
-against.
+are read off the shared stencil as Jacobi (tridiagonal) matrices and
+diagonalized exactly by LAPACK's tridiagonal eigensolver, the decoupled
+initial state is assembled by per-block functional calculus, and
+correlations are evolved exactly through the full eigendecomposition.
+Large-time averages of these finite evolutions are the yardstick the
+analytic formulas are tested against.
 
 Evolution convention: ``omega_xy(t) = (exp(ith) e_x, S exp(ith) e_y)`` with
 ``h`` the field Hamiltonian and ``S`` the initial two-point matrix.  The
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import expit
 
 from .exceptions import (
@@ -30,8 +31,8 @@ from .exceptions import (
 )
 from .model import ModelParams, OperatorKind, ThermalConfig, operator_stencil
 
-# half-width caps: below 10 the guard window is empty, above 5000 a dense
-# eigensolve stops being a sane oracle
+# half-width caps: below 10 the guard window is empty, above 5000 the n x n
+# eigenvector sets every evolution needs stop being a sane oracle
 _MIN_HALF_WIDTH = 10
 _MAX_HALF_WIDTH = 5000
 _DEFAULT_MEMORY_CAP = 2 << 30
@@ -52,17 +53,16 @@ def _real_apply(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class TruncatedSystem:
-    """Dense window ``[-M, M]`` of the chain; immutable after construction.
+    """Window ``[-M, M]`` of the chain; immutable after construction.
 
-    Hamiltonians for all three stencil kinds are built eagerly; the
-    factorizations of the field and decoupled kinds are computed at build
-    time, the free one on first use.  Initial-state matrices are cached per
-    temperature pair.
+    Each stencil kind is held as the ``(diag, offdiag)`` pair of its Jacobi
+    matrix, of lengths ``n_sites`` and ``n_sites - 1``, and factored on first
+    use.  Initial-state matrices are cached per temperature pair.
     """
 
     M: int
     params: ModelParams
-    hamiltonians: dict[OperatorKind, np.ndarray]
+    hamiltonians: dict[OperatorKind, tuple[np.ndarray, np.ndarray]]
     _factorizations: dict[OperatorKind, tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict
     )
@@ -83,7 +83,7 @@ class TruncatedSystem:
 
     def factorization(self, kind: OperatorKind) -> tuple[np.ndarray, np.ndarray]:
         if kind not in self._factorizations:
-            self._factorizations[kind] = eigh(self.hamiltonians[kind])
+            self._factorizations[kind] = eigh_tridiagonal(*self.hamiltonians[kind])
         return self._factorizations[kind]
 
     def bound_data(self) -> tuple[float, np.ndarray] | None:
@@ -111,34 +111,29 @@ def build_truncation(
     params: ModelParams,
     max_bytes: int = _DEFAULT_MEMORY_CAP,
 ) -> TruncatedSystem:
-    """Assemble the dense window and factor the field and decoupled kinds."""
+    """Read the three Jacobi matrices of the window off the stencil."""
     M = int(M)
     if not _MIN_HALF_WIDTH <= M <= _MAX_HALF_WIDTH:
         raise ValueError(
             f"half-width {M} outside [{_MIN_HALF_WIDTH}, {_MAX_HALF_WIDTH}]"
         )
     n = 2 * M + 1
-    # 3 Hamiltonians + up to 3 eigenvector sets, all float64
-    estimate = 6 * n * n * 8
+    # up to 3 eigenvector sets + 1 initial state, all float64
+    estimate = 4 * n * n * 8
     if estimate > max_bytes:
         raise ResourceLimit(
             f"window of {n} sites needs about {estimate / 2**30:.1f} GiB "
             f"of dense storage, above the {max_bytes / 2**30:.1f} GiB cap"
         )
-    sites = list(range(-M, M + 1))
-    hams: dict[OperatorKind, np.ndarray] = {}
-    for kind in OperatorKind:
-        mat = np.zeros((n, n))
-        for i in range(n - 1):
-            hop = operator_stencil(kind, params, sites[i], sites[i + 1])
-            mat[i, i + 1] = hop
-            mat[i + 1, i] = hop
-        mat[M, M] = operator_stencil(kind, params, 0, 0)
-        hams[kind] = mat
-    sys = TruncatedSystem(M=M, params=params, hamiltonians=hams)
-    sys.factorization(OperatorKind.MAGNETIC)
-    sys.factorization(OperatorKind.DECOUPLED)
-    return sys
+    sites = range(-M, M + 1)
+    hams = {
+        kind: (
+            np.array([operator_stencil(kind, params, x, x) for x in sites]),
+            np.array([operator_stencil(kind, params, x, x + 1) for x in sites[:-1]]),
+        )
+        for kind in OperatorKind
+    }
+    return TruncatedSystem(M=M, params=params, hamiltonians=hams)
 
 
 def initial_two_point(sys: TruncatedSystem, th: ThermalConfig) -> np.ndarray:
@@ -149,7 +144,9 @@ def initial_two_point(sys: TruncatedSystem, th: ThermalConfig) -> np.ndarray:
     the sample block.  The blocks are diagonalized separately: the two
     reservoir blocks are isospectral, and a joint factorization would be
     free to mix their degenerate eigenvectors, which the per-block form
-    rules out by construction.
+    rules out by construction.  Both blocks are the same Jacobi matrix
+    (zero diagonal, hopping 1/2), so one eigensolve serves both
+    temperatures.
     """
     key = (th.beta_l, th.beta_r)
     cached = sys._state_cache.get(key)
@@ -160,17 +157,17 @@ def initial_two_point(sys: TruncatedSystem, th: ThermalConfig) -> np.ndarray:
     n_res = sys.M - nu  # sites on each side beyond the sample
     if n_res <= 0:
         raise DomainError(f"sample half-width {nu} leaves no reservoir in window")
-    h_d = sys.hamiltonians[OperatorKind.DECOUPLED]
+    diag, off = sys.hamiltonians[OperatorKind.DECOUPLED]
+    left = (diag[:n_res], off[: n_res - 1])
+    right = (diag[n - n_res :], off[n - n_res :])
+    if not all(np.array_equal(a, b) for a, b in zip(left, right)):
+        raise ConsistencyError("reservoir blocks of the decoupled window differ")
+    w, u = eigh_tridiagonal(*left)
     state = np.zeros((n, n))
-
-    def planck_block(block: np.ndarray, beta: float) -> np.ndarray:
-        w, u = eigh(block)
-        return (u * expit(-beta * w)) @ u.T
-
-    state[:n_res, :n_res] = planck_block(h_d[:n_res, :n_res], th.beta_l)
+    state[:n_res, :n_res] = (u * expit(-th.beta_l * w)) @ u.T
     mid = slice(n_res, n_res + 2 * nu + 1)
     state[mid, mid] = 0.5 * np.eye(2 * nu + 1)
-    state[n - n_res :, n - n_res :] = planck_block(h_d[n - n_res :, n - n_res :], th.beta_r)
+    state[n - n_res :, n - n_res :] = (u * expit(-th.beta_r * w)) @ u.T
     sys._state_cache[key] = state
     return state
 
@@ -233,8 +230,15 @@ def evolve_with_state(
 ) -> EvolutionTrace:
     """Evolve ``(e_x, S(t) e_y)`` for a caller-supplied initial matrix."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if times.size and times[0] < 0.0:
-        raise ValueError("times must be nonnegative")
+    # checked up front: the products below cost O(n^2 nt)
+    if (
+        times.ndim != 1
+        or times.size < 1
+        or not np.all(np.isfinite(times))
+        or times[0] < 0.0
+        or np.any(np.diff(times) <= 0.0)
+    ):
+        raise ValueError("times must be nonempty, finite, nonnegative and strictly increasing")
     if max(abs(x), abs(y)) > sys.M / 4:
         raise DomainError(f"sites ({x}, {y}) beyond a quarter of the window")
     _check_horizon(sys, x, y, float(times[-1]))

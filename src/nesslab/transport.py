@@ -294,12 +294,11 @@ class DivergenceFit:
     """Regression estimate of the log-divergence coefficient near zero field.
 
     ``C_fit`` is the slope of ``flux_derivative / lam`` against ``log lam``
-    over a decreasing geometric grid; ``C_theory`` is the published
-    coefficient ``(4/pi)(rho_{beta_l}(1) - rho_{beta_r}(1))``, twice the rate
-    ``(2/pi) f0`` of this package's flux; ``rel_error`` compares the two
-    (relative when ``C_theory`` is nonzero, absolute otherwise), so it reads
-    0.5 for an exact fit; ``residual`` is the rms misfit of the regression
-    line.
+    over a decreasing geometric grid; ``C_theory`` is its closed-form value
+    ``(2/pi)(rho_{beta_l}(1) - rho_{beta_r}(1)) = (2/pi) f0`` for this
+    package's flux (``docs/decisions.md``); ``rel_error`` compares the two
+    (relative when ``C_theory`` is nonzero, absolute otherwise);
+    ``residual`` is the rms misfit of the regression line.
     """
 
     lambda_grid: tuple[float, ...]
@@ -343,7 +342,7 @@ def divergence_fit(
     slope, intercept = np.polyfit(logs, ratios, 1)
     fitted = slope * logs + intercept
     residual = float(np.sqrt(np.mean((ratios - fitted) ** 2)))
-    c_theory = (4.0 / _PI) * (
+    c_theory = (2.0 / _PI) * (
         planck_density(th.beta_l, 1.0) - planck_density(th.beta_r, 1.0)
     )
     if c_theory != 0.0:

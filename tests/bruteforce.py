@@ -10,6 +10,9 @@ when the package is wrong.
 import math
 
 import numpy as np
+from scipy.linalg import eigh
+
+from nesslab.model import OperatorKind, operator_stencil
 
 
 def fermi(r: float, e):
@@ -75,3 +78,40 @@ def central_difference(f, x: float, h: float) -> float:
 def sine_partial_sum(q: float, k: float, n_terms: int = 10_000) -> float:
     n = np.arange(1, n_terms + 1, dtype=float)
     return float(np.sum(q**n * np.sin(n * k)))
+
+
+def dense_hamiltonians(M: int, params) -> dict:
+    """The window's three Hamiltonians as dense ``n x n`` matrices.
+
+    Filled entry by entry from the stencil with a plain loop; the oracle's
+    tridiagonal storage and eigensolves are checked against these.
+    """
+    sites = list(range(-M, M + 1))
+    n = len(sites)
+    hams = {}
+    for kind in OperatorKind:
+        mat = np.zeros((n, n))
+        for i in range(n - 1):
+            hop = operator_stencil(kind, params, sites[i], sites[i + 1])
+            mat[i, i + 1] = hop
+            mat[i + 1, i] = hop
+        mat[M, M] = operator_stencil(kind, params, 0, 0)
+        hams[kind] = mat
+    return hams
+
+
+def dense_initial_state(h_d, M: int, nu: int, beta_l: float, beta_r: float):
+    """Decoupled initial two-point matrix, one dense eigensolve per block.
+
+    Each reservoir block of ``h_d`` is diagonalized on its own and filled
+    with its Fermi occupations; the sample block is identity over two.
+    """
+    n = 2 * M + 1
+    n_res = M - nu
+    state = np.zeros((n, n))
+    for block, beta in ((slice(0, n_res), beta_l), (slice(n - n_res, n), beta_r)):
+        w, u = eigh(h_d[block, block])
+        state[block, block] = (u * fermi(beta, w)) @ u.T
+    mid = slice(n_res, n - n_res)
+    state[mid, mid] = 0.5 * np.eye(2 * nu + 1)
+    return state

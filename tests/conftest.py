@@ -1,8 +1,9 @@
-"""Shared fixtures: thermal configs and the dense lattice windows.
+"""Shared fixtures: thermal configs and the lattice windows.
 
-Window construction is the expensive step of the brute-force checks (two
-dense eigensolves per window), so every (M, lam) pair used by more than one
-test lives here with session scope.
+The eigensolves of a window are the expensive step of the brute-force
+checks (the field Hamiltonian, plus the reservoir block for each initial
+state), and a window caches them, so every (M, lam) pair used by more than
+one test lives here with session scope.
 """
 
 import json

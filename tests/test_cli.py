@@ -215,14 +215,14 @@ class TestTransitionFit:
         res = doc["result"]
         assert len(res["lambda_grid"]) == 9
         assert res["residual"] < 1e-6
-        assert abs(res["C_theory"] - 0.1906529787390181) < 1e-14
+        assert abs(res["C_theory"] - 0.09532648936950905) < 1e-14
         recomputed = abs(res["C_fit"] - res["C_theory"]) / res["C_theory"]
         assert abs(res["rel_error"] - recomputed) < 1e-15
 
 
 class TestOracleVerify:
     def test_full_run_passes(self, capsys):
-        # dense 3001-site eigensolve plus late-time averages: ~10 s
+        # 3001-site tridiagonal eigensolve plus late-time averages: ~4 s
         code, out, err = run_cli(
             capsys, "oracle-verify", "--t-star", "1100", "--format", "json"
         )

@@ -1,7 +1,7 @@
 """Finite-window brute force: construction, evolution, late-time estimates.
 
 The closed-form results elsewhere in the suite are only trustworthy because
-the routines here reproduce them from nothing but dense linear algebra on a
+the routines here reproduce them from nothing but exact linear algebra on a
 truncated chain.  Margins quoted in comments were measured once on the
 shipped grids and frozen.
 """
@@ -33,7 +33,7 @@ from nesslab.oracle import (
 from nesslab.scattering import wave_action
 from nesslab.transport import heat_flux
 
-from bruteforce import symbol_coefficient
+from bruteforce import dense_hamiltonians, dense_initial_state, symbol_coefficient
 
 
 class TestBuildTruncation:
@@ -48,18 +48,22 @@ class TestBuildTruncation:
 
     def test_matrices_match_stencil(self):
         sys = build_truncation(12, ModelParams(0.4, 1))
+        dense = dense_hamiltonians(12, ModelParams(0.4, 1))
         mid = sys.index(0)
         for kind in OperatorKind:
-            mat = sys.hamiltonians[kind]
-            assert np.array_equal(mat, mat.T)
-        assert sys.hamiltonians[OperatorKind.MAGNETIC][mid, mid] == 0.4
-        assert sys.hamiltonians[OperatorKind.XY][mid, mid] == 0.0
-        assert sys.hamiltonians[OperatorKind.XY][mid, mid + 1] == 0.5
-        # contact bonds (-2,-1) and (1,2) severed in the decoupled kind
-        h_d = sys.hamiltonians[OperatorKind.DECOUPLED]
-        assert h_d[sys.index(-2), sys.index(-1)] == 0.0
-        assert h_d[sys.index(1), sys.index(2)] == 0.0
-        assert h_d[sys.index(2), sys.index(3)] == 0.5
+            diag, off = sys.hamiltonians[kind]
+            assert diag.shape == (sys.n_sites,) and off.shape == (sys.n_sites - 1,)
+            mat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            assert np.array_equal(mat, dense[kind])
+        assert sys.hamiltonians[OperatorKind.MAGNETIC][0][mid] == 0.4
+        assert sys.hamiltonians[OperatorKind.XY][0][mid] == 0.0
+        assert sys.hamiltonians[OperatorKind.XY][1][mid] == 0.5
+        # contact bonds (-2,-1) and (1,2) severed in the decoupled kind; the
+        # off-diagonal entry i is the bond between window sites i and i+1
+        off_d = sys.hamiltonians[OperatorKind.DECOUPLED][1]
+        assert off_d[sys.index(-2)] == 0.0
+        assert off_d[sys.index(1)] == 0.0
+        assert off_d[sys.index(2)] == 0.5
 
     def test_free_spectrum_stays_in_band(self):
         sys = build_truncation(50, ModelParams(0.0))
@@ -74,6 +78,42 @@ class TestBuildTruncation:
         assert list(sys.sites) == list(range(-15, 16))
         with pytest.raises(DomainError):
             sys.index(16)
+
+
+# M in 50..200, nu = 0 and nu > 0, fields of both signs
+DENSE_TWIN_CASES = [(50, 0.5, 2), (120, -0.6, 0), (200, 0.9, 3)]
+
+
+class TestDenseTwin:
+    """The tridiagonal factorizations against dense ``eigh`` of the old build."""
+
+    @pytest.mark.parametrize("m, lam, nu", DENSE_TWIN_CASES)
+    def test_eigenvalues(self, m, lam, nu):
+        # measured 2.2e-15 at most
+        sys = build_truncation(m, ModelParams(lam, nu))
+        dense = dense_hamiltonians(m, ModelParams(lam, nu))
+        for kind in OperatorKind:
+            evals, _ = sys.factorization(kind)
+            assert np.max(np.abs(evals - np.linalg.eigvalsh(dense[kind]))) < 1e-12
+
+    @pytest.mark.parametrize("m, lam, nu", DENSE_TWIN_CASES)
+    def test_bound_pair(self, m, lam, nu):
+        sys = build_truncation(m, ModelParams(lam, nu))
+        w, u = np.linalg.eigh(dense_hamiltonians(m, ModelParams(lam, nu))[OperatorKind.MAGNETIC])
+        i = int(np.argmax(np.abs(w)))
+        energy, vec = sys.bound_data()
+        assert abs(energy - w[i]) < 1e-12
+        # unique up to sign: the spectrum of a Jacobi matrix is simple
+        ref = u[:, i] * np.sign(u[:, i] @ vec)
+        assert np.max(np.abs(vec - ref)) < 1e-12
+
+    @pytest.mark.parametrize("m, lam, nu", DENSE_TWIN_CASES)
+    def test_initial_state(self, m, lam, nu, th12):
+        # measured 1.8e-14 at most
+        sys = build_truncation(m, ModelParams(lam, nu))
+        h_d = dense_hamiltonians(m, ModelParams(lam, nu))[OperatorKind.DECOUPLED]
+        ref = dense_initial_state(h_d, m, nu, th12.beta_l, th12.beta_r)
+        assert np.max(np.abs(initial_two_point(sys, th12) - ref)) < 1e-12
 
 
 class TestBoundData:
@@ -109,7 +149,7 @@ class TestInitialState:
         # built from, so any residual is pure eigensolver roundoff
         sys = build_truncation(60, ModelParams(0.3, 2))
         state = initial_two_point(sys, ThermalConfig(1.0, 2.0))
-        h_d = sys.hamiltonians[OperatorKind.DECOUPLED]
+        h_d = dense_hamiltonians(60, ModelParams(0.3, 2))[OperatorKind.DECOUPLED]
         assert np.max(np.abs(state @ h_d - h_d @ state)) < 1e-12
 
     def test_cached_per_temperature_pair(self):
@@ -179,6 +219,10 @@ class TestEvolution:
         sys = build_truncation(100, ModelParams(0.0))
         with pytest.raises(ValueError):
             evolve_correlation(sys, th12, 0, 1, [-1.0, 5.0])
+        with pytest.raises(ValueError):
+            evolve_correlation(sys, th12, 0, 0, [])
+        with pytest.raises(ValueError):
+            evolve_correlation(sys, th12, 0, 1, [5.0, 1.0])
         with pytest.raises(DomainError):
             evolve_correlation(sys, th12, 26, 0, [10.0])
         with pytest.raises(TimeHorizonExceeded):
