@@ -11,14 +11,20 @@ witness that the driven steady state breaks translation invariance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .exceptions import ConsistencyError, WindowTooLarge
 from .model import ModelParams, ThermalConfig, bound_state, planck_difference
 from .numerics import QuadratureSpec, adaptive_integrate
-from .scattering import ZERO_FIELD_FLOOR, _kernel_overlap, ac_overlap, pp_weight
+from .scattering import (
+    ZERO_FIELD_FLOOR,
+    ac_overlap,
+    band_moments,
+    overlap_frequencies,
+    pp_weight,
+)
 
 MAX_WINDOW_SITES = 512
 
@@ -78,8 +84,9 @@ def correlation_block(
 ) -> CorrelationBlock:
     """Fill the window ``[lo, hi]`` of the steady-state matrix.
 
-    Only the upper triangle is quadratured; the lower follows from
-    self-adjointness ``s(y, x) = conj(s(x, y))``.
+    The band part of the upper triangle comes from one set of band moments,
+    with every frequency the window reads; the lower triangle is its exact
+    conjugate, ``s(y, x) = conj(s(x, y))``.
     """
     lo, hi = int(lo), int(hi)
     if lo > hi:
@@ -88,15 +95,21 @@ def correlation_block(
     if n > MAX_WINDOW_SITES:
         raise WindowTooLarge(
             f"window of {n} sites exceeds the {MAX_WINDOW_SITES}-site cap; "
-            "each element costs several adaptive quadratures"
+            "the cost of its band moments grows with the square of the window"
         )
-    matrix = np.empty((n, n), dtype=np.complex128)
-    for i, x in enumerate(range(lo, hi + 1)):
-        for j in range(i, n):
-            value = s_element(params, th, x, lo + j, spec)
-            matrix[i, j] = value
-            if j != i:
-                matrix[j, i] = value.conjugate()
+    sites = np.arange(lo, hi + 1)
+    i, j = np.triu_indices(n)
+    x, y = sites[i], sites[j]
+    # frequencies up to 2 max(|lo|, |hi|)
+    moments = band_moments(params.lam, th, overlap_frequencies(x, y), spec)
+    upper = moments.overlap(x, y)
+    # same cutoff and arithmetic as s_element
+    if abs(params.lam) >= ZERO_FIELD_FLOOR:
+        amp = bound_state(params.lam).amplitude(sites)
+        upper += pp_weight(params, th, spec) * amp[i] * amp[j]
+    matrix = np.zeros((n, n), dtype=np.complex128)
+    matrix[i, j] = upper
+    matrix += np.triu(matrix, 1).conj().T
     return CorrelationBlock(lo=lo, hi=hi, params=params, thermal=th, matrix=matrix)
 
 
@@ -110,8 +123,8 @@ def ti_commutator_element(
 
     ``lam * integral dk/2pi cos(k) rho_diff(cos k) corr(lam, cos k)``; real,
     and zero whenever ``lam = 0`` or the reservoirs agree.  With
-    ``verify=True`` the two matrix elements are also assembled from overlap
-    quadratures and the difference is checked against the closed form.
+    ``verify=True`` the two matrix elements are also assembled from band
+    moments and the difference is checked against the closed form.
     """
     spec = spec if spec is not None else QuadratureSpec()
     lam = params.lam
@@ -120,30 +133,26 @@ def ti_commutator_element(
         fast = 0.0
     else:
 
-        def band_diff(e: float) -> float:
-            return planck_difference(th, e)
+        def smooth(t: float) -> float:
+            e = math.cos(t)
+            return e * planck_difference(th, e)
 
         # corr = 1 - lam^2/(sin^2 + lam^2) splits the integral (even in k)
-        # into a smooth part and a kernel part; the lam and lam^3 weights
-        # apply after integration, so each target scales by the inverse
+        # into a smooth part and a kernel part, weighted by lam and lam^3
+        # after integration.  The smooth target scales by the inverse weight;
+        # the kernel part is Re of the m = 1 kernel moments, which
+        # band_moments certifies at weight 3 lam^2/2pi per reservoir, so a
+        # target over max(1, |lam|) keeps it under a third of abs_tol.
         smooth_budget = QuadratureSpec(
             abs_tol=0.5 * spec.abs_tol / abs(lam),
             rel_tol=spec.rel_tol,
             max_subdivisions=spec.max_subdivisions,
         )
-        kernel_budget = QuadratureSpec(
-            abs_tol=0.5 * spec.abs_tol / abs(lam) ** 3,
-            rel_tol=spec.rel_tol,
-            max_subdivisions=spec.max_subdivisions,
-        )
-
-        def smooth(t: float) -> float:
-            e = math.cos(t)
-            return e * band_diff(e)
-
         plain = adaptive_integrate(smooth, 0.0, math.pi, smooth_budget).value / math.pi
-        kernel = _kernel_overlap(lam, band_diff, False, ((0.5, 1), (0.5, -1)), kernel_budget)
-        fast = lam * plain - lam**3 * kernel.real / math.pi
+        kernel_spec = replace(spec, abs_tol=0.5 * spec.abs_tol / max(1.0, abs(lam)))
+        first = band_moments(lam, th, [1], kernel_spec).kernel[:, 0]
+        kernel = (first[0] - first[1]).real
+        fast = lam * plain - lam**3 * kernel / math.pi
 
     if verify:
         direct = ti_commutator_direct(params, th, spec)

@@ -1,11 +1,12 @@
-"""Deterministic adaptive quadrature and closed-form series sums.
+"""Deterministic quadrature rules and closed-form series sums.
 
-All momentum and energy integrals in the package run through
-``adaptive_integrate``, a thin contract around QUADPACK: the caller
-declares interior breakpoints (kinks of ``|sin k|``-type integrands,
-symbol jumps), the interval is split there, and the panels are
-integrated left to right so identical inputs give identical output
-bytes.
+Scalar momentum and energy integrals run through ``adaptive_integrate``, a
+thin contract around QUADPACK: the caller declares interior breakpoints
+(kinks of ``|sin k|``-type integrands, symbol jumps), the interval is split
+there, and the panels are integrated left to right so identical inputs give
+identical output bytes.  Families of integrals sampled on one mesh use
+``panel_rule``, a fixed Gauss-Kronrod pair on caller-chosen panels; the
+Gauss rule embedded in it gives each panel's error estimate.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
+import numpy as np
 from scipy.integrate import quad
 
 from .exceptions import DomainError, InvalidInterval, NonConvergence
@@ -138,6 +140,71 @@ def adaptive_integrate(
             f"max({spec.abs_tol:.3e}, {spec.rel_tol:.3e}*|I|)"
         )
     return QuadratureResult(value=total, error_estimate=error, subdivisions_used=used)
+
+
+# The 21-point Kronrod extension of the 10-point Gauss-Legendre rule on
+# [-1, 1] (QUADPACK's qk21): the nonnegative nodes from the outside in, the
+# Gauss nodes at the odd positions, and the weights of both rules there.
+_GK21_NODES = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.0,
+)
+_GK21_KRONROD = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_GK21_GAUSS = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+
+
+def _mirrored(half, sign: float = 1.0) -> np.ndarray:
+    """Extend values given at ``_GK21_NODES`` to all 21 nodes in ascending order."""
+    half = np.asarray(half, dtype=float)
+    return np.concatenate([sign * half, half[-2::-1]])
+
+
+_GK_NODES = _mirrored(_GK21_NODES, sign=-1.0)
+_GK_WEIGHTS = _mirrored(_GK21_KRONROD)
+_G_WEIGHTS = np.zeros(21)
+_G_WEIGHTS[1:20:2] = _GK21_GAUSS + _GK21_GAUSS[::-1]  # no Gauss node at 0
+
+
+def panel_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """21-point Gauss-Kronrod nodes and weights on every panel of ``edges``.
+
+    Returns arrays of shape ``(panels, 21)``: the nodes, the Kronrod
+    weights, and the weights of the embedded 10-point Gauss rule.  The
+    difference of the two rules on a panel estimates the error of the
+    Gauss rule there, which bounds that of the Kronrod rule many times over
+    on smooth integrands.
+    """
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return mid + half * _GK_NODES, half * _GK_WEIGHTS, half * _G_WEIGHTS
 
 
 def with_breakpoints(spec: QuadratureSpec | None, *points: float) -> QuadratureSpec:

@@ -17,6 +17,7 @@ enforces a time horizon keeping the light cone safely inside the window.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,14 @@ _BAND_EDGE_TOL = 1e-9
 
 _REFLECTION_MARGIN = 0.8
 
+# glibc keeps freed heap memory resident below a threshold that rises with
+# the size of the blocks a process has freed, so how much scratch of earlier
+# windows is still held depends on what ran before; trimming returns it
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):  # not glibc
+    _malloc_trim = None
+
 
 def _real_apply(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
     # real matrix times complex block without upcasting the matrix; the
@@ -57,7 +66,7 @@ class TruncatedSystem:
 
     Each stencil kind is held as the ``(diag, offdiag)`` pair of its Jacobi
     matrix, of lengths ``n_sites`` and ``n_sites - 1``, and factored on first
-    use.  Initial-state matrices are cached per temperature pair.
+    use.  The latest initial-state matrix is cached with its temperature pair.
     """
 
     M: int
@@ -83,27 +92,40 @@ class TruncatedSystem:
 
     def factorization(self, kind: OperatorKind) -> tuple[np.ndarray, np.ndarray]:
         if kind not in self._factorizations:
+            # the full eigensolve is the oracle's memory peak (n x n vectors
+            # and workspace); hand freed heap back before it
+            if _malloc_trim is not None:
+                _malloc_trim(0)
             self._factorizations[kind] = eigh_tridiagonal(*self.hamiltonians[kind])
         return self._factorizations[kind]
 
     def bound_data(self) -> tuple[float, np.ndarray] | None:
         """Out-of-band eigenpair of the field Hamiltonian, if resolved.
 
-        A shallow bound state (tiny field, decay length beyond M) may not
-        separate from the band on the truncation; then None is returned and
-        the evolution split treats everything as band.
+        Only eigenvalues outside ``[-1 - tol, 1 + tol]`` are computed, by
+        bisection and inverse iteration on each side of the band; the full
+        factorization is left to the evolutions that need it.  A shallow
+        bound state (tiny field, decay length beyond M) may not separate
+        from the band on the truncation; then None is returned and the
+        evolution split treats everything as band.
         """
-        evals, evecs = self.factorization(OperatorKind.MAGNETIC)
-        outside = np.nonzero(np.abs(evals) > 1.0 + _BAND_EDGE_TOL)[0]
-        if outside.size == 0:
+        diag, off = self.hamiltonians[OperatorKind.MAGNETIC]
+        # Gershgorin: every eigenvalue lies within this of the origin
+        reach = float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off))) + 1.0
+        edge = 1.0 + _BAND_EDGE_TOL
+        (w_lo, v_lo), (w_hi, v_hi) = (
+            eigh_tridiagonal(diag, off, select="v", select_range=bounds)
+            for bounds in ((-reach, -edge), (edge, reach))
+        )
+        evals = np.concatenate([w_lo, w_hi])
+        if evals.size == 0:
             return None
-        if outside.size > 1:
+        if evals.size > 1:
             raise ConsistencyError(
-                f"{outside.size} eigenvalues outside the band; the rank-one "
+                f"{evals.size} eigenvalues outside the band; the rank-one "
                 "field admits at most one"
             )
-        i = int(outside[0])
-        return float(evals[i]), evecs[:, i].copy()
+        return float(evals[0]), np.hstack([v_lo, v_hi])[:, 0].copy()
 
 
 def build_truncation(
@@ -168,6 +190,8 @@ def initial_two_point(sys: TruncatedSystem, th: ThermalConfig) -> np.ndarray:
     mid = slice(n_res, n_res + 2 * nu + 1)
     state[mid, mid] = 0.5 * np.eye(2 * nu + 1)
     state[n - n_res :, n - n_res :] = (u * expit(-th.beta_r * w)) @ u.T
+    # the memory budget of build_truncation holds one state
+    sys._state_cache.clear()
     sys._state_cache[key] = state
     return state
 

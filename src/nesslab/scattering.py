@@ -7,6 +7,14 @@ on lattice basis vectors, the band-part overlap integrals it induces, the
 transmission-suppression factor of the local field, and the thermal weight
 the initial state puts on the bound state.
 
+Every band overlap is a linear combination of Fourier moments over
+``[0, pi]`` with integer frequencies, in which only the frequency and the
+reservoir temperature vary.  ``band_moments`` samples the few integrands
+once on a graded Gauss-Kronrod mesh, contracts them against ``e^{imt}``
+for every frequency a window needs, and certifies the result with the
+embedded Gauss rule; ``ac_overlap`` and ``ness.correlation_block`` index
+into it.
+
 Momentum-space convention: a lattice vector f transforms to
 ``fhat(k) = sum_x f(x) exp(i k x)`` with inverse measure ``dk / 2 pi`` on
 ``[-pi, pi]``.
@@ -16,11 +24,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable
 
-from .exceptions import DomainError, NoBoundState
+import numpy as np
+
+from .exceptions import DomainError, NoBoundState, NonConvergence
 from .model import (
     ModelParams,
     ThermalConfig,
@@ -31,6 +40,7 @@ from .numerics import (
     QuadratureSpec,
     adaptive_integrate,
     geometric_sine_sum,
+    panel_rule,
     with_breakpoints,
 )
 
@@ -88,72 +98,215 @@ def wave_action(lam: float, x: int, k: float) -> complex:
     return plane + 1j * lam * cmath.exp(1j * ak * abs(x)) / (math.sin(ak) - 1j * lam)
 
 
-def _kernel_overlap(
-    lam: float,
-    rho: Callable[[float], float],
-    with_sin: bool,
-    waves: tuple[tuple[float, int], ...],
-    budget: QuadratureSpec,
-) -> complex:
-    """Integral over ``[0, pi]`` of a smooth numerator against the field kernel.
+# Base panel length of the moment mesh; panels shrink to 4 / m for higher
+# frequencies m, so all requests up to frequency 20 share one mesh.
+_MAX_PANEL = _PI / 16
+# elements of one (reservoir, frequency, node) array; larger families are
+# sampled a group of panels at a time
+_CHUNK_ELEMENTS = 1 << 14
 
-    Evaluates ``integral rho(cos t) [sin t] sum_j w_j e^{i m_j t}
-    / (sin^2 t + lam^2) dt`` for ``waves = ((w_j, m_j), ...)`` with integer
-    frequencies.  The kernel factors as ``(c - cos t)(c + cos t)`` with
+
+def overlap_frequencies(x, y) -> tuple:
+    """Every frequency the band overlap of ``(x, y)`` reads, for integer arrays.
+
+    The plane term reads ``+-(y - x)``; the wave products read ``m1, m2`` of
+    the left reservoir, ``m1r, m2r`` of the right one, and ``m3`` of both.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    ax, ay = np.abs(x), np.abs(y)
+    return y - x, ay - x, y - ax, ay + x, -y - ax, ay - ax
+
+
+@dataclass(frozen=True, eq=False)
+class BandMoments:
+    """Fourier moments over ``[0, pi]`` of both reservoirs' band integrands.
+
+    Row 0 belongs to ``beta_l``, row 1 to ``beta_r``; column ``i`` holds
+    frequency ``frequencies[i]`` (distinct, ascending, nonnegative):
+
+    * ``plane[b, i]``      = ``integral rho_b(cos t) e^{imt} dt``
+    * ``kernel_sin[b, i]`` = ``integral rho_b(cos t) sin t e^{imt} / (sin^2 t + lam^2) dt``
+    * ``kernel[b, i]``     = ``integral rho_b(cos t) e^{imt} / (sin^2 t + lam^2) dt``
+
+    Negative frequencies are the conjugates, the integrands being real but
+    for ``e^{imt}``.  The kernel rows are None for fields below
+    ``ZERO_FIELD_FLOOR``.  ``error_estimate`` bounds the error of any band
+    overlap assembled from these moments.
+    """
+
+    lam: float
+    frequencies: np.ndarray
+    plane: np.ndarray
+    kernel_sin: np.ndarray | None
+    kernel: np.ndarray | None
+    error_estimate: float
+
+    def at(self, family: np.ndarray, row: int, m) -> np.ndarray:
+        """Moments of one family and reservoir at the integer frequencies ``m``."""
+        m = np.asarray(m)
+        i = np.minimum(np.searchsorted(self.frequencies, np.abs(m)), self.frequencies.size - 1)
+        if np.any(self.frequencies[i] != np.abs(m)):
+            raise ValueError("frequency outside the computed set")
+        value = family[row, i]
+        return np.where(m < 0, value.conj(), value)
+
+    def overlap(self, x, y) -> np.ndarray:
+        """Band overlap ``ac(x, y)`` for integer arrays of sites.
+
+        The plane term takes ``k > 0`` from the left reservoir and ``k < 0``,
+        mapped by ``k -> -t``, from the right one; the cross and scattered
+        terms are the wave products of ``wave_action`` with the momentum
+        folded onto ``[0, pi]``, so every frequency is an integer.
+        """
+        d, m1, m2, m1r, m2r, m3 = overlap_frequencies(x, y)
+        at, p = self.at, self.plane
+        total = (at(p, 0, d) + at(p, 1, -d)) / (2.0 * _PI)
+        if self.kernel is None:
+            return total
+        ks, k = self.kernel_sin, self.kernel
+        cross = at(ks, 0, m1) - at(ks, 0, m2) + at(ks, 1, m1r) - at(ks, 1, m2r)
+        scattered = (
+            at(k, 0, m1) + at(k, 0, m2) - at(k, 0, m3) + at(k, 1, m1r) + at(k, 1, m2r) - at(k, 1, m3)
+        )
+        lam = self.lam
+        total += 1j * lam * cross / (2.0 * _PI)
+        total -= lam * lam * scattered / (2.0 * _PI)
+        return total
+
+
+def _moment_mesh(lam: float, beta_r: float, m_top: int) -> np.ndarray:
+    """Panel edges on ``[0, pi]`` for band moments up to frequency ``m_top``.
+
+    Graded geometrically toward ``t = 0`` and ``t = pi`` from ``|lam|/8``,
+    where the kernel's near-poles sit at distance ~|lam| off the axis, and
+    toward ``t = pi/2`` from ``1/beta_r``, where the Fermi factor's poles
+    sit at distance ``pi/beta`` off the axis; then split into panels no
+    longer than ``min(pi/16, 4/m_top)`` for the oscillation.  Each graded
+    panel is at least its own length away from the nearest pole, where the
+    10-point Gauss rule is accurate to ~1e-15 relative.
+    """
+    half = 0.5 * _PI
+    points = [0.0, half, _PI]
+    if abs(lam) >= ZERO_FIELD_FLOOR:
+        s = abs(lam) / 8.0
+        while s < half:
+            points += [s, _PI - s]
+            s *= 2.0
+    s = 1.0 / beta_r
+    while s < half:
+        points += [half - s, half + s]
+        s *= 2.0
+    edges = np.unique(points)
+    step = min(_MAX_PANEL, 4.0 / max(m_top, 1))
+    pieces = np.ceil(np.diff(edges) / step).astype(int)
+    parts = [np.linspace(a, b, k, endpoint=False) for a, b, k in zip(edges[:-1], edges[1:], pieces)]
+    return np.concatenate([*parts, [_PI]])
+
+
+def _moment_integrands(lam: float, betas: np.ndarray, m: np.ndarray, t: np.ndarray):
+    """Sampled integrands of the moment families at nodes ``t``.
+
+    One ``(samples, closed)`` pair per family (plane, and above the floor
+    kernel_sin and kernel): the samples have shape ``(2, M, N)``, and
+    ``closed``, of shape ``(2, M)``, is the integral of what was subtracted
+    from them.  The kernel families are residuals of a matched pole
+    subtraction.  The kernel factors as ``(c - cos t)(c + cos t)`` with
     ``c = sqrt(1 + lam^2)``, one near-pole per endpoint of half-width
     ~|lam|; each pole's matched part (numerator frozen to value and slope
-    at that endpoint) is integrated in closed form, and the quadrature only
+    at that endpoint) integrates in closed form, and the quadrature only
     sees the bounded second-order residual.  Direct quadrature of the raw
-    integrand is not an option: its peak grows like 1/lam^2 and QUADPACK's
-    extrapolation returns silently wrong values once |lam| drops below
-    ~1e-4.
+    integrand would see a peak growing like 1/lam^2.
     """
+    rho = planck_density(betas[:, None], np.cos(t))[:, None, :]
+    plane = rho * np.exp(1j * np.multiply.outer(m, t))
+    if abs(lam) < ZERO_FIELD_FLOOR:
+        return [(plane, 0.0)]
     c = math.hypot(1.0, lam)
-    al = abs(lam)
     edge_gap = lam * lam / (c + 1.0)  # c - 1 without cancellation
+    lo = edge_gap + 2.0 * np.sin(0.5 * t) ** 2  # c - cos t
+    hi = edge_gap + 2.0 * np.cos(0.5 * t) ** 2  # c + cos t
+    sin = np.sin(t)
+    log_span = 2.0 * math.log((c + 1.0) / abs(lam))
 
-    def mix(t: float) -> complex:
-        return sum(w * cmath.exp(1j * m * t) for w, m in waves)
+    # endpoint values of the numerators; d/dt rho(cos t) vanishes at both
+    # ends, so only the trigonometric factor differentiates there
+    rho0 = planck_density(betas, 1.0)[:, None] * np.ones(m.size)
+    rhop = planck_density(betas, -1.0)[:, None] * np.where(m % 2 == 0, 1.0, -1.0)
+    zero = np.zeros_like(rho0)
 
-    def num(t: float) -> complex:
-        base = mix(t)
-        if with_sin:
-            base *= math.sin(t)
-        return rho(math.cos(t)) * base
+    def subtracted(num, n0, d0, npi, dpi):
+        # integral of 1/(c -+ cos t) is pi/|lam|; of sin t/(c -+ cos t) is L
+        closed = ((n0 + npi) * (_PI / abs(lam)) + (d0 - dpi) * log_span) / (2.0 * c)
+        n0, d0, npi, dpi = (v[..., None] for v in (n0, d0, npi, dpi))
+        matched = ((n0 + d0 * sin) * hi + (npi - dpi * sin) * lo) / (2.0 * c)
+        return (num - matched) / (lo * hi), closed
 
-    rho0, rhop = rho(1.0), rho(-1.0)
-    w0 = sum(w for w, _ in waves)
-    wp = sum(w * (1.0 if m % 2 == 0 else -1.0) for w, m in waves)
-    # endpoint slopes: d/dt rho(cos t) vanishes at both ends, so only the
-    # trigonometric factor differentiates there
-    if with_sin:
-        n0, npi = complex(0.0), complex(0.0)
-        d0 = complex(rho0 * w0)
-        dpi = complex(-rhop * wp)
-    else:
-        n0, npi = complex(rho0 * w0), complex(rhop * wp)
-        d0 = rho0 * sum(1j * m * w for w, m in waves)
-        dpi = rhop * sum(1j * m * w * (1.0 if m % 2 == 0 else -1.0) for w, m in waves)
+    return [
+        (plane, 0.0),
+        subtracted(plane * sin, zero, rho0, zero, -rhop),
+        subtracted(plane, rho0, 1j * m * rho0, rhop, 1j * m * rhop),
+    ]
 
-    # integral of 1/(c -+ cos t) is pi/|lam|; of sin t/(c -+ cos t) is L
-    log_span = 2.0 * math.log((c + 1.0) / al)
-    closed = ((n0 + npi) * (_PI / al) + (d0 - dpi) * log_span) / (2.0 * c)
 
-    def c_minus_cos(t: float) -> float:
-        h = math.sin(0.5 * t)
-        return edge_gap + 2.0 * h * h
+def band_moments(
+    lam: float,
+    th: ThermalConfig,
+    frequencies,
+    spec: QuadratureSpec | None = None,
+) -> BandMoments:
+    """Band moments of both reservoirs at the given integer frequencies, on one mesh.
 
-    def c_plus_cos(t: float) -> float:
-        h = math.cos(0.5 * t)
-        return edge_gap + 2.0 * h * h
+    Only ``|m|`` is computed; ``B(-m) = conj B(m)``.  The integrands are
+    sampled once on the graded mesh of ``_moment_mesh`` and contracted
+    against ``e^{imt}`` in numpy.  The error estimate is the embedded
+    Gauss rule's distance from the Kronrod rule, panel by panel, maximized
+    over the frequencies and weighted by how a matrix element combines the
+    moments: one plane moment per reservoir at ``1/2pi``, two cross moments
+    at ``|lam|/2pi`` and three scattered moments at ``lam^2/2pi``.  While it
+    exceeds ``spec.abs_tol``, the panels above their share are bisected;
+    past ``spec.max_subdivisions`` bisections NonConvergence is raised.
+    ``spec.rel_tol`` and ``spec.breakpoints`` are not used.
+    """
+    spec = spec if spec is not None else QuadratureSpec()
+    m = np.unique(np.abs(np.concatenate([np.ravel(f) for f in frequencies]))).astype(int)
+    betas = np.array([th.beta_l, th.beta_r])
+    weights = np.array([1.0, 2.0 * abs(lam), 3.0 * lam * lam]) / (2.0 * _PI)
+    if abs(lam) < ZERO_FIELD_FLOOR:
+        weights = weights[:1]
+    edges = _moment_mesh(lam, th.beta_r, int(m[-1]))
+    cap = edges.size - 1 + spec.max_subdivisions
+    while True:
+        t, wk, wg = panel_rule(edges)
+        n_panels, n_nodes = t.shape
+        chunk = max(1, _CHUNK_ELEMENTS // (2 * m.size * n_nodes))
+        sums = [np.zeros((2, m.size), dtype=complex) for _ in weights]
+        closed = [0.0] * len(weights)
+        panel_err = np.zeros(n_panels)
+        for start in range(0, n_panels, chunk):
+            sl = slice(start, start + chunk)
+            families = _moment_integrands(lam, betas, m, t[sl].ravel())
+            for f, (samples, integral) in enumerate(families):
+                closed[f] = integral
+                panels = samples.reshape(2, m.size, -1, n_nodes)
+                sums[f] += np.einsum("bmpk,pk->bm", panels, wk[sl])
+                gap = np.abs(np.einsum("bmpk,pk->bmp", panels, wk[sl] - wg[sl]))
+                panel_err[sl] += weights[f] * gap.max(axis=1).sum(axis=0)
+        error = float(panel_err.sum())
+        if not math.isfinite(error):
+            raise NonConvergence(f"band moments at lam={lam!r} are not finite")
+        if error <= spec.abs_tol:
+            break
+        split = panel_err > spec.abs_tol / n_panels
+        if n_panels + int(split.sum()) > cap:
+            raise NonConvergence(
+                f"band moments at lam={lam!r}: error estimate {error:.3e} above "
+                f"{spec.abs_tol:.3e} after {n_panels} panels"
+            )
+        edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])[split]]))
 
-    def residual(t: float) -> complex:
-        s = math.sin(t)
-        lo, hi = c_minus_cos(t), c_plus_cos(t)
-        matched = ((n0 + d0 * s) * hi + (npi - dpi * s) * lo) / (2.0 * c)
-        return (num(t) - matched) / (lo * hi)
-
-    return adaptive_integrate(residual, 0.0, _PI, budget).value + closed
+    moments = [total + extra for total, extra in zip(sums, closed)]
+    plane, kernel_sin, kernel = moments + [None] * (3 - len(moments))
+    return BandMoments(lam, m, plane, kernel_sin, kernel, error)
 
 
 def ac_overlap(
@@ -167,67 +320,13 @@ def ac_overlap(
 
     The overlap ``integral dk/2pi conj(w e_x)(k) theta(k) (w e_y)(k)`` with
     ``theta`` the thermal symbol, expanded into three terms (plane-plane,
-    plane-scattered cross terms, scattered-scattered).  The plane term is a
-    direct quadrature split at the symbol jump k = 0; the kernel terms go
-    through the matched-subtraction integrator, one panel per sign of k,
-    with the momentum mapped to [0, pi] so all wave frequencies are
-    integers.  Fields with ``|lam| < ZERO_FIELD_FLOOR`` take the plane term
-    alone; the rest is bounded by ~3e-12 there, below what the quadrature
-    could certify anyway.
+    plane-scattered cross terms, scattered-scattered), each a linear
+    combination of the band moments of ``band_moments`` at the frequencies
+    of ``overlap_frequencies``.  Fields with ``|lam| < ZERO_FIELD_FLOOR``
+    take the plane term alone; the rest is bounded by ~3e-12 there.
     """
-    spec = spec if spec is not None else QuadratureSpec()
-    lam = params.lam
-    band_only = abs(lam) < ZERO_FIELD_FLOOR
-    terms = 1 if band_only else 3
-    budget = QuadratureSpec(
-        abs_tol=spec.abs_tol / terms,
-        rel_tol=spec.rel_tol,
-        max_subdivisions=spec.max_subdivisions,
-        breakpoints=(0.0,),
-    )
-    d = y - x
-
-    def plane(k: float) -> complex:
-        return xy_symbol(th, k) * cmath.exp(1j * k * d)
-
-    total = adaptive_integrate(plane, -_PI, _PI, budget).value / (2.0 * _PI)
-    if band_only:
-        return total
-
-    ax, ay = abs(x), abs(y)
-    lam2 = lam * lam
-    # two panels per term, and the lam / lam^2 weights apply only after
-    # integration, so each panel's absolute target scales by the inverse
-    # weight; this also prices in the roundoff of the subtracted layers
-    half = 0.5 * spec.abs_tol / terms
-    cross_budget = QuadratureSpec(
-        abs_tol=half / abs(lam),
-        rel_tol=spec.rel_tol,
-        max_subdivisions=spec.max_subdivisions,
-    )
-    scattered_budget = QuadratureSpec(
-        abs_tol=half / lam2,
-        rel_tol=spec.rel_tol,
-        max_subdivisions=spec.max_subdivisions,
-    )
-
-    cross_total = complex(0.0)
-    scattered_total = complex(0.0)
-    m3 = ay - ax
-    # k > 0 carries the left reservoir, k < 0 (mapped by k -> -t) the right
-    for beta, m1, m2 in ((th.beta_l, ay - x, y - ax), (th.beta_r, ay + x, -y - ax)):
-
-        def rho(e: float, b: float = beta) -> float:
-            return planck_density(b, e)
-
-        cross_total += _kernel_overlap(lam, rho, True, ((1.0, m1), (-1.0, m2)), cross_budget)
-        scattered_total += _kernel_overlap(
-            lam, rho, False, ((1.0, m1), (1.0, m2), (-1.0, m3)), scattered_budget
-        )
-
-    total += 1j * lam * cross_total / (2.0 * _PI)
-    total -= lam2 * scattered_total / (2.0 * _PI)
-    return total
+    moments = band_moments(params.lam, th, overlap_frequencies(x, y), spec)
+    return complex(moments.overlap(x, y))
 
 
 @lru_cache(maxsize=128)

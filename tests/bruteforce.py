@@ -7,9 +7,11 @@ Slower and cruder than the package by design; the only job is to disagree
 when the package is wrong.
 """
 
+import cmath
 import math
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.linalg import eigh
 
 from nesslab.model import OperatorKind, operator_stencil
@@ -69,6 +71,63 @@ def symbol_coefficient(beta_l: float, beta_r: float, d: int, n: int = 1_000_000)
         return occ * np.exp(1j * d * k)
 
     return riemann_complex(integrand, -math.pi, math.pi, n) / (2.0 * math.pi)
+
+
+def _fermi_scalar(r: float, e: float) -> float:
+    z = r * e
+    if z > 0.0:
+        q = math.exp(-z)
+        return q / (1.0 + q)
+    return 1.0 / (1.0 + math.exp(z))
+
+
+def _graded_edges(lam: float, beta_r: float) -> list[float]:
+    """Cuts on ``[0, pi]``: geometric toward 0 and pi from ``|lam|/8`` and
+    toward pi/2 from ``1/beta_r``, ratio 2 in both."""
+    half = 0.5 * math.pi
+    cuts = {0.0, half, math.pi}
+    s = abs(lam) / 8.0
+    while 0.0 < s < half:
+        cuts |= {s, math.pi - s}
+        s *= 2.0
+    s = 1.0 / beta_r
+    while s < half:
+        cuts |= {half - s, half + s}
+        s *= 2.0
+    return sorted(cuts)
+
+
+def overlap_direct(lam: float, beta_l: float, beta_r: float, x: int, y: int) -> complex:
+    """Band overlap ``integral dk/2pi conj(W_x) theta W_y``, by raw ``quad``.
+
+    ``W_x(k) = e^{ikx} + i lam e^{i|k||x|} / (sin|k| - i lam)`` is the wave
+    operator applied to the basis vector at ``x``, and ``theta`` the
+    occupation symbol: the right reservoir's Fermi factor of ``cos k`` for
+    ``k <= 0``, the left one's for ``k > 0``.  The integrand is taken as
+    defined, with no subtraction; the momentum interval is cut at its
+    width-``lam`` features next to ``k = 0`` and ``k = +-pi`` and at the
+    width-``1/beta`` Fermi edges at ``k = +-pi/2``, and every panel goes to
+    ``quad`` on its own.
+    """
+
+    def wave(k: float, site: int) -> complex:
+        ak = abs(k)
+        return cmath.exp(1j * k * site) + 1j * lam * cmath.exp(1j * ak * abs(site)) / (
+            math.sin(ak) - 1j * lam
+        )
+
+    def integrand(k: float) -> complex:
+        occ = _fermi_scalar(beta_r if k <= 0.0 else beta_l, math.cos(k))
+        return wave(k, x).conjugate() * occ * wave(k, y)
+
+    edges = _graded_edges(lam, beta_r)
+    total = 0j
+    for sign in (-1.0, 1.0):
+        for a, b in zip(edges[:-1], edges[1:]):
+            lo, hi = sorted((sign * a, sign * b))
+            for part, unit in ((lambda k: integrand(k).real, 1.0), (lambda k: integrand(k).imag, 1j)):
+                total += unit * quad(part, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+    return total / (2.0 * math.pi)
 
 
 def central_difference(f, x: float, h: float) -> float:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nesslab.exceptions import WindowTooLarge
-from nesslab.model import ModelParams, ThermalConfig
+from nesslab.exceptions import NonConvergence, WindowTooLarge
+from nesslab.model import ModelParams, ThermalConfig, bound_state
 from nesslab.ness import (
     MAX_WINDOW_SITES,
     correlation_block,
@@ -15,6 +15,9 @@ from nesslab.ness import (
     ti_commutator_direct,
     ti_commutator_element,
 )
+from nesslab.scattering import ac_overlap, pp_weight
+
+from bruteforce import overlap_direct
 
 
 class TestSElement:
@@ -92,6 +95,82 @@ class TestCorrelationBlock:
     def test_window_order(self, th12):
         with pytest.raises(ValueError):
             correlation_block(ModelParams(0.1), th12, 2, 1)
+
+
+def direct_block(params, th, lo, hi):
+    """Window from the raw-quadrature twin plus the bound-state term.
+
+    The twin gives the band part; the bound part is the library's thermal
+    weight times the closed-form amplitudes, which the dense-oracle tests
+    of ``pp_weight`` cover.
+    """
+    sites = range(lo, hi + 1)
+    band = np.array(
+        [[overlap_direct(params.lam, th.beta_l, th.beta_r, x, y) for y in sites] for x in sites]
+    )
+    amp = bound_state(params.lam).amplitude(np.arange(lo, hi + 1))
+    return band + pp_weight(params, th) * np.outer(amp, amp)
+
+
+class TestAgainstDirectOverlap:
+    @pytest.mark.parametrize("lam", [1e-3, -1e-3, 0.1, -0.1, 0.5, -0.5, 1.5, -1.5])
+    def test_block_matches_twin(self, th12, lam):
+        for nu in (0, 2):
+            params = ModelParams(lam, nu)
+            block = correlation_block(params, th12, -2, 2)
+            assert np.max(np.abs(block.matrix - direct_block(params, th12, -2, 2))) < 1e-10
+
+    @pytest.mark.parametrize("lam", [0.5, -1e-3])
+    def test_off_centre_window(self, th12, lam):
+        params = ModelParams(lam)
+        block = correlation_block(params, th12, 3, 9)
+        assert np.max(np.abs(block.matrix - direct_block(params, th12, 3, 9))) < 1e-10
+
+    def test_far_pair(self, th12):
+        # frequencies up to 75; the element reads only six of them
+        value = ac_overlap(ModelParams(-0.3), th12, 40, -35)
+        assert abs(value - overlap_direct(-0.3, 1.0, 2.0, 40, -35)) < 1e-10
+
+    @pytest.mark.parametrize("lam", [1e6, 1e-12])
+    def test_domain_edges_certified_or_refused(self, lam):
+        th = ThermalConfig(500.0, 1000.0)
+        params = ModelParams(lam)
+        try:
+            block = correlation_block(params, th, -2, 2)
+        except NonConvergence:
+            return
+        assert np.max(np.abs(block.matrix - direct_block(params, th, -2, 2))) < 1e-10
+
+
+class TestMpmathReference:
+    """Elements of the benchmark's mpmath references at small fields.
+
+    Values, tolerances and layout as in ``perfbench/refs/window.json``
+    (band overlap at 20 digits plus the bound-state term; each tolerance
+    is one 1e-10 share for the band and one for the bound weight).
+    """
+
+    def test_small_field_element(self, th12):
+        # adaptive quadrature returned 1.83e-8 here, 46 tolerances off
+        value = s_element(ModelParams(7.08503e-05), th12, -3, 3)
+        ref = complex(9.129654423713225e-09, 0.00809932819988112)
+        assert abs(value - ref) < 2.000080993281999e-10
+
+    def test_small_field_window(self, th12):
+        # adaptive quadrature raised NonConvergence on this window
+        block = correlation_block(ModelParams(-2.87931e-04), th12, -7, 7)
+        refs = {
+            (-7, -7): (0.5000214244839849, -1.0236079754887956e-30, 2.00500021424484e-10),
+            (-7, 7): (-4.597164033843587e-08, 0.003405356846574246, 2.0000340535684688e-10),
+            (-3, 3): (-7.182511608647098e-08, 0.008099178928098482, 2.0000809917892843e-10),
+            (-1, 2): (0.007935795172925132, 2.242069692053454e-05, 2.0000793582684503e-10),
+            (0, 0): (0.5000880399482996, 1.4197621439297164e-32, 2.005000880399483e-10),
+            (0, 1): (-0.1603522656974421, 0.0, 2.0016035226569745e-10),
+            (6, 7): (-0.16035234402409235, 0.0, 2.0016035234402409e-10),
+            (7, 7): (0.4999784835727344, -1.0241470791421876e-29, 2.0049997848357274e-10),
+        }
+        for (x, y), (re, im, tol) in refs.items():
+            assert abs(block.value(x, y) - complex(re, im)) < tol
 
 
 class TestTiCommutator:

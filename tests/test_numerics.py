@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +11,7 @@ from nesslab.numerics import (
     QuadratureSpec,
     adaptive_integrate,
     geometric_sine_sum,
+    panel_rule,
     with_breakpoints,
 )
 
@@ -122,6 +124,30 @@ class TestAdaptiveIntegrate:
         whole = adaptive_integrate(f, 0.0, 2.0, spec).value
         split = adaptive_integrate(f, 0.0, 2.0, with_breakpoints(spec, cut)).value
         assert abs(whole - split) < 2.0 * spec.abs_tol
+
+
+class TestPanelRule:
+    def test_degrees_of_exactness(self):
+        # Kronrod 21 points: degree 31; the embedded Gauss 10 points: 19
+        t, wk, wg = panel_rule([-1.0, 1.0])
+        for k in range(0, 32, 2):
+            exact = 2.0 / (k + 1)
+            assert abs(wk @ t[0] ** k - exact) < 1e-14
+            if k <= 19:
+                assert abs(wg @ t[0] ** k - exact) < 1e-14
+        assert abs(wk @ t[0] ** 32 - 2.0 / 33) > 1e-13
+        assert abs(wg @ t[0] ** 20 - 2.0 / 21) > 1e-8
+
+    def test_gauss_nodes_embedded(self):
+        t, _, wg = panel_rule([-1.0, 1.0])
+        gauss, _ = np.polynomial.legendre.leggauss(10)
+        assert np.max(np.abs(t[0][wg[0] != 0.0] - gauss)) < 1e-15
+
+    def test_panels_tile_the_interval(self):
+        t, wk, wg = panel_rule([0.0, 1.0, 3.0])
+        assert t.shape == wk.shape == wg.shape == (2, 21)
+        assert abs(np.sum(wk * np.cos(t)) - math.sin(3.0)) < 1e-15
+        assert np.all((t[0] > 0.0) & (t[0] < 1.0)) and np.all((t[1] > 1.0) & (t[1] < 3.0))
 
 
 class TestGeometricSineSum:

@@ -7,6 +7,7 @@ shipped grids and frozen.
 """
 
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from nesslab.exceptions import (
     ResourceLimit,
     TimeHorizonExceeded,
 )
+from nesslab import oracle
 from nesslab.model import ModelParams, OperatorKind, ThermalConfig, bound_state
 from nesslab.ness import s_element
 from nesslab.oracle import (
@@ -70,6 +72,12 @@ class TestBuildTruncation:
         evals, _ = sys.factorization(OperatorKind.MAGNETIC)
         assert np.max(np.abs(evals)) < 1.0
         assert sys.bound_data() is None
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap trim is glibc's")
+    def test_heap_trim_found_on_glibc(self):
+        # without it the memory peak of a full factorization depends on
+        # which windows the process built before
+        assert oracle._malloc_trim is not None
 
     def test_index_round_trip(self):
         sys = build_truncation(15, ModelParams(0.0))
@@ -133,6 +141,24 @@ class TestBoundData:
         numeric = np.array([vec[sys_m1000_lam075.index(int(x))] for x in xs])
         assert np.max(np.abs(numeric - bs.amplitude(xs))) < 1e-6
 
+    @pytest.mark.parametrize("m, lam", [(1000, 0.6), (1000, -1.8), (200, -0.12), (300, 0.75)])
+    def test_matches_full_factorization_without_it(self, m, lam):
+        sys = build_truncation(m, ModelParams(lam))
+        energy, vec = sys.bound_data()
+        assert not sys._factorizations
+        evals, evecs = sys.factorization(OperatorKind.MAGNETIC)
+        i = int(np.argmax(np.abs(evals)))
+        assert abs(energy - evals[i]) < 1e-12
+        ref = evecs[:, i] * np.sign(evecs[:, i] @ vec)
+        assert np.max(np.abs(vec - ref)) < 1e-10
+
+    def test_two_levels_outside_band_rejected(self):
+        sys = build_truncation(20, ModelParams(0.5))
+        diag, off = sys.hamiltonians[OperatorKind.MAGNETIC]
+        sys.hamiltonians[OperatorKind.MAGNETIC] = (diag + 0.5 * (np.arange(diag.size) == 5), off)
+        with pytest.raises(ConsistencyError):
+            sys.bound_data()
+
 
 class TestInitialState:
     def test_block_structure(self):
@@ -158,6 +184,15 @@ class TestInitialState:
         assert initial_two_point(sys, th) is initial_two_point(sys, th)
         other = initial_two_point(sys, ThermalConfig(1.0, 3.0))
         assert other is not initial_two_point(sys, th)
+
+    def test_cache_holds_only_the_latest_state(self):
+        # build_truncation's memory budget counts a single state
+        sys = build_truncation(40, ModelParams(0.0))
+        initial_two_point(sys, ThermalConfig(1.0, 2.0))
+        latest = initial_two_point(sys, ThermalConfig(1.0, 3.0))
+        assert list(sys._state_cache) == [(1.0, 3.0)]
+        assert initial_two_point(sys, ThermalConfig(1.0, 3.0)) is latest
+        assert len(sys._state_cache) == 1
 
     def test_rejects_sample_filling_window(self):
         sys = build_truncation(10, ModelParams(0.5, 10))

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nesslab.exceptions import DomainError, NoBoundState
+from nesslab import scattering
+from nesslab.exceptions import DomainError, NonConvergence, NoBoundState
 from nesslab.model import ModelParams, ThermalConfig, planck_density
+from nesslab.numerics import QuadratureSpec
 from nesslab.scattering import (
     ac_overlap,
+    band_moments,
     magnetic_correction,
     pp_weight,
     wave_action,
@@ -112,6 +115,57 @@ class TestAcOverlap:
         trace = evolve_correlation(sys_m1000_lam05, th12, 0, 1, times)
         band_mean = complex(np.mean(trace.components["aa"]))
         assert abs(band_mean - ac_overlap(ModelParams(0.5), th12, 0, 1)) < 1e-3
+
+
+class TestBandMoments:
+    def test_negative_frequencies_conjugate(self, th12):
+        mom = band_moments(0.3, th12, range(5))
+        for family in (mom.plane, mom.kernel_sin, mom.kernel):
+            for row in (0, 1):
+                assert np.array_equal(mom.at(family, row, -np.arange(5)), family[row].conj())
+
+    def test_frequency_subset_matches_full_range(self, th12):
+        # same mesh up to frequency 20, so the shared moments agree to roundoff
+        full = band_moments(0.3, th12, range(13))
+        subset = band_moments(0.3, th12, [-12, 3, 7])
+        assert list(subset.frequencies) == [3, 7, 12]
+        for name in ("plane", "kernel_sin", "kernel"):
+            a, b = getattr(full, name), getattr(subset, name)
+            assert np.max(np.abs(a[:, [3, 7, 12]] - b)) < 1e-13 * max(1.0, np.max(np.abs(a)))
+
+    def test_zero_field_plane_only(self, th12):
+        mom = band_moments(0.0, th12, range(4))
+        assert mom.kernel is None and mom.kernel_sin is None
+        assert abs(mom.overlap(0, 2) - symbol_coefficient(1.0, 2.0, 2)) < 1e-9
+
+    def test_certified_below_target(self, th12):
+        for lam in (1e-9, 1e-4, 0.5, 3.0):
+            assert band_moments(lam, th12, range(17)).error_estimate < QuadratureSpec().abs_tol
+
+    def test_refines_a_coarse_mesh(self, th12, monkeypatch):
+        lam = 0.05
+        graded = band_moments(lam, th12, range(7))
+        monkeypatch.setattr(scattering, "_moment_mesh", lambda *args: np.array([0.0, math.pi]))
+        with pytest.raises(NonConvergence):
+            band_moments(lam, th12, range(7), QuadratureSpec(max_subdivisions=3))
+        refined = band_moments(lam, th12, range(7))
+        assert refined.error_estimate < QuadratureSpec().abs_tol
+        for a, b, weight in (
+            (refined.plane, graded.plane, 1.0),
+            (refined.kernel_sin, graded.kernel_sin, lam),
+            (refined.kernel, graded.kernel, lam * lam),
+        ):
+            assert weight * np.max(np.abs(a - b)) < 1e-12
+
+    def test_refuses_unreachable_target(self, th12):
+        spec = QuadratureSpec(abs_tol=1e-30, max_subdivisions=5)
+        with pytest.raises(NonConvergence):
+            band_moments(0.5, th12, range(5), spec)
+
+    def test_rejects_frequencies_not_computed(self, th12):
+        mom = band_moments(0.5, th12, range(5))
+        with pytest.raises(ValueError):
+            mom.overlap(3, -2)
 
 
 class TestPpWeight:
