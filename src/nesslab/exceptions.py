@@ -39,7 +39,12 @@ class ResourceLimit(RuntimeError):
 
 
 class NonConvergence(RuntimeError):
-    """Adaptive quadrature exhausted its budget above the requested tolerance."""
+    """Quadrature exhausted its subdivision budget above the requested tolerance.
+
+    Raised by ``adaptive_integrate`` and by the certified panel families of
+    ``refine_panels`` (band moments, flux integrals), also when an error
+    estimate is not finite.
+    """
 
 
 class ConsistencyError(RuntimeError):

@@ -101,18 +101,20 @@ def planck_density(r: float, e):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def planck_difference(th: ThermalConfig, e: float) -> float:
-    """``planck_density(beta_l, e) - planck_density(beta_r, e)`` in product form.
+def planck_difference(th: ThermalConfig, e):
+    """``planck_density(beta_l, e) - planck_density(beta_r, e)``, elementwise on arrays.
 
-    Evaluates ``sinh(delta e) / (cosh(delta e) + cosh(beta_mean e))`` with the
-    largest exponent scaled out, so it stays finite for large ``beta * e``.
+    Evaluates ``sinh(delta e) / (cosh(delta e) + cosh(beta_mean e))`` in
+    product form with the largest exponent scaled out, so it stays finite
+    for large ``beta * e``.
     """
-    a = th.delta * e
-    b = th.beta_mean * e
-    m = abs(b)  # beta_mean >= delta >= 0, so |b| >= |a|
-    num = math.exp(a - m) - math.exp(-a - m)
-    den = math.exp(a - m) + math.exp(-a - m) + math.exp(b - m) + math.exp(-b - m)
-    return num / den
+    a = np.multiply(th.delta, e)
+    b = np.multiply(th.beta_mean, e)
+    m = np.abs(b)  # beta_mean >= delta >= 0, so |b| >= |a|
+    num = np.exp(a - m) - np.exp(-a - m)
+    den = np.exp(a - m) + np.exp(-a - m) + np.exp(b - m) + np.exp(-b - m)
+    out = num / den
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def dispersion(k: float) -> float:

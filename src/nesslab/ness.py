@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import ConsistencyError, WindowTooLarge
-from .model import ModelParams, ThermalConfig, bound_state, planck_difference
-from .numerics import QuadratureSpec, adaptive_integrate
+from .model import ModelParams, ThermalConfig, bound_state
+from .numerics import QuadratureSpec
 from .scattering import (
     ZERO_FIELD_FLOOR,
     ac_overlap,
@@ -132,27 +132,16 @@ def ti_commutator_element(
     if abs(lam) < ZERO_FIELD_FLOOR or th.is_equilibrium:
         fast = 0.0
     else:
-
-        def smooth(t: float) -> float:
-            e = math.cos(t)
-            return e * planck_difference(th, e)
-
         # corr = 1 - lam^2/(sin^2 + lam^2) splits the integral (even in k)
-        # into a smooth part and a kernel part, weighted by lam and lam^3
-        # after integration.  The smooth target scales by the inverse weight;
-        # the kernel part is Re of the m = 1 kernel moments, which
-        # band_moments certifies at weight 3 lam^2/2pi per reservoir, so a
-        # target over max(1, |lam|) keeps it under a third of abs_tol.
-        smooth_budget = QuadratureSpec(
-            abs_tol=0.5 * spec.abs_tol / abs(lam),
-            rel_tol=spec.rel_tol,
-            max_subdivisions=spec.max_subdivisions,
-        )
-        plain = adaptive_integrate(smooth, 0.0, math.pi, smooth_budget).value / math.pi
-        kernel_spec = replace(spec, abs_tol=0.5 * spec.abs_tol / max(1.0, abs(lam)))
-        first = band_moments(lam, th, [1], kernel_spec).kernel[:, 0]
-        kernel = (first[0] - first[1]).real
-        fast = lam * plain - lam**3 * kernel / math.pi
+        # into the m = 1 plane moments and the m = 1 kernel moments, weighted
+        # by lam/pi and lam^3/pi; band_moments certifies them at 1/2pi and
+        # 3 lam^2/2pi per reservoir, so a target of abs_tol/(2 max(1, |lam|))
+        # keeps the difference under abs_tol.
+        moments_spec = replace(spec, abs_tol=0.5 * spec.abs_tol / max(1.0, abs(lam)))
+        moments = band_moments(lam, th, [1], moments_spec)
+        plain = (moments.plane[0, 0] - moments.plane[1, 0]).real
+        kernel = (moments.kernel[0, 0] - moments.kernel[1, 0]).real
+        fast = (lam * plain - lam**3 * kernel) / math.pi
 
     if verify:
         direct = ti_commutator_direct(params, th, spec)

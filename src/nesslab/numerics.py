@@ -4,9 +4,11 @@ Scalar momentum and energy integrals run through ``adaptive_integrate``, a
 thin contract around QUADPACK: the caller declares interior breakpoints
 (kinks of ``|sin k|``-type integrands, symbol jumps), the interval is split
 there, and the panels are integrated left to right so identical inputs give
-identical output bytes.  Families of integrals sampled on one mesh use
-``panel_rule``, a fixed Gauss-Kronrod pair on caller-chosen panels; the
-Gauss rule embedded in it gives each panel's error estimate.
+identical output bytes; only the bound-state weight still needs it.
+Families of integrals sampled on one mesh use ``panel_rule``, a fixed
+Gauss-Kronrod pair on the panels of ``graded_mesh``; the Gauss rule
+embedded in it gives each panel's error estimate, and ``refine_panels``
+bisects panels until the caller-weighted estimate meets the tolerance.
 """
 
 from __future__ import annotations
@@ -192,6 +194,10 @@ _G_WEIGHTS = np.zeros(21)
 _G_WEIGHTS[1:20:2] = _GK21_GAUSS + _GK21_GAUSS[::-1]  # no Gauss node at 0
 
 
+# longest panel of a graded mesh
+_MAX_PANEL = math.pi / 16
+
+
 def panel_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """21-point Gauss-Kronrod nodes and weights on every panel of ``edges``.
 
@@ -205,6 +211,71 @@ def panel_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     half = 0.5 * np.diff(edges)[:, None]
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     return mid + half * _GK_NODES, half * _GK_WEIGHTS, half * _G_WEIGHTS
+
+
+def graded_mesh(lam: float, beta: float, end: float, step: float = math.inf) -> np.ndarray:
+    """Panel edges on ``[0, end]``, ``end`` being ``pi/2`` or ``pi``.
+
+    Graded geometrically, ratio 2, toward ``t = 0`` and ``t = pi`` from
+    ``|lam|/8`` (not at all at ``lam = 0``), where a field kernel
+    ``1/(sin^2 t + lam^2)`` has near-poles at distance ~|lam| off the axis,
+    and toward ``t = pi/2`` from ``1/beta``, where a Fermi factor of
+    ``cos t`` has poles at distance ``pi/beta`` off the axis; then split
+    into panels no longer than ``min(pi/16, step)``.  Each graded panel is
+    at least its own length away from the nearest pole, where the 10-point
+    Gauss rule of ``panel_rule`` is accurate to ~1e-15 relative.
+    """
+    half = 0.5 * math.pi
+    points = [0.0, half, end]
+    if lam != 0.0:
+        s = abs(lam) / 8.0
+        while s < half:
+            points += [s, math.pi - s]
+            s *= 2.0
+    s = 1.0 / beta
+    while s < half:
+        points += [half - s, half + s]
+        s *= 2.0
+    edges = np.unique(points)
+    edges = edges[edges <= end]
+    pieces = np.ceil(np.diff(edges) / min(_MAX_PANEL, step)).astype(int)
+    parts = [np.linspace(a, b, k, endpoint=False) for a, b, k in zip(edges[:-1], edges[1:], pieces)]
+    return np.concatenate([*parts, [end]])
+
+
+def refine_panels(
+    contract: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    edges: np.ndarray,
+    spec: QuadratureSpec,
+    what: str,
+) -> tuple[np.ndarray, float]:
+    """Bisect panels of ``edges`` until ``contract`` certifies its integrals.
+
+    ``contract(edges)`` samples a family of integrands once on the panels
+    of ``panel_rule(edges)`` and returns the integrals and, per panel, the
+    caller-weighted distance of the embedded Gauss rule from the Kronrod
+    rule.  Their sum is the error estimate; while it exceeds
+    ``spec.abs_tol``, the panels above their share of it are bisected.
+    Returns the integrals and the estimate.  Raises NonConvergence, naming
+    ``what``, for a non-finite estimate and once more than
+    ``spec.max_subdivisions`` panels would have been added.
+    """
+    cap = edges.size - 1 + spec.max_subdivisions
+    while True:
+        values, panel_err = contract(edges)
+        error = float(panel_err.sum())
+        if not math.isfinite(error):
+            raise NonConvergence(f"{what} are not finite")
+        if error <= spec.abs_tol:
+            return values, error
+        n_panels = edges.size - 1
+        split = panel_err > spec.abs_tol / n_panels
+        if n_panels + int(split.sum()) > cap:
+            raise NonConvergence(
+                f"{what}: error estimate {error:.3e} above "
+                f"{spec.abs_tol:.3e} after {n_panels} panels"
+            )
+        edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])[split]]))
 
 
 def with_breakpoints(spec: QuadratureSpec | None, *points: float) -> QuadratureSpec:

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import DomainError, NoBoundState, NonConvergence
+from .exceptions import DomainError, NoBoundState
 from .model import (
     ModelParams,
     ThermalConfig,
@@ -40,7 +40,9 @@ from .numerics import (
     QuadratureSpec,
     adaptive_integrate,
     geometric_sine_sum,
+    graded_mesh,
     panel_rule,
+    refine_panels,
     with_breakpoints,
 )
 
@@ -98,9 +100,6 @@ def wave_action(lam: float, x: int, k: float) -> complex:
     return plane + 1j * lam * cmath.exp(1j * ak * abs(x)) / (math.sin(ak) - 1j * lam)
 
 
-# Base panel length of the moment mesh; panels shrink to 4 / m for higher
-# frequencies m, so all requests up to frequency 20 share one mesh.
-_MAX_PANEL = _PI / 16
 # elements of one (reservoir, frequency, node) array; larger families are
 # sampled a group of panels at a time
 _CHUNK_ELEMENTS = 1 << 14
@@ -177,30 +176,12 @@ class BandMoments:
 def _moment_mesh(lam: float, beta_r: float, m_top: int) -> np.ndarray:
     """Panel edges on ``[0, pi]`` for band moments up to frequency ``m_top``.
 
-    Graded geometrically toward ``t = 0`` and ``t = pi`` from ``|lam|/8``,
-    where the kernel's near-poles sit at distance ~|lam| off the axis, and
-    toward ``t = pi/2`` from ``1/beta_r``, where the Fermi factor's poles
-    sit at distance ``pi/beta`` off the axis; then split into panels no
-    longer than ``min(pi/16, 4/m_top)`` for the oscillation.  Each graded
-    panel is at least its own length away from the nearest pole, where the
-    10-point Gauss rule is accurate to ~1e-15 relative.
+    ``graded_mesh`` without the field grading below ``ZERO_FIELD_FLOOR``,
+    in panels no longer than ``min(pi/16, 4/m_top)`` for the oscillation,
+    so all requests up to frequency 20 share one mesh.
     """
-    half = 0.5 * _PI
-    points = [0.0, half, _PI]
-    if abs(lam) >= ZERO_FIELD_FLOOR:
-        s = abs(lam) / 8.0
-        while s < half:
-            points += [s, _PI - s]
-            s *= 2.0
-    s = 1.0 / beta_r
-    while s < half:
-        points += [half - s, half + s]
-        s *= 2.0
-    edges = np.unique(points)
-    step = min(_MAX_PANEL, 4.0 / max(m_top, 1))
-    pieces = np.ceil(np.diff(edges) / step).astype(int)
-    parts = [np.linspace(a, b, k, endpoint=False) for a, b, k in zip(edges[:-1], edges[1:], pieces)]
-    return np.concatenate([*parts, [_PI]])
+    width = lam if abs(lam) >= ZERO_FIELD_FLOOR else 0.0
+    return graded_mesh(width, beta_r, _PI, 4.0 / max(m_top, 1))
 
 
 def _moment_integrands(lam: float, betas: np.ndarray, m: np.ndarray, t: np.ndarray):
@@ -258,13 +239,14 @@ def band_moments(
 
     Only ``|m|`` is computed; ``B(-m) = conj B(m)``.  The integrands are
     sampled once on the graded mesh of ``_moment_mesh`` and contracted
-    against ``e^{imt}`` in numpy.  The error estimate is the embedded
-    Gauss rule's distance from the Kronrod rule, panel by panel, maximized
-    over the frequencies and weighted by how a matrix element combines the
-    moments: one plane moment per reservoir at ``1/2pi``, two cross moments
-    at ``|lam|/2pi`` and three scattered moments at ``lam^2/2pi``.  While it
-    exceeds ``spec.abs_tol``, the panels above their share are bisected;
-    past ``spec.max_subdivisions`` bisections NonConvergence is raised.
+    against ``e^{imt}`` in numpy, and ``numerics.refine_panels`` certifies
+    them.  The error estimate is the embedded Gauss rule's distance from
+    the Kronrod rule, panel by panel, maximized over the frequencies and
+    weighted by how a matrix element combines the moments: one plane
+    moment per reservoir at ``1/2pi``, two cross moments at ``|lam|/2pi``
+    and three scattered moments at ``lam^2/2pi``.  While it exceeds
+    ``spec.abs_tol``, the panels above their share are bisected; past
+    ``spec.max_subdivisions`` bisections NonConvergence is raised.
     ``spec.rel_tol`` and ``spec.breakpoints`` are not used.
     """
     spec = spec if spec is not None else QuadratureSpec()
@@ -273,9 +255,8 @@ def band_moments(
     weights = np.array([1.0, 2.0 * abs(lam), 3.0 * lam * lam]) / (2.0 * _PI)
     if abs(lam) < ZERO_FIELD_FLOOR:
         weights = weights[:1]
-    edges = _moment_mesh(lam, th.beta_r, int(m[-1]))
-    cap = edges.size - 1 + spec.max_subdivisions
-    while True:
+
+    def contract(edges):
         t, wk, wg = panel_rule(edges)
         n_panels, n_nodes = t.shape
         chunk = max(1, _CHUNK_ELEMENTS // (2 * m.size * n_nodes))
@@ -291,20 +272,10 @@ def band_moments(
                 sums[f] += np.einsum("bmpk,pk->bm", panels, wk[sl])
                 gap = np.abs(np.einsum("bmpk,pk->bmp", panels, wk[sl] - wg[sl]))
                 panel_err[sl] += weights[f] * gap.max(axis=1).sum(axis=0)
-        error = float(panel_err.sum())
-        if not math.isfinite(error):
-            raise NonConvergence(f"band moments at lam={lam!r} are not finite")
-        if error <= spec.abs_tol:
-            break
-        split = panel_err > spec.abs_tol / n_panels
-        if n_panels + int(split.sum()) > cap:
-            raise NonConvergence(
-                f"band moments at lam={lam!r}: error estimate {error:.3e} above "
-                f"{spec.abs_tol:.3e} after {n_panels} panels"
-            )
-        edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])[split]]))
+        return [total + extra for total, extra in zip(sums, closed)], panel_err
 
-    moments = [total + extra for total, extra in zip(sums, closed)]
+    edges = _moment_mesh(lam, th.beta_r, int(m[-1]))
+    moments, error = refine_panels(contract, edges, spec, f"band moments at lam={lam!r}")
     plane, kernel_sin, kernel = moments + [None] * (3 - len(moments))
     return BandMoments(lam, m, plane, kernel_sin, kernel, error)
 

@@ -1,17 +1,21 @@
 """Steady-state energy transport through the field site.
 
-The flux out of the left reservoir has a closed momentum-space form: half
-the band average of the current density ``j(e) = e sqrt(1-e^2) rho_diff(e)``
-times the transmission suppression of the field.  Everything else here is
-built from that integral: entropy production, the first and second
-derivatives in the field strength, the split of the derivative into an
-explicit logarithmic term plus a bounded remainder, and the regression
-estimate of the log-divergence coefficient that marks the second-order
-transition at zero field.
+The flux out of the left reservoir is a band integral of the occupation
+difference ``g(t) = rho_diff(cos t)`` against a rational kernel in
+``sin t``:
 
-Derivatives in the field strength are taken under the integral sign, which
-is legitimate away from zero field; the second derivative has no limit at
-the origin, where the suppression factor loses differentiability.
+    J = (1/pi) integral_0^{pi/2} g(t) cos t sin^3 t / (sin^2 t + lam^2) dt.
+
+Its field derivatives, taken under the integral sign, and the remainder of
+the log split of the first derivative are integrals of the same ``g``
+against kernels with higher powers of ``sin^2 t + lam^2``.  All four are
+sampled once on one graded Gauss-Kronrod mesh and certified together by
+the embedded Gauss rule (``numerics.refine_panels``), so every value the
+module returns is within the requested absolute tolerance or the call
+raises NonConvergence.  Built on them: entropy production, the explicit
+logarithmic term of the derivative, and the regression estimate of the
+log-divergence coefficient that marks the second-order transition at zero
+field, where the second derivative has no limit.
 """
 
 from __future__ import annotations
@@ -23,74 +27,73 @@ import numpy as np
 
 from .exceptions import ConsistencyError, IllConditioned, UndefinedAtOrigin
 from .model import ModelParams, ThermalConfig, planck_density, planck_difference
-from .numerics import QuadratureSpec, adaptive_integrate, with_breakpoints
-from .scattering import magnetic_correction
+from .numerics import QuadratureSpec, graded_mesh, panel_rule, refine_panels
 
 _PI = math.pi
 
-# Below this field strength the momentum-domain derivative integrand grows
-# twin peaks at k = 0 and k = pi; the arcsin-domain route pins the spike at
-# x = 0 and stays cheap, so the cross-check is skipped there.
-_CROSS_CHECK_MIN_LAM = 1e-3
-_CROSS_CHECK_TOL = 1e-9
 
+@dataclass(frozen=True)
+class _FluxIntegrals:
+    """The flux, its field derivatives and the log-split remainder at one field.
 
-def _current_density(th: ThermalConfig, e: float) -> float:
-    return e * math.sqrt(max(0.0, 1.0 - e * e)) * planck_difference(th, e)
-
-
-def _flux_momentum(params: ModelParams, th: ThermalConfig, spec: QuadratureSpec):
-    def integrand(k: float) -> float:
-        e = math.cos(k)
-        return 0.5 * _current_density(th, e) * magnetic_correction(params.lam, e)
-
-    res = adaptive_integrate(integrand, -_PI, _PI, with_breakpoints(spec, 0.0))
-    scale = 1.0 / (2.0 * _PI)
-    return res.value * scale, res.error_estimate * scale
-
-
-def _flux_energy(params: ModelParams, th: ThermalConfig, spec: QuadratureSpec):
-    def integrand(e: float) -> float:
-        return e * planck_difference(th, e) * magnetic_correction(params.lam, e)
-
-    res = adaptive_integrate(integrand, 0.0, 1.0, with_breakpoints(spec))
-    return res.value / _PI, res.error_estimate / _PI
-
-
-def _flux_arcsin(params: ModelParams, th: ThermalConfig, spec: QuadratureSpec) -> float:
-    # same substitution as the derivative: the width-lam feature moves to
-    # the endpoint x = 0, where the subdivision bisects geometrically
-    lam2 = params.lam * params.lam
-
-    def integrand(x: float) -> float:
-        return _thermal_profile(th, x) * x**3 / (x * x + lam2)
-
-    return adaptive_integrate(integrand, 0.0, 1.0, with_breakpoints(spec)).value / _PI
-
-
-def _flux_value(params: ModelParams, th: ThermalConfig, spec: QuadratureSpec):
-    """Flux with its error estimate, dual-route checked, small fields rerouted.
-
-    At and above the 1e-3 field threshold the momentum form is returned and
-    the energy form is the check.  Below it the momentum integrand develops
-    width-``lam`` dips at the band edges that defeat the quadrature's
-    roundoff control, so the energy form is returned and the arcsin
-    substitution is the check.
+    ``J_second`` and ``F2`` are None at zero field; ``error`` bounds the
+    quadrature error of each of the other fields.
     """
-    small = params.lam != 0.0 and abs(params.lam) < _CROSS_CHECK_MIN_LAM
-    if small:
-        value, err = _flux_energy(params, th, spec)
-        other = _flux_arcsin(params, th, spec)
-    else:
-        value, err = _flux_momentum(params, th, spec)
-        other, _ = _flux_energy(params, th, spec)
-    tol = 10.0 * spec.abs_tol
-    if abs(value - other) > tol:
-        raise ConsistencyError(
-            f"flux quadratures disagree: {value!r} against cross-check {other!r}, "
-            f"tolerance {tol!r}"
-        )
-    return value, err
+
+    J: float
+    J_prime: float
+    J_second: float | None
+    F2: float | None
+    error: float
+
+
+def _flux_integrals(
+    lam: float, th: ThermalConfig, spec: QuadratureSpec | None
+) -> _FluxIntegrals:
+    """Evaluate the flux family on one mesh, certified to ``spec.abs_tol``.
+
+    With ``s = sin t``, ``c = cos t`` and ``D = s^2 + lam^2`` on
+    ``[0, pi/2]``, ``g`` is contracted against ``c s^3/D`` (``pi J``),
+    ``c s^3/D^2`` (``F1 + F2 = -(pi/2) J'/lam``),
+    ``c s^3 (-2/D^2 + 8 lam^2/D^3)`` (``pi J''``), and ``F2`` is the
+    quadrature of ``(g - f0) c s^3/D^2`` itself.  The kernels are written in
+    ``p = max(s, |lam|)``, ``q = s/p <= 1`` and ``e = |lam|/p <= 1``, so no
+    tiny ``lam`` or ``s`` is squared.  The mesh is graded toward ``t = 0``
+    from ``|lam|/8`` and toward ``pi/2`` from ``1/beta_r``; the error
+    estimate weights each family as its value enters a returned number
+    (``1/pi``, ``2|lam|/pi``, ``1/pi``, ``1``).  Zero field contracts the
+    flux kernel alone.
+    """
+    if th.is_equilibrium:
+        zero = None if lam == 0.0 else 0.0
+        return _FluxIntegrals(0.0, 0.0, zero, zero, 0.0)
+    spec = spec if spec is not None else QuadratureSpec()
+    a = abs(lam)
+    f0 = log_coefficient(th)
+    weights = np.array([1.0, 2.0 * a, 1.0, _PI]) / _PI if lam != 0.0 else np.array([1.0 / _PI])
+
+    def contract(edges):
+        t, wk, wg = panel_rule(edges)
+        s, c = np.sin(t), np.cos(t)
+        g = planck_difference(th, c)
+        p = np.maximum(s, a)
+        q, e = s / p, a / p
+        r = 1.0 + (q * e) ** 2  # D / p^2
+        k1 = c * q**3 / (p * r * r)  # c s^3 / D^2
+        families = [g * c * s * q * q / r]
+        if lam != 0.0:
+            families += [g * k1, g * k1 * (8.0 * e * e / r - 2.0), (g - f0) * k1]
+        samples = np.array(families)
+        values = np.einsum("fpk,pk->f", samples, wk)
+        gap = np.abs(np.einsum("fpk,pk->fp", samples, wk - wg))
+        return values, weights @ gap
+
+    edges = graded_mesh(lam, th.beta_r, 0.5 * _PI)
+    values, error = refine_panels(contract, edges, spec, f"flux integrals at lam={lam!r}")
+    if lam == 0.0:
+        return _FluxIntegrals(float(values[0]) / _PI, 0.0, None, None, error)
+    flux, total, second, f2 = (float(v) for v in values)
+    return _FluxIntegrals(flux / _PI, -2.0 * lam / _PI * total, second / _PI, f2, error)
 
 
 def heat_flux(
@@ -100,21 +103,15 @@ def heat_flux(
 ) -> float:
     """Energy flux from the left reservoir into the chain.
 
-    Momentum form ``1/2 integral dk/2pi j(cos k) corr(lam, cos k)`` split at
-    the k = 0 kink, cross-checked against the energy-domain form
-    ``1/pi integral_0^1 e rho_diff(e) corr(lam, e) de``; the two must agree
-    within ten times the absolute tolerance.  Fields below 1e-3 in magnitude
-    return the energy form checked against an arcsin-substituted variant
-    instead, the momentum integrand being numerically intractable there.
-    Positive when the left reservoir is the hotter one, zero at equal
-    temperatures, even in the field strength, and independent of the sample
-    half-width.
+    ``J = (1/pi) integral_0^{pi/2} rho_diff(cos t) cos t sin^3 t /
+    (sin^2 t + lam^2) dt``, the momentum form of half the band average of
+    the current density ``e sqrt(1-e^2) rho_diff(e)`` times the
+    transmission suppression of the field; certified to ``spec.abs_tol``
+    together with its field derivatives (see ``flux_report``).  Positive
+    when the left reservoir is the hotter one, zero at equal temperatures,
+    even in the field strength, and independent of the sample half-width.
     """
-    spec = spec if spec is not None else QuadratureSpec()
-    if th.is_equilibrium:
-        return 0.0
-    value, _ = _flux_value(params, th, spec)
-    return value
+    return _flux_integrals(params.lam, th, spec).J
 
 
 def entropy_production(
@@ -126,37 +123,6 @@ def entropy_production(
     return (th.beta_r - th.beta_l) * heat_flux(params, th, spec)
 
 
-def _thermal_profile(th: ThermalConfig, x: float) -> float:
-    # rho_diff along the band parametrized by x = sin k
-    return planck_difference(th, math.sqrt(max(0.0, 1.0 - x * x)))
-
-
-def _derivative_arcsin(params: ModelParams, th: ThermalConfig, spec: QuadratureSpec):
-    lam = params.lam
-    lam2 = lam * lam
-
-    def integrand(x: float) -> float:
-        den = x * x + lam2
-        return _thermal_profile(th, x) * x**3 / (den * den)
-
-    res = adaptive_integrate(integrand, 0.0, 1.0, with_breakpoints(spec))
-    scale = 2.0 * lam / _PI
-    return -scale * res.value, abs(scale) * res.error_estimate
-
-
-def _derivative_momentum(params: ModelParams, th: ThermalConfig, spec: QuadratureSpec) -> float:
-    lam = params.lam
-    lam2 = lam * lam
-
-    def integrand(k: float) -> float:
-        s = math.sin(k)
-        den = s * s + lam2
-        return math.cos(k) * planck_difference(th, math.cos(k)) * s**3 / (den * den)
-
-    value = adaptive_integrate(integrand, 0.0, 0.5 * _PI, with_breakpoints(spec)).value
-    return -2.0 * lam / _PI * value
-
-
 def flux_derivative(
     params: ModelParams,
     th: ThermalConfig,
@@ -164,38 +130,12 @@ def flux_derivative(
 ) -> float:
     """Derivative of the flux in the field strength; odd, zero at zero field.
 
-    Returned from the arcsin-domain form
-    ``-(2 lam / pi) integral_0^1 rho_diff(sqrt(1-x^2)) x^3 / (x^2+lam^2)^2 dx``,
-    whose integrand pins its small-field spike at x = 0.  For field strengths
-    of at least 1e-3 in magnitude the momentum-domain form is also computed
-    and must agree within 1e-9.
+    ``-(2 lam / pi) integral_0^{pi/2} rho_diff(cos t) cos t sin^3 t /
+    (sin^2 t + lam^2)^2 dt``, from the same certified evaluation as
+    ``heat_flux``; ``-(pi/2) J'/lam`` is the sum ``F1 + F2`` of
+    ``log_decomposition``.
     """
-    spec = spec if spec is not None else QuadratureSpec()
-    lam = params.lam
-    if lam == 0.0 or th.is_equilibrium:
-        return 0.0
-    value, _ = _derivative_arcsin(params, th, spec)
-    if abs(lam) >= _CROSS_CHECK_MIN_LAM:
-        other = _derivative_momentum(params, th, spec)
-        if abs(value - other) > _CROSS_CHECK_TOL:
-            raise ConsistencyError(
-                f"flux-derivative quadratures disagree: arcsin {value!r}, "
-                f"momentum {other!r}, tolerance {_CROSS_CHECK_TOL!r}"
-            )
-    return value
-
-
-def _second_derivative(params: ModelParams, th: ThermalConfig, spec: QuadratureSpec):
-    lam2 = params.lam * params.lam
-
-    def integrand(k: float) -> float:
-        s = math.sin(k)
-        den = s * s + lam2
-        kernel = -2.0 / (den * den) + 8.0 * lam2 / (den * den * den)
-        return math.cos(k) * s**3 * planck_difference(th, math.cos(k)) * kernel
-
-    res = adaptive_integrate(integrand, 0.0, 0.5 * _PI, with_breakpoints(spec))
-    return res.value / _PI, res.error_estimate / _PI
+    return _flux_integrals(params.lam, th, spec).J_prime
 
 
 def flux_second_derivative(
@@ -217,9 +157,7 @@ def flux_second_derivative(
         raise UndefinedAtOrigin(
             "second flux derivative has no value at zero field strength"
         )
-    spec = spec if spec is not None else QuadratureSpec()
-    value, _ = _second_derivative(params, th, spec)
-    return value
+    return _flux_integrals(params.lam, th, spec).J_second
 
 
 @dataclass(frozen=True)
@@ -276,16 +214,10 @@ def log_decomposition(
     lam = params.lam
     if lam == 0.0:
         raise UndefinedAtOrigin("log split needs a nonzero field strength")
-    spec = spec if spec is not None else QuadratureSpec()
     lam2 = lam * lam
     f0 = log_coefficient(th)
     f1 = -f0 * math.log(abs(lam)) - 0.5 * f0 * (1.0 / (1.0 + lam2) - math.log1p(lam2))
-
-    def integrand(x: float) -> float:
-        den = x * x + lam2
-        return (_thermal_profile(th, x) - f0) * x**3 / (den * den)
-
-    f2 = adaptive_integrate(integrand, 0.0, 1.0, with_breakpoints(spec)).value
+    f2 = _flux_integrals(lam, th, spec).F2
     return LogDecomposition(F1=f1, F2=f2, f0=f0, c_bound=remainder_bound(th))
 
 
@@ -365,8 +297,9 @@ class FluxReport:
     """Flux observables at one operating point, with quadrature error budget.
 
     ``J_second`` is None at zero field, where the second derivative has no
-    value; ``quadrature_error`` sums the error estimates of the constituent
-    integrals.
+    value; ``quadrature_error`` is the certified error estimate of the one
+    evaluation behind ``J``, ``J_prime`` and ``J_second``, and bounds the
+    quadrature error of each.
     """
 
     J: float
@@ -394,27 +327,18 @@ def flux_report(
     th: ThermalConfig,
     spec: QuadratureSpec | None = None,
 ) -> FluxReport:
-    """Bundle flux, entropy production, and field derivatives at one point."""
-    spec = spec if spec is not None else QuadratureSpec()
-    if th.is_equilibrium:
-        j, j_err = 0.0, 0.0
-        jp, jp_err = 0.0, 0.0
-    else:
-        j, j_err = _flux_value(params, th, spec)
-        if params.lam == 0.0:
-            jp, jp_err = 0.0, 0.0
-        else:
-            jp, jp_err = _derivative_arcsin(params, th, spec)
-    if params.lam == 0.0:
-        jpp, jpp_err = None, 0.0
-    else:
-        jpp, jpp_err = _second_derivative(params, th, spec)
+    """Bundle flux, entropy production, and field derivatives at one point.
+
+    One certified evaluation, the same that ``heat_flux``,
+    ``flux_derivative`` and ``flux_second_derivative`` read.
+    """
+    flux = _flux_integrals(params.lam, th, spec)
     return FluxReport(
-        J=j,
-        sigma=(th.beta_r - th.beta_l) * j,
-        J_prime=jp,
-        J_second=jpp,
-        quadrature_error=j_err + jp_err + jpp_err,
+        J=flux.J,
+        sigma=(th.beta_r - th.beta_l) * flux.J,
+        J_prime=flux.J_prime,
+        J_second=flux.J_second,
+        quadrature_error=flux.error,
         params=params,
         thermal=th,
     )

@@ -97,6 +97,75 @@ def _graded_edges(lam: float, beta_r: float) -> list[float]:
     return sorted(cuts)
 
 
+def _field_cuts(lam: float, end: float) -> list[float]:
+    """Cuts on ``[0, end]``, geometric toward 0 from ``|lam|/8``, ratio 2."""
+    cuts = {0.0, end}
+    s = abs(lam) / 8.0
+    while 0.0 < s < end:
+        cuts.add(s)
+        s *= 2.0
+    return sorted(cuts)
+
+
+def _quad_cut(f, edges) -> float:
+    return sum(
+        quad(f, a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+        for a, b in zip(edges[:-1], edges[1:])
+    )
+
+
+def _field_kernels(lam: float, x2: float) -> tuple[float, float, float]:
+    """``1/D``, ``-2 lam/D^2`` and ``-2/D^2 + 8 lam^2/D^3`` for ``D = x2 + lam^2``:
+    the field suppression of the flux and its two field derivatives, per ``x2``."""
+    den = x2 + lam * lam
+    return 1.0 / den, -2.0 * lam / den**2, -2.0 / den**2 + 8.0 * lam * lam / den**3
+
+
+def flux_arcsin(beta_l: float, beta_r: float, lam: float) -> tuple[float, float, float]:
+    """``J``, ``J'`` and ``J''`` from the arcsin form, by raw ``quad``.
+
+    ``J = (1/pi) integral_0^1 f(x) x^3 / (x^2 + lam^2) dx`` with
+    ``f(x)`` the occupation difference at energy ``sqrt(1 - x^2)``, and its
+    derivatives in ``lam`` under the integral sign; cut at the width-``lam``
+    feature at ``x = 0``.
+    """
+
+    def part(i: int):
+        def integrand(x: float) -> float:
+            e = math.sqrt(max(0.0, 1.0 - x * x))
+            occ = _fermi_scalar(beta_l, e) - _fermi_scalar(beta_r, e)
+            return occ * x**3 * _field_kernels(lam, x * x)[i] / math.pi
+
+        return _quad_cut(integrand, _field_cuts(lam, 1.0))
+
+    return part(0), part(1), part(2)
+
+
+def flux_momentum(beta_l: float, beta_r: float, lam: float) -> tuple[float, float, float]:
+    """``J``, ``J'`` and ``J''`` from the band-average form, by raw ``quad``.
+
+    ``J = 1/2 integral_{-pi}^{pi} dk/2pi e |sin k| rho_diff(e) corr(lam, e)``
+    with ``e = cos k`` and ``corr = sin^2 k / (sin^2 k + lam^2)``, and its
+    derivatives in ``lam`` under the integral sign; the whole period is
+    cut at ``k = 0, +-pi/2, +-pi`` and geometrically at the width-``lam``
+    features next to ``k = 0`` and ``k = +-pi``.
+    """
+    half = 0.5 * math.pi
+    cuts = _field_cuts(lam, half)
+    cuts = cuts + [math.pi - c for c in reversed(cuts[:-1])]
+    edges = [-c for c in reversed(cuts[1:])] + cuts
+
+    def part(i: int):
+        def integrand(k: float) -> float:
+            e, s = math.cos(k), abs(math.sin(k))
+            occ = _fermi_scalar(beta_l, e) - _fermi_scalar(beta_r, e)
+            return e * s**3 * occ * _field_kernels(lam, s * s)[i] / (4.0 * math.pi)
+
+        return _quad_cut(integrand, edges)
+
+    return part(0), part(1), part(2)
+
+
 def overlap_direct(lam: float, beta_l: float, beta_r: float, x: int, y: int) -> complex:
     """Band overlap ``integral dk/2pi conj(W_x) theta W_y``, by raw ``quad``.
 

@@ -5,7 +5,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nesslab.exceptions import ConsistencyError, IllConditioned, UndefinedAtOrigin
+from nesslab.exceptions import (
+    ConsistencyError,
+    IllConditioned,
+    NonConvergence,
+    UndefinedAtOrigin,
+)
 from nesslab.model import ModelParams, ThermalConfig
 from nesslab.numerics import QuadratureSpec, adaptive_integrate
 from nesslab.transport import (
@@ -22,12 +27,13 @@ from nesslab.transport import (
     log_decomposition,
     remainder_bound,
 )
-from nesslab.transport import _derivative_arcsin, _derivative_momentum
 
 from bruteforce import (
     central_difference,
     f2_at_zero_riemann,
     fermi_difference,
+    flux_arcsin,
+    flux_momentum,
     flux_riemann,
 )
 
@@ -70,6 +76,12 @@ class TestHeatFlux:
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-8
 
+    def test_refuses_unreachable_target(self, th12):
+        spec = QuadratureSpec(abs_tol=1e-30, max_subdivisions=5)
+        for lam in (0.0, 0.5):
+            with pytest.raises(NonConvergence):
+                heat_flux(ModelParams(lam), th12, spec)
+
     @settings(max_examples=20)
     @given(lam=st.floats(0.0, 4.0))
     def test_even_in_field_property(self, th12, lam):
@@ -108,10 +120,12 @@ class TestFluxDerivative:
         assert abs(flux_derivative(ModelParams(0.5), th12) - fd) < 1e-6
 
     def test_dual_routes_agree(self, th12):
-        spec = QuadratureSpec()
-        a, _ = _derivative_arcsin(ModelParams(0.5), th12, spec)
-        b = _derivative_momentum(ModelParams(0.5), th12, spec)
-        assert abs(a - b) < 1e-10
+        # the arcsin and band-average forms, each by raw quad
+        p = ModelParams(0.5)
+        got = (heat_flux(p, th12), flux_derivative(p, th12), flux_second_derivative(p, th12))
+        for twin in (flux_arcsin, flux_momentum):
+            for value, ref in zip(got, twin(1.0, 2.0, 0.5)):
+                assert abs(value - ref) < 1e-10
 
     def test_equilibrium_zero(self):
         assert flux_derivative(ModelParams(0.8), ThermalConfig(2.0, 2.0)) == 0.0
@@ -139,6 +153,18 @@ class TestFluxSecondDerivative:
         val = flux_second_derivative(ModelParams(1e-3), th12)
         model = (2.0 / math.pi) * (f0 * math.log(1e-3) + offset)
         assert abs(val - model) / abs(model) < 1e-4
+
+    @pytest.mark.parametrize("lam", [1e-100, 1e-300])
+    def test_tiny_fields_follow_asymptote(self, th12, lam):
+        # lam^2 underflows here; the correction to the two-term model is
+        # O(lam^2 log lam), so only the quadratures separate the two
+        f0 = float(fermi_difference(1.0, 2.0, 1.0))
+        model = (2.0 / math.pi) * (f0 * (math.log(lam) + 1.5) - f2_at_zero_riemann(1.0, 2.0))
+        p = ModelParams(lam)
+        assert abs(flux_second_derivative(p, th12) - model) < 1e-9
+        dec = log_decomposition(p, th12)
+        scaled = flux_derivative(p, th12) / lam
+        assert abs(dec.F1 + dec.F2 - (-math.pi / 2.0) * scaled) < 1e-10
 
     def test_blows_down_as_field_shrinks(self, th12):
         values = [flux_second_derivative(ModelParams(lam), th12) for lam in (0.1, 0.03, 0.01, 0.003)]
@@ -268,3 +294,25 @@ class TestFluxReport:
         assert doc["thermal"] == {"beta_l": 1.0, "beta_r": 2.0}
         assert set(doc) == {"J", "sigma", "J_prime", "J_second", "quadrature_error",
                             "params", "thermal"}
+
+
+class TestMpmathReference:
+    """Literals from ``perfbench/refs/transport.json`` (mpmath, 30 digits),
+    each with its tolerance ``1e-10 + 1e-12 |value|``."""
+
+    def test_flux_at_stiff_fields(self, th12):
+        for lam, ref, tol in (
+            (0.0102069, 0.01944498914921132, 1.0001944498914922e-10),
+            (2.74011e-05, 0.019467105835723704, 1.0001946710583573e-10),
+        ):
+            assert abs(heat_flux(ModelParams(lam), th12) - ref) < tol
+
+    def test_report_at_small_field(self, th12):
+        rep = flux_report(ModelParams(3.69967e-05), th12)
+        assert abs(rep.J - 0.019467105549762054) < 1.0001946710554976e-10
+        assert abs(rep.J_prime - -3.3765105505781106e-05) < 1.000000337651055e-10
+        assert abs(rep.J_second - -0.8173253289560017) < 1.0081732532895601e-10
+
+    def test_log_split_sum(self, th12):
+        dec = log_decomposition(ModelParams(-0.0001244), th12)
+        assert abs(dec.F1 + dec.F2 - 1.2520062232375895) < 1.012520062232376e-10
