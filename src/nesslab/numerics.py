@@ -217,7 +217,8 @@ def graded_mesh(lam: float, beta: float, end: float, step: float = math.inf) -> 
     """Panel edges on ``[0, end]``, ``end`` being ``pi/2`` or ``pi``.
 
     Graded geometrically, ratio 2, toward ``t = 0`` and ``t = pi`` from
-    ``|lam|/8`` (not at all at ``lam = 0``), where a field kernel
+    ``|lam|/8``, or the smallest subnormal if that rounds to zero (not at
+    all at ``lam = 0``), where a field kernel
     ``1/(sin^2 t + lam^2)`` has near-poles at distance ~|lam| off the axis,
     and toward ``t = pi/2`` from ``1/beta``, where a Fermi factor of
     ``cos t`` has poles at distance ``pi/beta`` off the axis; then split
@@ -228,7 +229,7 @@ def graded_mesh(lam: float, beta: float, end: float, step: float = math.inf) -> 
     half = 0.5 * math.pi
     points = [0.0, half, end]
     if lam != 0.0:
-        s = abs(lam) / 8.0
+        s = max(abs(lam) / 8.0, math.ulp(0.0))
         while s < half:
             points += [s, math.pi - s]
             s *= 2.0

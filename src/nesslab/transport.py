@@ -21,6 +21,7 @@ field, where the second derivative has no limit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,8 @@ from .model import ModelParams, ThermalConfig, planck_density, planck_difference
 from .numerics import QuadratureSpec, graded_mesh, panel_rule, refine_panels
 
 _PI = math.pi
+# smallest normal double; below it 1/|lam| overflows in the field kernels
+_MIN_FIELD = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -61,8 +64,14 @@ def _flux_integrals(
     tiny ``lam`` or ``s`` is squared.  The mesh is graded toward ``t = 0``
     from ``|lam|/8`` and toward ``pi/2`` from ``1/beta_r``; the error
     estimate weights each family as its value enters a returned number
-    (``1/pi``, ``2|lam|/pi``, ``1/pi``, ``1``).  Zero field contracts the
-    flux kernel alone.
+    (``1/pi``, ``2|lam|/pi``, ``1/pi``, ``1``).
+
+    Zero field contracts the flux kernel alone.  Below the smallest normal
+    double, where ``1/|lam|`` overflows, the flux and ``F2`` kernels are
+    contracted at zero field and the derivatives follow from their exact
+    log terms, ``J' = -(2 lam/pi)(F1 + F2)`` with ``F1 = -f0 (log|lam| +
+    1/2)`` and ``J'' = (2/pi)[f0 (log|lam| + 3/2) - F2]``; every value
+    differs from that limit by ``O(lam^2 log|lam|)``, below 1e-600.
     """
     if th.is_equilibrium:
         zero = None if lam == 0.0 else 0.0
@@ -70,30 +79,43 @@ def _flux_integrals(
     spec = spec if spec is not None else QuadratureSpec()
     a = abs(lam)
     f0 = log_coefficient(th)
-    weights = np.array([1.0, 2.0 * a, 1.0, _PI]) / _PI if lam != 0.0 else np.array([1.0 / _PI])
+    subnormal = 0.0 < a < _MIN_FIELD
+    field = 0.0 if subnormal else a  # of the kernels and the mesh
+    if field != 0.0:
+        weights = np.array([1.0 / _PI, 2.0 / _PI * a, 1.0 / _PI, 1.0])
+    else:
+        weights = np.array([1.0 / _PI, 1.0][: 1 + subnormal])
 
     def contract(edges):
         t, wk, wg = panel_rule(edges)
         s, c = np.sin(t), np.cos(t)
         g = planck_difference(th, c)
-        p = np.maximum(s, a)
-        q, e = s / p, a / p
+        p = np.maximum(s, field)
+        q, e = s / p, field / p
         r = 1.0 + (q * e) ** 2  # D / p^2
         k1 = c * q**3 / (p * r * r)  # c s^3 / D^2
         families = [g * c * s * q * q / r]
+        if field != 0.0:
+            families += [g * k1, g * k1 * (8.0 * e * e / r - 2.0)]
         if lam != 0.0:
-            families += [g * k1, g * k1 * (8.0 * e * e / r - 2.0), (g - f0) * k1]
+            families.append((g - f0) * k1)
         samples = np.array(families)
         values = np.einsum("fpk,pk->f", samples, wk)
         gap = np.abs(np.einsum("fpk,pk->fp", samples, wk - wg))
         return values, weights @ gap
 
-    edges = graded_mesh(lam, th.beta_r, 0.5 * _PI)
+    edges = graded_mesh(field, th.beta_r, 0.5 * _PI)
     values, error = refine_panels(contract, edges, spec, f"flux integrals at lam={lam!r}")
     if lam == 0.0:
         return _FluxIntegrals(float(values[0]) / _PI, 0.0, None, None, error)
-    flux, total, second, f2 = (float(v) for v in values)
-    return _FluxIntegrals(flux / _PI, -2.0 * lam / _PI * total, second / _PI, f2, error)
+    if subnormal:
+        flux, f2 = (float(v) for v in values)
+        log_a = math.log(a)
+        total = f2 - f0 * (log_a + 0.5)
+        second = 2.0 * (f0 * (log_a + 1.5) - f2)
+    else:
+        flux, total, second, f2 = (float(v) for v in values)
+    return _FluxIntegrals(flux / _PI, -(2.0 / _PI) * (lam * total), second / _PI, f2, error)
 
 
 def heat_flux(
@@ -214,9 +236,14 @@ def log_decomposition(
     lam = params.lam
     if lam == 0.0:
         raise UndefinedAtOrigin("log split needs a nonzero field strength")
-    lam2 = lam * lam
+    a = abs(lam)
     f0 = log_coefficient(th)
-    f1 = -f0 * math.log(abs(lam)) - 0.5 * f0 * (1.0 / (1.0 + lam2) - math.log1p(lam2))
+    # log|lam| - log(1+lam^2)/2, in a form where neither lam^2 nor 1/lam^2 overflows
+    if a <= 1.0:
+        log_ratio = math.log(a) - 0.5 * math.log1p(a * a)
+    else:
+        log_ratio = -0.5 * math.log1p(1.0 / (a * a))
+    f1 = -f0 * log_ratio - 0.5 * f0 / (1.0 + a * a)
     f2 = _flux_integrals(lam, th, spec).F2
     return LogDecomposition(F1=f1, F2=f2, f0=f0, c_bound=remainder_bound(th))
 

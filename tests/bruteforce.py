@@ -81,28 +81,24 @@ def _fermi_scalar(r: float, e: float) -> float:
     return 1.0 / (1.0 + math.exp(z))
 
 
-def _graded_edges(lam: float, beta_r: float) -> list[float]:
-    """Cuts on ``[0, pi]``: geometric toward 0 and pi from ``|lam|/8`` and
-    toward pi/2 from ``1/beta_r``, ratio 2 in both."""
-    half = 0.5 * math.pi
-    cuts = {0.0, half, math.pi}
-    s = abs(lam) / 8.0
-    while 0.0 < s < half:
-        cuts |= {s, math.pi - s}
-        s *= 2.0
-    s = 1.0 / beta_r
-    while s < half:
-        cuts |= {half - s, half + s}
-        s *= 2.0
-    return sorted(cuts)
-
-
 def _field_cuts(lam: float, end: float) -> list[float]:
     """Cuts on ``[0, end]``, geometric toward 0 from ``|lam|/8``, ratio 2."""
     cuts = {0.0, end}
     s = abs(lam) / 8.0
     while 0.0 < s < end:
         cuts.add(s)
+        s *= 2.0
+    return sorted(cuts)
+
+
+def _graded_edges(lam: float, beta_r: float) -> list[float]:
+    """Cuts on ``[0, pi]``: ``_field_cuts`` on ``[0, pi/2]`` mirrored about
+    pi/2, and geometric toward pi/2 from ``1/beta_r``, ratio 2."""
+    half = 0.5 * math.pi
+    cuts = {c for s in _field_cuts(lam, half) for c in (s, math.pi - s)}
+    s = 1.0 / beta_r
+    while s < half:
+        cuts |= {half - s, half + s}
         s *= 2.0
     return sorted(cuts)
 

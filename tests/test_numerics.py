@@ -11,6 +11,7 @@ from nesslab.numerics import (
     QuadratureSpec,
     adaptive_integrate,
     geometric_sine_sum,
+    graded_mesh,
     panel_rule,
     with_breakpoints,
 )
@@ -148,6 +149,18 @@ class TestPanelRule:
         assert t.shape == wk.shape == wg.shape == (2, 21)
         assert abs(np.sum(wk * np.cos(t)) - math.sin(3.0)) < 1e-15
         assert np.all((t[0] > 0.0) & (t[0] < 1.0)) and np.all((t[1] > 1.0) & (t[1] < 3.0))
+
+
+class TestGradedMesh:
+    @pytest.mark.parametrize("lam", [5e-324, 1.5e-323, 1e-300, 0.3, 1e308])
+    def test_ends_at_every_field(self, lam):
+        # |lam|/8 underflows to zero below 4e-323; the grading then starts
+        # at the smallest subnormal, 1075 doublings short of pi/2
+        edges = graded_mesh(lam, 2.0, 0.5 * math.pi)
+        assert edges[0] == 0.0 and edges[-1] == 0.5 * math.pi
+        assert np.all(np.diff(edges) > 0.0)
+        assert edges.size < 1200
+        assert np.all(np.diff(edges) <= math.pi / 16 * (1 + 1e-15))
 
 
 class TestGeometricSineSum:

@@ -166,6 +166,30 @@ class TestFluxSecondDerivative:
         scaled = flux_derivative(p, th12) / lam
         assert abs(dec.F1 + dec.F2 - (-math.pi / 2.0) * scaled) < 1e-10
 
+    @pytest.mark.parametrize("lam", [5e-324, 1.5e-323, 1e-310, 2.2e-308, 2.3e-308])
+    def test_subnormal_fields_are_their_zero_field_limit(self, th12, lam):
+        # below the smallest normal double (2.2250738585072014e-308) 1/lam
+        # overflows; there the family is the zero-field evaluation with the
+        # exact log terms, and 2.3e-308 checks the graded path beside it
+        f0 = float(fermi_difference(1.0, 2.0, 1.0))
+        f2 = f2_at_zero_riemann(1.0, 2.0)
+        model = (2.0 / math.pi) * (f0 * (math.log(lam) + 1.5) - f2)
+        for p in (ModelParams(lam), ModelParams(-lam)):
+            rep = flux_report(p, th12)
+            assert abs(rep.J - GOLDEN_FLUX_12) < 1e-9
+            assert abs(rep.J_prime) < 1e-300
+            assert abs(rep.J_second - model) < 1e-9
+            assert abs(log_decomposition(p, th12).F2 - f2) < 1e-9
+
+    @pytest.mark.parametrize("lam", [1e300, 9e307, 1e308, -1.7e308])
+    def test_huge_fields_are_finite(self, th12, lam):
+        # the flux and its derivatives fall like powers of 1/lam and underflow
+        p = ModelParams(lam)
+        rep = flux_report(p, th12)
+        assert (rep.J, rep.J_prime, rep.J_second) == (0.0, 0.0, 0.0)
+        dec = log_decomposition(p, th12)
+        assert abs(dec.F1) < 1e-300 and abs(dec.F2) < 1e-300
+
     def test_blows_down_as_field_shrinks(self, th12):
         values = [flux_second_derivative(ModelParams(lam), th12) for lam in (0.1, 0.03, 0.01, 0.003)]
         assert all(v < 0.0 for v in values)
@@ -174,10 +198,10 @@ class TestFluxSecondDerivative:
 
 class TestLogDecomposition:
     def test_explicit_term_equals_its_quadrature(self, th12):
-        lam = 0.5
-        dec = log_decomposition(ModelParams(lam), th12)
-        res = adaptive_integrate(lambda x: x**3 / (x * x + lam * lam) ** 2, 0.0, 1.0)
-        assert abs(dec.F1 - dec.f0 * res.value) < 1e-12
+        for lam in (0.5, 3.0):  # either side of the closed form's branch at |lam| = 1
+            dec = log_decomposition(ModelParams(lam), th12)
+            res = adaptive_integrate(lambda x: x**3 / (x * x + lam * lam) ** 2, 0.0, 1.0)
+            assert abs(dec.F1 - dec.f0 * res.value) < 1e-12
 
     def test_edge_coefficient(self, th12):
         assert log_coefficient(th12) == EDGE_STEP_12
