@@ -40,7 +40,6 @@ from .numerics import (
     QuadratureSpec,
     adaptive_integrate,
     geometric_sine_sum,
-    with_breakpoints,
 )
 from .oracle import (
     EvolutionTrace,
@@ -131,6 +130,5 @@ __all__ = [
     "ti_commutator_element",
     "ti_commutator_direct",
     "wave_action",
-    "with_breakpoints",
     "xy_symbol",
 ]

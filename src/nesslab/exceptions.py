@@ -42,8 +42,8 @@ class NonConvergence(RuntimeError):
     """Quadrature exhausted its subdivision budget above the requested tolerance.
 
     Raised by ``adaptive_integrate`` and by the certified panel families of
-    ``refine_panels`` (band moments, flux integrals), also when an error
-    estimate is not finite.
+    ``refine_panels`` (band moments, flux integrals, the bound-state
+    weight), also when an error estimate is not finite.
     """
 
 

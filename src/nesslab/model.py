@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import expit
 
 from .exceptions import DomainError, NoBoundState
 
@@ -96,8 +95,15 @@ def operator_stencil(kind: OperatorKind, params: ModelParams, x: int, y: int) ->
 
 
 def planck_density(r: float, e):
-    """Fermi factor ``1 / (1 + exp(r e))``, overflow-safe, elementwise on arrays."""
-    out = expit(-np.multiply(r, e))
+    """Fermi factor ``1 / (1 + exp(r e))``, overflow-safe, elementwise on arrays.
+
+    Evaluated as ``t / (1 + t)`` with ``t = exp(-r e)`` where ``r e > 0``
+    and as ``1 / (1 + t)`` with ``t = exp(r e)`` elsewhere, so the
+    exponential never overflows.
+    """
+    z = np.multiply(r, e)
+    t = np.exp(-np.abs(z))
+    out = np.where(z > 0.0, t, 1.0) / (1.0 + t)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -1,24 +1,21 @@
 """Deterministic quadrature rules and closed-form series sums.
 
-Scalar momentum and energy integrals run through ``adaptive_integrate``, a
-thin contract around QUADPACK: the caller declares interior breakpoints
-(kinks of ``|sin k|``-type integrands, symbol jumps), the interval is split
-there, and the panels are integrated left to right so identical inputs give
-identical output bytes; only the bound-state weight still needs it.
 Families of integrals sampled on one mesh use ``panel_rule``, a fixed
 Gauss-Kronrod pair on the panels of ``graded_mesh``; the Gauss rule
 embedded in it gives each panel's error estimate, and ``refine_panels``
 bisects panels until the caller-weighted estimate meets the tolerance.
+Every closed form of the library runs there.  ``adaptive_integrate``, a
+thin contract around QUADPACK for scalar integrands, has no caller in the
+library; it loads ``scipy.integrate`` on first use only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .exceptions import DomainError, InvalidInterval, NonConvergence
 
@@ -72,6 +69,8 @@ def _quad_panel(
     eps_rel: float,
     limit: int,
 ) -> tuple[float, float, int]:
+    from scipy.integrate import quad
+
     out = quad(f, lo, hi, epsabs=eps_abs, epsrel=eps_rel, limit=limit, full_output=1)
     value, err, info = out[0], out[1], out[2]
     if len(out) > 3:
@@ -277,12 +276,6 @@ def refine_panels(
                 f"{spec.abs_tol:.3e} after {n_panels} panels"
             )
         edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])[split]]))
-
-
-def with_breakpoints(spec: QuadratureSpec | None, *points: float) -> QuadratureSpec:
-    """Copy of ``spec`` with the given interior breakpoints installed."""
-    spec = spec if spec is not None else QuadratureSpec()
-    return replace(spec, breakpoints=tuple(sorted(points)))
 
 
 def geometric_sine_sum(q: float, k: float) -> float:

@@ -7,7 +7,8 @@ diagonalized exactly by LAPACK's tridiagonal eigensolver, the decoupled
 initial state is assembled by per-block functional calculus, and
 correlations are evolved exactly through the full eigendecomposition.
 Large-time averages of these finite evolutions are the yardstick the
-analytic formulas are tested against.
+analytic formulas are tested against.  ``scipy.linalg`` is imported by the
+functions that solve, so importing the package loads no scipy.
 
 Evolution convention: ``omega_xy(t) = (exp(ith) e_x, S exp(ith) e_y)`` with
 ``h`` the field Hamiltonian and ``S`` the initial two-point matrix.  The
@@ -21,8 +22,6 @@ import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import expit
 
 from .exceptions import (
     ConsistencyError,
@@ -30,7 +29,7 @@ from .exceptions import (
     ResourceLimit,
     TimeHorizonExceeded,
 )
-from .model import ModelParams, OperatorKind, ThermalConfig, operator_stencil
+from .model import ModelParams, OperatorKind, ThermalConfig, operator_stencil, planck_density
 
 # half-width caps: below 10 the guard window is empty, above 5000 the n x n
 # eigenvector sets every evolution needs stop being a sane oracle
@@ -92,6 +91,8 @@ class TruncatedSystem:
 
     def factorization(self, kind: OperatorKind) -> tuple[np.ndarray, np.ndarray]:
         if kind not in self._factorizations:
+            from scipy.linalg import eigh_tridiagonal
+
             # the full eigensolve is the oracle's memory peak (n x n vectors
             # and workspace); hand freed heap back before it
             if _malloc_trim is not None:
@@ -109,6 +110,8 @@ class TruncatedSystem:
         from the band on the truncation; then None is returned and the
         evolution split treats everything as band.
         """
+        from scipy.linalg import eigh_tridiagonal
+
         diag, off = self.hamiltonians[OperatorKind.MAGNETIC]
         # Gershgorin: every eigenvalue lies within this of the origin
         reach = float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off))) + 1.0
@@ -174,6 +177,8 @@ def initial_two_point(sys: TruncatedSystem, th: ThermalConfig) -> np.ndarray:
     cached = sys._state_cache.get(key)
     if cached is not None:
         return cached
+    from scipy.linalg import eigh_tridiagonal
+
     nu = sys.params.nu
     n = sys.n_sites
     n_res = sys.M - nu  # sites on each side beyond the sample
@@ -186,10 +191,10 @@ def initial_two_point(sys: TruncatedSystem, th: ThermalConfig) -> np.ndarray:
         raise ConsistencyError("reservoir blocks of the decoupled window differ")
     w, u = eigh_tridiagonal(*left)
     state = np.zeros((n, n))
-    state[:n_res, :n_res] = (u * expit(-th.beta_l * w)) @ u.T
+    state[:n_res, :n_res] = (u * planck_density(th.beta_l, w)) @ u.T
     mid = slice(n_res, n_res + 2 * nu + 1)
     state[mid, mid] = 0.5 * np.eye(2 * nu + 1)
-    state[n - n_res :, n - n_res :] = (u * expit(-th.beta_r * w)) @ u.T
+    state[n - n_res :, n - n_res :] = (u * planck_density(th.beta_r, w)) @ u.T
     # the memory budget of build_truncation holds one state
     sys._state_cache.clear()
     sys._state_cache[key] = state

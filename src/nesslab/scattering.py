@@ -13,7 +13,9 @@ reservoir temperature vary.  ``band_moments`` samples the few integrands
 once on a graded Gauss-Kronrod mesh, contracts them against ``e^{imt}``
 for every frequency a window needs, and certifies the result with the
 embedded Gauss rule; ``ac_overlap`` and ``ness.correlation_block`` index
-into it.
+into it.  The bound-state weight is one more such sampling, of both
+reservoirs' sine-transform integrands on a mesh graded at the bound
+state's decay rate.
 
 Momentum-space convention: a lattice vector f transforms to
 ``fhat(k) = sum_x f(x) exp(i k x)`` with inverse measure ``dk / 2 pi`` on
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -36,15 +38,7 @@ from .model import (
     bound_state,
     planck_density,
 )
-from .numerics import (
-    QuadratureSpec,
-    adaptive_integrate,
-    geometric_sine_sum,
-    graded_mesh,
-    panel_rule,
-    refine_panels,
-    with_breakpoints,
-)
+from .numerics import QuadratureSpec, graded_mesh, panel_rule, refine_panels
 
 _PI = math.pi
 
@@ -302,50 +296,59 @@ def ac_overlap(
 
 @lru_cache(maxsize=128)
 def _pp_weight_cached(params: ModelParams, th: ThermalConfig, spec: QuadratureSpec) -> float:
-    state = bound_state(params.lam)
-    nu = params.nu
-    alpha = state.decay_rate
+    lam, nu = params.lam, params.nu
+    alpha = math.asinh(abs(lam))  # bound_state(lam).decay_rate
+    r = math.exp(-alpha)
+    gap = -math.expm1(-alpha)  # 1 - r without cancellation
+    # e^{-2 alpha nu} / norm_sq, with norm_sq = sqrt(1 + lam^2)/|lam| kept
+    # apart: it overflows at subnormal fields
+    scale = math.exp(-2.0 * alpha * nu) / math.hypot(1.0, lam)
+    prefactor = scale * abs(lam)
+    sign = math.copysign(1.0, lam)
+    betas = np.array([th.beta_l, th.beta_r])[:, None, None]
 
     # Reservoir overlaps via the half-line sine transform: the eigenvector
-    # tail on sites >= nu+1 transforms to (e^{-alpha nu}/nu_norm) * S(q_s, k)
-    # with S the geometric sine sum; the sign alternation at lam < 0 enters
-    # as q_s = -e^{-alpha}, and left/right tails give identical |transform|^2.
-    q_s = math.copysign(math.exp(-alpha), params.lam)
-    if abs(q_s) >= 1.0:
-        # exp(-alpha) rounds to 1 once alpha < ~1.1e-16; the tail is flat
-        # to double precision and the half-line sums above diverge.
-        raise NoBoundState(
-            f"field {params.lam!r} too weak to resolve the bound state in double precision"
+    # tail on sites >= nu+1 transforms to (e^{-alpha nu}/nu_norm) S(q, k),
+    # S(q, k) = sum_{n>=1} q^n sin(nk) with q = sign(lam) r; the left and
+    # right tails give identical |transform|^2.  S^2 peaks like 1/gap^2 at
+    # the band edge the bound state hugs; Parseval integrates that peak,
+    # (2/pi) integral S^2 = q^2/(1 - q^2), against the edge density, which
+    # leaves the band integral of (rho(cos k) - rho_edge) S^2.  k -> pi - k
+    # and rho(-e) = 1 - rho(e) map lam < 0 onto the kernel of lam > 0 with
+    # the band integral's sign flipped, so the edge sits at k = 0:
+    #   rho(cos k) - rho(1) = rho(cos k) rho(-1) (1 - exp(-x)),  x = 2 beta v^2,
+    #   S^2 = r w^2 c^2 / (gap^2 + c^2)^2,  c = 2 sqrt(r) v,
+    # with v, w = sin(k/2), cos(k/2); their product is the bounded kernel
+    # below, in which only ratios of the small quantities enter.
+    def contract(edges):
+        k, wk, wg = panel_rule(edges)
+        v = np.sin(0.5 * k)
+        c = (2.0 * math.sqrt(r)) * v
+        x = 2.0 * betas * v * v
+        safe = np.where(x > 0.0, x, 1.0)
+        expm1_ratio = np.where(x > 0.0, -np.expm1(-safe) / safe, 1.0)  # (1 - e^{-x})/x
+        samples = (
+            planck_density(betas, -1.0)
+            * planck_density(betas, np.cos(k))
+            * (0.5 * betas)
+            * expm1_ratio
+            * np.cos(0.5 * k) ** 2
+            * (c / np.hypot(gap, c)) ** 4
         )
-    prefactor = math.exp(-2.0 * alpha * nu) / state.norm_sq
+        values = np.einsum("bpk,pk->b", samples, wk)
+        spread = np.abs(np.einsum("bpk,pk->bp", samples, wk - wg))
+        return values, (2.0 / _PI) * prefactor * spread.sum(axis=0)
 
-    # The squared sine sum peaks like (1 - |q_s|)^-2 at the band edge the
-    # bound state hugs; Parseval integrates that peak exactly,
-    # (2/pi) integral S^2 = q^2/(1-q^2), and subtracting the edge density
-    # leaves a bounded integrand.  prefactor ~ |lam| weights each reservoir
-    # only after integration, so the absolute target relaxes accordingly
-    # (prefactor < 1 always, the two shares sum to at most spec.abs_tol
-    # after weighting); the slack also covers roundoff in the edge layer.
-    edge = 1.0 if q_s > 0.0 else -1.0
-    r = abs(q_s)
-    geometric = q_s * q_s / ((1.0 - r) * (1.0 + r))
-    budget = replace(spec, abs_tol=0.5 * spec.abs_tol / prefactor)
-
-    def reservoir(beta: float) -> float:
-        rho_edge = planck_density(beta, edge)
-
-        def regular(k: float) -> float:
-            drho = planck_density(beta, math.cos(k)) - rho_edge
-            return drho * geometric_sine_sum(q_s, k) ** 2
-
-        tail = (2.0 / _PI) * adaptive_integrate(regular, 0.0, _PI, budget).value
-        return rho_edge * geometric + tail
-
+    # S has its poles at k = +-i alpha, so the field grading starts from alpha/8
+    edges = graded_mesh(alpha, th.beta_r, _PI)
+    band, _ = refine_panels(contract, edges, spec, f"bound-state weight at lam={lam!r}")
+    edge = planck_density(th.beta_l, sign) + planck_density(th.beta_r, sign)
+    # prefactor q^2/(1 - q^2), with |lam|/gap formed first: both may be subnormal
+    geometric = scale * (abs(lam) / gap) * r * r / (1.0 + r)
     # Sample sites hold occupation 1/2 each; staggering squares away.
+    state = bound_state(lam)
     sample = 0.5 * sum(state.amplitude(x) ** 2 for x in range(-nu, nu + 1))
-
-    weight = prefactor * (reservoir(th.beta_l) + reservoir(th.beta_r)) + sample
-    return float(weight)
+    return float(geometric * edge + sign * (2.0 / _PI) * prefactor * band.sum() + sample)
 
 
 def pp_weight(
@@ -356,18 +359,16 @@ def pp_weight(
 ) -> float:
     """Thermal weight of the initial state on the bound state, in [0, 1].
 
-    Returns 0 at zero field by convention; with ``strict=True`` that case
-    raises NoBoundState instead.  Nonzero fields below ~1e-16 raise
-    NoBoundState unconditionally (the eigenvector tail is flat to double
-    precision).  For ``|lam|`` under ~1e-6 the weight carries relative
-    error up to ~eps/|lam| inherited from the tail ratio exp(-asinh|lam|);
-    the bound-state term of ``s_element`` stays at machine accuracy
-    regardless, its amplitudes scaling like sqrt(|lam|).
+    Defined at every nonzero field.  Returns 0 at zero field by convention;
+    with ``strict=True`` that case raises NoBoundState instead.  The band
+    integrals of both reservoirs are sampled once on a mesh graded toward
+    the band edge from the decay rate ``alpha = asinh|lam|`` and toward
+    ``k = pi/2`` from ``1/beta_r``, and ``numerics.refine_panels``
+    certifies the weight to ``spec.abs_tol`` or raises NonConvergence.
+    ``spec.rel_tol`` and ``spec.breakpoints`` are not used.
     """
     if params.lam == 0.0:
         if strict:
             raise NoBoundState("no bound state to weight at zero field strength")
         return 0.0
-    spec = spec if spec is not None else QuadratureSpec()
-    # caller breakpoints target [-pi, pi] integrals; invalid on [0, pi]
-    return _pp_weight_cached(params, th, with_breakpoints(spec))
+    return _pp_weight_cached(params, th, spec if spec is not None else QuadratureSpec())

@@ -110,6 +110,47 @@ def _quad_cut(f, edges) -> float:
     )
 
 
+def log_term_integral(lam: float) -> float:
+    """``integral_0^1 x^3 / (x^2 + lam^2)^2 dx``, the explicit log term's
+    integral (``F1 = f0`` times it), by raw ``quad`` cut at ``x ~ lam``."""
+    return _quad_cut(lambda x: x**3 / (x * x + lam * lam) ** 2, _field_cuts(lam, 1.0))
+
+
+def pp_weight_direct(lam: float, beta_l: float, beta_r: float, nu: int = 0) -> float:
+    """Thermal weight of the decoupled initial state on the bound state, by raw ``quad``.
+
+    Per reservoir, ``(2/pi) integral_0^pi rho(cos k) S(q, k)^2 dk`` with
+    ``S(q, k) = q sin k / ((1 - |q|)^2 + 4 |q| sin^2(k/2))`` (``cos^2`` for
+    ``q < 0``), the sine transform of the eigenvector's tail, ``q =
+    sign(lam) e^{-alpha}``: Parseval takes the edge density's share,
+    ``rho_edge q^2 / (1 - q^2)``, and ``quad`` the rest, cut at the
+    width-``alpha`` features next to ``k = 0`` and ``k = pi`` and at the
+    Fermi edge.  ``1 - |q|`` is ``-expm1(-alpha)``.  Times ``e^{-2 alpha nu}
+    / norm_sq``, plus ``1/2`` per sample site.
+    """
+    alpha = math.asinh(abs(lam))
+    r = math.exp(-alpha)
+    tail = -math.expm1(-alpha)  # 1 - r
+    q = math.copysign(r, lam)
+    edge = 1.0 if lam > 0.0 else -1.0
+    norm_sq = math.hypot(1.0, lam) / abs(lam)
+
+    def sine_sum(k: float) -> float:
+        osc = math.sin(0.5 * k) if lam > 0.0 else math.cos(0.5 * k)
+        return q * math.sin(k) / (tail * tail + 4.0 * r * osc * osc)
+
+    total = 0.0
+    for beta in (beta_l, beta_r):
+        rho_edge = _fermi_scalar(beta, edge)
+        band = _quad_cut(
+            lambda k: (_fermi_scalar(beta, math.cos(k)) - rho_edge) * sine_sum(k) ** 2,
+            _graded_edges(alpha, beta_r),
+        )
+        total += rho_edge * r * r / (tail * (1.0 + r)) + (2.0 / math.pi) * band
+    sample = 0.5 * sum(math.exp(-2.0 * alpha * abs(x)) for x in range(-nu, nu + 1))
+    return (math.exp(-2.0 * alpha * nu) * total + sample) / norm_sq
+
+
 def _field_kernels(lam: float, x2: float) -> tuple[float, float, float]:
     """``1/D``, ``-2 lam/D^2`` and ``-2/D^2 + 8 lam^2/D^3`` for ``D = x2 + lam^2``:
     the field suppression of the flux and its two field derivatives, per ``x2``."""

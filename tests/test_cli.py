@@ -298,3 +298,29 @@ class TestOutputDiscipline:
         second = subprocess.run(cmd, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.stdout  # nonempty document
+
+
+class TestImportCost:
+    def test_closed_forms_load_no_scipy(self):
+        # scipy.integrate alone costs ~0.6 s of every start; only the
+        # oracle's eigensolves load scipy, on first use
+        script = """
+import sys
+import nesslab, nesslab.cli
+from nesslab import ModelParams, ThermalConfig
+th = ThermalConfig(1.0, 2.0)
+for lam in (0.5, 1e-12):
+    p = ModelParams(lam)
+    nesslab.heat_flux(p, th)
+    nesslab.flux_report(p, th)
+    nesslab.pp_weight(p, th)
+    nesslab.s_element(p, th, 0, 1)
+    nesslab.correlation_block(p, th, -3, 3)
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+assert nesslab.build_truncation(50, ModelParams(0.5)).bound_data() is not None
+print("ok")
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ok\n"

@@ -44,6 +44,16 @@ class TestSElement:
         p = ModelParams(lam)
         assert abs(s_element(p, th12, x, y) - s_element(p, th12, y, x).conjugate()) < 1e-9
 
+    def test_bound_state_term_at_tiny_field(self, th12):
+        # the 40-digit weight of test_scattering.PP_WEIGHT_MP times the
+        # amplitudes, ~2e-13 in all; the sum with the band part rounds at
+        # one ulp of |s(0, 1)| ~ 0.16
+        lam = 1e-12
+        p = ModelParams(lam)
+        amp = bound_state(lam).amplitude
+        term = 0.19407217169661313558 * amp(0) * amp(1)
+        assert abs(s_element(p, th12, 0, 1) - ac_overlap(p, th12, 0, 1) - term) < 1e-16
+
     def test_diagonal_report(self, th12, capsys):
         # the on-site occupations shift under the field; record the profile
         # without pinning it (no closed form is asserted here)

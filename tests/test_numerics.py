@@ -1,6 +1,7 @@
 """Quadrature contract and the geometric sine sum."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from nesslab.numerics import (
     geometric_sine_sum,
     graded_mesh,
     panel_rule,
-    with_breakpoints,
 )
 
 from bruteforce import sine_partial_sum
@@ -41,13 +41,6 @@ class TestQuadratureSpec:
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
-
-    def test_with_breakpoints_replaces(self):
-        spec = QuadratureSpec(abs_tol=1e-8, breakpoints=(0.5,))
-        swapped = with_breakpoints(spec, 2.0, 1.0)
-        assert swapped.breakpoints == (1.0, 2.0)
-        assert swapped.abs_tol == 1e-8
-        assert with_breakpoints(spec).breakpoints == ()
 
 
 class TestAdaptiveIntegrate:
@@ -123,7 +116,7 @@ class TestAdaptiveIntegrate:
 
         spec = QuadratureSpec()
         whole = adaptive_integrate(f, 0.0, 2.0, spec).value
-        split = adaptive_integrate(f, 0.0, 2.0, with_breakpoints(spec, cut)).value
+        split = adaptive_integrate(f, 0.0, 2.0, replace(spec, breakpoints=(cut,))).value
         assert abs(whole - split) < 2.0 * spec.abs_tol
 
 

@@ -20,7 +20,24 @@ from nesslab.scattering import (
     xy_symbol,
 )
 
-from bruteforce import symbol_coefficient
+from bruteforce import pp_weight_direct, symbol_coefficient
+
+# 40-digit mpmath values of the weight at th = (1, 2), nu = 0, printed by
+# tests/reference_mp.py; adaptive quadrature missed every field from 1e-6
+# down, and the two window-pool fields, by more than 1e-12 (4.3e-6 at 1e-12)
+PP_WEIGHT_MP = {
+    0.5: 0.38927935128778578832,
+    1e-2: 0.19960947409498725852,
+    -1e-3: 0.80537133619844956456,
+    1e-6: 0.19407272849298350536,
+    1e-7: 0.1940722273757765005,
+    -1e-8: 0.80592782273597137099,
+    1e-10: 0.19407217175173606155,
+    1e-12: 0.19407217169661313558,
+    1e-14: 0.19407217169606190632,
+    -8.4039e-05: 0.80588103777518014057,
+    7.08503e-05: 0.19411161941615385696,
+}
 
 
 class TestXySymbol:
@@ -209,3 +226,31 @@ class TestPpWeight:
         th = ThermalConfig(beta_l, beta_l + gap)
         w = pp_weight(ModelParams(lam, nu), th)
         assert 0.0 < w < 1.0
+
+    @pytest.mark.parametrize("lam", list(PP_WEIGHT_MP))
+    def test_matches_mpmath(self, th12, lam):
+        assert abs(pp_weight(ModelParams(lam), th12) - PP_WEIGHT_MP[lam]) < 1e-12
+
+    @pytest.mark.parametrize("nu", [0, 2])
+    @pytest.mark.parametrize("lam", [0.7, -0.7, 2.5, -2.5, 1e-2, -1e-3])
+    def test_matches_raw_quadrature(self, th12, lam, nu):
+        ref = pp_weight_direct(lam, th12.beta_l, th12.beta_r, nu)
+        assert abs(pp_weight(ModelParams(lam, nu), th12) - ref) < 1e-12
+
+    @pytest.mark.parametrize("lam", [1e-17, 1e-300, 5e-324, -5e-324])
+    def test_tiny_fields_weigh_the_edge_occupation(self, th12, lam):
+        # the bound state spreads over ~1/|lam| sites and hugs the band edge
+        # sign(lam); its weight tends to the mean edge occupation of the two
+        # reservoirs, which it reaches to O(lam)
+        edge = math.copysign(1.0, lam)
+        limit = 0.5 * (planck_density(1.0, edge) + planck_density(2.0, edge))
+        assert abs(pp_weight(ModelParams(lam), th12) - limit) < 1e-15
+
+    @pytest.mark.parametrize("lam", [1e300, -1.7e308])
+    def test_huge_fields_sit_on_the_sample(self, th12, lam):
+        assert pp_weight(ModelParams(lam, 2), th12) == 0.5
+
+    def test_refuses_unreachable_target(self, th12):
+        spec = QuadratureSpec(abs_tol=1e-30, max_subdivisions=5)
+        with pytest.raises(NonConvergence):
+            pp_weight(ModelParams(0.5), th12, spec)
