@@ -20,13 +20,27 @@ from .model import ModelParams, ThermalConfig, bound_state
 from .numerics import QuadratureSpec
 from .scattering import (
     ZERO_FIELD_FLOOR,
-    ac_overlap,
     band_moments,
     overlap_frequencies,
     pp_weight,
 )
 
 MAX_WINDOW_SITES = 512
+
+
+def _elements(params: ModelParams, th: ThermalConfig, x, y, spec: QuadratureSpec | None):
+    """Steady-state correlations ``s(x, y)`` for integer arrays of sites.
+
+    The band overlap from one set of band moments, with every frequency the
+    pairs read, plus the bound-state term.  Below ``ZERO_FIELD_FLOOR`` the
+    bound term is under |lam| * weight < 1e-14 and the band part already
+    dropped its scattered terms.
+    """
+    value = band_moments(params.lam, th, overlap_frequencies(x, y), spec).overlap(x, y)
+    if abs(params.lam) >= ZERO_FIELD_FLOOR:
+        amp = bound_state(params.lam).amplitude
+        value = value + pp_weight(params, th, spec) * amp(x) * amp(y)
+    return value
 
 
 def s_element(
@@ -37,13 +51,7 @@ def s_element(
     spec: QuadratureSpec | None = None,
 ) -> complex:
     """Steady-state correlation ``(e_x, S e_y)`` for sites ``x, y``."""
-    value = ac_overlap(params, th, x, y, spec)
-    # below the floor the bound term is under |lam| * weight < 1e-14 and the
-    # band part already dropped its scattered terms; same cutoff both places
-    if abs(params.lam) >= ZERO_FIELD_FLOOR:
-        state = bound_state(params.lam)
-        value += pp_weight(params, th, spec) * state.amplitude(x) * state.amplitude(y)
-    return value
+    return complex(_elements(params, th, x, y, spec))
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,16 +107,9 @@ def correlation_block(
         )
     sites = np.arange(lo, hi + 1)
     i, j = np.triu_indices(n)
-    x, y = sites[i], sites[j]
-    # frequencies up to 2 max(|lo|, |hi|)
-    moments = band_moments(params.lam, th, overlap_frequencies(x, y), spec)
-    upper = moments.overlap(x, y)
-    # same cutoff and arithmetic as s_element
-    if abs(params.lam) >= ZERO_FIELD_FLOOR:
-        amp = bound_state(params.lam).amplitude(sites)
-        upper += pp_weight(params, th, spec) * amp[i] * amp[j]
     matrix = np.zeros((n, n), dtype=np.complex128)
-    matrix[i, j] = upper
+    # frequencies up to 2 max(|lo|, |hi|)
+    matrix[i, j] = _elements(params, th, sites[i], sites[j], spec)
     matrix += np.triu(matrix, 1).conj().T
     return CorrelationBlock(lo=lo, hi=hi, params=params, thermal=th, matrix=matrix)
 

@@ -332,8 +332,10 @@ def ness_estimate(
     band-bound oscillation without a full time average.
     """
     t_star = float(t_star)
-    if t_star < 100.0:
-        raise ValueError(f"late-time estimate needs t_star >= 100, got {t_star}")
+    if not (np.isfinite(t_star) and t_star >= 100.0):
+        raise ValueError(f"late-time estimate needs a finite t_star >= 100, got {t_star}")
+    # before the grid: its size grows with t_star
+    _check_horizon(sys, x, y, t_star)
     n = int(round(0.2 * t_star)) + 1
     times = np.linspace(0.8 * t_star, t_star, n)
     trace = evolve_correlation(sys, th, x, y, times, split=False)
@@ -367,10 +369,10 @@ def numeric_wave_action(
     spread with unit speed, so the horizon here is twice as strict.
     """
     t = float(t)
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
+    if not t >= 0.0:
+        raise ValueError(f"time must be nonnegative, got {t}")
     k_grid = np.atleast_1d(np.asarray(k_grid, dtype=float))
-    if np.any(np.abs(k_grid) > np.pi):
+    if not np.all(np.abs(k_grid) <= np.pi):
         raise DomainError("momenta outside [-pi, pi]")
     horizon = 0.5 * _REFLECTION_MARGIN * (sys.M - max(abs(x), sys.params.nu + 2))
     if t > horizon:

@@ -9,11 +9,12 @@ the initial state puts on the bound state.
 
 Every band overlap is a linear combination of Fourier moments over
 ``[0, pi]`` with integer frequencies, in which only the frequency and the
-reservoir temperature vary.  ``band_moments`` samples the few integrands
-once on a graded Gauss-Kronrod mesh, contracts them against ``e^{imt}``
-for every frequency a window needs, and certifies the result with the
-embedded Gauss rule; ``ac_overlap`` and ``ness.correlation_block`` index
-into it.  The bound-state weight is one more such sampling, of both
+reservoir temperature vary.  ``band_moments`` samples the few integrands,
+the field kernels ``1/(sin^2 t + lam^2)`` as defined, once on a
+Gauss-Kronrod mesh graded at their near-poles, contracts them against
+``e^{imt}`` for every frequency a window needs, and certifies the result
+with the embedded Gauss rule; ``ac_overlap`` and ``ness.correlation_block``
+index into it.  The bound-state weight is one more such sampling, of both
 reservoirs' sine-transform integrands on a mesh graded at the bound
 state's decay rate.
 
@@ -68,7 +69,7 @@ def magnetic_correction(lam: float, e: float) -> float:
     Identically 1 at zero field; vanishes at the band edges ``e = +-1`` and
     peaks at ``1 / (1 + lam^2)`` at the band center.
     """
-    if abs(e) > 1.0 + 1e-12:
+    if not abs(e) <= 1.0 + 1e-12:
         raise DomainError(f"band energy {e} outside [-1, 1]")
     if lam == 0.0:
         return 1.0
@@ -178,49 +179,21 @@ def _moment_mesh(lam: float, beta_r: float, m_top: int) -> np.ndarray:
     return graded_mesh(width, beta_r, _PI, 4.0 / max(m_top, 1))
 
 
-def _moment_integrands(lam: float, betas: np.ndarray, m: np.ndarray, t: np.ndarray):
-    """Sampled integrands of the moment families at nodes ``t``.
+def _moment_integrands(lam: float, betas: np.ndarray, m: np.ndarray, t: np.ndarray) -> list:
+    """Samples of the moment families at nodes ``t``, as ``BandMoments`` defines them.
 
-    One ``(samples, closed)`` pair per family (plane, and above the floor
-    kernel_sin and kernel): the samples have shape ``(2, M, N)``, and
-    ``closed``, of shape ``(2, M)``, is the integral of what was subtracted
-    from them.  The kernel families are residuals of a matched pole
-    subtraction.  The kernel factors as ``(c - cos t)(c + cos t)`` with
-    ``c = sqrt(1 + lam^2)``, one near-pole per endpoint of half-width
-    ~|lam|; each pole's matched part (numerator frozen to value and slope
-    at that endpoint) integrates in closed form, and the quadrature only
-    sees the bounded second-order residual.  Direct quadrature of the raw
-    integrand would see a peak growing like 1/lam^2.
+    One array of shape ``(2, M, N)`` per family: plane, and above
+    ``ZERO_FIELD_FLOOR`` kernel_sin and kernel.  The kernel's near-poles at
+    distance ~|lam| off both endpoints are resolved by the grading of
+    ``_moment_mesh``.
     """
     rho = planck_density(betas[:, None], np.cos(t))[:, None, :]
     plane = rho * np.exp(1j * np.multiply.outer(m, t))
     if abs(lam) < ZERO_FIELD_FLOOR:
-        return [(plane, 0.0)]
-    c = math.hypot(1.0, lam)
-    edge_gap = lam * lam / (c + 1.0)  # c - 1 without cancellation
-    lo = edge_gap + 2.0 * np.sin(0.5 * t) ** 2  # c - cos t
-    hi = edge_gap + 2.0 * np.cos(0.5 * t) ** 2  # c + cos t
+        return [plane]
     sin = np.sin(t)
-    log_span = 2.0 * math.log((c + 1.0) / abs(lam))
-
-    # endpoint values of the numerators; d/dt rho(cos t) vanishes at both
-    # ends, so only the trigonometric factor differentiates there
-    rho0 = planck_density(betas, 1.0)[:, None] * np.ones(m.size)
-    rhop = planck_density(betas, -1.0)[:, None] * np.where(m % 2 == 0, 1.0, -1.0)
-    zero = np.zeros_like(rho0)
-
-    def subtracted(num, n0, d0, npi, dpi):
-        # integral of 1/(c -+ cos t) is pi/|lam|; of sin t/(c -+ cos t) is L
-        closed = ((n0 + npi) * (_PI / abs(lam)) + (d0 - dpi) * log_span) / (2.0 * c)
-        n0, d0, npi, dpi = (v[..., None] for v in (n0, d0, npi, dpi))
-        matched = ((n0 + d0 * sin) * hi + (npi - dpi * sin) * lo) / (2.0 * c)
-        return (num - matched) / (lo * hi), closed
-
-    return [
-        (plane, 0.0),
-        subtracted(plane * sin, zero, rho0, zero, -rhop),
-        subtracted(plane, rho0, 1j * m * rho0, rhop, 1j * m * rhop),
-    ]
+    kernel = plane / (sin * sin + lam * lam)
+    return [plane, kernel * sin, kernel]
 
 
 def band_moments(
@@ -231,17 +204,18 @@ def band_moments(
 ) -> BandMoments:
     """Band moments of both reservoirs at the given integer frequencies, on one mesh.
 
-    Only ``|m|`` is computed; ``B(-m) = conj B(m)``.  The integrands are
-    sampled once on the graded mesh of ``_moment_mesh`` and contracted
-    against ``e^{imt}`` in numpy, and ``numerics.refine_panels`` certifies
-    them.  The error estimate is the embedded Gauss rule's distance from
-    the Kronrod rule, panel by panel, maximized over the frequencies and
-    weighted by how a matrix element combines the moments: one plane
-    moment per reservoir at ``1/2pi``, two cross moments at ``|lam|/2pi``
-    and three scattered moments at ``lam^2/2pi``.  While it exceeds
-    ``spec.abs_tol``, the panels above their share are bisected; past
-    ``spec.max_subdivisions`` bisections NonConvergence is raised.
-    ``spec.rel_tol`` and ``spec.breakpoints`` are not used.
+    Only ``|m|`` is computed; ``B(-m) = conj B(m)``.  The integrands,
+    kernels included, are sampled as defined, once on the graded mesh of
+    ``_moment_mesh``, and contracted against ``e^{imt}`` in numpy, and
+    ``numerics.refine_panels`` certifies them.  The error estimate is the
+    embedded Gauss rule's distance from the Kronrod rule, panel by panel,
+    maximized over the frequencies and weighted by how a matrix element
+    combines the moments: one plane moment per reservoir at ``1/2pi``, two
+    cross moments at ``|lam|/2pi`` and three scattered moments at
+    ``lam^2/2pi``.  While it exceeds ``spec.abs_tol``, the panels above
+    their share are bisected; past ``spec.max_subdivisions`` bisections
+    NonConvergence is raised.  ``spec.rel_tol`` and ``spec.breakpoints``
+    are not used.
     """
     spec = spec if spec is not None else QuadratureSpec()
     m = np.unique(np.abs(np.concatenate([np.ravel(f) for f in frequencies]))).astype(int)
@@ -255,18 +229,15 @@ def band_moments(
         n_panels, n_nodes = t.shape
         chunk = max(1, _CHUNK_ELEMENTS // (2 * m.size * n_nodes))
         sums = [np.zeros((2, m.size), dtype=complex) for _ in weights]
-        closed = [0.0] * len(weights)
         panel_err = np.zeros(n_panels)
         for start in range(0, n_panels, chunk):
             sl = slice(start, start + chunk)
-            families = _moment_integrands(lam, betas, m, t[sl].ravel())
-            for f, (samples, integral) in enumerate(families):
-                closed[f] = integral
+            for f, samples in enumerate(_moment_integrands(lam, betas, m, t[sl].ravel())):
                 panels = samples.reshape(2, m.size, -1, n_nodes)
                 sums[f] += np.einsum("bmpk,pk->bm", panels, wk[sl])
                 gap = np.abs(np.einsum("bmpk,pk->bmp", panels, wk[sl] - wg[sl]))
                 panel_err[sl] += weights[f] * gap.max(axis=1).sum(axis=0)
-        return [total + extra for total, extra in zip(sums, closed)], panel_err
+        return sums, panel_err
 
     edges = _moment_mesh(lam, th.beta_r, int(m[-1]))
     moments, error = refine_panels(contract, edges, spec, f"band moments at lam={lam!r}")

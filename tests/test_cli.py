@@ -244,6 +244,17 @@ class TestOracleVerify:
         assert any(r[3] == "fail" for r in rows)
         assert json.loads(err)["error"]["type"] == "RuntimeError"
 
+    @pytest.mark.parametrize(
+        "t_star, kind",
+        [("inf", "ValueError"), ("nan", "ValueError"), ("1e300", "TimeHorizonExceeded")],
+    )
+    def test_unusable_time_exits_two(self, capsys, t_star, kind):
+        code, out, err = run_cli(
+            capsys, "oracle-verify", "--t-star", t_star, "--oracle-m", "100"
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == kind
+
 
 class TestExitCodes:
     def test_help_exits_zero(self, capsys):

@@ -141,6 +141,16 @@ class TestAgainstDirectOverlap:
         value = ac_overlap(ModelParams(-0.3), th12, 40, -35)
         assert abs(value - overlap_direct(-0.3, 1.0, 2.0, 40, -35)) < 1e-10
 
+    @pytest.mark.parametrize(
+        "lam, betas", [(-1e6, (0.1, 50.0)), (-1e6, (1.0, 2.0)), (1e6, (1.0, 2.0))]
+    )
+    def test_huge_field_element(self, lam, betas):
+        # |s| ~ 3e-8 and 3e-9 here; a matched pole subtraction of the field
+        # kernels missed by 8.0e-11 and 2.5e-11, the kernels sampled as
+        # defined by 1.9e-17 at most
+        value = ac_overlap(ModelParams(lam), ThermalConfig(*betas), -5, 9)
+        assert abs(value - overlap_direct(lam, *betas, -5, 9)) < 1e-13
+
     @pytest.mark.parametrize("lam", [1e6, 1e-12])
     def test_domain_edges_certified_or_refused(self, lam):
         th = ThermalConfig(500.0, 1000.0)

@@ -305,8 +305,15 @@ class TestEvolution:
 class TestNessEstimate:
     def test_needs_long_times(self, th12):
         sys = build_truncation(100, ModelParams(0.0))
-        with pytest.raises(ValueError):
-            ness_estimate(sys, th12, 0, 1, 99.0)
+        for t_star in (99.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite t_star >= 100"):
+                ness_estimate(sys, th12, 0, 1, t_star)
+
+    def test_horizon_checked_before_the_grid(self, th12):
+        # a grid of 2e299 times would not fit in memory
+        sys = build_truncation(100, ModelParams(0.0))
+        with pytest.raises(TimeHorizonExceeded):
+            ness_estimate(sys, th12, 0, 1, 1e300)
 
     def test_matches_closed_form_with_field(self, sys_m1000_lam02, th12):
         # measured 3.0e-05 against the 1e-3 gate
@@ -378,10 +385,12 @@ class TestNumericWaveAction:
         assert np.max(np.abs(out - ref)) < 5e-2
 
     def test_rejects_bad_requests(self, sys_m1000_lam05):
-        with pytest.raises(ValueError):
-            numeric_wave_action(sys_m1000_lam05, 0, -1.0, [0.5])
-        with pytest.raises(DomainError):
-            numeric_wave_action(sys_m1000_lam05, 0, 100.0, [3.3])
+        for t in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                numeric_wave_action(sys_m1000_lam05, 0, t, [0.5])
+        for k in (3.3, math.nan):
+            with pytest.raises(DomainError):
+                numeric_wave_action(sys_m1000_lam05, 0, 100.0, [k])
         with pytest.raises(TimeHorizonExceeded):
             # two-way horizon 0.4 * (1000 - 2) = 399.2
             numeric_wave_action(sys_m1000_lam05, 0, 400.0, [0.5])

@@ -76,8 +76,9 @@ class TestMagneticCorrection:
         assert magnetic_correction(0.5, 1.0 + 1e-13) == 0.0
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            magnetic_correction(0.5, 1.1)
+        for e in (1.1, math.nan):
+            with pytest.raises(DomainError):
+                magnetic_correction(0.5, e)
 
 
 class TestWaveAction:
