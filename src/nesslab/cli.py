@@ -7,10 +7,20 @@ envelope ``{"command", "config", "result"}`` conforming to
 ``schemas/cli_output.schema.json``.  Identical invocations produce
 byte-identical documents.
 
-Exit codes: 0 success, 2 invalid configuration (including argument errors),
-3 numerical failure (non-convergence, internal cross-checks, resource
-caps), 4 oracle verification ran and failed.  Failures print a one-line
-JSON error record to stderr.
+Each command takes ``--format``, ``--output`` and the value flags it reads;
+any other flag is an argument error.  ``correction`` reads ``--lambda``;
+``flux``, ``flux-scan``, ``dflux`` and ``ti-check`` read ``--beta-l
+--beta-r --lambda --nu``; ``ness-matrix`` these and ``--window``;
+``spectrum`` reads ``--lambda --nu --oracle-m``; ``oracle-verify``
+``--beta-l --beta-r --lambda --nu --tol --oracle-m --t-star``; and
+``transition-fit`` ``--beta-l --beta-r``.  The JSON ``config`` echoes all
+eight value flags, with the default of each flag the command does not read.
+
+Exit codes: 0 success, 2 invalid configuration (including argument errors
+and an output path that cannot be opened), 3 numerical failure
+(non-convergence, internal cross-checks, resource caps), 4 oracle
+verification ran and failed.  Failures other than argument errors print a
+one-line JSON error record to stderr.
 """
 
 from __future__ import annotations
@@ -19,59 +29,17 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ModelParams, ThermalConfig, bound_state
-from .ness import correlation_block, ti_commutator_element, ti_commutator_direct
-from .numerics import QuadratureSpec
+from .ness import (correlation_block, s_element, ti_commutator_direct,
+                   ti_commutator_element)
 from .oracle import build_truncation, ness_estimate, oracle_flux
 from .scattering import magnetic_correction
-from .transport import (
-    divergence_fit,
-    flux_report,
-    heat_flux,
-)
+from .transport import divergence_fit, flux_report, heat_flux
 
 _CORRECTION_POINTS = 801  # odd and divisible by 4 plus 1: hits 0 and +-pi/2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation after parsing and per-command defaulting."""
-
-    command: str
-    beta_l: float
-    beta_r: float
-    lam: tuple[float, ...]
-    nu: int
-    tol: float
-    oracle_m: int
-    t_star: float
-    window: int
-    fmt: str
-    output: str | None
-
-    def thermal(self) -> ThermalConfig:
-        return ThermalConfig(self.beta_l, self.beta_r)
-
-    def single_lam(self) -> float:
-        if len(self.lam) != 1:
-            raise ValueError(f"{self.command} takes a single field strength, not a sweep")
-        return self.lam[0]
-
-    def echo(self) -> dict:
-        return {
-            "beta_l": self.beta_l,
-            "beta_r": self.beta_r,
-            "lambda": list(self.lam),
-            "nu": self.nu,
-            "tol": self.tol,
-            "oracle_m": self.oracle_m,
-            "t_star": self.t_star,
-            "window": self.window,
-        }
 
 
 def _sweep(text: str) -> tuple[float, ...]:
@@ -91,128 +59,87 @@ def _sweep(text: str) -> tuple[float, ...]:
     return tuple(round(lo + i * step, 12) for i in range(count))
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nesslab",
-        description="steady-state transport laboratory for the driven chain "
-        "with a one-site field",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "correction": "transmission suppression profile over the band",
-        "flux": "flux observables at one operating point",
-        "flux-scan": "flux and entropy production over a field sweep",
-        "dflux": "first and second flux derivatives over a field sweep",
-        "ness-matrix": "steady-state correlation window",
-        "spectrum": "bound-state data and truncated-eigensolve residuals",
-        "ti-check": "translation-invariance defect, closed form vs matrix elements",
-        "oracle-verify": "finite-lattice verification suite (exit 4 on failure)",
-        "transition-fit": "log-divergence regression near zero field",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--beta-l", type=float, default=1.0)
-        p.add_argument("--beta-r", type=float, default=2.0)
-        p.add_argument("--lambda", dest="lam", type=_sweep, default=None,
-                       help="field strength, or MIN:MAX:STEP sweep")
-        p.add_argument("--nu", type=int, default=0, help="sample half-width")
-        p.add_argument("--tol", type=float, default=1e-3,
-                       help="comparison tolerance for oracle-verify")
-        p.add_argument("--oracle-m", type=int, default=None,
-                       help="truncation half-width for oracle commands")
-        p.add_argument("--t-star", type=float, default=900.0,
-                       help="late-time horizon for oracle commands")
-        p.add_argument("--window", type=int, default=5,
-                       help="half-width of the ness-matrix site window")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-        p.add_argument("--output", default=None, help="output path (default stdout)")
-    return parser
-
-
-_DEFAULT_LAM = {
-    "flux-scan": tuple(round(-2.0 + i * 0.01, 12) for i in range(401)),
-    "dflux": tuple(round(-2.0 + i * 0.01, 12) for i in range(401)),
+# Every value flag, in the order of the JSON config echo, which names each
+# by its flag: attribute -> (flag, type, default, help).
+_FLAGS = {
+    "beta_l": ("--beta-l", float, 1.0, "inverse temperature of the left reservoir"),
+    "beta_r": ("--beta-r", float, 2.0, "inverse temperature of the right reservoir"),
+    "lam": ("--lambda", _sweep, (0.2,), "field strength, or MIN:MAX:STEP sweep"),
+    "nu": ("--nu", int, 0, "sample half-width"),
+    "tol": ("--tol", float, 1e-3, "comparison tolerance"),
+    "oracle_m": ("--oracle-m", int, 1000, "truncation half-width"),
+    "t_star": ("--t-star", float, 900.0, "late-time horizon"),
+    "window": ("--window", int, 5, "half-width of the site window"),
 }
-_DEFAULT_ORACLE_M = {"spectrum": 1000, "oracle-verify": 1500}
 
 
-def _config(ns: argparse.Namespace) -> RunConfig:
-    lam = ns.lam
-    if lam is None:
-        lam = _DEFAULT_LAM.get(ns.command, (0.2,))
-    oracle_m = ns.oracle_m
-    if oracle_m is None:
-        oracle_m = _DEFAULT_ORACLE_M.get(ns.command, 1000)
-    return RunConfig(
-        command=ns.command,
-        beta_l=ns.beta_l,
-        beta_r=ns.beta_r,
-        lam=lam,
-        nu=ns.nu,
-        tol=ns.tol,
-        oracle_m=oracle_m,
-        t_star=ns.t_star,
-        window=ns.window,
-        fmt=ns.fmt,
-        output=ns.output,
-    )
+def _echo(ns: argparse.Namespace) -> dict:
+    return {
+        flag[2:].replace("-", "_"): getattr(ns, attr, default)
+        for attr, (flag, _, default, _) in _FLAGS.items()
+    }
+
+
+def _single_lam(ns: argparse.Namespace) -> float:
+    if len(ns.lam) != 1:
+        raise ValueError(f"{ns.command} takes a single field strength, not a sweep")
+    return ns.lam[0]
 
 
 # Each handler returns (json_result, csv_columns, csv_rows).
 
 
-def _cmd_correction(cfg: RunConfig):
-    lam = cfg.single_lam()
-    grid = np.linspace(-math.pi, math.pi, _CORRECTION_POINTS)
-    values = [magnetic_correction(lam, math.cos(k)) for k in grid]
-    result = {"k": [float(k) for k in grid], "correction": values}
-    return result, ["k", "correction"], list(zip(grid.tolist(), values))
+def _columns(cols: list[str], rows: list[tuple]):
+    """A table whose JSON result holds one list per CSV column."""
+    return {c: list(values) for c, values in zip(cols, zip(*rows))}, cols, rows
 
 
-def _cmd_flux(cfg: RunConfig):
-    report = flux_report(ModelParams(cfg.single_lam(), cfg.nu), cfg.thermal())
+def _record(result: dict):
+    """A one-row table whose JSON result is the row keyed by its columns."""
+    return result, list(result), [tuple(result.values())]
+
+
+def _cmd_correction(ns: argparse.Namespace):
+    lam = _single_lam(ns)
+    grid = np.linspace(-math.pi, math.pi, _CORRECTION_POINTS).tolist()
+    rows = [(k, magnetic_correction(lam, math.cos(k))) for k in grid]
+    return _columns(["k", "correction"], rows)
+
+
+def _cmd_flux(ns: argparse.Namespace):
+    params = ModelParams(_single_lam(ns), ns.nu)
+    report = flux_report(params, ThermalConfig(ns.beta_l, ns.beta_r))
     cols = ["lambda", "nu", "beta_l", "beta_r", "J", "sigma", "J_prime",
             "J_second", "quadrature_error"]
-    row = (report.params.lam, report.params.nu, cfg.beta_l, cfg.beta_r,
+    row = (report.params.lam, report.params.nu, ns.beta_l, ns.beta_r,
            report.J, report.sigma, report.J_prime, report.J_second,
            report.quadrature_error)
     return report.to_dict(), cols, [row]
 
 
-def _cmd_flux_scan(cfg: RunConfig):
-    th = cfg.thermal()
+def _cmd_flux_scan(ns: argparse.Namespace):
+    th = ThermalConfig(ns.beta_l, ns.beta_r)
     rows = []
-    for lam in cfg.lam:
-        j = heat_flux(ModelParams(lam, cfg.nu), th)
+    for lam in ns.lam:
+        j = heat_flux(ModelParams(lam, ns.nu), th)
         rows.append((lam, j, (th.beta_r - th.beta_l) * j))
-    result = {
-        "lambda": [r[0] for r in rows],
-        "J": [r[1] for r in rows],
-        "sigma": [r[2] for r in rows],
-    }
-    return result, ["lambda", "J", "sigma"], rows
+    return _columns(["lambda", "J", "sigma"], rows)
 
 
-def _cmd_dflux(cfg: RunConfig):
-    th = cfg.thermal()
+def _cmd_dflux(ns: argparse.Namespace):
+    th = ThermalConfig(ns.beta_l, ns.beta_r)
     rows = []
-    for lam in cfg.lam:
-        report = flux_report(ModelParams(lam, cfg.nu), th)
+    for lam in ns.lam:
+        report = flux_report(ModelParams(lam, ns.nu), th)
         rows.append((lam, report.J_prime, report.J_second))
-    result = {
-        "lambda": [r[0] for r in rows],
-        "J_prime": [r[1] for r in rows],
-        "J_second": [r[2] for r in rows],
-    }
-    return result, ["lambda", "J_prime", "J_second"], rows
+    return _columns(["lambda", "J_prime", "J_second"], rows)
 
 
-def _cmd_ness_matrix(cfg: RunConfig):
-    if cfg.window < 0:
-        raise ValueError(f"window half-width must be nonnegative, got {cfg.window}")
-    block = correlation_block(
-        ModelParams(cfg.single_lam(), cfg.nu), cfg.thermal(), -cfg.window, cfg.window
-    )
+def _cmd_ness_matrix(ns: argparse.Namespace):
+    if ns.window < 0:
+        raise ValueError(f"window half-width must be nonnegative, got {ns.window}")
+    block = correlation_block(ModelParams(_single_lam(ns), ns.nu),
+                              ThermalConfig(ns.beta_l, ns.beta_r), -ns.window, ns.window)
     rows = [
         (x, y, block.matrix[i, j].real, block.matrix[i, j].imag)
         for i, x in enumerate(block.sites)
@@ -221,67 +148,43 @@ def _cmd_ness_matrix(cfg: RunConfig):
     return block.to_dict(), ["x", "y", "re", "im"], rows
 
 
-def _cmd_spectrum(cfg: RunConfig):
-    lam = cfg.single_lam()
-    params = ModelParams(lam, cfg.nu)
-    sysm = build_truncation(cfg.oracle_m, params)
+def _cmd_spectrum(ns: argparse.Namespace):
+    lam = _single_lam(ns)
+    sysm = build_truncation(ns.oracle_m, ModelParams(lam, ns.nu))
     data = sysm.bound_data()
-    n_outside = 0 if data is None else 1
+    result = {"lambda": lam, "oracle_m": ns.oracle_m,
+              "n_outside_band": 0 if data is None else 1}
+    result.update(dict.fromkeys(["energy", "decay_rate", "norm_sq", "staggered",
+                                 "energy_residual", "eigenvector_sup_error"]))
     if lam != 0.0 and data is not None:
         state = bound_state(lam)
-        energy_residual = abs(data[0] - state.energy)
         vec = data[1]
-        i0 = sysm.index(0)
-        if vec[i0] < 0.0:
+        if vec[sysm.index(0)] < 0.0:
             vec = -vec
-        span = range(-20, 21)
-        sup = max(abs(vec[sysm.index(x)] - state.amplitude(x)) for x in span)
-        payload = {
-            "energy": state.energy,
-            "decay_rate": state.decay_rate,
-            "norm_sq": state.norm_sq,
-            "staggered": state.staggered,
-            "energy_residual": energy_residual,
-            "eigenvector_sup_error": sup,
-        }
-    else:
-        payload = {
-            "energy": None,
-            "decay_rate": None,
-            "norm_sq": None,
-            "staggered": None,
-            "energy_residual": None,
-            "eigenvector_sup_error": None,
-        }
-    result = {"lambda": lam, "oracle_m": cfg.oracle_m,
-              "n_outside_band": n_outside, **payload}
-    cols = ["lambda", "oracle_m", "n_outside_band", "energy", "decay_rate",
-            "norm_sq", "staggered", "energy_residual", "eigenvector_sup_error"]
-    row = tuple(result[c] for c in cols)
-    return result, cols, [row]
+        result["energy"] = state.energy
+        result["decay_rate"] = state.decay_rate
+        result["norm_sq"] = state.norm_sq
+        result["staggered"] = state.staggered
+        result["energy_residual"] = abs(data[0] - state.energy)
+        result["eigenvector_sup_error"] = max(
+            abs(vec[sysm.index(x)] - state.amplitude(x)) for x in range(-20, 21)
+        )
+    return _record(result)
 
 
-def _cmd_ti_check(cfg: RunConfig):
-    params = ModelParams(cfg.single_lam(), cfg.nu)
-    th = cfg.thermal()
+def _cmd_ti_check(ns: argparse.Namespace):
+    params = ModelParams(_single_lam(ns), ns.nu)
+    th = ThermalConfig(ns.beta_l, ns.beta_r)
     fast = ti_commutator_element(params, th)
     direct = ti_commutator_direct(params, th)
-    result = {
-        "lambda": params.lam,
-        "fast": fast,
-        "direct": direct,
-        "difference": fast - direct,
-    }
-    cols = ["lambda", "fast", "direct", "difference"]
-    return result, cols, [(params.lam, fast, direct, fast - direct)]
+    return _record({"lambda": params.lam, "fast": fast, "direct": direct,
+                    "difference": fast - direct})
 
 
-def _cmd_oracle_verify(cfg: RunConfig):
-    from .ness import s_element
-
-    params = ModelParams(cfg.single_lam(), cfg.nu)
-    th = cfg.thermal()
-    sysm = build_truncation(cfg.oracle_m, params)
+def _cmd_oracle_verify(ns: argparse.Namespace):
+    params = ModelParams(_single_lam(ns), ns.nu)
+    th = ThermalConfig(ns.beta_l, ns.beta_r)
+    sysm = build_truncation(ns.oracle_m, params)
     checks = []
 
     def record(name: str, measured: float, tolerance: float) -> None:
@@ -291,12 +194,12 @@ def _cmd_oracle_verify(cfg: RunConfig):
         )
 
     for x, y in ((0, 0), (0, 1)):
-        est = ness_estimate(sysm, th, x, y, cfg.t_star)
+        est = ness_estimate(sysm, th, x, y, ns.t_star)
         exact = s_element(params, th, x, y)
-        record(f"ness_{x}_{y}", abs(est - exact), cfg.tol)
-    j_left, j_right = oracle_flux(sysm, th, cfg.t_star)
+        record(f"ness_{x}_{y}", abs(est - exact), ns.tol)
+    j_left, j_right = oracle_flux(sysm, th, ns.t_star)
     record("first_law", abs(j_left + j_right), 1e-6)
-    record("flux_match", abs(j_left - heat_flux(params, th)), cfg.tol)
+    record("flux_match", abs(j_left - heat_flux(params, th)), ns.tol)
     result = {"checks": checks, "passed": all(c["passed"] for c in checks)}
     rows = [
         (c["name"], c["measured"], c["tolerance"], "pass" if c["passed"] else "fail")
@@ -305,8 +208,8 @@ def _cmd_oracle_verify(cfg: RunConfig):
     return result, ["check", "measured", "tolerance", "status"], rows
 
 
-def _cmd_transition_fit(cfg: RunConfig):
-    fit = divergence_fit(cfg.thermal())
+def _cmd_transition_fit(ns: argparse.Namespace):
+    fit = divergence_fit(ThermalConfig(ns.beta_l, ns.beta_r))
     result = {
         "lambda_grid": list(fit.lambda_grid),
         "ratios": list(fit.ratios),
@@ -326,17 +229,50 @@ def _cmd_transition_fit(cfg: RunConfig):
     return result, cols, rows
 
 
-_HANDLERS = {
-    "correction": _cmd_correction,
-    "flux": _cmd_flux,
-    "flux-scan": _cmd_flux_scan,
-    "dflux": _cmd_dflux,
-    "ness-matrix": _cmd_ness_matrix,
-    "spectrum": _cmd_spectrum,
-    "ti-check": _cmd_ti_check,
-    "oracle-verify": _cmd_oracle_verify,
-    "transition-fit": _cmd_transition_fit,
+# the flags of one operating point
+_POINT = ("beta_l", "beta_r", "lam", "nu")
+_DEFAULT_SWEEP = _sweep("-2:2:0.01")
+
+# Every command: name -> (handler, flags read, defaults overridden, help).
+_COMMANDS = {
+    "correction": (_cmd_correction, ("lam",), {},
+                   "transmission suppression profile over the band"),
+    "flux": (_cmd_flux, _POINT, {},
+             "flux observables at one operating point"),
+    "flux-scan": (_cmd_flux_scan, _POINT, {"lam": _DEFAULT_SWEEP},
+                  "flux and entropy production over a field sweep"),
+    "dflux": (_cmd_dflux, _POINT, {"lam": _DEFAULT_SWEEP},
+              "first and second flux derivatives over a field sweep"),
+    "ness-matrix": (_cmd_ness_matrix, (*_POINT, "window"), {},
+                    "steady-state correlation window"),
+    "spectrum": (_cmd_spectrum, ("lam", "nu", "oracle_m"), {},
+                 "bound-state data and truncated-eigensolve residuals"),
+    "ti-check": (_cmd_ti_check, _POINT, {},
+                 "translation-invariance defect, closed form vs matrix elements"),
+    "oracle-verify": (_cmd_oracle_verify, (*_POINT, "tol", "oracle_m", "t_star"),
+                      {"oracle_m": 1500},
+                      "finite-lattice verification suite (exit 4 on failure)"),
+    "transition-fit": (_cmd_transition_fit, ("beta_l", "beta_r"), {},
+                       "log-divergence regression near zero field"),
 }
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="nesslab",
+        description="steady-state transport laboratory for the driven chain "
+        "with a one-site field",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, reads, overrides, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for attr in reads:
+            flag, kind, default, flag_help = _FLAGS[attr]
+            p.add_argument(flag, dest=attr, type=kind,
+                           default=overrides.get(attr, default), help=flag_help)
+        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+        p.add_argument("--output", default=None, help="output path (default stdout)")
+    return parser
 
 
 def _csv_cell(value) -> str:
@@ -351,27 +287,29 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _render(cfg: RunConfig, result, cols, rows) -> str:
-    if cfg.fmt == "json":
-        envelope = {"command": cfg.command, "config": cfg.echo(), "result": result}
+def _render(ns: argparse.Namespace, result, cols, rows) -> str:
+    if ns.fmt == "json":
+        envelope = {"command": ns.command, "config": _echo(ns), "result": result}
         return json.dumps(envelope, indent=2, allow_nan=False) + "\n"
     lines = [",".join(cols)]
     lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output is None:
+def _emit(path: str | None, text: str) -> None:
+    if path is None:
         sys.stdout.write(text)
-    else:
-        with open(cfg.output, "w", newline="\n") as fh:
-            fh.write(text)
+        return
+    try:
+        fh = open(path, "w", newline="\n")
+    except OSError as exc:
+        raise ValueError(f"cannot open output {path!r}: {exc.strerror}") from exc
+    with fh:
+        fh.write(text)
 
 
 def _error_record(exc: BaseException) -> str:
-    return json.dumps(
-        {"error": {"type": type(exc).__name__, "message": str(exc)}}
-    )
+    return json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -379,17 +317,17 @@ def main(argv: list[str] | None = None) -> int:
         ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    handler = _COMMANDS[ns.command][0]
     try:
-        cfg = _config(ns)
-        result, cols, rows = _HANDLERS[cfg.command](cfg)
-        _emit(cfg, _render(cfg, result, cols, rows))
+        result, cols, rows = handler(ns)
+        _emit(ns.output, _render(ns, result, cols, rows))
     except ValueError as exc:
         print(_error_record(exc), file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(_error_record(exc), file=sys.stderr)
         return 3
-    if cfg.command == "oracle-verify" and not result["passed"]:
+    if ns.command == "oracle-verify" and not result["passed"]:
         print(_error_record(RuntimeError("oracle verification failed")), file=sys.stderr)
         return 4
     return 0

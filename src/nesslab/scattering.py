@@ -71,6 +71,8 @@ def magnetic_correction(lam: float, e: float) -> float:
     """
     if not abs(e) <= 1.0 + 1e-12:
         raise DomainError(f"band energy {e} outside [-1, 1]")
+    if not abs(lam) < math.inf:
+        raise DomainError(f"field strength must be finite, got {lam}")
     if lam == 0.0:
         return 1.0
     s = max(0.0, 1.0 - e * e)
@@ -88,6 +90,8 @@ def wave_action(lam: float, x: int, k: float) -> complex:
     """
     if not -_PI <= k <= _PI:
         raise DomainError(f"momentum {k} outside [-pi, pi]")
+    if not abs(lam) < math.inf:
+        raise DomainError(f"field strength must be finite, got {lam}")
     plane = cmath.exp(1j * k * x)
     if lam == 0.0:
         return plane

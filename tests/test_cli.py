@@ -14,6 +14,31 @@ from nesslab.ness import correlation_block
 
 GOLDEN_FLUX_12 = 0.019467106206978297
 
+# the value flags each command reads; it takes --format and --output besides
+POINT = ["--beta-l", "--beta-r", "--lambda", "--nu"]
+READS = {
+    "correction": ["--lambda"],
+    "flux": POINT,
+    "flux-scan": POINT,
+    "dflux": POINT,
+    "ness-matrix": [*POINT, "--window"],
+    "spectrum": ["--lambda", "--nu", "--oracle-m"],
+    "ti-check": POINT,
+    "oracle-verify": [*POINT, "--tol", "--oracle-m", "--t-star"],
+    "transition-fit": ["--beta-l", "--beta-r"],
+}
+# a cheap non-default value of every flag
+FLAG_VALUES = {
+    "--beta-l": "0.5", "--beta-r": "3", "--lambda": "0.3", "--nu": "1",
+    "--tol": "0.01", "--oracle-m": "150", "--t-star": "100", "--window": "2",
+}
+UNREAD = [(cmd, flag) for cmd, reads in READS.items()
+          for flag in FLAG_VALUES if flag not in reads]
+ECHO_DEFAULTS = {
+    "beta_l": 1.0, "beta_r": 2.0, "lambda": [0.2], "nu": 0, "tol": 1e-3,
+    "oracle_m": 1000, "t_star": 900.0, "window": 5,
+}
+
 
 def run_cli(capsys, *args):
     code = main(list(args))
@@ -71,6 +96,12 @@ class TestCorrection:
         record = json.loads(err)
         assert record["error"]["type"] == "ValueError"
 
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_rejects_a_non_finite_field(self, capsys, lam):
+        code, out, err = run_cli(capsys, "correction", "--lambda", lam, "--format", "json")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "DomainError"
+
 
 class TestFlux:
     def test_golden_point(self, capsys):
@@ -123,6 +154,13 @@ class TestFluxScan:
         assert js[0] == max(js)
         for r in rows:
             assert float(r[2]) == float(r[1])
+
+    def test_default_sweep_is_the_figure_grid(self, capsys):
+        code, out, _ = run_cli(capsys, "flux-scan", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"]["lambda"] == list(_sweep("-2:2:0.01"))
+        assert doc["result"]["lambda"] == doc["config"]["lambda"]
 
 
 class TestDflux:
@@ -212,6 +250,7 @@ class TestTransitionFit:
         assert code == 0
         doc = json.loads(out)
         repo_schema(doc)
+        assert doc["config"] == ECHO_DEFAULTS
         res = doc["result"]
         assert len(res["lambda_grid"]) == 9
         assert res["residual"] < 1e-6
@@ -228,6 +267,7 @@ class TestOracleVerify:
         )
         assert code == 0 and err == ""
         doc = json.loads(out)
+        assert doc["config"]["oracle_m"] == 1500
         assert doc["result"]["passed"] is True
         names = [c["name"] for c in doc["result"]["checks"]]
         assert names == ["ness_0_0", "ness_0_1", "first_law", "flux_match"]
@@ -287,6 +327,29 @@ class TestExitCodes:
         assert json.loads(err)["error"]["type"] == "NonConvergence"
 
 
+class TestFlagTable:
+    @pytest.mark.parametrize("command", list(READS))
+    def test_json_echoes_every_flag(self, capsys, repo_schema, command):
+        args = [x for flag in READS[command] for x in (flag, FLAG_VALUES[flag])]
+        code, out, _ = run_cli(capsys, command, *args, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        repo_schema(doc)
+        assert doc["command"] == command
+        expected = dict(ECHO_DEFAULTS)
+        for flag in READS[command]:
+            key = flag[2:].replace("-", "_")
+            text = FLAG_VALUES[flag]
+            expected[key] = list(_sweep(text)) if key == "lambda" else type(expected[key])(text)
+        assert doc["config"] == expected
+
+    @pytest.mark.parametrize("command, flag", UNREAD)
+    def test_unread_flag_is_an_argument_error(self, capsys, command, flag):
+        code, out, err = run_cli(capsys, command, flag, FLAG_VALUES[flag])
+        assert code == 2 and out == ""
+        assert "unrecognized arguments" in err
+
+
 class TestOutputDiscipline:
     def test_output_file_has_unix_newlines(self, capsys, tmp_path):
         target = tmp_path / "correction.csv"
@@ -295,6 +358,13 @@ class TestOutputDiscipline:
         raw = target.read_bytes()
         assert raw.count(b"\n") == 802
         assert b"\r" not in raw
+
+    def test_unwritable_output_exits_two(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "flux.csv"
+        code, out, err = run_cli(capsys, "flux", "--output", str(target))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
+        assert not target.parent.exists()
 
     @pytest.mark.parametrize(
         "args",

@@ -79,6 +79,9 @@ class TestMagneticCorrection:
         for e in (1.1, math.nan):
             with pytest.raises(DomainError):
                 magnetic_correction(0.5, e)
+        for lam in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                magnetic_correction(lam, 0.5)
 
 
 class TestWaveAction:
@@ -96,6 +99,9 @@ class TestWaveAction:
     def test_domain(self):
         with pytest.raises(DomainError):
             wave_action(1.0, 0, 3.2)
+        for lam in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                wave_action(lam, 0, 0.5)
 
     @given(lam=st.floats(-3.0, 3.0), x=st.integers(-8, 8), k=st.floats(-3.1, 3.1))
     def test_bounded_amplitude(self, lam, x, k):

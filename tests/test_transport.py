@@ -12,6 +12,7 @@ from nesslab.exceptions import (
     UndefinedAtOrigin,
 )
 from nesslab.model import ModelParams, ThermalConfig
+from nesslab.ness import s_element
 from nesslab.numerics import QuadratureSpec
 from nesslab.transport import (
     DivergenceFit,
@@ -89,6 +90,18 @@ class TestHeatFlux:
         a = heat_flux(ModelParams(lam), th12)
         b = heat_flux(ModelParams(-lam), th12)
         assert abs(a - b) < 1e-12
+
+    @pytest.mark.parametrize("betas", [(1.0, 2.0), (0.1, 50.0), (1.5, 1.5)])
+    @pytest.mark.parametrize("nu", [0, 1, 3])
+    def test_is_the_contact_bond_correlation(self, betas, nu):
+        # the flux family and the band moments are two closed forms of one
+        # number: half the imaginary part of the steady correlation across
+        # the left contact bond pair, as the lattice oracle measures it
+        th = ThermalConfig(*betas)
+        for lam in (0.0, 5e-324, 1e-20, 1e-12, 1e-8, 1e-3, -0.7, 2.0, 1e6, -1e100):
+            p = ModelParams(lam, nu)
+            bond = 0.5 * s_element(p, th, -(nu + 2), -nu).imag
+            assert abs(heat_flux(p, th) - bond) < 1e-15, lam
 
 
 class TestEntropyProduction:
