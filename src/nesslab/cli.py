@@ -40,6 +40,7 @@ from .scattering import magnetic_correction
 from .transport import divergence_fit, flux_report, heat_flux
 
 _CORRECTION_POINTS = 801  # odd and divisible by 4 plus 1: hits 0 and +-pi/2
+_MAX_SWEEP_POINTS = 10**5
 
 
 def _sweep(text: str) -> tuple[float, ...]:
@@ -54,7 +55,11 @@ def _sweep(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError("sweep bounds and step must be finite")
     if step <= 0.0 or hi < lo:
         raise argparse.ArgumentTypeError("sweep needs step > 0 and max >= min")
-    count = int(math.floor((hi - lo) / step + 0.5)) + 1
+    # steps + 1/2, so that int() rounds; may overflow to inf
+    span = (hi - lo) / step + 0.5
+    if not span < _MAX_SWEEP_POINTS:
+        raise argparse.ArgumentTypeError(f"sweep has more than {_MAX_SWEEP_POINTS} points")
+    count = int(span) + 1
     # snap to the printed grid so e.g. -2:2:0.01 lands on 0 exactly
     return tuple(round(lo + i * step, 12) for i in range(count))
 
@@ -184,6 +189,8 @@ def _cmd_ti_check(ns: argparse.Namespace):
 def _cmd_oracle_verify(ns: argparse.Namespace):
     params = ModelParams(_single_lam(ns), ns.nu)
     th = ThermalConfig(ns.beta_l, ns.beta_r)
+    if not 0.0 < ns.tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {ns.tol}")
     sysm = build_truncation(ns.oracle_m, params)
     checks = []
 

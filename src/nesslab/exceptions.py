@@ -7,7 +7,7 @@ trouble discovered while computing.
 
 
 class InvalidInterval(ValueError):
-    """Integration interval is empty, reversed, or breakpoints fall outside it."""
+    """Integration interval is empty, reversed, or not of finite length."""
 
 
 class DomainError(ValueError):
@@ -41,9 +41,10 @@ class ResourceLimit(RuntimeError):
 class NonConvergence(RuntimeError):
     """Quadrature exhausted its subdivision budget above the requested tolerance.
 
-    Raised by ``adaptive_integrate`` and by the certified panel families of
-    ``refine_panels`` (band moments, flux integrals, the bound-state
-    weight), also when an error estimate is not finite.
+    Raised by ``numerics.refine_panels`` for every integral it certifies:
+    band moments, flux integrals, the bound-state weight, the translation
+    defect and the integrand of ``adaptive_integrate``; also when an error
+    estimate is not finite.
     """
 
 

@@ -11,13 +11,13 @@ witness that the driven steady state breaks translation invariance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ConsistencyError, WindowTooLarge
-from .model import ModelParams, ThermalConfig, bound_state
-from .numerics import QuadratureSpec
+from .model import ModelParams, ThermalConfig, bound_state, planck_difference
+from .numerics import QuadratureSpec, graded_mesh, panel_rule, refine_panels
 from .scattering import (
     ZERO_FIELD_FLOOR,
     band_moments,
@@ -123,26 +123,33 @@ def ti_commutator_element(
     """Closed form of ``s(0, 2) - s(-1, 1)`` as a single momentum integral.
 
     ``lam * integral dk/2pi cos(k) rho_diff(cos k) corr(lam, cos k)``; real,
-    and zero whenever ``lam = 0`` or the reservoirs agree.  With
+    and zero whenever ``lam = 0`` or the reservoirs agree.  The integrand is
+    even in ``k`` and invariant under ``k -> pi - k``, which leaves
+    ``(2 lam/pi) integral_0^{pi/2} rho_diff(cos t) cos t sin^2 t /
+    (sin^2 t + lam^2) dt``, a sum of one sign with no cancellation at any
+    field; it is sampled once on the graded mesh of the flux integrals and
+    certified to ``spec.abs_tol`` by ``numerics.refine_panels``.  With
     ``verify=True`` the two matrix elements are also assembled from band
     moments and the difference is checked against the closed form.
     """
     spec = spec if spec is not None else QuadratureSpec()
-    lam = params.lam
-    # below the floor the integral is bounded by |lam| itself
-    if abs(lam) < ZERO_FIELD_FLOOR or th.is_equilibrium:
-        fast = 0.0
-    else:
-        # corr = 1 - lam^2/(sin^2 + lam^2) splits the integral (even in k)
-        # into the m = 1 plane moments and the m = 1 kernel moments, weighted
-        # by lam/pi and lam^3/pi; band_moments certifies them at 1/2pi and
-        # 3 lam^2/2pi per reservoir, so a target of abs_tol/(2 max(1, |lam|))
-        # keeps the difference under abs_tol.
-        moments_spec = replace(spec, abs_tol=0.5 * spec.abs_tol / max(1.0, abs(lam)))
-        moments = band_moments(lam, th, [1], moments_spec)
-        plain = (moments.plane[0, 0] - moments.plane[1, 0]).real
-        kernel = (moments.kernel[0, 0] - moments.kernel[1, 0]).real
-        fast = (lam * plain - lam**3 * kernel) / math.pi
+    a = abs(params.lam)
+
+    # sin^2/D = q^2/(1 + (q e)^2) in p = max(sin t, |lam|), q = sin t/p,
+    # e = |lam|/p, and |lam| q^2 = sin t * q * e: no field is squared
+    def contract(edges):
+        t, wk, wg = panel_rule(edges)
+        s, c = np.sin(t), np.cos(t)
+        p = np.maximum(s, a)
+        q, e = s / p, a / p
+        samples = planck_difference(th, c) * c * s * q * e / (1.0 + (q * e) ** 2)
+        gap = np.abs(np.sum((wk - wg) * samples, axis=1))
+        return np.sum(wk * samples), (2.0 / math.pi) * gap
+
+    edges = graded_mesh(a, th.beta_r, 0.5 * math.pi)
+    what = f"translation defect at lam={params.lam!r}"
+    integral, _ = refine_panels(contract, edges, spec, what)
+    fast = math.copysign((2.0 / math.pi) * float(integral), params.lam)
 
     if verify:
         direct = ti_commutator_direct(params, th, spec)

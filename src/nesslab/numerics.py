@@ -1,12 +1,12 @@
 """Deterministic quadrature rules and closed-form series sums.
 
-Families of integrals sampled on one mesh use ``panel_rule``, a fixed
-Gauss-Kronrod pair on the panels of ``graded_mesh``; the Gauss rule
-embedded in it gives each panel's error estimate, and ``refine_panels``
-bisects panels until the caller-weighted estimate meets the tolerance.
-Every closed form of the library runs there.  ``adaptive_integrate``, a
-thin contract around QUADPACK for scalar integrands, has no caller in the
-library; it loads ``scipy.integrate`` on first use only.
+One rule serves every integral: ``panel_rule``, a fixed Gauss-Kronrod pair
+on the panels of a mesh, usually ``graded_mesh``; the Gauss rule embedded
+in it gives each panel's error estimate, and ``refine_panels`` bisects
+panels until the caller-weighted estimate meets the tolerance.  Every
+closed form of the library samples its integrand families there;
+``adaptive_integrate`` does the same for one scalar integrand on an
+arbitrary interval, and has no caller in the library.
 """
 
 from __future__ import annotations
@@ -19,39 +19,25 @@ import numpy as np
 
 from .exceptions import DomainError, InvalidInterval, NonConvergence
 
-# QUADPACK rejects relative tolerances below ~50*eps; requests under the
-# floor are clamped and the absolute criterion governs.
-_REL_TOL_FLOOR = 1.2e-14
-
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Accuracy contract for one integral.
+    """Accuracy contract for one integral or one family of integrals.
 
-    abs_tol / rel_tol: target bounds on the error estimate.
-    max_subdivisions: total interval budget, shared across panels.
-    breakpoints: strictly increasing interior points where the integrand
-        may be non-smooth (or merely continuous); each becomes a panel edge.
+    abs_tol: bound on the certified error estimate, the embedded Gauss
+        rule's distance from the Kronrod rule summed over the panels.
+    max_subdivisions: how many panels ``refine_panels`` may add to the
+        starting mesh by bisection.
     """
 
     abs_tol: float = 1e-10
-    rel_tol: float = 1e-12
     max_subdivisions: int = 2000
-    breakpoints: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
             raise ValueError("abs_tol must be a positive finite number")
-        if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0.0):
-            raise ValueError("rel_tol must be a nonnegative finite number")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
-        points = tuple(float(b) for b in self.breakpoints)
-        if any(not math.isfinite(b) for b in points):
-            raise ValueError("breakpoints must be finite")
-        if any(b2 <= b1 for b1, b2 in zip(points, points[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        object.__setattr__(self, "breakpoints", points)
 
 
 @dataclass(frozen=True)
@@ -59,88 +45,6 @@ class QuadratureResult:
     value: float | complex
     error_estimate: float
     subdivisions_used: int
-
-
-def _quad_panel(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    eps_abs: float,
-    eps_rel: float,
-    limit: int,
-) -> tuple[float, float, int]:
-    from scipy.integrate import quad
-
-    out = quad(f, lo, hi, epsabs=eps_abs, epsrel=eps_rel, limit=limit, full_output=1)
-    value, err, info = out[0], out[1], out[2]
-    if len(out) > 3:
-        raise NonConvergence(
-            f"QUADPACK failed on [{lo:g}, {hi:g}]: {out[3]} "
-            f"(estimate {err:.3e} for target {eps_abs:.3e})"
-        )
-    if not math.isfinite(value):
-        raise NonConvergence(f"integrand produced a non-finite value on [{lo:g}, {hi:g}]")
-    return value, err, info["last"]
-
-
-def adaptive_integrate(
-    f: Callable[[float], float | complex],
-    a: float,
-    b: float,
-    spec: QuadratureSpec | None = None,
-) -> QuadratureResult:
-    """Integrate ``f`` over ``[a, b]`` to the accuracy demanded by ``spec``.
-
-    The interval is split at ``spec.breakpoints`` and each panel gets an
-    equal share of the absolute tolerance and of the subdivision budget.
-    Real- and complex-valued integrands are both accepted; the path is
-    chosen from the type of a single midpoint probe, so an integrand must
-    not switch between real and complex return types over the interval.
-
-    Raises InvalidInterval for a degenerate interval or breakpoints outside
-    its interior, and NonConvergence when any panel fails to meet its share
-    of the tolerance within the budget.
-    """
-    spec = spec if spec is not None else QuadratureSpec()
-    a, b = float(a), float(b)
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise InvalidInterval(f"need a finite interval with a < b, got [{a}, {b}]")
-    for point in spec.breakpoints:
-        if not a < point < b:
-            raise InvalidInterval(f"breakpoint {point} outside ({a}, {b})")
-
-    edges = (a, *spec.breakpoints, b)
-    panels = list(zip(edges[:-1], edges[1:]))
-    probe = f(0.5 * (panels[0][0] + panels[0][1]))
-    complex_path = isinstance(probe, complex)
-
-    parts = 2 if complex_path else 1
-    eps_abs = spec.abs_tol / (len(panels) * parts)
-    eps_rel = max(spec.rel_tol, _REL_TOL_FLOOR)
-    limit = max(1, spec.max_subdivisions // len(panels))
-
-    total: complex | float = 0.0
-    error = 0.0
-    used = 0
-    for lo, hi in panels:
-        if complex_path:
-            re, err_re, n_re = _quad_panel(lambda t: f(t).real, lo, hi, eps_abs, eps_rel, limit)
-            im, err_im, n_im = _quad_panel(lambda t: f(t).imag, lo, hi, eps_abs, eps_rel, limit)
-            total = total + complex(re, im)
-            error += err_re + err_im
-            used += max(n_re, n_im)
-        else:
-            val, err, n = _quad_panel(f, lo, hi, eps_abs, eps_rel, limit)
-            total = total + val
-            error += err
-            used += n
-
-    if error > max(spec.abs_tol, spec.rel_tol * abs(total)):
-        raise NonConvergence(
-            f"summed error estimate {error:.3e} exceeds tolerance "
-            f"max({spec.abs_tol:.3e}, {spec.rel_tol:.3e}*|I|)"
-        )
-    return QuadratureResult(value=total, error_estimate=error, subdivisions_used=used)
 
 
 # The 21-point Kronrod extension of the 10-point Gauss-Legendre rule on
@@ -276,6 +180,42 @@ def refine_panels(
                 f"{spec.abs_tol:.3e} after {n_panels} panels"
             )
         edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])[split]]))
+
+
+def adaptive_integrate(
+    f: Callable[[float], float | complex],
+    a: float,
+    b: float,
+    spec: QuadratureSpec | None = None,
+) -> QuadratureResult:
+    """Integrate ``f`` over ``[a, b]`` to the accuracy demanded by ``spec``.
+
+    ``f`` is called on one float node at a time, on the ``panel_rule``
+    panels of ``[a, b]``, and ``refine_panels`` bisects them until the
+    embedded Gauss estimate is within ``spec.abs_tol``.  The value is
+    complex when any sample is; ``subdivisions_used`` is the panel count of
+    the final mesh.
+
+    Raises InvalidInterval unless ``a < b`` and ``b - a`` is finite, and
+    NonConvergence for non-finite samples and when the estimate stays above
+    ``spec.abs_tol`` after ``spec.max_subdivisions`` bisections.
+    """
+    spec = spec if spec is not None else QuadratureSpec()
+    a, b = float(a), float(b)
+    if not (a < b and math.isfinite(b - a)):
+        raise InvalidInterval(f"need a finite interval with a < b, got [{a}, {b}]")
+
+    def contract(edges):
+        t, wk, wg = panel_rule(edges)
+        samples = np.array([f(x) for x in t.ravel().tolist()]).reshape(t.shape)
+        panel_err = np.abs(np.sum((wk - wg) * samples, axis=1))
+        return (np.sum(wk * samples), t.shape[0]), panel_err
+
+    (value, panels), error = refine_panels(
+        contract, np.array([a, b]), spec, f"integrand samples on [{a:g}, {b:g}]"
+    )
+    value = complex(value) if np.iscomplexobj(value) else float(value)
+    return QuadratureResult(value=value, error_estimate=error, subdivisions_used=panels)
 
 
 def geometric_sine_sum(q: float, k: float) -> float:

@@ -218,13 +218,18 @@ def band_moments(
     cross moments at ``|lam|/2pi`` and three scattered moments at
     ``lam^2/2pi``.  While it exceeds ``spec.abs_tol``, the panels above
     their share are bisected; past ``spec.max_subdivisions`` bisections
-    NonConvergence is raised.  ``spec.rel_tol`` and ``spec.breakpoints``
-    are not used.
+    NonConvergence is raised.  A field whose scattered weight overflows,
+    ``|lam|`` above about 7.7e153, raises DomainError before any sampling.
     """
     spec = spec if spec is not None else QuadratureSpec()
     m = np.unique(np.abs(np.concatenate([np.ravel(f) for f in frequencies]))).astype(int)
     betas = np.array([th.beta_l, th.beta_r])
     weights = np.array([1.0, 2.0 * abs(lam), 3.0 * lam * lam]) / (2.0 * _PI)
+    if not np.isfinite(weights[-1]):
+        raise DomainError(
+            f"field strength {lam!r} out of range: the scattered-moment weight "
+            "3 lam^2/2pi overflows"
+        )
     if abs(lam) < ZERO_FIELD_FLOOR:
         weights = weights[:1]
 
@@ -340,7 +345,6 @@ def pp_weight(
     the band edge from the decay rate ``alpha = asinh|lam|`` and toward
     ``k = pi/2`` from ``1/beta_r``, and ``numerics.refine_panels``
     certifies the weight to ``spec.abs_tol`` or raises NonConvergence.
-    ``spec.rel_tol`` and ``spec.breakpoints`` are not used.
     """
     if params.lam == 0.0:
         if strict:

@@ -1,10 +1,12 @@
-"""40-digit mpmath values of the bound-state weight, the source of the test literals.
+"""mpmath values of the bound-state weight and the translation defect, the source of the test literals.
 
     PYTHONPATH=src python tests/reference_mp.py
 
 Prints ``lam: weight`` for the pinned fields at ``th = (1, 2)``, ``nu = 0``,
-as the ``PP_WEIGHT_MP`` literals of ``test_scattering.py`` hold them.  The
-name keeps pytest from collecting this file.
+as the ``PP_WEIGHT_MP`` literals of ``test_scattering.py`` hold them, then
+``lam: (defect at (1, 2), defect at (0.1, 50))`` as the ``TI_DEFECT_MP``
+literals of ``test_ness.py`` hold them.  The name keeps pytest from
+collecting this file.
 
 The weight is evaluated from its definition, independently of the
 library: the half-line sine transform of the bound eigenvector's tail,
@@ -67,9 +69,38 @@ def pp_weight_mp(lam: float, betas=BETAS, nu: int = 0):
         return tails + sample
 
 
+TI_DPS = 30
+TI_THERMALS = ((1.0, 2.0), (0.1, 50.0))
+TI_FIELDS = (0.2, 1e5, 6e5, 1e6)
+
+
+def ti_commutator_mp(lam: float, betas=BETAS):
+    """``s(0, 2) - s(-1, 1)`` at ``TI_DPS`` digits, from its momentum integral.
+
+    ``lam integral_{-pi}^{pi} dk/2pi cos k rho_diff(cos k) corr(lam, cos k)``
+    with ``corr = sin^2 k/(sin^2 k + lam^2)``, the integrand even in ``k``,
+    so ``(lam/pi)`` times the integral over ``[0, pi]``; panels graded as
+    for the weight, from ``|lam|/8`` toward both ends and from ``1/beta``
+    toward ``pi/2``.
+    """
+    with mp.workdps(TI_DPS):
+        lam_m = mp.mpf(lam)
+        beta_l, beta_r = (mp.mpf(b) for b in betas)
+
+        def integrand(k):
+            e, s2 = mp.cos(k), mp.sin(k) ** 2
+            rho_diff = 1 / (1 + mp.exp(beta_l * e)) - 1 / (1 + mp.exp(beta_r * e))
+            return e * rho_diff * s2 / (s2 + lam_m**2)
+
+        return lam_m / mp.pi * mp.quad(integrand, _edges(abs(lam_m), max(betas)))
+
+
 def main() -> None:
     for lam in FIELDS:
         print(f"    {lam!r}: {mp.nstr(pp_weight_mp(lam), 20)},")
+    for lam in TI_FIELDS:
+        values = ", ".join(mp.nstr(ti_commutator_mp(lam, th), 17) for th in TI_THERMALS)
+        print(f"    {lam!r}: ({values}),")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Command-line surface: documents, determinism, exit codes."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -66,12 +67,20 @@ class TestSweepParsing:
     def test_degenerate_sweep_is_one_point(self):
         assert _sweep("0.3:0.3:0.1") == (0.3,)
 
+    # the last two: 1e12 points, and a step count that overflows to inf
     @pytest.mark.parametrize(
-        "text", ["1:2", "2:1:0.1", "1:2:-0.5", "1:2:0", "1:inf:0.5", "a:b:c"]
+        "text",
+        ["1:2", "2:1:0.1", "1:2:-0.5", "1:2:0", "1:inf:0.5", "a:b:c",
+         "0:1e6:1e-6", "0:1e308:1e-308"],
     )
     def test_malformed_sweeps_exit_two(self, capsys, text):
         code, _, _ = run_cli(capsys, "flux", "--lambda", text)
         assert code == 2
+
+    def test_point_cap(self):
+        assert len(_sweep("0:99999:1")) == 100_000
+        with pytest.raises(argparse.ArgumentTypeError, match="more than 100000 points"):
+            _sweep("0:100000:1")
 
 
 class TestCorrection:
@@ -203,6 +212,11 @@ class TestNessMatrix:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "ValueError"
 
+    def test_overflowing_field_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "ness-matrix", "--lambda", "1e200")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "DomainError"
+
 
 class TestSpectrum:
     def test_bound_state_report(self, capsys):
@@ -242,6 +256,14 @@ class TestTiCheck:
         repo_schema(doc)
         assert abs(doc["result"]["difference"]) < 1e-10
         assert doc["result"]["fast"] > 0.0
+
+    def test_largest_pinned_field(self, capsys):
+        # the closed form raised NonConvergence here, exit 3
+        code, out, _ = run_cli(capsys, "ti-check", "--lambda", "1e6")
+        assert code == 0
+        _, (row,) = csv_rows(out)
+        assert abs(float(row[1]) - 2.4096155258689731e-8) < 1e-15
+        assert abs(float(row[3])) < 1e-10
 
 
 class TestTransitionFit:
@@ -283,6 +305,16 @@ class TestOracleVerify:
         assert cols == ["check", "measured", "tolerance", "status"]
         assert any(r[3] == "fail" for r in rows)
         assert json.loads(err)["error"]["type"] == "RuntimeError"
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_invalid_tolerance_exits_two_before_the_lattice(self, capsys, monkeypatch, tol):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("build_truncation ran")
+
+        monkeypatch.setattr("nesslab.cli.build_truncation", unexpected)
+        code, out, err = run_cli(capsys, "oracle-verify", "--tol", tol, "--format", "json")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
 
     @pytest.mark.parametrize(
         "t_star, kind",
@@ -386,6 +418,7 @@ class TestImportCost:
         # scipy.integrate alone costs ~0.6 s of every start; only the
         # oracle's eigensolves load scipy, on first use
         script = """
+import math
 import sys
 import nesslab, nesslab.cli
 from nesslab import ModelParams, ThermalConfig
@@ -397,6 +430,8 @@ for lam in (0.5, 1e-12):
     nesslab.pp_weight(p, th)
     nesslab.s_element(p, th, 0, 1)
     nesslab.correlation_block(p, th, -3, 3)
+    nesslab.ti_commutator_element(p, th)
+nesslab.adaptive_integrate(math.cos, 0.0, 1.0)
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
 assert nesslab.build_truncation(50, ModelParams(0.5)).bound_data() is not None

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nesslab.exceptions import NonConvergence, WindowTooLarge
+from nesslab.exceptions import DomainError, NonConvergence, WindowTooLarge
 from nesslab.model import ModelParams, ThermalConfig, bound_state
 from nesslab.ness import (
     MAX_WINDOW_SITES,
@@ -18,6 +18,16 @@ from nesslab.ness import (
 from nesslab.scattering import ac_overlap, pp_weight
 
 from bruteforce import overlap_direct
+
+# 30-digit mpmath values of s(0, 2) - s(-1, 1) at th = (1, 2) and (0.1, 50),
+# printed by tests/reference_mp.py; the closed form as lam*plain -
+# lam^3*kernel missed by 1.3e-10 at 6e5 and raised NonConvergence at 1e6
+TI_DEFECT_MP = {
+    0.2: (0.011909127466196463, 0.044455705592329944),
+    1e5: (2.4096155257420706e-7, 1.027704471477255e-6),
+    6e5: (4.0160258764444905e-8, 1.7128407858957119e-7),
+    1e6: (2.4096155258689731e-8, 1.0277044715385275e-7),
+}
 
 
 class TestSElement:
@@ -161,6 +171,24 @@ class TestAgainstDirectOverlap:
             return
         assert np.max(np.abs(block.matrix - direct_block(params, th, -2, 2))) < 1e-10
 
+    @pytest.mark.parametrize("lam", [8e153, 1e200, 1.7e308, -1e200])
+    def test_overflowing_field_refused(self, th12, lam):
+        # 3 lam^2/2pi, the weight of the scattered moments, overflows above
+        # about 7.7e153; the suite turns the RuntimeWarning of inf * 0 into
+        # an error, so this also checks that nothing is sampled first
+        params = ModelParams(lam)
+        for evaluate in (
+            lambda: s_element(params, th12, 0, 1),
+            lambda: ac_overlap(params, th12, 0, 1),
+            lambda: correlation_block(params, th12, -2, 2),
+        ):
+            with pytest.raises(DomainError, match="overflows"):
+                evaluate()
+
+    def test_largest_field_below_overflow(self, th12):
+        value = ac_overlap(ModelParams(7e153), th12, -5, 9)
+        assert abs(value - overlap_direct(7e153, 1.0, 2.0, -5, 9)) < 1e-13
+
 
 class TestMpmathReference:
     """Elements of the benchmark's mpmath references at small fields.
@@ -209,11 +237,15 @@ class TestTiCommutator:
         for lam in (0.0, 0.3, 1.0):
             assert ti_commutator_element(ModelParams(lam), th) == 0.0
 
-    def test_fast_path_matches_matrix_elements(self, th12):
-        p = ModelParams(0.2)
-        fast = ti_commutator_element(p, th12)
-        direct = ti_commutator_direct(p, th12)
-        assert abs(fast - direct) < 1e-10
+    def test_fast_path_matches_matrix_elements(self):
+        for lam, refs in TI_DEFECT_MP.items():
+            for betas, ref in zip(((1.0, 2.0), (0.1, 50.0)), refs):
+                th = ThermalConfig(*betas)
+                for sign in (1.0, -1.0):
+                    p = ModelParams(sign * lam)
+                    fast = ti_commutator_element(p, th)
+                    assert abs(fast - sign * ref) < 1e-15
+                    assert abs(fast - ti_commutator_direct(p, th)) < 1e-10
 
     def test_verify_flag_cross_checks(self, th12):
         val = ti_commutator_element(ModelParams(0.7), th12, verify=True)

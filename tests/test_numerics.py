@@ -1,7 +1,7 @@
 """Quadrature contract and the geometric sine sum."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from nesslab.numerics import (
     geometric_sine_sum,
     graded_mesh,
     panel_rule,
+    refine_panels,
 )
 
 from bruteforce import sine_partial_sum
@@ -23,7 +24,7 @@ class TestQuadratureSpec:
     def test_defaults_valid(self):
         spec = QuadratureSpec()
         assert spec.abs_tol == 1e-10
-        assert spec.breakpoints == ()
+        assert [f.name for f in fields(spec)] == ["abs_tol", "max_subdivisions"]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -31,11 +32,8 @@ class TestQuadratureSpec:
             {"abs_tol": 0.0},
             {"abs_tol": -1e-3},
             {"abs_tol": math.inf},
-            {"rel_tol": -1.0},
+            {"abs_tol": math.nan},
             {"max_subdivisions": 0},
-            {"breakpoints": (math.nan,)},
-            {"breakpoints": (1.0, 1.0)},
-            {"breakpoints": (2.0, 1.0)},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -55,10 +53,10 @@ class TestAdaptiveIntegrate:
         res = adaptive_integrate(math.cos, -math.pi, math.pi)
         assert abs(res.value) < 1e-12
 
-    def test_kink_with_breakpoint(self):
-        spec = QuadratureSpec(breakpoints=(0.0,))
-        res = adaptive_integrate(lambda k: abs(math.sin(k)), -math.pi, math.pi, spec)
-        assert abs(res.value - 4.0) < 1e-12
+    def test_kink_inside_a_panel(self):
+        # no panel edge falls on the kinks at 0.3 and 0.3 - pi
+        res = adaptive_integrate(lambda k: abs(math.sin(k - 0.3)), -math.pi, math.pi)
+        assert abs(res.value - 4.0) <= res.error_estimate <= 1e-10
 
     def test_complex_path(self):
         res = adaptive_integrate(lambda k: complex(math.cos(k), math.sin(k)), 0.0, math.pi)
@@ -71,17 +69,28 @@ class TestAdaptiveIntegrate:
         with pytest.raises(InvalidInterval):
             adaptive_integrate(math.sin, 2.0, 1.0)
 
-    def test_breakpoint_outside_interior_rejected(self):
-        spec = QuadratureSpec(breakpoints=(0.0,))
-        with pytest.raises(InvalidInterval):
-            adaptive_integrate(math.sin, 0.0, 1.0, spec)
-        with pytest.raises(InvalidInterval):
-            adaptive_integrate(math.sin, 1.0, 2.0, spec)
-
     def test_budget_exhaustion_raises(self):
-        spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-14, max_subdivisions=1)
+        spec = QuadratureSpec(abs_tol=1e-13, max_subdivisions=1)
         with pytest.raises(NonConvergence):
             adaptive_integrate(lambda x: math.sin(1.0 / (x + 1e-12)), 0.0, 1.0, spec)
+
+    def test_abs_tol_is_enforced(self):
+        # a relative criterion once let this through for a value of order 1
+        spec = QuadratureSpec(abs_tol=1e-30, max_subdivisions=5)
+        with pytest.raises(NonConvergence, match="after"):
+            adaptive_integrate(math.exp, 0.0, 1.0, spec)
+
+    def test_non_finite_samples_raise(self):
+        with pytest.raises(NonConvergence, match="not finite"):
+            adaptive_integrate(lambda x: 1.0 / (x - 0.5) if x > 0.5 else math.nan, 0.0, 1.0)
+
+    def test_final_mesh_panels_reported(self):
+        smooth = adaptive_integrate(math.cos, 0.0, 1.0)
+        assert smooth.subdivisions_used == 1
+        assert abs(smooth.value - math.sin(1.0)) < 1e-15
+        peaked = adaptive_integrate(lambda x: 1.0 / (x * x + 1e-4), -1.0, 1.0)
+        assert peaked.subdivisions_used > 1
+        assert abs(peaked.value - 200.0 * math.atan(100.0)) < 1e-10
 
     @given(
         coeffs=st.tuples(
@@ -116,8 +125,45 @@ class TestAdaptiveIntegrate:
 
         spec = QuadratureSpec()
         whole = adaptive_integrate(f, 0.0, 2.0, spec).value
-        split = adaptive_integrate(f, 0.0, 2.0, replace(spec, breakpoints=(cut,))).value
-        assert abs(whole - split) < 2.0 * spec.abs_tol
+        split = (
+            adaptive_integrate(f, 0.0, cut, spec).value
+            + adaptive_integrate(f, cut, 2.0, spec).value
+        )
+        assert abs(whole - split) < 3.0 * spec.abs_tol
+
+
+class TestRefinePanels:
+    @staticmethod
+    def panel_errors(errors):
+        """A contract that records each mesh it is given and returns ``errors`` in turn."""
+        meshes = []
+
+        def contract(edges):
+            meshes.append(edges)
+            return None, np.asarray(errors[min(len(meshes), len(errors)) - 1], dtype=float)
+
+        return contract, meshes
+
+    def test_non_finite_estimate_names_the_family(self):
+        contract, _ = self.panel_errors([[0.0, math.nan]])
+        with pytest.raises(NonConvergence, match="widgets at x=1 are not finite"):
+            refine_panels(contract, np.array([0.0, 1.0, 2.0]), QuadratureSpec(), "widgets at x=1")
+
+    def test_budget_reports_the_panel_count(self):
+        # 2 panels -> 4 -> 8 would add 6 > 5 bisections
+        contract, meshes = self.panel_errors([[1.0, 1.0], [1.0] * 4])
+        spec = QuadratureSpec(abs_tol=1e-3, max_subdivisions=5)
+        with pytest.raises(NonConvergence, match="above 1.000e-03 after 4 panels"):
+            refine_panels(contract, np.array([0.0, 1.0, 2.0]), spec, "widgets")
+        assert [m.size - 1 for m in meshes] == [2, 4]
+
+    def test_bisects_only_panels_above_their_share(self):
+        # total 1.1 > abs_tol 1; share 1/4: panels 0 and 2 are above it
+        contract, meshes = self.panel_errors([[0.5, 0.1, 0.3, 0.2], [0.0] * 6])
+        spec = QuadratureSpec(abs_tol=1.0)
+        _, error = refine_panels(contract, np.array([0.0, 1.0, 2.0, 3.0, 4.0]), spec, "widgets")
+        assert error == 0.0
+        assert meshes[1].tolist() == [0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 4.0]
 
 
 class TestPanelRule:
