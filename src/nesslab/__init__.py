@@ -8,7 +8,6 @@ against an exact finite-lattice evolution oracle.
 from .exceptions import (
     ConsistencyError,
     DomainError,
-    IllConditioned,
     InvalidInterval,
     NoBoundState,
     NonConvergence,
@@ -84,7 +83,6 @@ __all__ = [
     "DomainError",
     "EvolutionTrace",
     "FluxReport",
-    "IllConditioned",
     "InvalidInterval",
     "LogDecomposition",
     "ModelParams",

@@ -26,10 +26,6 @@ class UndefinedAtOrigin(ValueError):
     """Quantity does not exist at zero field strength."""
 
 
-class IllConditioned(ValueError):
-    """Fit grid too narrow to determine the regression slope."""
-
-
 class TimeHorizonExceeded(ValueError):
     """Evolution time long enough for boundary reflections to reach the probe sites."""
 

@@ -224,19 +224,6 @@ class EvolutionTrace:
             if np.max(np.abs(pp - pp[0])) > 1e-12:
                 raise ConsistencyError("bound-bound component drifts in time")
 
-    def to_csv(self) -> str:
-        cols = ["t", "re", "im"]
-        data = [self.times, self.values.real, self.values.imag]
-        if self.components is not None:
-            for name in ("aa", "ap", "pa", "pp"):
-                cols += [f"re_{name}", f"im_{name}"]
-                part = self.components[name]
-                data += [part.real, part.imag]
-        lines = [",".join(cols)]
-        for row in zip(*data):
-            lines.append(",".join(f"{v:.17g}" for v in row))
-        return "\n".join(lines) + "\n"
-
 
 def _check_horizon(sys: TruncatedSystem, x: int, y: int, t_max: float) -> None:
     horizon = _REFLECTION_MARGIN * (

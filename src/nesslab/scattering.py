@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import DomainError, NoBoundState
+from .exceptions import DomainError
 from .model import (
     ModelParams,
     ThermalConfig,
@@ -277,7 +277,8 @@ def ac_overlap(
 @lru_cache(maxsize=128)
 def _pp_weight_cached(params: ModelParams, th: ThermalConfig, spec: QuadratureSpec) -> float:
     lam, nu = params.lam, params.nu
-    alpha = math.asinh(abs(lam))  # bound_state(lam).decay_rate
+    state = bound_state(lam)
+    alpha = state.decay_rate
     r = math.exp(-alpha)
     gap = -math.expm1(-alpha)  # 1 - r without cancellation
     # e^{-2 alpha nu} / norm_sq, with norm_sq = sqrt(1 + lam^2)/|lam| kept
@@ -325,9 +326,9 @@ def _pp_weight_cached(params: ModelParams, th: ThermalConfig, spec: QuadratureSp
     edge = planck_density(th.beta_l, sign) + planck_density(th.beta_r, sign)
     # prefactor q^2/(1 - q^2), with |lam|/gap formed first: both may be subnormal
     geometric = scale * (abs(lam) / gap) * r * r / (1.0 + r)
-    # Sample sites hold occupation 1/2 each; staggering squares away.
-    state = bound_state(lam)
-    sample = 0.5 * sum(state.amplitude(x) ** 2 for x in range(-nu, nu + 1))
+    # Sample sites hold occupation 1/2 each: a geometric sum of amplitude^2.
+    tail = math.expm1(-2.0 * alpha * nu) / math.expm1(-2.0 * alpha)
+    sample = 0.5 * state.amplitude(0) ** 2 * (1.0 + 2.0 * r * r * tail)
     return float(geometric * edge + sign * (2.0 / _PI) * prefactor * band.sum() + sample)
 
 
@@ -335,19 +336,16 @@ def pp_weight(
     params: ModelParams,
     th: ThermalConfig,
     spec: QuadratureSpec | None = None,
-    strict: bool = False,
 ) -> float:
     """Thermal weight of the initial state on the bound state, in [0, 1].
 
-    Defined at every nonzero field.  Returns 0 at zero field by convention;
-    with ``strict=True`` that case raises NoBoundState instead.  The band
-    integrals of both reservoirs are sampled once on a mesh graded toward
-    the band edge from the decay rate ``alpha = asinh|lam|`` and toward
-    ``k = pi/2`` from ``1/beta_r``, and ``numerics.refine_panels``
-    certifies the weight to ``spec.abs_tol`` or raises NonConvergence.
+    Defined at every nonzero field; zero field, where ``bound_state`` raises
+    NoBoundState, returns 0.  The band integrals of both reservoirs are
+    sampled once on a mesh graded toward the band edge from the decay rate
+    ``alpha = asinh|lam|`` and toward ``k = pi/2`` from ``1/beta_r``, and
+    ``numerics.refine_panels`` certifies the weight to ``spec.abs_tol`` or
+    raises NonConvergence; the ``2 nu + 1`` sample sites sum in closed form.
     """
     if params.lam == 0.0:
-        if strict:
-            raise NoBoundState("no bound state to weight at zero field strength")
         return 0.0
     return _pp_weight_cached(params, th, spec if spec is not None else QuadratureSpec())

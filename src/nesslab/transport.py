@@ -26,13 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConsistencyError, IllConditioned, UndefinedAtOrigin
+from .exceptions import ConsistencyError, UndefinedAtOrigin
 from .model import ModelParams, ThermalConfig, planck_density, planck_difference
 from .numerics import QuadratureSpec, graded_mesh, panel_rule, refine_panels
 
 _PI = math.pi
 # smallest normal double; below it 1/|lam| overflows in the field kernels
 _MIN_FIELD = sys.float_info.min
+# fields of divergence_fit: two decades, decreasing
+_FIT_GRID = np.geomspace(1e-3, 1e-5, 9)
 
 
 @dataclass(frozen=True)
@@ -271,33 +273,17 @@ class DivergenceFit:
 
 def divergence_fit(
     th: ThermalConfig,
-    lambda_min: float = 1e-5,
-    lambda_max: float = 1e-3,
-    n_samples: int = 9,
     spec: QuadratureSpec | None = None,
 ) -> DivergenceFit:
     """Fit the slope of ``flux_derivative / lam`` against ``log lam``.
 
-    Grid is geometric and decreasing from ``lambda_max`` to ``lambda_min``;
-    both must sit in (0, 1e-2] and span at least one decade, with at least
-    four samples, or the regression of a logarithm is meaningless.
+    Nine fields, geometric and decreasing from 1e-3 to 1e-5, where the
+    ratio is linear in ``log lam`` up to ``O(lam^2 log|lam|)``.
     """
-    if not (0.0 < lambda_min < lambda_max <= 1e-2):
-        raise ValueError(
-            f"need 0 < lambda_min < lambda_max <= 1e-2, got [{lambda_min}, {lambda_max}]"
-        )
-    if n_samples < 4:
-        raise ValueError(f"need at least 4 samples, got {n_samples}")
-    if math.log10(lambda_max / lambda_min) < 1.0:
-        raise IllConditioned(
-            f"grid [{lambda_min}, {lambda_max}] spans less than one decade; "
-            "the intercept absorbs the slope"
-        )
-    grid = np.geomspace(lambda_max, lambda_min, int(n_samples))
     ratios = np.array(
-        [flux_derivative(ModelParams(float(lam)), th, spec) / lam for lam in grid]
+        [flux_derivative(ModelParams(float(lam)), th, spec) / lam for lam in _FIT_GRID]
     )
-    logs = np.log(grid)
+    logs = np.log(_FIT_GRID)
     slope, intercept = np.polyfit(logs, ratios, 1)
     fitted = slope * logs + intercept
     residual = float(np.sqrt(np.mean((ratios - fitted) ** 2)))
@@ -309,7 +295,7 @@ def divergence_fit(
     else:
         rel = abs(float(slope))
     return DivergenceFit(
-        lambda_grid=tuple(float(x) for x in grid),
+        lambda_grid=tuple(float(x) for x in _FIT_GRID),
         ratios=tuple(float(r) for r in ratios),
         C_fit=float(slope),
         C_theory=float(c_theory),

@@ -266,6 +266,15 @@ class TestTiCheck:
         assert abs(float(row[3])) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "args", [["ti-check"], ["ness-matrix", "--window", "1"]], ids=lambda a: a[0]
+)
+def test_wide_sample_exits_zero(capsys, args):
+    # the bound-state weight sums the sample sites in closed form
+    code, _, _ = run_cli(capsys, *args, "--nu", "1000000000")
+    assert code == 0
+
+
 class TestTransitionFit:
     def test_regression_report(self, capsys, repo_schema):
         code, out, _ = run_cli(capsys, "transition-fit", "--format", "json")

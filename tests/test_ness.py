@@ -246,7 +246,3 @@ class TestTiCommutator:
                     fast = ti_commutator_element(p, th)
                     assert abs(fast - sign * ref) < 1e-15
                     assert abs(fast - ti_commutator_direct(p, th)) < 1e-10
-
-    def test_verify_flag_cross_checks(self, th12):
-        val = ti_commutator_element(ModelParams(0.7), th12, verify=True)
-        assert math.isfinite(val)

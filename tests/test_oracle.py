@@ -288,19 +288,6 @@ class TestEvolution:
                 },
             )
 
-    def test_csv_layout(self, th12):
-        sys = build_truncation(100, ModelParams(0.5))
-        trace = evolve_correlation(sys, th12, 0, 1, np.linspace(0.0, 20.0, 5))
-        text = trace.to_csv()
-        lines = text.splitlines()
-        assert lines[0] == (
-            "t,re,im,re_aa,im_aa,re_ap,im_ap,re_pa,im_pa,re_pp,im_pp"
-        )
-        assert len(lines) == 6
-        assert text.endswith("\n")
-        first = [float(cell) for cell in lines[1].split(",")]
-        assert first[0] == 0.0 and len(first) == 11
-
 
 class TestNessEstimate:
     def test_needs_long_times(self, th12):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nesslab import scattering
-from nesslab.exceptions import DomainError, NonConvergence, NoBoundState
+from nesslab.exceptions import DomainError, NonConvergence
 from nesslab.model import ModelParams, ThermalConfig, planck_density
 from nesslab.numerics import QuadratureSpec
 from nesslab.scattering import (
@@ -193,10 +193,13 @@ class TestBandMoments:
 
 
 class TestPpWeight:
-    def test_zero_field_convention(self, th12):
+    def test_zero_field_is_zero(self, th12):
         assert pp_weight(ModelParams(0.0), th12) == 0.0
-        with pytest.raises(NoBoundState):
-            pp_weight(ModelParams(0.0), th12, strict=True)
+
+    def test_wide_sample_holds_half(self, th12):
+        # the bound state lies almost wholly on the 2 nu + 1 sample sites,
+        # each occupied 1/2; the cost does not grow with nu
+        assert abs(pp_weight(ModelParams(0.5, 10**9), th12) - 0.5) < 1e-15
 
     def test_infinite_temperature_half(self):
         th = ThermalConfig(1e-9, 1e-9)
