@@ -171,8 +171,9 @@ def _cmd_spectrum(ns: argparse.Namespace):
         result["norm_sq"] = state.norm_sq
         result["staggered"] = state.staggered
         result["energy_residual"] = abs(data[0] - state.energy)
+        reach = min(20, ns.oracle_m)  # sites -20..20, or the whole window
         result["eigenvector_sup_error"] = max(
-            abs(vec[sysm.index(x)] - state.amplitude(x)) for x in range(-20, 21)
+            abs(vec[sysm.index(x)] - state.amplitude(x)) for x in range(-reach, reach + 1)
         )
     return _record(result)
 

@@ -10,6 +10,13 @@ Large-time averages of these finite evolutions are the yardstick the
 analytic formulas are tested against.  ``scipy.linalg`` is imported by the
 functions that solve, so importing the package loads no scipy.
 
+Every Jacobi matrix here (the window's three, and each reservoir block) is
+symmetric under reflection about its centre.  In the parity coordinates
+``e_c`` and ``(e_{c+k} +- e_{c-k}) / sqrt 2`` it is block diagonal, an even
+and an odd Jacobi matrix of about half the size, and it is solved as those
+two blocks: an exact orthogonal change of basis, not an approximation.
+``_fold`` and ``_unfold`` map site arrays to the two blocks and back.
+
 Evolution convention: ``omega_xy(t) = (exp(ith) e_x, S exp(ith) e_y)`` with
 ``h`` the field Hamiltonian and ``S`` the initial two-point matrix.  The
 open ends reflect ballistically with unit group velocity, so every routine
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +39,9 @@ from .exceptions import (
 )
 from .model import ModelParams, OperatorKind, ThermalConfig, operator_stencil, planck_density
 
-# half-width caps: below 10 the guard window is empty, above 5000 the n x n
-# eigenvector sets every evolution needs stop being a sane oracle
+# half-width caps: below 10 the guard window is empty, above 5000 the even
+# and odd eigenvector blocks every evolution needs (about n^2 / 2 floats per
+# Hamiltonian) stop being a sane oracle
 _MIN_HALF_WIDTH = 10
 _MAX_HALF_WIDTH = 5000
 _DEFAULT_MEMORY_CAP = 2 << 30
@@ -42,6 +51,8 @@ _BAND_EDGE_TOL = 1e-9
 
 _REFLECTION_MARGIN = 0.8
 
+_SQRT_HALF = np.sqrt(0.5)
+
 # glibc keeps freed heap memory resident below a threshold that rises with
 # the size of the blocks a process has freed, so how much scratch of earlier
 # windows is still held depends on what ran before; trimming returns it
@@ -50,13 +61,109 @@ try:
 except (AttributeError, OSError, TypeError):  # not glibc
     _malloc_trim = None
 
+# a Jacobi matrix as (diag, off), or eigenpairs as (evals, evecs)
+_Pair = tuple[np.ndarray, np.ndarray]
 
-def _real_apply(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # real matrix times complex block without upcasting the matrix; the
-    # real/imag views are strided, which would knock numpy off the BLAS path
-    re = mat @ np.ascontiguousarray(z.real)
-    im = mat @ np.ascontiguousarray(z.imag)
-    return re + 1j * im
+
+def _real_apply(mat, z: np.ndarray) -> np.ndarray:
+    """``mat @ z`` along the first axis of ``z``, for a real ``mat``.
+
+    A complex ``z`` is multiplied as real columns, its real and imaginary
+    parts interleaved, so the matrix is not upcast and one real product
+    does it.
+    """
+    if not np.iscomplexobj(z):
+        return mat @ z
+    z = np.ascontiguousarray(z, dtype=complex)
+    cols = z.reshape(len(z), -1).view(float)
+    return (mat @ cols).view(complex).reshape(-1, *z.shape[1:])
+
+
+def _parity_split(diag: np.ndarray, off: np.ndarray) -> tuple[_Pair, _Pair]:
+    """Even and odd ``(diag, off)`` blocks of a reflection-symmetric Jacobi matrix.
+
+    An odd size has a centre site: the even block holds it and the
+    ``(n - 1) / 2`` symmetric pairs, so its first hopping gains ``sqrt 2``,
+    and the odd block holds the antisymmetric pairs.  An even size has a
+    centre bond: both blocks hold ``n / 2`` pairs, and the bond shifts the
+    first diagonal entry by plus or minus its hopping.
+    """
+    if not (np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1])):
+        raise ConsistencyError("Jacobi matrix not symmetric about its centre")
+    h = diag.size // 2
+    if diag.size % 2:
+        even_off = off[h:].copy()
+        even_off[:1] *= np.sqrt(2.0)
+        return (diag[h:], even_off), (diag[h + 1 :], off[h + 1 :])
+    shift = np.zeros(h)
+    shift[0] = off[h - 1]
+    return (diag[h:] + shift, off[h:]), (diag[h:] - shift, off[h:])
+
+
+def _split_eigh(diag: np.ndarray, off: np.ndarray) -> tuple[_Pair, _Pair]:
+    """Eigenpairs of the even and odd blocks of a reflection-symmetric Jacobi matrix."""
+    from scipy.linalg import eigh_tridiagonal
+
+    even, odd = (
+        eigh_tridiagonal(d, e) if d.size else (d, np.zeros((0, 0)))
+        for d, e in _parity_split(diag, off)
+    )
+    return even, odd
+
+
+def _fold(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd parity coordinates of a site array (sites on axis 0)."""
+    h = len(v) // 2
+    upper, lower = v[len(v) - h :], v[:h][::-1]
+    even = (upper + lower) * _SQRT_HALF
+    if len(v) % 2:
+        even = np.concatenate([v[h : h + 1], even])
+    return even, (upper - lower) * _SQRT_HALF
+
+
+def _unfold(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """Site array of the given parity coordinates; the inverse of ``_fold``."""
+    m = len(odd)
+    c = len(even) - m  # 1 with a centre site
+    # written in place: the frames unfolded here are the largest arrays
+    out = np.empty((c + 2 * m, *even.shape[1:]), np.result_type(even, odd))
+    upper, lower = out[m + c :], out[:m][::-1]
+    np.add(even[c:], odd, out=upper)
+    np.subtract(even[c:], odd, out=lower)
+    upper *= _SQRT_HALF
+    lower *= _SQRT_HALF
+    out[m : m + c] = even[:c]
+    return out
+
+
+def _site_matrix(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """Site form of the symmetric operator ``even (+) odd`` in parity coordinates."""
+    me, mo = len(even), len(odd)
+    rows_even = _unfold(even, np.broadcast_to(0.0, (mo, me)))  # site rows, even columns
+    rows_odd = _unfold(np.broadcast_to(0.0, (me, mo)), odd)
+    # unfolding the columns as well; the operator is symmetric
+    return _unfold(rows_even.T, rows_odd.T)
+
+
+def _propagate(factors: tuple[_Pair, _Pair], psi: np.ndarray, times) -> np.ndarray:
+    """``exp(i h t) psi`` for site vectors ``psi`` (n, k), through the parity blocks of ``h``.
+
+    Returns shape ``(n, k, nt)``.
+    """
+    times = np.asarray(times, dtype=float)
+    parts = []
+    for (w, u), coords in zip(factors, _fold(psi)):
+        phases = np.exp(1j * np.outer(w, times))
+        amplitudes = _real_apply(u.T, coords)  # (m, k) in the block's eigenbasis
+        parts.append(_real_apply(u, amplitudes[:, :, None] * phases[:, None, :]))
+    return _unfold(*parts)
+
+
+def _site_vectors(sys: TruncatedSystem, sites) -> np.ndarray:
+    psi = np.zeros((sys.n_sites, len(sites)))
+    for j, x in enumerate(sites):
+        psi[sys.index(x), j] = 1.0
+    return psi
 
 
 @dataclass(eq=False)
@@ -65,16 +172,17 @@ class TruncatedSystem:
 
     Each stencil kind is held as the ``(diag, offdiag)`` pair of its Jacobi
     matrix, of lengths ``n_sites`` and ``n_sites - 1``, and factored on first
-    use.  The latest initial-state matrix is cached with its temperature pair.
+    use into the eigenpairs of its even and odd blocks.  The latest initial
+    state is cached with its temperature pair.
     """
 
     M: int
     params: ModelParams
     hamiltonians: dict[OperatorKind, tuple[np.ndarray, np.ndarray]]
-    _factorizations: dict[OperatorKind, tuple[np.ndarray, np.ndarray]] = field(
+    _factorizations: dict[OperatorKind, tuple[_Pair, _Pair]] = field(
         default_factory=dict
     )
-    _state_cache: dict[tuple[float, float], np.ndarray] = field(default_factory=dict)
+    _state_cache: dict[tuple[float, float], DecoupledState] = field(default_factory=dict)
 
     @property
     def n_sites(self) -> int:
@@ -89,30 +197,35 @@ class TruncatedSystem:
             raise DomainError(f"site {x} outside window [-{self.M}, {self.M}]")
         return x + self.M
 
-    def factorization(self, kind: OperatorKind) -> tuple[np.ndarray, np.ndarray]:
-        if kind not in self._factorizations:
-            from scipy.linalg import eigh_tridiagonal
+    def factorization(self, kind: OperatorKind) -> tuple[_Pair, _Pair]:
+        """``((evals, evecs), (evals, evecs))`` of the even and odd blocks of ``kind``.
 
-            # the full eigensolve is the oracle's memory peak (n x n vectors
-            # and workspace); hand freed heap back before it
+        The even block has ``M + 1`` parity coordinates (the centre site
+        first), the odd block ``M``; ``_unfold`` takes eigenvectors to sites.
+        """
+        if kind not in self._factorizations:
+            # eigenvectors and solver workspace are among the largest arrays
+            # of the oracle; hand freed heap back before them
             if _malloc_trim is not None:
                 _malloc_trim(0)
-            self._factorizations[kind] = eigh_tridiagonal(*self.hamiltonians[kind])
+            self._factorizations[kind] = _split_eigh(*self.hamiltonians[kind])
         return self._factorizations[kind]
 
     def bound_data(self) -> tuple[float, np.ndarray] | None:
         """Out-of-band eigenpair of the field Hamiltonian, if resolved.
 
-        Only eigenvalues outside ``[-1 - tol, 1 + tol]`` are computed, by
-        bisection and inverse iteration on each side of the band; the full
-        factorization is left to the evolutions that need it.  A shallow
-        bound state (tiny field, decay length beyond M) may not separate
-        from the band on the truncation; then None is returned and the
-        evolution split treats everything as band.
+        The field sits on the centre site, which has no odd component, so
+        the odd block is the field-free chain and the bound state is even.
+        Only eigenvalues of the even block outside ``[-1 - tol, 1 + tol]``
+        are computed, by bisection and inverse iteration on each side of
+        the band; the factorization is left to the evolutions that need it.
+        A shallow bound state (tiny field, decay length beyond M) may not
+        separate from the band on the truncation; then None is returned and
+        the evolution split treats everything as band.
         """
         from scipy.linalg import eigh_tridiagonal
 
-        diag, off = self.hamiltonians[OperatorKind.MAGNETIC]
+        (diag, off), _ = _parity_split(*self.hamiltonians[OperatorKind.MAGNETIC])
         # Gershgorin: every eigenvalue lies within this of the origin
         reach = float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off))) + 1.0
         edge = 1.0 + _BAND_EDGE_TOL
@@ -128,7 +241,7 @@ class TruncatedSystem:
                 f"{evals.size} eigenvalues outside the band; the rank-one "
                 "field admits at most one"
             )
-        return float(evals[0]), np.hstack([v_lo, v_hi])[:, 0].copy()
+        return float(evals[0]), _unfold(np.hstack([v_lo, v_hi])[:, 0], np.zeros(self.M))
 
 
 def build_truncation(
@@ -143,8 +256,11 @@ def build_truncation(
             f"half-width {M} outside [{_MIN_HALF_WIDTH}, {_MAX_HALF_WIDTH}]"
         )
     n = 2 * M + 1
-    # up to 3 eigenvector sets + 1 initial state, all float64
-    estimate = 4 * n * n * 8
+    # float64 held at most: three kinds factored into even and odd
+    # eigenvector blocks, (n^2 + 1) / 2 floats each; one initial state as
+    # two reservoir blocks, at most (n - 1)^2 / 2; and the O(n) diagonals,
+    # hoppings and eigenvalues
+    estimate = (2 * n * n + 8 * n) * 8
     if estimate > max_bytes:
         raise ResourceLimit(
             f"window of {n} sites needs about {estimate / 2**30:.1f} GiB "
@@ -161,7 +277,26 @@ def build_truncation(
     return TruncatedSystem(M=M, params=params, hamiltonians=hams)
 
 
-def initial_two_point(sys: TruncatedSystem, th: ThermalConfig) -> np.ndarray:
+class DecoupledState(NamedTuple):
+    """Two-point matrix of the decoupled initial state, held blockwise.
+
+    ``left`` and ``right`` are the reservoir blocks at the two ends of the
+    window; the sample between them is identity over two.  ``state @ f``
+    applies the whole ``n x n`` matrix to the site rows of ``f``.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+
+    def __matmul__(self, f: np.ndarray) -> np.ndarray:
+        n_res = len(self.left)
+        out = 0.5 * f
+        out[:n_res] = self.left @ f[:n_res]
+        out[len(f) - n_res :] = self.right @ f[len(f) - n_res :]
+        return out
+
+
+def initial_two_point(sys: TruncatedSystem, th: ThermalConfig) -> DecoupledState:
     """Two-point matrix of the decoupled initial state on the window.
 
     Planck functional calculus of the left and right blocks of the
@@ -170,15 +305,13 @@ def initial_two_point(sys: TruncatedSystem, th: ThermalConfig) -> np.ndarray:
     reservoir blocks are isospectral, and a joint factorization would be
     free to mix their degenerate eigenvectors, which the per-block form
     rules out by construction.  Both blocks are the same Jacobi matrix
-    (zero diagonal, hopping 1/2), so one eigensolve serves both
-    temperatures.
+    (zero diagonal, hopping 1/2), so one eigensolve of its even and odd
+    blocks serves both temperatures.
     """
     key = (th.beta_l, th.beta_r)
     cached = sys._state_cache.get(key)
     if cached is not None:
         return cached
-    from scipy.linalg import eigh_tridiagonal
-
     nu = sys.params.nu
     n = sys.n_sites
     n_res = sys.M - nu  # sites on each side beyond the sample
@@ -189,12 +322,12 @@ def initial_two_point(sys: TruncatedSystem, th: ThermalConfig) -> np.ndarray:
     right = (diag[n - n_res :], off[n - n_res :])
     if not all(np.array_equal(a, b) for a, b in zip(left, right)):
         raise ConsistencyError("reservoir blocks of the decoupled window differ")
-    w, u = eigh_tridiagonal(*left)
-    state = np.zeros((n, n))
-    state[:n_res, :n_res] = (u * planck_density(th.beta_l, w)) @ u.T
-    mid = slice(n_res, n_res + 2 * nu + 1)
-    state[mid, mid] = 0.5 * np.eye(2 * nu + 1)
-    state[n - n_res :, n - n_res :] = (u * planck_density(th.beta_r, w)) @ u.T
+    blocks = _split_eigh(*left)
+
+    def block(beta: float) -> np.ndarray:
+        return _site_matrix(*((u * planck_density(beta, w)) @ u.T for w, u in blocks))
+
+    state = DecoupledState(block(th.beta_l), block(th.beta_r))
     # the memory budget of build_truncation holds one state
     sys._state_cache.clear()
     sys._state_cache[key] = state
@@ -236,17 +369,9 @@ def _check_horizon(sys: TruncatedSystem, x: int, y: int, t_max: float) -> None:
         )
 
 
-def evolve_with_state(
-    sys: TruncatedSystem,
-    state: np.ndarray,
-    x: int,
-    y: int,
-    times,
-    split: bool = True,
-) -> EvolutionTrace:
-    """Evolve ``(e_x, S(t) e_y)`` for a caller-supplied initial matrix."""
+def _checked_times(sys: TruncatedSystem, x: int, y: int, times) -> np.ndarray:
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    # checked up front: the products below cost O(n^2 nt)
+    # checked up front: the evolutions cost O(n^2 nt)
     if (
         times.ndim != 1
         or times.size < 1
@@ -258,17 +383,31 @@ def evolve_with_state(
     if max(abs(x), abs(y)) > sys.M / 4:
         raise DomainError(f"sites ({x}, {y}) beyond a quarter of the window")
     _check_horizon(sys, x, y, float(times[-1]))
+    return times
 
-    evals, evecs = sys.factorization(OperatorKind.MAGNETIC)
+
+def evolve_with_state(
+    sys: TruncatedSystem,
+    state,
+    x: int,
+    y: int,
+    times,
+    split: bool = True,
+) -> EvolutionTrace:
+    """Evolve ``(e_x, S(t) e_y)`` for a caller-supplied initial matrix.
+
+    ``state`` is anything with ``state @ f`` for site rows ``f``: a dense
+    ``n x n`` array, or the ``DecoupledState`` of ``initial_two_point``.
+    """
+    times = _checked_times(sys, x, y, times)
     ix, iy = sys.index(x), sys.index(y)
-    phases = np.exp(1j * np.outer(evals, times))  # (n, nt)
-    frame_x = _real_apply(evecs, phases * evecs[ix, :][:, None])
-    frame_y = _real_apply(evecs, phases * evecs[iy, :][:, None])
+    factors = sys.factorization(OperatorKind.MAGNETIC)
+    frames = _propagate(factors, _site_vectors(sys, (x, y)), times)
+    frame_x, frame_y = frames[:, 0], frames[:, 1]
 
     bound = sys.bound_data() if split else None
     if bound is None:
-        s_frame_y = _real_apply(state, frame_y)
-        values = np.einsum("it,it->t", frame_x.conj(), s_frame_y)
+        values = np.einsum("it,it->t", frame_x.conj(), _real_apply(state, frame_y))
         components = None
         if split:
             nt = times.size
@@ -305,6 +444,16 @@ def evolve_correlation(
     return evolve_with_state(sys, initial_two_point(sys, th), x, y, times, split)
 
 
+def _late_times(sys: TruncatedSystem, x: int, y: int, t_star: float) -> np.ndarray:
+    t_star = float(t_star)
+    if not (np.isfinite(t_star) and t_star >= 100.0):
+        raise ValueError(f"late-time estimate needs a finite t_star >= 100, got {t_star}")
+    # before the grid: its size grows with t_star
+    _check_horizon(sys, x, y, t_star)
+    n = int(round(0.2 * t_star)) + 1
+    return np.linspace(0.8 * t_star, t_star, n)
+
+
 def ness_estimate(
     sys: TruncatedSystem,
     th: ThermalConfig,
@@ -318,13 +467,7 @@ def ness_estimate(
     roughly unit-spaced grid; the averaging window damps the residual
     band-bound oscillation without a full time average.
     """
-    t_star = float(t_star)
-    if not (np.isfinite(t_star) and t_star >= 100.0):
-        raise ValueError(f"late-time estimate needs a finite t_star >= 100, got {t_star}")
-    # before the grid: its size grows with t_star
-    _check_horizon(sys, x, y, t_star)
-    n = int(round(0.2 * t_star)) + 1
-    times = np.linspace(0.8 * t_star, t_star, n)
+    times = _late_times(sys, x, y, t_star)
     trace = evolve_correlation(sys, th, x, y, times, split=False)
     return complex(np.mean(trace.values))
 
@@ -332,14 +475,25 @@ def ness_estimate(
 def oracle_flux(sys: TruncatedSystem, th: ThermalConfig, t_star: float) -> tuple[float, float]:
     """Steady fluxes out of the left and right reservoirs, by brute force.
 
-    Each is half the imaginary part of the late-time correlation across the
-    corresponding contact bond pair; energy conservation in the steady state
-    makes them opposite.
+    Each is half the imaginary part of the late-time estimate of the
+    correlation across the corresponding contact bond pair, ``(-(nu + 2),
+    -nu)`` and ``(nu + 2, nu)``; energy conservation in the steady state
+    makes them opposite.  The field Hamiltonian commutes with the window's
+    reflection, so the left frames are the right ones reflected, and the
+    contact sites are evolved once.
     """
-    nu = sys.params.nu
-    j_left = 0.5 * ness_estimate(sys, th, -(nu + 2), -nu, t_star).imag
-    j_right = 0.5 * ness_estimate(sys, th, nu + 2, nu, t_star).imag
-    return float(j_left), float(j_right)
+    right = (sys.params.nu + 2, sys.params.nu)
+    times = _checked_times(sys, *right, _late_times(sys, *right, t_star))
+    state = initial_two_point(sys, th)
+    frames = _propagate(sys.factorization(OperatorKind.MAGNETIC), _site_vectors(sys, right), times)
+    # (n, left/right, nt), the left frames reflected
+    frames_y = np.stack([frames[::-1, 1], frames[:, 1]], axis=1)
+    s_y = _real_apply(state, frames_y)
+    fluxes = []
+    for side, frame_x in enumerate((frames[::-1, 0], frames[:, 0])):
+        trace = EvolutionTrace(times, np.einsum("it,it->t", frame_x.conj(), s_y[:, side]))
+        fluxes.append(0.5 * float(np.mean(trace.values).imag))
+    return fluxes[0], fluxes[1]
 
 
 def numeric_wave_action(
@@ -366,16 +520,12 @@ def numeric_wave_action(
         raise TimeHorizonExceeded(
             f"time {t} beyond the two-way horizon {horizon} of the window"
         )
-    n = sys.n_sites
-    psi = np.zeros(n)
-    psi[sys.index(x)] = 1.0
+    psi = _site_vectors(sys, (x,))
     bound = sys.bound_data()
     if bound is not None:
         _, vec = bound
-        psi = psi - vec * vec[sys.index(x)]
-    evals_m, evecs_m = sys.factorization(OperatorKind.MAGNETIC)
-    evals_0, evecs_0 = sys.factorization(OperatorKind.XY)
-    phi = _real_apply(evecs_m, np.exp(1j * t * evals_m) * (evecs_m.T @ psi))
-    chi = _real_apply(evecs_0, np.exp(-1j * t * evals_0) * _real_apply(evecs_0.T, phi))
+        psi[:, 0] -= vec * vec[sys.index(x)]
+    phi = _propagate(sys.factorization(OperatorKind.MAGNETIC), psi, [t])[:, :, 0]
+    chi = _propagate(sys.factorization(OperatorKind.XY), phi, [-t])[:, 0, 0]
     kernel = np.exp(1j * np.outer(k_grid, np.arange(-sys.M, sys.M + 1)))
     return kernel @ chi

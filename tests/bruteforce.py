@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigh_tridiagonal
 
 from nesslab.model import OperatorKind, operator_stencil
 
@@ -280,3 +280,79 @@ def dense_initial_state(h_d, M: int, nu: int, beta_l: float, beta_r: float):
     mid = slice(n_res, n - n_res)
     state[mid, mid] = 0.5 * np.eye(2 * nu + 1)
     return state
+
+
+# The oracle solves each window Hamiltonian as its even and odd parity
+# blocks.  The twins below keep the single solve of all ``n`` sites, full
+# eigenvector frames and a dense ``n x n`` state, and read nothing of the
+# window but its ``M``, ``params`` and ``hamiltonians``.
+
+
+def unsplit_factorization(sys, kind):
+    """Eigenpairs of one window Hamiltonian from one tridiagonal solve of every site."""
+    return eigh_tridiagonal(*sys.hamiltonians[kind])
+
+
+def unsplit_bound_data(sys):
+    """The one eigenpair of the field Hamiltonian outside the band, or None."""
+    w, u = unsplit_factorization(sys, OperatorKind.MAGNETIC)
+    (outside,) = np.nonzero(np.abs(w) > 1.0 + 1e-9)
+    assert outside.size <= 1
+    return None if outside.size == 0 else (float(w[outside[0]]), u[:, outside[0]])
+
+
+def unsplit_initial_state(sys, th):
+    """Dense decoupled initial two-point matrix of the window."""
+    h_d = dense_hamiltonians(sys.M, sys.params)[OperatorKind.DECOUPLED]
+    return dense_initial_state(h_d, sys.M, sys.params.nu, th.beta_l, th.beta_r)
+
+
+def unsplit_evolve(sys, state, x, y, times, split=True):
+    """``(e_x, S(t) e_y)`` through all ``n`` eigenvectors, with its band/bound parts.
+
+    Returns the values and the components ``aa``, ``ap``, ``pa``, ``pp``;
+    without a bound state (or with ``split`` false) ``aa`` is everything.
+    """
+    times = np.asarray(times, dtype=float)
+    w, u = unsplit_factorization(sys, OperatorKind.MAGNETIC)
+    ix, iy = x + sys.M, y + sys.M
+    phases = np.exp(1j * np.outer(w, times))
+    fx, fy = (u @ (phases * u[i][:, None]) for i in (ix, iy))
+    bound = unsplit_bound_data(sys) if split else None
+    if bound is None:
+        px = py = np.zeros_like(fx)
+    else:
+        energy, vec = bound
+        px, py = (np.outer(vec, vec[i] * np.exp(1j * energy * times)) for i in (ix, iy))
+    pairs = {"aa": (fx - px, fy - py), "ap": (fx - px, py), "pa": (px, fy - py), "pp": (px, py)}
+    parts = {name: np.einsum("it,it->t", a.conj(), state @ b) for name, (a, b) in pairs.items()}
+    return sum(parts.values()), parts
+
+
+def unsplit_ness_estimate(sys, state, x, y, t_star):
+    times = np.linspace(0.8 * t_star, t_star, int(round(0.2 * t_star)) + 1)
+    values, _ = unsplit_evolve(sys, state, x, y, times, split=False)
+    return complex(np.mean(values))
+
+
+def unsplit_oracle_flux(sys, state, t_star):
+    """Left and right contact fluxes, each from its own pair of evolved frames."""
+    nu = sys.params.nu
+    return tuple(
+        0.5 * unsplit_ness_estimate(sys, state, s * (nu + 2), s * nu, t_star).imag
+        for s in (-1, 1)
+    )
+
+
+def unsplit_wave_action(sys, x, t, k_grid):
+    """Band part of ``e_x``, forward under the field and back under the free chain, in momenta."""
+    psi = np.zeros(sys.n_sites)
+    psi[x + sys.M] = 1.0
+    bound = unsplit_bound_data(sys)
+    if bound is not None:
+        psi -= bound[1] * bound[1][x + sys.M]
+    wm, um = unsplit_factorization(sys, OperatorKind.MAGNETIC)
+    w0, u0 = unsplit_factorization(sys, OperatorKind.XY)
+    phi = um @ (np.exp(1j * t * wm) * (um.T @ psi))
+    chi = u0 @ (np.exp(-1j * t * w0) * (u0.T @ phi))
+    return np.exp(1j * np.outer(k_grid, np.arange(-sys.M, sys.M + 1))) @ chi

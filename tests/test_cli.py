@@ -233,6 +233,19 @@ class TestSpectrum:
         assert float(named["eigenvector_sup_error"]) < 1e-6
         assert named["staggered"] == "false"
 
+    @pytest.mark.parametrize("m", ["10", "15"])
+    def test_narrow_window_sweeps_its_own_sites(self, capsys, repo_schema, m):
+        # the eigenvector is compared on |x| <= min(20, M); a window
+        # narrower than 20 sites each side used to exit 2 on site -20
+        code, out, err = run_cli(
+            capsys, "spectrum", "--lambda", "0.75", "--oracle-m", m, "--format", "json"
+        )
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        repo_schema(doc)
+        assert doc["result"]["n_outside_band"] == 1
+        assert doc["result"]["eigenvector_sup_error"] < 1e-3
+
     def test_free_chain_has_no_bound_state(self, capsys, repo_schema):
         code, out, _ = run_cli(
             capsys, "spectrum", "--lambda", "0", "--oracle-m", "150",

@@ -35,7 +35,32 @@ from nesslab.oracle import (
 from nesslab.scattering import wave_action
 from nesslab.transport import heat_flux
 
-from bruteforce import dense_hamiltonians, dense_initial_state, symbol_coefficient
+from bruteforce import (
+    dense_hamiltonians,
+    dense_initial_state,
+    symbol_coefficient,
+    unsplit_bound_data,
+    unsplit_evolve,
+    unsplit_factorization,
+    unsplit_initial_state,
+    unsplit_oracle_flux,
+    unsplit_wave_action,
+)
+
+
+def _array_bytes(item) -> int:
+    """Bytes of the numpy arrays reachable through dicts and tuples."""
+    if isinstance(item, np.ndarray):
+        return item.nbytes
+    if isinstance(item, dict):
+        item = item.values()
+    elif not isinstance(item, tuple):
+        return 0
+    return sum(_array_bytes(value) for value in item)
+
+
+def _all_evals(sys, kind):
+    return np.sort(np.concatenate([w for w, _ in sys.factorization(kind)]))
 
 
 class TestBuildTruncation:
@@ -47,6 +72,21 @@ class TestBuildTruncation:
     def test_memory_cap(self):
         with pytest.raises(ResourceLimit):
             build_truncation(1000, ModelParams(0.0), max_bytes=10**6)
+
+    @pytest.mark.parametrize("m, nu", [(10, 0), (23, 0), (24, 5)])
+    def test_memory_estimate_bounds_what_is_held(self, m, nu, th12):
+        # every kind factored and one state built: the estimate covers it,
+        # within 1% when the sample is a single site and the state largest
+        params = ModelParams(0.4, nu)
+        sys = build_truncation(m, params)
+        for kind in OperatorKind:
+            sys.factorization(kind)
+        initial_two_point(sys, th12)
+        held = _array_bytes(vars(sys))
+        with pytest.raises(ResourceLimit):
+            build_truncation(m, params, max_bytes=held - 1)
+        if nu == 0:
+            build_truncation(m, params, max_bytes=int(1.01 * held))
 
     def test_matrices_match_stencil(self):
         sys = build_truncation(12, ModelParams(0.4, 1))
@@ -69,13 +109,12 @@ class TestBuildTruncation:
 
     def test_free_spectrum_stays_in_band(self):
         sys = build_truncation(50, ModelParams(0.0))
-        evals, _ = sys.factorization(OperatorKind.MAGNETIC)
-        assert np.max(np.abs(evals)) < 1.0
+        assert np.max(np.abs(_all_evals(sys, OperatorKind.MAGNETIC))) < 1.0
         assert sys.bound_data() is None
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap trim is glibc's")
     def test_heap_trim_found_on_glibc(self):
-        # without it the memory peak of a full factorization depends on
+        # without it the memory peak of a factorization depends on
         # which windows the process built before
         assert oracle._malloc_trim is not None
 
@@ -101,7 +140,7 @@ class TestDenseTwin:
         sys = build_truncation(m, ModelParams(lam, nu))
         dense = dense_hamiltonians(m, ModelParams(lam, nu))
         for kind in OperatorKind:
-            evals, _ = sys.factorization(kind)
+            evals = _all_evals(sys, kind)
             assert np.max(np.abs(evals - np.linalg.eigvalsh(dense[kind]))) < 1e-12
 
     @pytest.mark.parametrize("m, lam, nu", DENSE_TWIN_CASES)
@@ -121,13 +160,108 @@ class TestDenseTwin:
         sys = build_truncation(m, ModelParams(lam, nu))
         h_d = dense_hamiltonians(m, ModelParams(lam, nu))[OperatorKind.DECOUPLED]
         ref = dense_initial_state(h_d, m, nu, th12.beta_l, th12.beta_r)
-        assert np.max(np.abs(initial_two_point(sys, th12) - ref)) < 1e-12
+        dense = initial_two_point(sys, th12) @ np.eye(sys.n_sites)
+        assert np.max(np.abs(dense - ref)) < 1e-12
+
+
+class TestParitySplit:
+    """The even and odd blocks of a reflection-symmetric Jacobi matrix."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 21])
+    def test_blocks_keep_the_spectrum(self, n):
+        rng = np.random.default_rng(n)
+        diag, off = rng.normal(size=n), rng.normal(size=n - 1)
+        diag, off = diag + diag[::-1], off + off[::-1]
+        (de, ee), (do, eo) = oracle._parity_split(diag, off)
+        assert (de.size, do.size) == ((n + 1) // 2, n // 2)
+        blocks = [np.diag(d) + np.diag(e, 1) + np.diag(e, -1) for d, e in ((de, ee), (do, eo))]
+        split = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks if b.size]))
+        full = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        assert np.max(np.abs(split - full)) < 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8])
+    def test_fold_is_orthogonal_and_inverted_by_unfold(self, n):
+        eye = np.eye(n)
+        basis = np.vstack(oracle._fold(eye))  # rows: parity basis vectors
+        assert np.max(np.abs(basis @ basis.T - eye)) < 1e-15
+        assert np.max(np.abs(oracle._unfold(*oracle._fold(eye)) - eye)) < 1e-15
+
+    def test_asymmetric_pair_rejected(self):
+        with pytest.raises(ConsistencyError):
+            oracle._parity_split(np.array([0.0, 0.1, 0.0]), np.array([0.5, 0.4]))
+        with pytest.raises(ConsistencyError):
+            oracle._parity_split(np.array([0.2, 0.0]), np.array([0.5]))
+
+
+# (M, lam, nu): reservoirs of one site, odd and even lengths; nu = 0 and
+# nu > 0; fields of both signs and zero
+SPLIT_CASES = [(10, 0.5, 9), (10, -0.75, 0), (21, 0.0, 2), (60, -1.3, 4), (61, 0.7, 0)]
+EVOLVE_CASES = [(40, 0.45, 1), (60, -1.3, 4), (61, 0.7, 0), (64, 0.0, 2)]
+# oracle_flux needs t_star >= 100 inside the horizon, so M >= 127 + nu
+FLUX_CASES = [(128, 0.6, 0), (131, -0.4, 2), (130, 0.0, 1)]
+
+
+class TestUnsplitTwin:
+    """Every oracle value against one solve of the whole window, to 1e-13."""
+
+    @pytest.mark.parametrize("m, lam, nu", SPLIT_CASES)
+    def test_eigenvalues(self, m, lam, nu):
+        sys = build_truncation(m, ModelParams(lam, nu))
+        for kind in OperatorKind:
+            ref, _ = unsplit_factorization(sys, kind)
+            assert np.max(np.abs(_all_evals(sys, kind) - ref)) < 1e-13
+
+    @pytest.mark.parametrize("m, lam, nu", SPLIT_CASES)
+    def test_bound_data(self, m, lam, nu):
+        sys = build_truncation(m, ModelParams(lam, nu))
+        got, ref = sys.bound_data(), unsplit_bound_data(sys)
+        assert (got is None) == (ref is None) == (lam == 0.0)
+        if ref is not None:
+            assert abs(got[0] - ref[0]) < 1e-13
+            assert np.max(np.abs(got[1] - ref[1] * np.sign(ref[1] @ got[1]))) < 1e-13
+
+    @pytest.mark.parametrize("m, lam, nu", SPLIT_CASES)
+    def test_initial_state(self, m, lam, nu, th12):
+        sys = build_truncation(m, ModelParams(lam, nu))
+        dense = initial_two_point(sys, th12) @ np.eye(sys.n_sites)
+        assert np.max(np.abs(dense - unsplit_initial_state(sys, th12))) < 1e-13
+
+    @pytest.mark.parametrize("split", [True, False])
+    @pytest.mark.parametrize("m, lam, nu", EVOLVE_CASES)
+    def test_evolve_correlation(self, m, lam, nu, split, th12):
+        sys = build_truncation(m, ModelParams(lam, nu))
+        times = np.linspace(0.0, 0.8 * (m - max(3, nu + 2)), 17)
+        state = unsplit_initial_state(sys, th12)
+        for x, y in ((0, 0), (-1, 3), (2, -2)):
+            trace = evolve_correlation(sys, th12, x, y, times, split=split)
+            values, parts = unsplit_evolve(sys, state, x, y, times, split=split)
+            assert np.max(np.abs(trace.values - values)) < 1e-13
+            if split:
+                for name, ref in parts.items():
+                    assert np.max(np.abs(trace.components[name] - ref)) < 1e-13
+            else:
+                assert trace.components is None
+
+    @pytest.mark.parametrize("m, lam, nu", FLUX_CASES)
+    def test_oracle_flux(self, m, lam, nu, th12):
+        sys = build_truncation(m, ModelParams(lam, nu))
+        ref = unsplit_oracle_flux(sys, unsplit_initial_state(sys, th12), 100.0)
+        assert np.max(np.abs(np.subtract(oracle_flux(sys, th12, 100.0), ref))) < 1e-13
+
+    @pytest.mark.parametrize("m, lam, nu", EVOLVE_CASES)
+    def test_numeric_wave_action(self, m, lam, nu):
+        sys = build_truncation(m, ModelParams(lam, nu))
+        ks = np.linspace(-3.0, 3.0, 13)
+        t = 0.4 * (m - nu - 3)
+        for x in (0, 1, -2):
+            got = numeric_wave_action(sys, x, t, ks)
+            assert np.max(np.abs(got - unsplit_wave_action(sys, x, t, ks))) < 1e-13
 
 
 class TestBoundData:
     def test_field_pulls_one_level_out(self, sys_m1000_lam075):
         energy, vec = sys_m1000_lam075.bound_data()
-        evals, _ = sys_m1000_lam075.factorization(OperatorKind.MAGNETIC)
+        evals = _all_evals(sys_m1000_lam075, OperatorKind.MAGNETIC)
         assert int(np.sum(np.abs(evals) > 1.0 + 1e-9)) == 1
         assert abs(energy - 1.25) < 1e-8
         assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
@@ -146,24 +280,35 @@ class TestBoundData:
         sys = build_truncation(m, ModelParams(lam))
         energy, vec = sys.bound_data()
         assert not sys._factorizations
-        evals, evecs = sys.factorization(OperatorKind.MAGNETIC)
+        evals, evecs = unsplit_factorization(sys, OperatorKind.MAGNETIC)
         i = int(np.argmax(np.abs(evals)))
         assert abs(energy - evals[i]) < 1e-12
         ref = evecs[:, i] * np.sign(evecs[:, i] @ vec)
         assert np.max(np.abs(vec - ref)) < 1e-10
 
     def test_two_levels_outside_band_rejected(self):
+        # a second field on the mirror pair +-15 binds a second even level
+        sys = build_truncation(20, ModelParams(0.5))
+        diag, off = sys.hamiltonians[OperatorKind.MAGNETIC]
+        pair = np.isin(np.arange(diag.size), (5, diag.size - 6))
+        sys.hamiltonians[OperatorKind.MAGNETIC] = (diag + 0.5 * pair, off)
+        with pytest.raises(ConsistencyError, match="2 eigenvalues outside the band"):
+            sys.bound_data()
+
+    def test_asymmetric_hamiltonian_rejected(self):
         sys = build_truncation(20, ModelParams(0.5))
         diag, off = sys.hamiltonians[OperatorKind.MAGNETIC]
         sys.hamiltonians[OperatorKind.MAGNETIC] = (diag + 0.5 * (np.arange(diag.size) == 5), off)
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConsistencyError, match="not symmetric"):
             sys.bound_data()
+        with pytest.raises(ConsistencyError, match="not symmetric"):
+            sys.factorization(OperatorKind.MAGNETIC)
 
 
 class TestInitialState:
     def test_block_structure(self):
         sys = build_truncation(60, ModelParams(0.3, 2))
-        state = initial_two_point(sys, ThermalConfig(1.0, 2.0))
+        state = initial_two_point(sys, ThermalConfig(1.0, 2.0)) @ np.eye(sys.n_sites)
         lo, hi = sys.index(-2), sys.index(2)
         assert np.array_equal(state[lo : hi + 1, lo : hi + 1], 0.5 * np.eye(5))
         assert np.max(np.abs(state - state.T)) < 1e-14
@@ -174,7 +319,7 @@ class TestInitialState:
         # measured 1.1e-15; the state is a function of the blocks it was
         # built from, so any residual is pure eigensolver roundoff
         sys = build_truncation(60, ModelParams(0.3, 2))
-        state = initial_two_point(sys, ThermalConfig(1.0, 2.0))
+        state = initial_two_point(sys, ThermalConfig(1.0, 2.0)) @ np.eye(sys.n_sites)
         h_d = dense_hamiltonians(60, ModelParams(0.3, 2))[OperatorKind.DECOUPLED]
         assert np.max(np.abs(state @ h_d - h_d @ state)) < 1e-12
 
@@ -194,6 +339,16 @@ class TestInitialState:
         assert initial_two_point(sys, ThermalConfig(1.0, 3.0)) is latest
         assert len(sys._state_cache) == 1
 
+    def test_held_as_two_reservoir_blocks(self):
+        # 58 reservoir sites each side; applied to complex rows, blockwise
+        sys = build_truncation(60, ModelParams(0.3, 2))
+        state = initial_two_point(sys, ThermalConfig(1.0, 2.0))
+        assert [block.shape for block in state] == [(58, 58), (58, 58)]
+        dense = state @ np.eye(sys.n_sites)
+        rng = np.random.default_rng(3)
+        f = rng.normal(size=(sys.n_sites, 4)) + 1j * rng.normal(size=(sys.n_sites, 4))
+        assert np.max(np.abs(state @ f - dense @ f)) < 1e-14
+
     def test_rejects_sample_filling_window(self):
         sys = build_truncation(10, ModelParams(0.5, 10))
         with pytest.raises(DomainError):
@@ -203,7 +358,7 @@ class TestInitialState:
 class TestEvolution:
     def test_time_zero_reproduces_initial_state(self, th12):
         sys = build_truncation(400, ModelParams(0.5))
-        state = initial_two_point(sys, th12)
+        state = initial_two_point(sys, th12) @ np.eye(sys.n_sites)
         for x, y in ((0, 0), (-1, 2), (0, 1)):
             value = evolve_correlation(sys, th12, x, y, [0.0], split=False).values[0]
             assert abs(value - state[sys.index(x), sys.index(y)]) < 1e-13
@@ -317,7 +472,7 @@ class TestNessEstimate:
     def test_equal_temperature_state_is_stationary(self, sys_m1000_lam0):
         # a thermal state of the evolving Hamiltonian must not move at all;
         # measured drift 6.6e-16
-        w, u = sys_m1000_lam0.factorization(OperatorKind.XY)
+        w, u = unsplit_factorization(sys_m1000_lam0, OperatorKind.XY)
         state_eq = (u * expit(-2.0 * w)) @ u.T
         trace = evolve_with_state(
             sys_m1000_lam0, state_eq, 0, 1, np.linspace(0.0, 300.0, 61), split=False
