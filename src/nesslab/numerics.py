@@ -142,9 +142,13 @@ def graded_mesh(lam: float, beta: float, end: float, step: float = math.inf) -> 
         s *= 2.0
     edges = np.unique(points)
     edges = edges[edges <= end]
-    pieces = np.ceil(np.diff(edges) / min(_MAX_PANEL, step)).astype(int)
-    parts = [np.linspace(a, b, k, endpoint=False) for a, b, k in zip(edges[:-1], edges[1:], pieces)]
-    return np.concatenate([*parts, [end]])
+    widths = np.diff(edges)
+    pieces = np.ceil(widths / min(_MAX_PANEL, step)).astype(int)
+    # each piece as np.linspace(a, b, k, endpoint=False) makes it: a + i * ((b - a) / k)
+    first = np.cumsum(pieces) - pieces
+    i = np.arange(first[-1] + pieces[-1]) - np.repeat(first, pieces)
+    inner = np.repeat(edges[:-1], pieces) + i * np.repeat(widths / pieces, pieces)
+    return np.append(inner, end)
 
 
 def refine_panels(

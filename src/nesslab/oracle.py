@@ -4,8 +4,10 @@ Everything here is deliberately independent of the quadrature modules: the
 chain is truncated to a window ``[-M, M]`` with open ends, the Hamiltonians
 are read off the shared stencil as Jacobi (tridiagonal) matrices and
 diagonalized exactly by LAPACK's tridiagonal eigensolver, the decoupled
-initial state is assembled by per-block functional calculus, and
-correlations are evolved exactly through the full eigendecomposition.
+initial state is held as one reservoir's eigenpairs with their Planck
+weights at the two temperatures, and correlations are evolved exactly
+through the full eigendecomposition and read off as weighted overlaps of
+the evolved frames' reservoir modes.
 Large-time averages of these finite evolutions are the yardstick the
 analytic formulas are tested against.  ``scipy.linalg`` is imported by the
 functions that solve, so importing the package loads no scipy.
@@ -40,8 +42,8 @@ from .exceptions import (
 from .model import ModelParams, OperatorKind, ThermalConfig, operator_stencil, planck_density
 
 # half-width caps: below 10 the guard window is empty, above 5000 the even
-# and odd eigenvector blocks every evolution needs (about n^2 / 2 floats per
-# Hamiltonian) stop being a sane oracle
+# and odd eigenvector blocks of the three Hamiltonians (about n^2 / 2 floats
+# each) and of the reservoir pass 1.2 GiB and stop being a sane oracle
 _MIN_HALF_WIDTH = 10
 _MAX_HALF_WIDTH = 5000
 _DEFAULT_MEMORY_CAP = 2 << 30
@@ -136,15 +138,6 @@ def _unfold(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
     return out
 
 
-def _site_matrix(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """Site form of the symmetric operator ``even (+) odd`` in parity coordinates."""
-    me, mo = len(even), len(odd)
-    rows_even = _unfold(even, np.broadcast_to(0.0, (mo, me)))  # site rows, even columns
-    rows_odd = _unfold(np.broadcast_to(0.0, (me, mo)), odd)
-    # unfolding the columns as well; the operator is symmetric
-    return _unfold(rows_even.T, rows_odd.T)
-
-
 def _propagate(factors: tuple[_Pair, _Pair], psi: np.ndarray, times) -> np.ndarray:
     """``exp(i h t) psi`` for site vectors ``psi`` (n, k), through the parity blocks of ``h``.
 
@@ -153,6 +146,9 @@ def _propagate(factors: tuple[_Pair, _Pair], psi: np.ndarray, times) -> np.ndarr
     times = np.asarray(times, dtype=float)
     parts = []
     for (w, u), coords in zip(factors, _fold(psi)):
+        if not coords.any():  # the centre site has no odd part
+            parts.append(np.zeros((len(w), *coords.shape[1:], times.size), complex))
+            continue
         phases = np.exp(1j * np.outer(w, times))
         amplitudes = _real_apply(u.T, coords)  # (m, k) in the block's eigenbasis
         parts.append(_real_apply(u, amplitudes[:, :, None] * phases[:, None, :]))
@@ -256,11 +252,12 @@ def build_truncation(
             f"half-width {M} outside [{_MIN_HALF_WIDTH}, {_MAX_HALF_WIDTH}]"
         )
     n = 2 * M + 1
-    # float64 held at most: three kinds factored into even and odd
-    # eigenvector blocks, (n^2 + 1) / 2 floats each; one initial state as
-    # two reservoir blocks, at most (n - 1)^2 / 2; and the O(n) diagonals,
-    # hoppings and eigenvalues
-    estimate = (2 * n * n + 8 * n) * 8
+    # float64 held at most, 13 n^2 / 8 + 10.25 n: three kinds of 2n - 1
+    # entries factored into even and odd eigenpairs, (n^2 + 1) / 2 + n
+    # each; one initial state as the eigenpairs of one reservoir's blocks,
+    # ((n - 1)^2 + 4) / 8 + (n - 1) / 2, and Planck weights at two
+    # temperatures, n - 1
+    estimate = 13 * n * n + 82 * n
     if estimate > max_bytes:
         raise ResourceLimit(
             f"window of {n} sites needs about {estimate / 2**30:.1f} GiB "
@@ -278,22 +275,53 @@ def build_truncation(
 
 
 class DecoupledState(NamedTuple):
-    """Two-point matrix of the decoupled initial state, held blockwise.
+    """Two-point matrix of the decoupled initial state, held factored.
 
-    ``left`` and ``right`` are the reservoir blocks at the two ends of the
-    window; the sample between them is identity over two.  ``state @ f``
-    applies the whole ``n x n`` matrix to the site rows of ``f``.
+    Both reservoirs are the same Jacobi matrix, so they share ``modes``, the
+    eigenpairs of its even and odd blocks; ``left`` and ``right`` are the
+    Planck weights of those eigenvalues, even first, at the two
+    temperatures.  The sample is identity over two.  ``state @ f`` applies
+    the whole matrix to the site rows of ``f``.
     """
 
+    n_sites: int
+    modes: tuple[_Pair, _Pair]
     left: np.ndarray
     right: np.ndarray
 
-    def __matmul__(self, f: np.ndarray) -> np.ndarray:
+    def _amplitudes(self, f: np.ndarray) -> list[np.ndarray]:
+        """Mode amplitudes of the left and the right reservoir rows of ``f``."""
+        if len(f) != self.n_sites:
+            raise ValueError(f"{len(f)} site rows for a state of {self.n_sites} sites")
         n_res = len(self.left)
+        return [
+            np.concatenate([_real_apply(u.T, c) for (_, u), c in zip(self.modes, _fold(rows))])
+            for rows in (f[:n_res], f[len(f) - n_res :])
+        ]
+
+    def __matmul__(self, f: np.ndarray) -> np.ndarray:
+        n_res, n_even = len(self.left), len(self.modes[0][0])
         out = 0.5 * f
-        out[:n_res] = self.left @ f[:n_res]
-        out[len(f) - n_res :] = self.right @ f[len(f) - n_res :]
+        reservoirs = (slice(0, n_res), slice(len(f) - n_res, None))
+        for rows, weights, a in zip(reservoirs, (self.left, self.right), self._amplitudes(f)):
+            parts = np.split((a.T * weights).T, [n_even])
+            out[rows] = _unfold(*(_real_apply(u, part) for (_, u), part in zip(self.modes, parts)))
         return out
+
+    def overlaps(self, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(f_x, S f_y)`` per time, and the same with the temperatures exchanged.
+
+        ``frames`` is ``(n_sites, k, nt)``, ``f_x`` first and ``f_y`` last.
+        Each reservoir's rows are projected once onto the modes, and the
+        sample rows count over two.
+        """
+        ov_left, ov_right = (a[:, 0].conj() * a[:, -1] for a in self._amplitudes(frames))
+        mid = frames[len(self.left) : len(frames) - len(self.left)]
+        sample = 0.5 * np.einsum("it,it->t", mid[:, 0].conj(), mid[:, -1])
+        return (
+            sample + self.left @ ov_left + self.right @ ov_right,
+            sample + self.right @ ov_left + self.left @ ov_right,
+        )
 
 
 def initial_two_point(sys: TruncatedSystem, th: ThermalConfig) -> DecoupledState:
@@ -306,7 +334,7 @@ def initial_two_point(sys: TruncatedSystem, th: ThermalConfig) -> DecoupledState
     free to mix their degenerate eigenvectors, which the per-block form
     rules out by construction.  Both blocks are the same Jacobi matrix
     (zero diagonal, hopping 1/2), so one eigensolve of its even and odd
-    blocks serves both temperatures.
+    blocks serves both, and the state keeps it with its Planck weights.
     """
     key = (th.beta_l, th.beta_r)
     cached = sys._state_cache.get(key)
@@ -322,12 +350,11 @@ def initial_two_point(sys: TruncatedSystem, th: ThermalConfig) -> DecoupledState
     right = (diag[n - n_res :], off[n - n_res :])
     if not all(np.array_equal(a, b) for a, b in zip(left, right)):
         raise ConsistencyError("reservoir blocks of the decoupled window differ")
-    blocks = _split_eigh(*left)
-
-    def block(beta: float) -> np.ndarray:
-        return _site_matrix(*((u * planck_density(beta, w)) @ u.T for w, u in blocks))
-
-    state = DecoupledState(block(th.beta_l), block(th.beta_r))
+    modes = _split_eigh(*left)
+    energies = np.concatenate([w for w, _ in modes])
+    state = DecoupledState(
+        n, modes, planck_density(th.beta_l, energies), planck_density(th.beta_r, energies)
+    )
     # the memory budget of build_truncation holds one state
     sys._state_cache.clear()
     sys._state_cache[key] = state
@@ -402,16 +429,18 @@ def evolve_with_state(
     times = _checked_times(sys, x, y, times)
     ix, iy = sys.index(x), sys.index(y)
     factors = sys.factorization(OperatorKind.MAGNETIC)
-    frames = _propagate(factors, _site_vectors(sys, (x, y)), times)
-    frame_x, frame_y = frames[:, 0], frames[:, 1]
+    frames = _propagate(factors, _site_vectors(sys, (x,) if x == y else (x, y)), times)
+    frame_x, frame_y = frames[:, 0], frames[:, -1]
 
     bound = sys.bound_data() if split else None
     if bound is None:
-        values = np.einsum("it,it->t", frame_x.conj(), _real_apply(state, frame_y))
+        if isinstance(state, DecoupledState):
+            values, _ = state.overlaps(frames)
+        else:
+            values = np.einsum("it,it->t", frame_x.conj(), _real_apply(state, frame_y))
         components = None
         if split:
-            nt = times.size
-            zero = np.zeros(nt, dtype=complex)
+            zero = np.zeros(times.size, dtype=complex)
             components = {"aa": values.copy(), "ap": zero, "pa": zero.copy(), "pp": zero.copy()}
     else:
         energy, vec = bound
@@ -479,21 +508,20 @@ def oracle_flux(sys: TruncatedSystem, th: ThermalConfig, t_star: float) -> tuple
     correlation across the corresponding contact bond pair, ``(-(nu + 2),
     -nu)`` and ``(nu + 2, nu)``; energy conservation in the steady state
     makes them opposite.  The field Hamiltonian commutes with the window's
-    reflection, so the left frames are the right ones reflected, and the
-    contact sites are evolved once.
+    reflection, so the left frames are the right ones reflected; the
+    reflection swaps the reservoirs, so the left flux is the right one's
+    mode overlaps with the two temperatures exchanged, and the contact
+    sites are evolved and projected once.
     """
     right = (sys.params.nu + 2, sys.params.nu)
     times = _checked_times(sys, *right, _late_times(sys, *right, t_star))
     state = initial_two_point(sys, th)
     frames = _propagate(sys.factorization(OperatorKind.MAGNETIC), _site_vectors(sys, right), times)
-    # (n, left/right, nt), the left frames reflected
-    frames_y = np.stack([frames[::-1, 1], frames[:, 1]], axis=1)
-    s_y = _real_apply(state, frames_y)
-    fluxes = []
-    for side, frame_x in enumerate((frames[::-1, 0], frames[:, 0])):
-        trace = EvolutionTrace(times, np.einsum("it,it->t", frame_x.conj(), s_y[:, side]))
-        fluxes.append(0.5 * float(np.mean(trace.values).imag))
-    return fluxes[0], fluxes[1]
+    j_right, j_left = (
+        0.5 * float(np.mean(EvolutionTrace(times, values).values).imag)
+        for values in state.overlaps(frames)
+    )
+    return j_left, j_right
 
 
 def numeric_wave_action(

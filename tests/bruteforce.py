@@ -103,6 +103,26 @@ def _graded_edges(lam: float, beta_r: float) -> list[float]:
     return sorted(cuts)
 
 
+def graded_mesh_by_pieces(lam: float, beta: float, end: float, step: float = math.inf):
+    """``numerics.graded_mesh`` written out: the same cuts, one ``linspace`` per piece."""
+    half = 0.5 * math.pi
+    points = [0.0, half, end]
+    if lam != 0.0:
+        s = max(abs(lam) / 8.0, math.ulp(0.0))
+        while s < half:
+            points += [s, math.pi - s]
+            s *= 2.0
+    s = 1.0 / beta
+    while s < half:
+        points += [half - s, half + s]
+        s *= 2.0
+    edges = np.unique(points)
+    edges = edges[edges <= end]
+    pieces = np.ceil(np.diff(edges) / min(math.pi / 16, step)).astype(int)
+    parts = [np.linspace(a, b, k, endpoint=False) for a, b, k in zip(edges[:-1], edges[1:], pieces)]
+    return np.concatenate([*parts, [end]])
+
+
 def _quad_cut(f, edges) -> float:
     return sum(
         quad(f, a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0]

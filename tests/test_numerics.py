@@ -17,7 +17,7 @@ from nesslab.numerics import (
     refine_panels,
 )
 
-from bruteforce import sine_partial_sum
+from bruteforce import graded_mesh_by_pieces, sine_partial_sum
 
 
 class TestQuadratureSpec:
@@ -200,6 +200,19 @@ class TestGradedMesh:
         assert np.all(np.diff(edges) > 0.0)
         assert edges.size < 1200
         assert np.all(np.diff(edges) <= math.pi / 16 * (1 + 1e-15))
+
+    def test_pieces_bitwise_as_linspace_makes_them(self):
+        # zero, subnormal and drawn fields, both ends, finite and unbounded steps
+        rng = np.random.default_rng(20)
+        pinned = [0.0, 5e-324, -1.5e-323, 1e308]
+        for j in range(100):
+            lam = pinned[j] if j < len(pinned) else rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 3)
+            beta = 10.0 ** rng.uniform(-2, 4)
+            end = rng.choice([0.5 * math.pi, math.pi])
+            step = math.inf if rng.random() < 0.5 else 10.0 ** rng.uniform(-2, 1)
+            got = graded_mesh(lam, beta, end, step)
+            ref = graded_mesh_by_pieces(lam, beta, end, step)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 class TestGeometricSineSum:

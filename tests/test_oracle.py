@@ -43,6 +43,7 @@ from bruteforce import (
     unsplit_evolve,
     unsplit_factorization,
     unsplit_initial_state,
+    unsplit_ness_estimate,
     unsplit_oracle_flux,
     unsplit_wave_action,
 )
@@ -199,6 +200,8 @@ SPLIT_CASES = [(10, 0.5, 9), (10, -0.75, 0), (21, 0.0, 2), (60, -1.3, 4), (61, 0
 EVOLVE_CASES = [(40, 0.45, 1), (60, -1.3, 4), (61, 0.7, 0), (64, 0.0, 2)]
 # oracle_flux needs t_star >= 100 inside the horizon, so M >= 127 + nu
 FLUX_CASES = [(128, 0.6, 0), (131, -0.4, 2), (130, 0.0, 1)]
+# reservoirs of 129 and 130 sites beside a sample, sites up to 3 from it
+NESS_CASES = [(131, 0.6, 2), (133, -0.4, 3)]
 
 
 class TestUnsplitTwin:
@@ -241,6 +244,43 @@ class TestUnsplitTwin:
                     assert np.max(np.abs(trace.components[name] - ref)) < 1e-13
             else:
                 assert trace.components is None
+
+    @pytest.mark.parametrize("m, lam, nu", NESS_CASES)
+    def test_ness_estimate(self, m, lam, nu, th12):
+        sys = build_truncation(m, ModelParams(lam, nu))
+        state = unsplit_initial_state(sys, th12)
+        for x, y in ((0, 0), (3, 3), (-2, -2), (0, 1), (-1, 2), (3, -2)):
+            ref = unsplit_ness_estimate(sys, state, x, y, 100.0)
+            assert abs(ness_estimate(sys, th12, x, y, 100.0) - ref) < 1e-13
+
+    @pytest.mark.parametrize("split", [True, False])
+    @pytest.mark.parametrize("m, lam, nu", EVOLVE_CASES)
+    def test_caller_matrix_matches_factored_state(self, m, lam, nu, split, th12):
+        sys = build_truncation(m, ModelParams(lam, nu))
+        times = np.linspace(0.0, 0.8 * (m - max(3, nu + 2)), 17)
+        dense = unsplit_initial_state(sys, th12)
+        for x, y in ((0, 0), (-1, 3), (2, 2)):
+            got = evolve_with_state(sys, dense, x, y, times, split=split)
+            ref = evolve_with_state(sys, initial_two_point(sys, th12), x, y, times, split=split)
+            assert np.max(np.abs(got.values - ref.values)) < 1e-13
+            for name, part in (ref.components or {}).items():
+                assert np.max(np.abs(got.components[name] - part)) < 1e-13
+
+    @pytest.mark.parametrize("m, lam, nu", FLUX_CASES)
+    def test_mirrored_flux_is_reflected_frames(self, m, lam, nu, th12):
+        # the left flux from the right contact's overlaps, temperatures
+        # exchanged, against its own frames: the right ones reflected
+        sys = build_truncation(m, ModelParams(lam, nu))
+        times = np.linspace(80.0, 100.0, 21)
+        frames = oracle._propagate(
+            sys.factorization(OperatorKind.MAGNETIC),
+            oracle._site_vectors(sys, (nu + 2, nu)),
+            times,
+        )[::-1]
+        dense = unsplit_initial_state(sys, th12)
+        values = np.einsum("it,it->t", frames[:, 0].conj(), dense @ frames[:, 1])
+        j_left, _ = oracle_flux(sys, th12, 100.0)
+        assert abs(j_left - 0.5 * np.mean(values).imag) < 1e-13
 
     @pytest.mark.parametrize("m, lam, nu", FLUX_CASES)
     def test_oracle_flux(self, m, lam, nu, th12):
@@ -339,15 +379,31 @@ class TestInitialState:
         assert initial_two_point(sys, ThermalConfig(1.0, 3.0)) is latest
         assert len(sys._state_cache) == 1
 
-    def test_held_as_two_reservoir_blocks(self):
-        # 58 reservoir sites each side; applied to complex rows, blockwise
+    def test_held_factored(self):
+        # 58 reservoir sites each side: the eigenpairs of one reservoir's
+        # even and odd blocks of 29 and a Planck weight per mode and side;
+        # applied to complex rows through them
         sys = build_truncation(60, ModelParams(0.3, 2))
         state = initial_two_point(sys, ThermalConfig(1.0, 2.0))
-        assert [block.shape for block in state] == [(58, 58), (58, 58)]
+        assert state.n_sites == 121
+        assert [(w.shape, u.shape) for w, u in state.modes] == [((29,), (29, 29))] * 2
+        assert state.left.shape == state.right.shape == (58,)
+        energies = np.concatenate([w for w, _ in state.modes])
+        assert np.max(np.abs(state.left - expit(-energies))) < 1e-15
+        assert np.max(np.abs(state.right - expit(-2.0 * energies))) < 1e-15
         dense = state @ np.eye(sys.n_sites)
         rng = np.random.default_rng(3)
         f = rng.normal(size=(sys.n_sites, 4)) + 1j * rng.normal(size=(sys.n_sites, 4))
         assert np.max(np.abs(state @ f - dense @ f)) < 1e-14
+
+    @pytest.mark.parametrize("rows", [100, 120, 122, 130])
+    def test_rejects_rows_of_another_window(self, rows):
+        sys = build_truncation(60, ModelParams(0.3, 2))
+        state = initial_two_point(sys, ThermalConfig(1.0, 2.0))
+        with pytest.raises(ValueError, match="121 sites"):
+            state @ np.eye(rows)
+        with pytest.raises(ValueError, match="121 sites"):
+            state.overlaps(np.ones((rows, 2, 3)))
 
     def test_rejects_sample_filling_window(self):
         sys = build_truncation(10, ModelParams(0.5, 10))
@@ -362,6 +418,18 @@ class TestEvolution:
         for x, y in ((0, 0), (-1, 2), (0, 1)):
             value = evolve_correlation(sys, th12, x, y, [0.0], split=False).values[0]
             assert abs(value - state[sys.index(x), sys.index(y)]) < 1e-13
+
+    @pytest.mark.parametrize("lam", [0.5, 0.0])
+    def test_centre_frame_reflection_symmetric(self, lam):
+        # the centre site has no odd part: its frame is even, bit for bit
+        sys = build_truncation(80, ModelParams(lam, 1))
+        frame = oracle._propagate(
+            sys.factorization(OperatorKind.MAGNETIC),
+            oracle._site_vectors(sys, (0,)),
+            np.linspace(0.0, 60.0, 7),
+        )
+        assert np.any(frame[: sys.M] != 0.0)
+        assert np.array_equal(frame, frame[::-1])
 
     def test_split_components_sum_to_value(self, th12):
         sys = build_truncation(400, ModelParams(0.5))
