@@ -18,12 +18,7 @@ import numpy as np
 from .exceptions import WindowTooLarge
 from .model import ModelParams, ThermalConfig, bound_state, planck_difference
 from .numerics import QuadratureSpec, graded_mesh, panel_rule, refine_panels
-from .scattering import (
-    ZERO_FIELD_FLOOR,
-    band_moments,
-    overlap_frequencies,
-    pp_weight,
-)
+from .scattering import band_moments, overlap_frequencies, pp_weight
 
 MAX_WINDOW_SITES = 512
 
@@ -32,12 +27,11 @@ def _elements(params: ModelParams, th: ThermalConfig, x, y, spec: QuadratureSpec
     """Steady-state correlations ``s(x, y)`` for integer arrays of sites.
 
     The band overlap from one set of band moments, with every frequency the
-    pairs read, plus the bound-state term.  Below ``ZERO_FIELD_FLOOR`` the
-    bound term is under |lam| * weight < 1e-14 and the band part already
-    dropped its scattered terms.
+    pairs read, plus the bound-state term at every nonzero field; zero
+    field has no bound state.
     """
     value = band_moments(params.lam, th, overlap_frequencies(x, y), spec).overlap(x, y)
-    if abs(params.lam) >= ZERO_FIELD_FLOOR:
+    if params.lam != 0.0:
         amp = bound_state(params.lam).amplitude
         value = value + pp_weight(params, th, spec) * amp(x) * amp(y)
     return value

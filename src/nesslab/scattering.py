@@ -10,13 +10,14 @@ the initial state puts on the bound state.
 Every band overlap is a linear combination of Fourier moments over
 ``[0, pi]`` with integer frequencies, in which only the frequency and the
 reservoir temperature vary.  ``band_moments`` samples the few integrands,
-the field kernels ``1/(sin^2 t + lam^2)`` as defined, once on a
-Gauss-Kronrod mesh graded at their near-poles, contracts them against
-``e^{imt}`` for every frequency a window needs, and certifies the result
-with the embedded Gauss rule; ``ac_overlap`` and ``ness.correlation_block``
-index into it.  The bound-state weight is one more such sampling, of both
-reservoirs' sine-transform integrands on a mesh graded at the bound
-state's decay rate.
+the field kernels already multiplied by their field factors, so that each
+is bounded by 1 at every finite field, once on a Gauss-Kronrod mesh graded
+at their near-poles, contracts them against ``e^{imt}`` for every
+frequency a window needs, and certifies the result with the embedded Gauss
+rule; ``ac_overlap`` and ``ness.correlation_block`` index into it.  The
+bound-state weight is one more such sampling, of both reservoirs'
+sine-transform integrands on a mesh graded at the bound state's decay
+rate.
 
 Momentum-space convention: a lattice vector f transforms to
 ``fhat(k) = sum_x f(x) exp(i k x)`` with inverse measure ``dk / 2 pi`` on
@@ -42,12 +43,6 @@ from .model import (
 from .numerics import QuadratureSpec, graded_mesh, panel_rule, refine_panels
 
 _PI = math.pi
-
-# Fields below this are handled by the zero-field closed forms: the scattered
-# and bound-state contributions to any correlation element are bounded by
-# |lam| * (6 pi + 8 log(1/|lam|)) < 3e-12 there, under the resolution the
-# quadrature itself can certify in double precision.
-ZERO_FIELD_FLOOR = 1e-14
 
 
 def xy_symbol(th: ThermalConfig, k: float) -> float:
@@ -122,21 +117,21 @@ class BandMoments:
     Row 0 belongs to ``beta_l``, row 1 to ``beta_r``; column ``i`` holds
     frequency ``frequencies[i]`` (distinct, ascending, nonnegative):
 
-    * ``plane[b, i]``      = ``integral rho_b(cos t) e^{imt} dt``
-    * ``kernel_sin[b, i]`` = ``integral rho_b(cos t) sin t e^{imt} / (sin^2 t + lam^2) dt``
-    * ``kernel[b, i]``     = ``integral rho_b(cos t) e^{imt} / (sin^2 t + lam^2) dt``
+    * ``plane[b, i]``     = ``integral rho_b(cos t) e^{imt} dt``
+    * ``cross[b, i]``     = ``integral rho_b(cos t) e^{imt} lam sin t / (sin^2 t + lam^2) dt``
+    * ``scattered[b, i]`` = ``integral rho_b(cos t) e^{imt} lam^2 / (sin^2 t + lam^2) dt``
 
-    Negative frequencies are the conjugates, the integrands being real but
-    for ``e^{imt}``.  The kernel rows are None for fields below
-    ``ZERO_FIELD_FLOOR``.  ``error_estimate`` bounds the error of any band
-    overlap assembled from these moments.
+    The field kernels of ``cross`` and ``scattered`` are bounded by 1/2 and
+    1 at every finite field, and vanish at zero field.  Negative
+    frequencies are the conjugates, the integrands being real but for
+    ``e^{imt}``.  ``error_estimate`` bounds the error of any band overlap
+    assembled from these moments.
     """
 
-    lam: float
     frequencies: np.ndarray
     plane: np.ndarray
-    kernel_sin: np.ndarray | None
-    kernel: np.ndarray | None
+    cross: np.ndarray
+    scattered: np.ndarray
     error_estimate: float
 
     def at(self, family: np.ndarray, row: int, m) -> np.ndarray:
@@ -157,47 +152,42 @@ class BandMoments:
         folded onto ``[0, pi]``, so every frequency is an integer.
         """
         d, m1, m2, m1r, m2r, m3 = overlap_frequencies(x, y)
-        at, p = self.at, self.plane
-        total = (at(p, 0, d) + at(p, 1, -d)) / (2.0 * _PI)
-        if self.kernel is None:
-            return total
-        ks, k = self.kernel_sin, self.kernel
-        cross = at(ks, 0, m1) - at(ks, 0, m2) + at(ks, 1, m1r) - at(ks, 1, m2r)
+        at, p, c, s = self.at, self.plane, self.cross, self.scattered
+        plane = at(p, 0, d) + at(p, 1, -d)
+        cross = at(c, 0, m1) - at(c, 0, m2) + at(c, 1, m1r) - at(c, 1, m2r)
         scattered = (
-            at(k, 0, m1) + at(k, 0, m2) - at(k, 0, m3) + at(k, 1, m1r) + at(k, 1, m2r) - at(k, 1, m3)
+            at(s, 0, m1) + at(s, 0, m2) - at(s, 0, m3) + at(s, 1, m1r) + at(s, 1, m2r) - at(s, 1, m3)
         )
-        lam = self.lam
-        total += 1j * lam * cross / (2.0 * _PI)
-        total -= lam * lam * scattered / (2.0 * _PI)
-        return total
+        return (plane + 1j * cross - scattered) / (2.0 * _PI)
 
 
 def _moment_mesh(lam: float, beta_r: float, m_top: int) -> np.ndarray:
     """Panel edges on ``[0, pi]`` for band moments up to frequency ``m_top``.
 
-    ``graded_mesh`` without the field grading below ``ZERO_FIELD_FLOOR``,
-    in panels no longer than ``min(pi/16, 4/m_top)`` for the oscillation,
-    so all requests up to frequency 20 share one mesh.
+    ``graded_mesh`` in panels no longer than ``min(pi/16, 4/m_top)`` for the
+    oscillation, so all requests up to frequency 20 share one mesh.
     """
-    width = lam if abs(lam) >= ZERO_FIELD_FLOOR else 0.0
-    return graded_mesh(width, beta_r, _PI, 4.0 / max(m_top, 1))
+    return graded_mesh(lam, beta_r, _PI, 4.0 / max(m_top, 1))
 
 
 def _moment_integrands(lam: float, betas: np.ndarray, m: np.ndarray, t: np.ndarray) -> list:
-    """Samples of the moment families at nodes ``t``, as ``BandMoments`` defines them.
+    """Samples of the plane, cross and scattered families at nodes ``t``.
 
-    One array of shape ``(2, M, N)`` per family: plane, and above
-    ``ZERO_FIELD_FLOOR`` kernel_sin and kernel.  The kernel's near-poles at
-    distance ~|lam| off both endpoints are resolved by the grading of
-    ``_moment_mesh``.
+    One array of shape ``(2, M, N)`` per family, as ``BandMoments`` defines
+    them.  The field kernels are formed in ``p = max(sin t, |lam|)``,
+    ``q = sin t/p`` and ``e = |lam|/p``, as ``sign(lam) q e / r`` and
+    ``e^2 / r`` with ``r = q^2 + e^2``: no field is squared, so they stay
+    finite from the smallest subnormal field to the largest double.  Their
+    near-poles at distance ~|lam| off both endpoints are resolved by the
+    grading of ``_moment_mesh``.
     """
     rho = planck_density(betas[:, None], np.cos(t))[:, None, :]
     plane = rho * np.exp(1j * np.multiply.outer(m, t))
-    if abs(lam) < ZERO_FIELD_FLOOR:
-        return [plane]
-    sin = np.sin(t)
-    kernel = plane / (sin * sin + lam * lam)
-    return [plane, kernel * sin, kernel]
+    sin, a = np.sin(t), abs(lam)
+    p = np.maximum(sin, a)
+    q, e = sin / p, a / p
+    r = q * q + e * e
+    return [plane, plane * (math.copysign(1.0, lam) * q * e / r), plane * (e * e / r)]
 
 
 def band_moments(
@@ -208,30 +198,22 @@ def band_moments(
 ) -> BandMoments:
     """Band moments of both reservoirs at the given integer frequencies, on one mesh.
 
-    Only ``|m|`` is computed; ``B(-m) = conj B(m)``.  The integrands,
-    kernels included, are sampled as defined, once on the graded mesh of
-    ``_moment_mesh``, and contracted against ``e^{imt}`` in numpy, and
+    Only ``|m|`` is computed; ``B(-m) = conj B(m)``.  The integrands are
+    sampled once on the graded mesh of ``_moment_mesh``, at every finite
+    field alike, and contracted against ``e^{imt}`` in numpy, and
     ``numerics.refine_panels`` certifies them.  The error estimate is the
     embedded Gauss rule's distance from the Kronrod rule, panel by panel,
     maximized over the frequencies and weighted by how a matrix element
-    combines the moments: one plane moment per reservoir at ``1/2pi``, two
-    cross moments at ``|lam|/2pi`` and three scattered moments at
-    ``lam^2/2pi``.  While it exceeds ``spec.abs_tol``, the panels above
-    their share are bisected; past ``spec.max_subdivisions`` bisections
-    NonConvergence is raised.  A field whose scattered weight overflows,
-    ``|lam|`` above about 7.7e153, raises DomainError before any sampling.
+    combines the moments: one plane moment per reservoir, two cross moments
+    and three scattered moments, each at ``1/2pi``.  It does not count the
+    roundoff of the sums, some 1e-16 per element.  While it exceeds
+    ``spec.abs_tol``, the panels above their share are bisected; past
+    ``spec.max_subdivisions`` bisections NonConvergence is raised.
     """
     spec = spec if spec is not None else QuadratureSpec()
     m = np.unique(np.abs(np.concatenate([np.ravel(f) for f in frequencies]))).astype(int)
     betas = np.array([th.beta_l, th.beta_r])
-    weights = np.array([1.0, 2.0 * abs(lam), 3.0 * lam * lam]) / (2.0 * _PI)
-    if not np.isfinite(weights[-1]):
-        raise DomainError(
-            f"field strength {lam!r} out of range: the scattered-moment weight "
-            "3 lam^2/2pi overflows"
-        )
-    if abs(lam) < ZERO_FIELD_FLOOR:
-        weights = weights[:1]
+    weights = np.array([1.0, 2.0, 3.0]) / (2.0 * _PI)
 
     def contract(edges):
         t, wk, wg = panel_rule(edges)
@@ -250,8 +232,7 @@ def band_moments(
 
     edges = _moment_mesh(lam, th.beta_r, int(m[-1]))
     moments, error = refine_panels(contract, edges, spec, f"band moments at lam={lam!r}")
-    plane, kernel_sin, kernel = moments + [None] * (3 - len(moments))
-    return BandMoments(lam, m, plane, kernel_sin, kernel, error)
+    return BandMoments(m, *moments, error)
 
 
 def ac_overlap(
@@ -267,8 +248,7 @@ def ac_overlap(
     ``theta`` the thermal symbol, expanded into three terms (plane-plane,
     plane-scattered cross terms, scattered-scattered), each a linear
     combination of the band moments of ``band_moments`` at the frequencies
-    of ``overlap_frequencies``.  Fields with ``|lam| < ZERO_FIELD_FLOOR``
-    take the plane term alone; the rest is bounded by ~3e-12 there.
+    of ``overlap_frequencies``, certified at every finite field.
     """
     moments = band_moments(params.lam, th, overlap_frequencies(x, y), spec)
     return complex(moments.overlap(x, y))

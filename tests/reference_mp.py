@@ -1,12 +1,14 @@
-"""mpmath values of the bound-state weight and the translation defect, the source of the test literals.
+"""mpmath values of the weight, the defect and the band overlap, the source of the test literals.
 
     PYTHONPATH=src python tests/reference_mp.py
 
 Prints ``lam: weight`` for the pinned fields at ``th = (1, 2)``, ``nu = 0``,
 as the ``PP_WEIGHT_MP`` literals of ``test_scattering.py`` hold them, then
 ``lam: (defect at (1, 2), defect at (0.1, 50))`` as the ``TI_DEFECT_MP``
-literals of ``test_ness.py`` hold them.  The name keeps pytest from
-collecting this file.
+literals of ``test_ness.py`` hold them, then ``lam: (weight, {(x, y): band
+overlap})`` at the tiny fields, as the ``S_ELEMENT_MP`` literals of
+``test_ness.py`` hold them.  The name keeps pytest from collecting this
+file.
 
 The weight is evaluated from its definition, independently of the
 library: the half-line sine transform of the bound eigenvector's tail,
@@ -95,12 +97,51 @@ def ti_commutator_mp(lam: float, betas=BETAS):
         return lam_m / mp.pi * mp.quad(integrand, _edges(abs(lam_m), max(betas)))
 
 
+BAND_DPS = 30
+BAND_FIELDS = (9.9e-15, 1e-15)
+BAND_SITES = ((0, 0), (0, 2))
+
+
+def band_overlap_mp(lam: float, x: int, y: int, betas=BETAS):
+    """The band overlap ``integral dk/2pi conj(W_x) theta W_y`` at ``BAND_DPS`` digits.
+
+    ``W_x(k) = e^{ikx} + i lam e^{i|k||x|} / (sin|k| - i lam)`` is the wave
+    operator applied to the basis vector at ``x``, and ``theta`` the
+    occupation symbol: the left reservoir's Fermi factor of ``cos k`` for
+    ``k > 0``, the right one's for ``k <= 0``.  Each half of ``[-pi, pi]``
+    is integrated as defined on the panels of the weight, graded from
+    ``|lam|/8`` toward both ends and from ``1/beta`` toward ``pi/2``.
+    """
+    with mp.workdps(BAND_DPS):
+        lam_m = mp.mpf(lam)
+
+        def wave(k, site):
+            ak = abs(k)
+            scattered = 1j * lam_m * mp.expj(ak * abs(site)) / (mp.sin(ak) - 1j * lam_m)
+            return mp.expj(k * site) + scattered
+
+        def half(sign, beta):
+            def integrand(t):
+                k = sign * t
+                return mp.conj(wave(k, x)) * wave(k, y) / (1 + mp.exp(beta * mp.cos(k)))
+
+            return mp.quad(integrand, _edges(abs(lam_m), max(betas)))
+
+        return (half(1, mp.mpf(betas[0])) + half(-1, mp.mpf(betas[1]))) / (2 * mp.pi)
+
+
 def main() -> None:
     for lam in FIELDS:
         print(f"    {lam!r}: {mp.nstr(pp_weight_mp(lam), 20)},")
     for lam in TI_FIELDS:
         values = ", ".join(mp.nstr(ti_commutator_mp(lam, th), 17) for th in TI_THERMALS)
         print(f"    {lam!r}: ({values}),")
+    for lam in BAND_FIELDS:
+        bands = ", ".join(
+            f"{site}: complex({mp.nstr(v.real, 17)}, {mp.nstr(v.imag, 17)})"
+            for site, v in ((s, band_overlap_mp(lam, *s)) for s in BAND_SITES)
+        )
+        print(f"    {lam!r}: ({mp.nstr(pp_weight_mp(lam), 20)}, {{{bands}}}),")
 
 
 if __name__ == "__main__":

@@ -1,13 +1,15 @@
 """Steady-state matrix elements, window assembly, and the shift defect."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nesslab.exceptions import DomainError, NonConvergence, WindowTooLarge
+from nesslab.exceptions import NonConvergence, WindowTooLarge
 from nesslab.model import ModelParams, ThermalConfig, bound_state
+from nesslab.numerics import QuadratureSpec
 from nesslab.ness import (
     MAX_WINDOW_SITES,
     correlation_block,
@@ -172,18 +174,15 @@ class TestAgainstDirectOverlap:
         assert np.max(np.abs(block.matrix - direct_block(params, th, -2, 2))) < 1e-10
 
     @pytest.mark.parametrize("lam", [8e153, 1e200, 1.7e308, -1e200])
-    def test_overflowing_field_refused(self, th12, lam):
-        # 3 lam^2/2pi, the weight of the scattered moments, overflows above
-        # about 7.7e153; the suite turns the RuntimeWarning of inf * 0 into
-        # an error, so this also checks that nothing is sampled first
+    def test_overflowing_field_certified(self, th12, lam):
+        # 3 lam^2/2pi overflows above about 7.7e153 and lam^2 above 1.3e154;
+        # the kernels are sampled with their field factors, so no field is
+        # squared, and the suite turns any RuntimeWarning into an error
         params = ModelParams(lam)
-        for evaluate in (
-            lambda: s_element(params, th12, 0, 1),
-            lambda: ac_overlap(params, th12, 0, 1),
-            lambda: correlation_block(params, th12, -2, 2),
-        ):
-            with pytest.raises(DomainError, match="overflows"):
-                evaluate()
+        for x, y in ((-5, 9), (0, 1), (0, 0)):
+            value = ac_overlap(params, th12, x, y)
+            assert abs(value - overlap_direct(lam, 1.0, 2.0, x, y)) < 1e-13
+        assert s_element(params, th12, 0, 0) == 0.5
 
     def test_largest_field_below_overflow(self, th12):
         value = ac_overlap(ModelParams(7e153), th12, -5, 9)
@@ -219,6 +218,62 @@ class TestMpmathReference:
         }
         for (x, y), (re, im, tol) in refs.items():
             assert abs(block.value(x, y) - complex(re, im)) < tol
+
+
+# 30-digit mpmath band overlaps at th = (1, 2) and the 40-digit bound-state
+# weight, printed by tests/reference_mp.py; below 1e-14 the elements took
+# the plane term alone and missed by up to 3.0e-15 at abs_tol = 1e-15
+S_ELEMENT_MP = {
+    9.9e-15: (
+        0.19407217169606185064,
+        {
+            (0, 0): complex(0.49999999999999505, 0.0),
+            (0, 2): complex(-9.3220535859875982e-16, 0.038934212413960928),
+        },
+    ),
+    1e-15: (
+        0.19407217169605689514,
+        {
+            (0, 0): complex(0.4999999999999995, 0.0),
+            (0, 2): complex(-9.4162157434220286e-17, 0.038934212413960928),
+        },
+    ),
+}
+
+# abs_tol plus the roundoff of summing a mesh of up to ~2200 panels, which
+# the Gauss estimate does not count
+TINY_SPEC, TINY_BOUND = QuadratureSpec(abs_tol=1e-15), 2e-15
+
+
+class TestTinyFields:
+    @pytest.mark.parametrize("site", [(0, 0), (0, 2)])
+    @pytest.mark.parametrize("lam", list(S_ELEMENT_MP))
+    def test_tight_tolerance_matches_mpmath(self, th12, lam, site):
+        weight, bands = S_ELEMENT_MP[lam]
+        amp = bound_state(lam).amplitude
+        ref = bands[site] + weight * amp(site[0]) * amp(site[1])
+        assert abs(s_element(ModelParams(lam), th12, *site, TINY_SPEC) - ref) < TINY_BOUND
+
+    @pytest.mark.parametrize("site", [(0, 0), (0, 2)])
+    @pytest.mark.parametrize("lam", [1e-300, 5e-324, -5e-324])
+    def test_subnormal_fields_meet_zero_field(self, th12, lam, site):
+        # the field terms are O(|lam| log(1/|lam|)), far below roundoff
+        zero = s_element(ModelParams(0.0), th12, *site, TINY_SPEC)
+        assert abs(s_element(ModelParams(lam), th12, *site, TINY_SPEC) - zero) < TINY_BOUND
+
+    @settings(max_examples=80)
+    @given(
+        log_lam=st.floats(math.log(5e-324), math.log(1.7e308)),
+        sign=st.sampled_from([1.0, -1.0]),
+        x=st.integers(-4, 4),
+        y=st.integers(-4, 4),
+    )
+    def test_whole_field_range(self, th12, log_lam, sign, x, y):
+        params = ModelParams(sign * min(max(math.exp(log_lam), 5e-324), 1.7e308))
+        forward = s_element(params, th12, x, y)
+        assert cmath.isfinite(forward)
+        assert abs(forward - s_element(params, th12, y, x).conjugate()) < 1e-12
+        assert 0.0 < s_element(params, th12, x, x).real < 1.0
 
 
 class TestTiCommutator:

@@ -144,7 +144,7 @@ class TestAcOverlap:
 class TestBandMoments:
     def test_negative_frequencies_conjugate(self, th12):
         mom = band_moments(0.3, th12, range(5))
-        for family in (mom.plane, mom.kernel_sin, mom.kernel):
+        for family in (mom.plane, mom.cross, mom.scattered):
             for row in (0, 1):
                 assert np.array_equal(mom.at(family, row, -np.arange(5)), family[row].conj())
 
@@ -153,13 +153,14 @@ class TestBandMoments:
         full = band_moments(0.3, th12, range(13))
         subset = band_moments(0.3, th12, [-12, 3, 7])
         assert list(subset.frequencies) == [3, 7, 12]
-        for name in ("plane", "kernel_sin", "kernel"):
+        for name in ("plane", "cross", "scattered"):
             a, b = getattr(full, name), getattr(subset, name)
             assert np.max(np.abs(a[:, [3, 7, 12]] - b)) < 1e-13 * max(1.0, np.max(np.abs(a)))
 
     def test_zero_field_plane_only(self, th12):
+        # the field rows carry their field factors, so they vanish exactly
         mom = band_moments(0.0, th12, range(4))
-        assert mom.kernel is None and mom.kernel_sin is None
+        assert not np.any(mom.cross) and not np.any(mom.scattered)
         assert abs(mom.overlap(0, 2) - symbol_coefficient(1.0, 2.0, 2)) < 1e-9
 
     def test_certified_below_target(self, th12):
@@ -174,12 +175,9 @@ class TestBandMoments:
             band_moments(lam, th12, range(7), QuadratureSpec(max_subdivisions=3))
         refined = band_moments(lam, th12, range(7))
         assert refined.error_estimate < QuadratureSpec().abs_tol
-        for a, b, weight in (
-            (refined.plane, graded.plane, 1.0),
-            (refined.kernel_sin, graded.kernel_sin, lam),
-            (refined.kernel, graded.kernel, lam * lam),
-        ):
-            assert weight * np.max(np.abs(a - b)) < 1e-12
+        for name in ("plane", "cross", "scattered"):
+            a, b = getattr(refined, name), getattr(graded, name)
+            assert np.max(np.abs(a - b)) < 1e-12
 
     def test_refuses_unreachable_target(self, th12):
         spec = QuadratureSpec(abs_tol=1e-30, max_subdivisions=5)
