@@ -7,7 +7,10 @@ diagonalized exactly by LAPACK's tridiagonal eigensolver, the decoupled
 initial state is held as one reservoir's eigenpairs with their Planck
 weights at the two temperatures, and correlations are evolved exactly
 through the full eigendecomposition and read off as weighted overlaps of
-the evolved frames' reservoir modes.
+the evolved frames' reservoir modes.  A site is evolved through the parity
+blocks it touches and projected onto the reservoir modes once per time
+grid (``SiteParts``); the late-time estimates keep the parts of their
+latest sites on the window for the next call on the same grid.
 Large-time averages of these finite evolutions are the yardstick the
 analytic formulas are tested against.  ``scipy.linalg`` is imported by the
 functions that solve, so importing the package loads no scipy.
@@ -52,6 +55,9 @@ _DEFAULT_MEMORY_CAP = 2 << 30
 _BAND_EDGE_TOL = 1e-9
 
 _REFLECTION_MARGIN = 0.8
+
+# late-time estimates average over [0.8 t_star, t_star], t_star at least this
+_MIN_T_STAR = 100.0
 
 _SQRT_HALF = np.sqrt(0.5)
 
@@ -162,6 +168,14 @@ def _site_vectors(sys: TruncatedSystem, sites) -> np.ndarray:
     return psi
 
 
+def _frames(sys: TruncatedSystem, x: int, y: int, times) -> tuple[np.ndarray, np.ndarray]:
+    """The evolved frames of ``x`` and ``y`` on the window's sites, ``(n, nt)`` each."""
+    frames = _propagate(
+        sys.factorization(OperatorKind.MAGNETIC), _site_vectors(sys, (x,) if x == y else (x, y)), times
+    )
+    return frames[:, 0], frames[:, -1]
+
+
 @dataclass(eq=False)
 class TruncatedSystem:
     """Window ``[-M, M]`` of the chain; immutable after construction.
@@ -169,7 +183,11 @@ class TruncatedSystem:
     Each stencil kind is held as the ``(diag, offdiag)`` pair of its Jacobi
     matrix, of lengths ``n_sites`` and ``n_sites - 1``, and factored on first
     use into the eigenpairs of its even and odd blocks.  The latest initial
-    state is cached with its temperature pair.
+    state is cached with its temperature pair, and the ``SiteParts`` of the
+    latest late-time estimate's sites with ``(t_star, site)``.  The parts
+    do not depend on the temperatures: the reservoir modes are unique up to
+    sign (a Jacobi matrix has a simple spectrum), and a sign cancels in the
+    overlaps.
     """
 
     M: int
@@ -179,6 +197,7 @@ class TruncatedSystem:
         default_factory=dict
     )
     _state_cache: dict[tuple[float, float], DecoupledState] = field(default_factory=dict)
+    _site_cache: dict[tuple[float, int], SiteParts] = field(default_factory=dict)
 
     @property
     def n_sites(self) -> int:
@@ -256,8 +275,12 @@ def build_truncation(
     # entries factored into even and odd eigenpairs, (n^2 + 1) / 2 + n
     # each; one initial state as the eigenpairs of one reservoir's blocks,
     # ((n - 1)^2 + 4) / 8 + (n - 1) / 2, and Planck weights at two
-    # temperatures, n - 1
-    estimate = 13 * n * n + 82 * n
+    # temperatures, n - 1.  Then the parts of two sites, n complex rows
+    # each, on the longest late-time grid the horizon allows (nt is at
+    # most 0.16 M + 1); none when no t_star fits
+    t_max = _REFLECTION_MARGIN * (M - params.nu - 2)
+    nt = _late_grid_size(t_max) if t_max >= _MIN_T_STAR else 0
+    estimate = 13 * n * n + 82 * n + 2 * 16 * n * nt
     if estimate > max_bytes:
         raise ResourceLimit(
             f"window of {n} sites needs about {estimate / 2**30:.1f} GiB "
@@ -272,6 +295,21 @@ def build_truncation(
         for kind in OperatorKind
     }
     return TruncatedSystem(M=M, params=params, hamiltonians=hams)
+
+
+class SiteParts(NamedTuple):
+    """The evolved frame ``exp(iht) e_x`` of one site, as the initial state reads it.
+
+    ``even`` and ``odd`` are ``(M - nu, nt)``: the frame's even and odd
+    parity coordinates beyond the sample, ordered outward like the right
+    reservoir's sites, projected onto the reservoir modes (even modes
+    first).  ``sample`` is ``(2 nu + 1, nt)``: its parity coordinates
+    inside the sample.
+    """
+
+    even: np.ndarray
+    odd: np.ndarray
+    sample: np.ndarray
 
 
 class DecoupledState(NamedTuple):
@@ -289,38 +327,34 @@ class DecoupledState(NamedTuple):
     left: np.ndarray
     right: np.ndarray
 
-    def _amplitudes(self, f: np.ndarray) -> list[np.ndarray]:
-        """Mode amplitudes of the left and the right reservoir rows of ``f``."""
-        if len(f) != self.n_sites:
-            raise ValueError(f"{len(f)} site rows for a state of {self.n_sites} sites")
-        n_res = len(self.left)
-        return [
-            np.concatenate([_real_apply(u.T, c) for (_, u), c in zip(self.modes, _fold(rows))])
-            for rows in (f[:n_res], f[len(f) - n_res :])
-        ]
+    def project(self, rows: np.ndarray) -> np.ndarray:
+        """Mode amplitudes, even modes first, of one reservoir's rows."""
+        return np.concatenate([_real_apply(u.T, c) for (_, u), c in zip(self.modes, _fold(rows))])
 
     def __matmul__(self, f: np.ndarray) -> np.ndarray:
+        if len(f) != self.n_sites:
+            raise ValueError(f"{len(f)} site rows for a state of {self.n_sites} sites")
         n_res, n_even = len(self.left), len(self.modes[0][0])
         out = 0.5 * f
-        reservoirs = (slice(0, n_res), slice(len(f) - n_res, None))
-        for rows, weights, a in zip(reservoirs, (self.left, self.right), self._amplitudes(f)):
-            parts = np.split((a.T * weights).T, [n_even])
+        for rows, weights in ((slice(0, n_res), self.left), (slice(len(f) - n_res, None), self.right)):
+            parts = np.split((self.project(f[rows]).T * weights).T, [n_even])
             out[rows] = _unfold(*(_real_apply(u, part) for (_, u), part in zip(self.modes, parts)))
         return out
 
-    def overlaps(self, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def pair_overlaps(self, fx: SiteParts, fy: SiteParts) -> tuple[np.ndarray, np.ndarray]:
         """``(f_x, S f_y)`` per time, and the same with the temperatures exchanged.
 
-        ``frames`` is ``(n_sites, k, nt)``, ``f_x`` first and ``f_y`` last.
-        Each reservoir's rows are projected once onto the modes, and the
-        sample rows count over two.
+        The right reservoir's amplitudes of a frame are ``(even + odd) /
+        sqrt 2``, the left's ``(even - odd) / sqrt 2`` up to the sign of
+        each odd mode, which cancels in ``conj(a) b``.  The sample rows
+        count over two.
         """
-        ov_left, ov_right = (a[:, 0].conj() * a[:, -1] for a in self._amplitudes(frames))
-        mid = frames[len(self.left) : len(frames) - len(self.left)]
-        sample = 0.5 * np.einsum("it,it->t", mid[:, 0].conj(), mid[:, -1])
+        right = (fx.even + fx.odd).conj() * (fy.even + fy.odd)
+        left = (fx.even - fx.odd).conj() * (fy.even - fy.odd)
+        sample = np.einsum("it,it->t", fx.sample.conj(), fy.sample)
         return (
-            sample + self.left @ ov_left + self.right @ ov_right,
-            sample + self.right @ ov_left + self.left @ ov_right,
+            0.5 * (sample + self.left @ left + self.right @ right),
+            0.5 * (sample + self.right @ left + self.left @ right),
         )
 
 
@@ -413,6 +447,29 @@ def _checked_times(sys: TruncatedSystem, x: int, y: int, times) -> np.ndarray:
     return times
 
 
+def _site_parts(
+    sys: TruncatedSystem, state: DecoupledState, x: int, times: np.ndarray
+) -> SiteParts:
+    """Evolve ``e_x`` through the parity blocks it touches and project it once.
+
+    Each block's outer coordinates are projected onto the reservoir modes;
+    no frame is unfolded to the window's sites.  The centre site has no odd
+    part, so its odd block is neither evolved nor projected.
+    """
+    inner = (sys.params.nu + 1, sys.params.nu)  # parity coordinates in the sample
+    blocks = zip(sys.factorization(OperatorKind.MAGNETIC), _fold(_site_vectors(sys, (x,))), inner)
+    parts = []
+    for (w, u), coords, k in blocks:
+        if not coords.any():
+            parts.append([np.zeros((rows, times.size), complex) for rows in (k, len(state.left))])
+            continue
+        phases = np.exp(1j * np.outer(w, times))
+        evolved = _real_apply(u, (u.T @ coords) * phases)  # (m, nt) parity coordinates
+        parts.append((evolved[:k], state.project(evolved[k:])))
+    (sample_even, even), (sample_odd, odd) = parts
+    return SiteParts(even, odd, np.concatenate([sample_even, sample_odd]))
+
+
 def evolve_with_state(
     sys: TruncatedSystem,
     state,
@@ -424,25 +481,26 @@ def evolve_with_state(
     """Evolve ``(e_x, S(t) e_y)`` for a caller-supplied initial matrix.
 
     ``state`` is anything with ``state @ f`` for site rows ``f``: a dense
-    ``n x n`` array, or the ``DecoupledState`` of ``initial_two_point``.
+    ``n x n`` array, or the ``DecoupledState`` of ``initial_two_point``,
+    which reads each site's ``SiteParts`` unless the bound state is split off.
     """
     times = _checked_times(sys, x, y, times)
-    ix, iy = sys.index(x), sys.index(y)
-    factors = sys.factorization(OperatorKind.MAGNETIC)
-    frames = _propagate(factors, _site_vectors(sys, (x,) if x == y else (x, y)), times)
-    frame_x, frame_y = frames[:, 0], frames[:, -1]
-
     bound = sys.bound_data() if split else None
     if bound is None:
         if isinstance(state, DecoupledState):
-            values, _ = state.overlaps(frames)
+            part_x = _site_parts(sys, state, x, times)
+            part_y = part_x if y == x else _site_parts(sys, state, y, times)
+            values, _ = state.pair_overlaps(part_x, part_y)
         else:
+            frame_x, frame_y = _frames(sys, x, y, times)
             values = np.einsum("it,it->t", frame_x.conj(), _real_apply(state, frame_y))
         components = None
         if split:
             zero = np.zeros(times.size, dtype=complex)
             components = {"aa": values.copy(), "ap": zero, "pa": zero.copy(), "pp": zero.copy()}
     else:
+        ix, iy = sys.index(x), sys.index(y)
+        frame_x, frame_y = _frames(sys, x, y, times)
         energy, vec = bound
         phase_b = np.exp(1j * energy * times)
         pp_x = vec[:, None] * (vec[ix] * phase_b)[None, :]
@@ -473,14 +531,37 @@ def evolve_correlation(
     return evolve_with_state(sys, initial_two_point(sys, th), x, y, times, split)
 
 
+def _late_grid_size(t_star: float) -> int:
+    return int(round(0.2 * t_star)) + 1
+
+
 def _late_times(sys: TruncatedSystem, x: int, y: int, t_star: float) -> np.ndarray:
-    t_star = float(t_star)
-    if not (np.isfinite(t_star) and t_star >= 100.0):
+    if not (np.isfinite(t_star) and t_star >= _MIN_T_STAR):
         raise ValueError(f"late-time estimate needs a finite t_star >= 100, got {t_star}")
     # before the grid: its size grows with t_star
     _check_horizon(sys, x, y, t_star)
-    n = int(round(0.2 * t_star)) + 1
-    return np.linspace(0.8 * t_star, t_star, n)
+    return np.linspace(0.8 * t_star, t_star, _late_grid_size(t_star))
+
+
+def _late_overlaps(
+    sys: TruncatedSystem, th: ThermalConfig, x: int, y: int, t_star: float
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The late-time grid of ``t_star`` and ``pair_overlaps`` of ``(x, y)`` on it.
+
+    The parts of ``x`` and ``y`` are kept on ``sys`` in place of those of
+    the previous call; parts the previous call left on this grid are reused.
+    """
+    t_star = float(t_star)
+    times = _checked_times(sys, x, y, _late_times(sys, x, y, t_star))
+    state = initial_two_point(sys, th)
+    cache = sys._site_cache
+    keys = [(t_star, x), (t_star, y)]
+    for key in set(cache).difference(keys):
+        del cache[key]
+    for key in keys:
+        if key not in cache:
+            cache[key] = _site_parts(sys, state, key[1], times)
+    return times, state.pair_overlaps(*(cache[key] for key in keys))
 
 
 def ness_estimate(
@@ -496,9 +577,8 @@ def ness_estimate(
     roughly unit-spaced grid; the averaging window damps the residual
     band-bound oscillation without a full time average.
     """
-    times = _late_times(sys, x, y, t_star)
-    trace = evolve_correlation(sys, th, x, y, times, split=False)
-    return complex(np.mean(trace.values))
+    times, (values, _) = _late_overlaps(sys, th, x, y, t_star)
+    return complex(np.mean(EvolutionTrace(times, values).values))
 
 
 def oracle_flux(sys: TruncatedSystem, th: ThermalConfig, t_star: float) -> tuple[float, float]:
@@ -513,13 +593,10 @@ def oracle_flux(sys: TruncatedSystem, th: ThermalConfig, t_star: float) -> tuple
     mode overlaps with the two temperatures exchanged, and the contact
     sites are evolved and projected once.
     """
-    right = (sys.params.nu + 2, sys.params.nu)
-    times = _checked_times(sys, *right, _late_times(sys, *right, t_star))
-    state = initial_two_point(sys, th)
-    frames = _propagate(sys.factorization(OperatorKind.MAGNETIC), _site_vectors(sys, right), times)
+    nu = sys.params.nu
+    times, overlaps = _late_overlaps(sys, th, nu + 2, nu, t_star)
     j_right, j_left = (
-        0.5 * float(np.mean(EvolutionTrace(times, values).values).imag)
-        for values in state.overlaps(frames)
+        0.5 * float(np.mean(EvolutionTrace(times, values).values).imag) for values in overlaps
     )
     return j_left, j_right
 

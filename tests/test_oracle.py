@@ -74,15 +74,21 @@ class TestBuildTruncation:
         with pytest.raises(ResourceLimit):
             build_truncation(1000, ModelParams(0.0), max_bytes=10**6)
 
-    @pytest.mark.parametrize("m, nu", [(10, 0), (23, 0), (24, 5)])
+    @pytest.mark.parametrize("m, nu", [(10, 0), (23, 0), (24, 5), (128, 0), (140, 3)])
     def test_memory_estimate_bounds_what_is_held(self, m, nu, th12):
-        # every kind factored and one state built: the estimate covers it,
-        # within 1% when the sample is a single site and the state largest
+        # every kind factored, one state built and, where a late-time grid
+        # fits, two sites' parts on the longest one: the estimate covers
+        # it, within 1% when the sample is a single site and the state largest
         params = ModelParams(0.4, nu)
         sys = build_truncation(m, params)
         for kind in OperatorKind:
             sys.factorization(kind)
         initial_two_point(sys, th12)
+        t_star = 0.8 * (m - nu - 2)  # the horizon of the contact sites
+        if t_star >= 100.0:
+            ness_estimate(sys, th12, 0, 0, t_star)
+            oracle_flux(sys, th12, t_star)
+            assert len(sys._site_cache) == 2
         held = _array_bytes(vars(sys))
         with pytest.raises(ResourceLimit):
             build_truncation(m, params, max_bytes=held - 1)
@@ -298,6 +304,89 @@ class TestUnsplitTwin:
             assert np.max(np.abs(got - unsplit_wave_action(sys, x, t, ks))) < 1e-13
 
 
+# late-time grids at t_star = 100 need M >= 127 + nu
+REUSE_CASES = [(128, 0.6, 0), (131, -0.4, 2)]
+
+
+class TestSiteReuse:
+    """Late-time estimates keep the evolved, projected sites of their latest call."""
+
+    @pytest.mark.parametrize("m, lam, nu", REUSE_CASES)
+    def test_verify_sequence_bitwise_as_fresh_systems(self, m, lam, nu, th12):
+        # the calls of ``nesslab oracle-verify``, in its order
+        calls = (
+            lambda sys: ness_estimate(sys, th12, 0, 0, 100.0),
+            lambda sys: ness_estimate(sys, th12, 0, 1, 100.0),
+            lambda sys: oracle_flux(sys, th12, 100.0),
+        )
+        params = ModelParams(lam, nu)
+        shared = build_truncation(m, params)
+        got = [call(shared) for call in calls]
+        assert got == [call(build_truncation(m, params)) for call in calls]
+
+    def test_shared_site_evolved_once(self, th12):
+        sys = build_truncation(128, ModelParams(0.6))
+        ness_estimate(sys, th12, 0, 0, 100.0)
+        centre = sys._site_cache[(100.0, 0)]
+        ness_estimate(sys, th12, 0, 1, 100.0)
+        oracle_flux(sys, th12, 100.0)  # contact sites 2 and 0
+        assert sys._site_cache[(100.0, 0)] is centre
+
+    def test_cache_holds_the_latest_sites_only(self, th12):
+        sys = build_truncation(131, ModelParams(0.5, 1))
+        for x, y in ((0, 0), (0, 1), (2, -3), (-3, -3), (1, 2)):
+            ness_estimate(sys, th12, x, y, 100.0)
+            assert set(sys._site_cache) == {(100.0, x), (100.0, y)}
+        oracle_flux(sys, th12, 100.0)
+        assert set(sys._site_cache) == {(100.0, 3), (100.0, 1)}
+
+    def test_new_t_star_clears_the_cache(self, th12):
+        sys = build_truncation(131, ModelParams(-0.4, 2))
+        ness_estimate(sys, th12, 0, 1, 100.0)
+        before = dict(sys._site_cache)
+        got = ness_estimate(sys, th12, 0, 1, 101.0)
+        assert set(sys._site_cache) == {(101.0, 0), (101.0, 1)}
+        assert all(part is not before[(100.0, x)] for (_, x), part in sys._site_cache.items())
+        ref = unsplit_ness_estimate(sys, unsplit_initial_state(sys, th12), 0, 1, 101.0)
+        assert abs(got - ref) < 1e-13
+
+    @pytest.mark.parametrize("m, lam, nu", REUSE_CASES)
+    def test_new_temperatures_reuse_the_parts(self, m, lam, nu, th12):
+        sys = build_truncation(m, ModelParams(lam, nu))
+        oracle_flux(sys, th12, 100.0)
+        before = dict(sys._site_cache)
+        th13 = ThermalConfig(1.0, 3.0)
+        got = oracle_flux(sys, th13, 100.0)
+        assert set(sys._site_cache) == set(before)
+        assert all(sys._site_cache[key] is part for key, part in before.items())
+        ref = unsplit_oracle_flux(sys, unsplit_initial_state(sys, th13), 100.0)
+        assert np.max(np.abs(np.subtract(got, ref))) < 1e-13
+        est = ness_estimate(sys, th13, -1, 2, 100.0)
+        ref = unsplit_ness_estimate(sys, unsplit_initial_state(sys, th13), -1, 2, 100.0)
+        assert abs(est - ref) < 1e-13
+
+    @pytest.mark.parametrize("m, lam, nu", [(40, 0.45, 1), (61, 0.7, 0), (64, -1.3, 3)])
+    def test_parts_are_the_unfolded_frames_amplitudes(self, m, lam, nu, th12):
+        # right reservoir (E + O) / sqrt 2, left (E - O) / sqrt 2 with each
+        # odd mode negated, sample rows the frame's parity coordinates
+        sys = build_truncation(m, ModelParams(lam, nu))
+        state = initial_two_point(sys, th12)
+        times = np.linspace(0.0, 20.0, 5)
+        n_res = m - nu
+        odd_sign = np.where(np.arange(n_res) < len(state.modes[0][0]), 1.0, -1.0)[:, None]
+        for x in (0, 1, -2, nu + 2):
+            part = oracle._site_parts(sys, state, x, times)
+            frame = oracle._propagate(
+                sys.factorization(OperatorKind.MAGNETIC), oracle._site_vectors(sys, (x,)), times
+            )[:, 0]
+            right = (part.even + part.odd) * np.sqrt(0.5)
+            left = odd_sign * (part.even - part.odd) * np.sqrt(0.5)
+            assert np.max(np.abs(state.project(frame[sys.n_sites - n_res :]) - right)) < 1e-14
+            assert np.max(np.abs(state.project(frame[:n_res]) - left)) < 1e-14
+            sample = np.concatenate(oracle._fold(frame[n_res : sys.n_sites - n_res]))
+            assert np.max(np.abs(part.sample - sample)) < 1e-14
+
+
 class TestBoundData:
     def test_field_pulls_one_level_out(self, sys_m1000_lam075):
         energy, vec = sys_m1000_lam075.bound_data()
@@ -402,8 +491,6 @@ class TestInitialState:
         state = initial_two_point(sys, ThermalConfig(1.0, 2.0))
         with pytest.raises(ValueError, match="121 sites"):
             state @ np.eye(rows)
-        with pytest.raises(ValueError, match="121 sites"):
-            state.overlaps(np.ones((rows, 2, 3)))
 
     def test_rejects_sample_filling_window(self):
         sys = build_truncation(10, ModelParams(0.5, 10))
