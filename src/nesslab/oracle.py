@@ -19,8 +19,14 @@ Every Jacobi matrix here (the window's three, and each reservoir block) is
 symmetric under reflection about its centre.  In the parity coordinates
 ``e_c`` and ``(e_{c+k} +- e_{c-k}) / sqrt 2`` it is block diagonal, an even
 and an odd Jacobi matrix of about half the size, and it is solved as those
-two blocks: an exact orthogonal change of basis, not an approximation.
-``_fold`` and ``_unfold`` map site arrays to the two blocks and back.
+two blocks: an exact orthogonal change of basis, not an approximation.  A
+block that is symmetric again (the field-free odd block, a reservoir's odd
+block of odd size) is split again, down to blocks that are not.  ``_fold``
+and ``_unfold`` map site arrays to the two blocks and back; a solve's
+``to_modes`` and ``from_modes`` map them to its eigenbasis and back through
+every level.  A window solves each distinct block once: the odd blocks of
+the field and free Hamiltonians are one free chain, and at ``nu = 0`` that
+chain is also the decoupled odd block and the reservoir.
 
 Evolution convention: ``omega_xy(t) = (exp(ith) e_x, S exp(ith) e_y)`` with
 ``h`` the field Hamiltonian and ``S`` the initial two-point matrix.  The
@@ -44,9 +50,9 @@ from .exceptions import (
 )
 from .model import ModelParams, OperatorKind, ThermalConfig, operator_stencil, planck_density
 
-# half-width caps: below 10 the guard window is empty, above 5000 the even
-# and odd eigenvector blocks of the three Hamiltonians (about n^2 / 2 floats
-# each) and of the reservoir pass 1.2 GiB and stop being a sane oracle
+# half-width caps: below 10 the guard window is empty, above 5000 the
+# eigenvectors pass 0.65 GiB, most of them the three even blocks (about
+# n^2 / 4 floats each), and the window stops being a sane oracle
 _MIN_HALF_WIDTH = 10
 _MAX_HALF_WIDTH = 5000
 _DEFAULT_MEMORY_CAP = 2 << 30
@@ -69,7 +75,7 @@ try:
 except (AttributeError, OSError, TypeError):  # not glibc
     _malloc_trim = None
 
-# a Jacobi matrix as (diag, off), or eigenpairs as (evals, evecs)
+# a Jacobi matrix as (diag, off)
 _Pair = tuple[np.ndarray, np.ndarray]
 
 
@@ -87,6 +93,10 @@ def _real_apply(mat, z: np.ndarray) -> np.ndarray:
     return (mat @ cols).view(complex).reshape(-1, *z.shape[1:])
 
 
+def _is_symmetric(diag: np.ndarray, off: np.ndarray) -> bool:
+    return np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1])
+
+
 def _parity_split(diag: np.ndarray, off: np.ndarray) -> tuple[_Pair, _Pair]:
     """Even and odd ``(diag, off)`` blocks of a reflection-symmetric Jacobi matrix.
 
@@ -96,7 +106,7 @@ def _parity_split(diag: np.ndarray, off: np.ndarray) -> tuple[_Pair, _Pair]:
     centre bond: both blocks hold ``n / 2`` pairs, and the bond shifts the
     first diagonal entry by plus or minus its hopping.
     """
-    if not (np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1])):
+    if not _is_symmetric(diag, off):
         raise ConsistencyError("Jacobi matrix not symmetric about its centre")
     h = diag.size // 2
     if diag.size % 2:
@@ -106,17 +116,6 @@ def _parity_split(diag: np.ndarray, off: np.ndarray) -> tuple[_Pair, _Pair]:
     shift = np.zeros(h)
     shift[0] = off[h - 1]
     return (diag[h:] + shift, off[h:]), (diag[h:] - shift, off[h:])
-
-
-def _split_eigh(diag: np.ndarray, off: np.ndarray) -> tuple[_Pair, _Pair]:
-    """Eigenpairs of the even and odd blocks of a reflection-symmetric Jacobi matrix."""
-    from scipy.linalg import eigh_tridiagonal
-
-    even, odd = (
-        eigh_tridiagonal(d, e) if d.size else (d, np.zeros((0, 0)))
-        for d, e in _parity_split(diag, off)
-    )
-    return even, odd
 
 
 def _fold(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,21 +143,69 @@ def _unfold(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
     return out
 
 
-def _propagate(factors: tuple[_Pair, _Pair], psi: np.ndarray, times) -> np.ndarray:
-    """``exp(i h t) psi`` for site vectors ``psi`` (n, k), through the parity blocks of ``h``.
+class Eigenpairs(NamedTuple):
+    """A Jacobi block solved whole: its eigenvalues, and eigenvectors as columns."""
+
+    energies: np.ndarray
+    vectors: np.ndarray
+
+    def to_modes(self, z: np.ndarray) -> np.ndarray:
+        """Mode amplitudes of the block coordinates ``z`` (on axis 0)."""
+        if not z.any():  # the centre site has no odd part
+            return np.zeros((len(self.energies), *z.shape[1:]), z.dtype)
+        return _real_apply(self.vectors.T, z)
+
+    def from_modes(self, a: np.ndarray) -> np.ndarray:
+        """Block coordinates of the mode amplitudes ``a``; the inverse of ``to_modes``."""
+        if not a.any():
+            return np.zeros((len(self.energies), *a.shape[1:]), a.dtype)
+        return _real_apply(self.vectors, a)
+
+
+class Split(NamedTuple):
+    """A reflection-symmetric Jacobi block solved as its even and odd blocks.
+
+    Its modes are those of the even block, then those of the odd block.
+    """
+
+    even: Eigenpairs | Split
+    odd: Eigenpairs | Split
+
+    @property
+    def energies(self) -> np.ndarray:
+        return np.concatenate([self.even.energies, self.odd.energies])
+
+    def to_modes(self, z: np.ndarray) -> np.ndarray:
+        return np.concatenate([block.to_modes(c) for block, c in zip(self, _fold(z))])
+
+    def from_modes(self, a: np.ndarray) -> np.ndarray:
+        parts = np.split(a, [len(a) - len(a) // 2])  # the even block's modes first
+        return _unfold(*(block.from_modes(p) for block, p in zip(self, parts)))
+
+
+def _split_eigh(diag: np.ndarray, off: np.ndarray) -> Eigenpairs | Split:
+    """Eigenpairs of a Jacobi matrix, split by its reflection while the block is symmetric."""
+    if diag.size > 1 and _is_symmetric(diag, off):
+        return Split(*(_split_eigh(d, e) for d, e in _parity_split(diag, off)))
+    from scipy.linalg import eigh_tridiagonal
+
+    return Eigenpairs(*eigh_tridiagonal(diag, off))
+
+
+def _solve_floats(diag: np.ndarray, off: np.ndarray) -> int:
+    """Floats ``_split_eigh(diag, off)`` holds: ``k (k + 1)`` per block of ``k`` it solves whole."""
+    if diag.size > 1 and _is_symmetric(diag, off):
+        return sum(_solve_floats(d, e) for d, e in _parity_split(diag, off))
+    return diag.size * (diag.size + 1)
+
+
+def _propagate(solve: Eigenpairs | Split, psi: np.ndarray, times) -> np.ndarray:
+    """``exp(i h t) psi`` for site vectors ``psi`` (n, k), ``solve`` the factorization of ``h``.
 
     Returns shape ``(n, k, nt)``.
     """
-    times = np.asarray(times, dtype=float)
-    parts = []
-    for (w, u), coords in zip(factors, _fold(psi)):
-        if not coords.any():  # the centre site has no odd part
-            parts.append(np.zeros((len(w), *coords.shape[1:], times.size), complex))
-            continue
-        phases = np.exp(1j * np.outer(w, times))
-        amplitudes = _real_apply(u.T, coords)  # (m, k) in the block's eigenbasis
-        parts.append(_real_apply(u, amplitudes[:, :, None] * phases[:, None, :]))
-    return _unfold(*parts)
+    phases = np.exp(1j * np.outer(solve.energies, np.asarray(times, dtype=float)))
+    return solve.from_modes(solve.to_modes(psi)[:, :, None] * phases[:, None, :])
 
 
 def _site_vectors(sys: TruncatedSystem, sites) -> np.ndarray:
@@ -181,21 +228,20 @@ class TruncatedSystem:
     """Window ``[-M, M]`` of the chain; immutable after construction.
 
     Each stencil kind is held as the ``(diag, offdiag)`` pair of its Jacobi
-    matrix, of lengths ``n_sites`` and ``n_sites - 1``, and factored on first
-    use into the eigenpairs of its even and odd blocks.  The latest initial
-    state is cached with its temperature pair, and the ``SiteParts`` of the
-    latest late-time estimate's sites with ``(t_star, site)``.  The parts
-    do not depend on the temperatures: the reservoir modes are unique up to
-    sign (a Jacobi matrix has a simple spectrum), and a sign cancels in the
-    overlaps.
+    matrix, of lengths ``n_sites`` and ``n_sites - 1``.  The solves of its
+    even and odd parity blocks, and the reservoir's of ``initial_two_point``,
+    are kept in one store keyed by block content, so a block that several
+    matrices share is solved once and every reader holds the same arrays.
+    The latest initial state is cached with its temperature pair, and the
+    ``SiteParts`` of the latest late-time estimate's sites with
+    ``(t_star, site)``.  The parts do not depend on the temperatures: a
+    state at any temperatures holds the same reservoir solve.
     """
 
     M: int
     params: ModelParams
     hamiltonians: dict[OperatorKind, tuple[np.ndarray, np.ndarray]]
-    _factorizations: dict[OperatorKind, tuple[_Pair, _Pair]] = field(
-        default_factory=dict
-    )
+    _solves: dict[tuple[bytes, bytes], Eigenpairs | Split] = field(default_factory=dict)
     _state_cache: dict[tuple[float, float], DecoupledState] = field(default_factory=dict)
     _site_cache: dict[tuple[float, int], SiteParts] = field(default_factory=dict)
 
@@ -212,19 +258,24 @@ class TruncatedSystem:
             raise DomainError(f"site {x} outside window [-{self.M}, {self.M}]")
         return x + self.M
 
-    def factorization(self, kind: OperatorKind) -> tuple[_Pair, _Pair]:
-        """``((evals, evecs), (evals, evecs))`` of the even and odd blocks of ``kind``.
-
-        The even block has ``M + 1`` parity coordinates (the centre site
-        first), the odd block ``M``; ``_unfold`` takes eigenvectors to sites.
-        """
-        if kind not in self._factorizations:
+    def _solve(self, diag: np.ndarray, off: np.ndarray) -> Eigenpairs | Split:
+        """The stored solve of one Jacobi block, solved on first use."""
+        key = (diag.tobytes(), off.tobytes())
+        if key not in self._solves:
             # eigenvectors and solver workspace are among the largest arrays
             # of the oracle; hand freed heap back before them
             if _malloc_trim is not None:
                 _malloc_trim(0)
-            self._factorizations[kind] = _split_eigh(*self.hamiltonians[kind])
-        return self._factorizations[kind]
+            self._solves[key] = _split_eigh(diag, off)
+        return self._solves[key]
+
+    def factorization(self, kind: OperatorKind) -> Split:
+        """The solves of the even and odd blocks of ``kind``, as a ``Split``.
+
+        The even block has ``M + 1`` parity coordinates (the centre site
+        first), the odd block ``M``.
+        """
+        return Split(*(self._solve(*block) for block in _parity_split(*self.hamiltonians[kind])))
 
     def bound_data(self) -> tuple[float, np.ndarray] | None:
         """Out-of-band eigenpair of the field Hamiltonian, if resolved.
@@ -271,21 +322,6 @@ def build_truncation(
             f"half-width {M} outside [{_MIN_HALF_WIDTH}, {_MAX_HALF_WIDTH}]"
         )
     n = 2 * M + 1
-    # float64 held at most, 13 n^2 / 8 + 10.25 n: three kinds of 2n - 1
-    # entries factored into even and odd eigenpairs, (n^2 + 1) / 2 + n
-    # each; one initial state as the eigenpairs of one reservoir's blocks,
-    # ((n - 1)^2 + 4) / 8 + (n - 1) / 2, and Planck weights at two
-    # temperatures, n - 1.  Then the parts of two sites, n complex rows
-    # each, on the longest late-time grid the horizon allows (nt is at
-    # most 0.16 M + 1); none when no t_star fits
-    t_max = _REFLECTION_MARGIN * (M - params.nu - 2)
-    nt = _late_grid_size(t_max) if t_max >= _MIN_T_STAR else 0
-    estimate = 13 * n * n + 82 * n + 2 * 16 * n * nt
-    if estimate > max_bytes:
-        raise ResourceLimit(
-            f"window of {n} sites needs about {estimate / 2**30:.1f} GiB "
-            f"of dense storage, above the {max_bytes / 2**30:.1f} GiB cap"
-        )
     sites = range(-M, M + 1)
     hams = {
         kind: (
@@ -294,6 +330,31 @@ def build_truncation(
         )
         for kind in OperatorKind
     }
+    # float64 held at most: three kinds of 2n - 1 entries, and each distinct
+    # block the store solves, k (k + 1) per block of k it solves whole: the
+    # kinds' even blocks of M + 1 coordinates, their odd blocks of M (one
+    # free chain for the field and free kinds, and at nu = 0 for the
+    # decoupled kind too) and the reservoir of M - nu sites (at nu = 0 that
+    # same chain).  The initial state holds the reservoir solve as well,
+    # counted again so that the bound holds per reference, and Planck
+    # weights at two temperatures.  Then the parts of two sites, n complex
+    # rows each, on the longest late-time grid the horizon allows (nt is at
+    # most 0.16 M + 1); none when no t_star fits
+    n_res = max(M - params.nu, 0)
+    diag, off = hams[OperatorKind.DECOUPLED]
+    reservoir = [(diag[:n_res], off[: n_res - 1])] if n_res else []
+    blocks = [block for kind in OperatorKind for block in _parity_split(*hams[kind])]
+    distinct = {(d.tobytes(), e.tobytes()): (d, e) for d, e in blocks + reservoir}
+    solved = sum(_solve_floats(*block) for block in [*distinct.values(), *reservoir])
+    floats = 3 * (2 * n - 1) + solved + 2 * n_res
+    t_max = _REFLECTION_MARGIN * (M - params.nu - 2)
+    nt = _late_grid_size(t_max) if t_max >= _MIN_T_STAR else 0
+    estimate = 8 * floats + 2 * 16 * n * nt
+    if estimate > max_bytes:
+        raise ResourceLimit(
+            f"window of {n} sites needs about {estimate / 2**30:.1f} GiB "
+            f"of dense storage, above the {max_bytes / 2**30:.1f} GiB cap"
+        )
     return TruncatedSystem(M=M, params=params, hamiltonians=hams)
 
 
@@ -315,30 +376,29 @@ class SiteParts(NamedTuple):
 class DecoupledState(NamedTuple):
     """Two-point matrix of the decoupled initial state, held factored.
 
-    Both reservoirs are the same Jacobi matrix, so they share ``modes``, the
-    eigenpairs of its even and odd blocks; ``left`` and ``right`` are the
-    Planck weights of those eigenvalues, even first, at the two
-    temperatures.  The sample is identity over two.  ``state @ f`` applies
-    the whole matrix to the site rows of ``f``.
+    Both reservoirs are the same Jacobi matrix, so they share ``modes``, its
+    solve from the window's store; ``left`` and ``right`` are the Planck
+    weights of its energies at the two temperatures.  The sample is
+    identity over two.  ``state @ f`` applies the whole matrix to the site
+    rows of ``f``.
     """
 
     n_sites: int
-    modes: tuple[_Pair, _Pair]
+    modes: Eigenpairs | Split
     left: np.ndarray
     right: np.ndarray
 
     def project(self, rows: np.ndarray) -> np.ndarray:
-        """Mode amplitudes, even modes first, of one reservoir's rows."""
-        return np.concatenate([_real_apply(u.T, c) for (_, u), c in zip(self.modes, _fold(rows))])
+        """Mode amplitudes of one reservoir's rows."""
+        return self.modes.to_modes(rows)
 
     def __matmul__(self, f: np.ndarray) -> np.ndarray:
         if len(f) != self.n_sites:
             raise ValueError(f"{len(f)} site rows for a state of {self.n_sites} sites")
-        n_res, n_even = len(self.left), len(self.modes[0][0])
+        n_res = len(self.left)
         out = 0.5 * f
         for rows, weights in ((slice(0, n_res), self.left), (slice(len(f) - n_res, None), self.right)):
-            parts = np.split((self.project(f[rows]).T * weights).T, [n_even])
-            out[rows] = _unfold(*(_real_apply(u, part) for (_, u), part in zip(self.modes, parts)))
+            out[rows] = self.modes.from_modes((self.project(f[rows]).T * weights).T)
         return out
 
     def pair_overlaps(self, fx: SiteParts, fy: SiteParts) -> tuple[np.ndarray, np.ndarray]:
@@ -367,8 +427,10 @@ def initial_two_point(sys: TruncatedSystem, th: ThermalConfig) -> DecoupledState
     reservoir blocks are isospectral, and a joint factorization would be
     free to mix their degenerate eigenvectors, which the per-block form
     rules out by construction.  Both blocks are the same Jacobi matrix
-    (zero diagonal, hopping 1/2), so one eigensolve of its even and odd
-    blocks serves both, and the state keeps it with its Planck weights.
+    (zero diagonal, hopping 1/2), so one solve from the window's store
+    serves both, and the state keeps it with its Planck weights.  At
+    ``nu = 0`` it is the odd block of every window Hamiltonian, and a state
+    at other temperatures solves nothing.
     """
     key = (th.beta_l, th.beta_r)
     cached = sys._state_cache.get(key)
@@ -384,8 +446,10 @@ def initial_two_point(sys: TruncatedSystem, th: ThermalConfig) -> DecoupledState
     right = (diag[n - n_res :], off[n - n_res :])
     if not all(np.array_equal(a, b) for a, b in zip(left, right)):
         raise ConsistencyError("reservoir blocks of the decoupled window differ")
-    modes = _split_eigh(*left)
-    energies = np.concatenate([w for w, _ in modes])
+    if not _is_symmetric(*left):
+        raise ConsistencyError("reservoir block not symmetric about its centre")
+    modes = sys._solve(*left)
+    energies = modes.energies
     state = DecoupledState(
         n, modes, planck_density(th.beta_l, energies), planck_density(th.beta_r, energies)
     )
@@ -454,17 +518,23 @@ def _site_parts(
 
     Each block's outer coordinates are projected onto the reservoir modes;
     no frame is unfolded to the window's sites.  The centre site has no odd
-    part, so its odd block is neither evolved nor projected.
+    part, so its odd block is neither evolved nor projected.  At ``nu = 0``
+    the odd block is the reservoir's own solve and has no sample
+    coordinates, so its reservoir amplitudes are its evolved mode
+    amplitudes: phases, with no product and no projection.
     """
     inner = (sys.params.nu + 1, sys.params.nu)  # parity coordinates in the sample
     blocks = zip(sys.factorization(OperatorKind.MAGNETIC), _fold(_site_vectors(sys, (x,))), inner)
     parts = []
-    for (w, u), coords, k in blocks:
+    for block, coords, k in blocks:
         if not coords.any():
             parts.append([np.zeros((rows, times.size), complex) for rows in (k, len(state.left))])
             continue
-        phases = np.exp(1j * np.outer(w, times))
-        evolved = _real_apply(u, (u.T @ coords) * phases)  # (m, nt) parity coordinates
+        amplitudes = block.to_modes(coords) * np.exp(1j * np.outer(block.energies, times))
+        if block is state.modes:
+            parts.append((amplitudes[:0], amplitudes))
+            continue
+        evolved = block.from_modes(amplitudes)  # (m, nt) parity coordinates
         parts.append((evolved[:k], state.project(evolved[k:])))
     (sample_even, even), (sample_odd, odd) = parts
     return SiteParts(even, odd, np.concatenate([sample_even, sample_odd]))

@@ -55,7 +55,7 @@ def test_criterion_01_bound_state_spectra():
     counts_ok = True
     for lam in (0.25, -0.25, 0.75, -0.75, 2.0, -2.0):
         sysm = build_truncation(1000, ModelParams(lam))
-        evals = np.concatenate([w for w, _ in sysm.factorization(OperatorKind.MAGNETIC)])
+        evals = sysm.factorization(OperatorKind.MAGNETIC).energies
         n_outside = int(np.sum(np.abs(evals) > 1.0 + 1e-9))
         counts_ok = counts_ok and n_outside == 1
         energy, vec = sysm.bound_data()

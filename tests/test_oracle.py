@@ -61,7 +61,7 @@ def _array_bytes(item) -> int:
 
 
 def _all_evals(sys, kind):
-    return np.sort(np.concatenate([w for w, _ in sys.factorization(kind)]))
+    return np.sort(sys.factorization(kind).energies)
 
 
 class TestBuildTruncation:
@@ -193,6 +193,29 @@ class TestParitySplit:
         assert np.max(np.abs(basis @ basis.T - eye)) < 1e-15
         assert np.max(np.abs(oracle._unfold(*oracle._fold(eye)) - eye)) < 1e-15
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 31, 64])
+    def test_split_while_symmetric(self, n):
+        # a uniform chain splits again wherever a block stays symmetric;
+        # every block solved whole is a single site or asymmetric
+        diag, off = np.zeros(n), np.full(n - 1, 0.5)
+        solve = oracle._split_eigh(diag, off)
+        leaves, stack = [], [(solve, diag, off)]
+        while stack:
+            block, d, e = stack.pop()
+            symmetric = d.size > 1 and oracle._is_symmetric(d, e)
+            assert isinstance(block, oracle.Split) == symmetric
+            if symmetric:
+                stack.extend((b, *de) for b, de in zip(block, oracle._parity_split(d, e)))
+            else:
+                leaves.append(block)
+        assert sum(len(w) for w, _ in leaves) == n
+        assert oracle._solve_floats(diag, off) * 8 == sum(w.nbytes + u.nbytes for w, u in leaves)
+        full = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        assert np.max(np.abs(np.sort(solve.energies) - full)) < 1e-13
+        eye = np.eye(n)
+        assert np.max(np.abs(solve.from_modes(solve.to_modes(eye)) - eye)) < 1e-13
+        assert np.max(np.abs(solve.to_modes(eye) @ solve.to_modes(eye).T - eye)) < 1e-13
+
     def test_asymmetric_pair_rejected(self):
         with pytest.raises(ConsistencyError):
             oracle._parity_split(np.array([0.0, 0.1, 0.0]), np.array([0.5, 0.4]))
@@ -200,14 +223,28 @@ class TestParitySplit:
             oracle._parity_split(np.array([0.2, 0.0]), np.array([0.5]))
 
 
-# (M, lam, nu): reservoirs of one site, odd and even lengths; nu = 0 and
-# nu > 0; fields of both signs and zero
-SPLIT_CASES = [(10, 0.5, 9), (10, -0.75, 0), (21, 0.0, 2), (60, -1.3, 4), (61, 0.7, 0)]
-EVOLVE_CASES = [(40, 0.45, 1), (60, -1.3, 4), (61, 0.7, 0), (64, 0.0, 2)]
+# (M, lam, nu): odd and even M at each nu in 0..3, so odd blocks split
+# once or again and reservoirs of odd and even lengths; reservoirs of one
+# site; fields of both signs and zero.  M = 31 splits its odd block five
+# times, and at lam = 0 the field and free even blocks are one solve too
+SPLIT_CASES = [
+    (10, 0.5, 9), (10, -0.75, 0), (21, 0.0, 2), (60, -1.3, 4), (61, 0.7, 0),
+    (31, 0.0, 0), (11, 0.3, 1), (20, -0.2, 1), (24, 0.9, 2), (12, -0.5, 3), (15, 0.0, 3),
+]
+EVOLVE_CASES = [
+    (40, 0.45, 1), (60, -1.3, 4), (61, 0.7, 0), (64, 0.0, 2),
+    (42, -0.3, 0), (41, 0.2, 1), (45, -0.6, 2), (44, 0.8, 3), (47, 0.0, 3),
+]
 # oracle_flux needs t_star >= 100 inside the horizon, so M >= 127 + nu
-FLUX_CASES = [(128, 0.6, 0), (131, -0.4, 2), (130, 0.0, 1)]
-# reservoirs of 129 and 130 sites beside a sample, sites up to 3 from it
-NESS_CASES = [(131, 0.6, 2), (133, -0.4, 3)]
+FLUX_CASES = [
+    (128, 0.6, 0), (131, -0.4, 2), (130, 0.0, 1),
+    (129, -0.5, 0), (129, 0.3, 1), (132, 0.2, 2), (130, -0.7, 3), (133, 0.0, 3),
+]
+# sites up to 3 from the centre, so M >= 128 + max(0, nu - 1)
+NESS_CASES = [
+    (131, 0.6, 2), (133, -0.4, 3),
+    (128, -0.5, 0), (129, 0.3, 0), (130, 0.25, 1), (129, -0.8, 1), (132, -0.6, 2), (134, 0.4, 3),
+]
 
 
 class TestUnsplitTwin:
@@ -365,15 +402,21 @@ class TestSiteReuse:
         ref = unsplit_ness_estimate(sys, unsplit_initial_state(sys, th13), -1, 2, 100.0)
         assert abs(est - ref) < 1e-13
 
-    @pytest.mark.parametrize("m, lam, nu", [(40, 0.45, 1), (61, 0.7, 0), (64, -1.3, 3)])
+    @pytest.mark.parametrize(
+        "m, lam, nu",
+        [(40, 0.45, 1), (61, 0.7, 0), (64, -1.3, 3), (42, 0.3, 0), (41, -0.2, 1), (44, 0.0, 2),
+         (45, 0.6, 2), (63, -0.9, 3)],
+    )
     def test_parts_are_the_unfolded_frames_amplitudes(self, m, lam, nu, th12):
         # right reservoir (E + O) / sqrt 2, left (E - O) / sqrt 2 with each
-        # odd mode negated, sample rows the frame's parity coordinates
+        # odd mode negated, sample rows the frame's parity coordinates; at
+        # nu = 0 the odd parts are read as phases of the reservoir modes
         sys = build_truncation(m, ModelParams(lam, nu))
         state = initial_two_point(sys, th12)
         times = np.linspace(0.0, 20.0, 5)
         n_res = m - nu
-        odd_sign = np.where(np.arange(n_res) < len(state.modes[0][0]), 1.0, -1.0)[:, None]
+        n_even = len(state.modes.even.energies)
+        odd_sign = np.where(np.arange(n_res) < n_even, 1.0, -1.0)[:, None]
         for x in (0, 1, -2, nu + 2):
             part = oracle._site_parts(sys, state, x, times)
             frame = oracle._propagate(
@@ -385,6 +428,72 @@ class TestSiteReuse:
             assert np.max(np.abs(state.project(frame[:n_res]) - left)) < 1e-14
             sample = np.concatenate(oracle._fold(frame[n_res : sys.n_sites - n_res]))
             assert np.max(np.abs(part.sample - sample)) < 1e-14
+
+
+class TestSharedSolves:
+    """A window solves each distinct Jacobi block once, and its readers share it."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        # the content of every block handed to the tridiagonal eigensolver
+        import scipy.linalg
+
+        calls = []
+        solve = scipy.linalg.eigh_tridiagonal
+
+        def counted(d, e, *args, **kwargs):
+            calls.append((d.tobytes(), e.tobytes(), kwargs.get("select", "a")))
+            return solve(d, e, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+        return calls
+
+    @pytest.mark.parametrize("m", [60, 61])
+    def test_odd_blocks_are_the_reservoir_at_zero_sample(self, m, th12):
+        sys = build_truncation(m, ModelParams(0.4))
+        odd = [sys.factorization(kind).odd for kind in OperatorKind]
+        state = initial_two_point(sys, th12)
+        assert all(block is state.modes for block in odd)
+
+    @pytest.mark.parametrize("m, nu", [(60, 1), (61, 2), (64, 3)])
+    def test_field_and_free_odd_blocks_shared_beside_a_sample(self, m, nu, th12):
+        sys = build_truncation(m, ModelParams(0.4, nu))
+        magnetic, xy, decoupled = (
+            sys.factorization(kind).odd
+            for kind in (OperatorKind.MAGNETIC, OperatorKind.XY, OperatorKind.DECOUPLED)
+        )
+        modes = initial_two_point(sys, th12).modes
+        assert magnetic is xy
+        assert decoupled is not magnetic
+        assert modes is not magnetic and modes is not decoupled
+
+    @pytest.mark.parametrize("m, lam, nu", [(128, 0.6, 0), (129, -0.4, 0), (131, 0.5, 2)])
+    def test_verify_sequence_solves_each_block_once(self, m, lam, nu, th12, solves):
+        sys = build_truncation(m, ModelParams(lam, nu))
+
+        def verify(th):
+            ness_estimate(sys, th, 0, 0, 100.0)
+            ness_estimate(sys, th, 0, 1, 100.0)
+            oracle_flux(sys, th, 100.0)
+
+        verify(th12)
+        solved = list(solves)
+        verify(ThermalConfig(1.0, 3.0))  # solves nothing
+        assert solves == solved
+        assert len(set(solved)) == len(solved)
+        for kind in OperatorKind:
+            sys.factorization(kind)
+        assert len(set(solves)) == len(solves)
+
+    def test_zero_field_shares_the_even_block_too(self, th12, solves):
+        # at lam = 0 the field and free Hamiltonians are one matrix: two
+        # even blocks, one odd block that is the reservoir
+        sys = build_truncation(64, ModelParams(0.0))
+        for kind in OperatorKind:
+            sys.factorization(kind)
+        initial_two_point(sys, th12)
+        assert len(sys._solves) == 3
+        assert len(solves) == len(set(solves)) == 4  # the odd chain splits once
 
 
 class TestBoundData:
@@ -408,7 +517,7 @@ class TestBoundData:
     def test_matches_full_factorization_without_it(self, m, lam):
         sys = build_truncation(m, ModelParams(lam))
         energy, vec = sys.bound_data()
-        assert not sys._factorizations
+        assert not sys._solves
         evals, evecs = unsplit_factorization(sys, OperatorKind.MAGNETIC)
         i = int(np.argmax(np.abs(evals)))
         assert abs(energy - evals[i]) < 1e-12
