@@ -44,7 +44,6 @@ from .oracle import (
     EvolutionTrace,
     TruncatedSystem,
     build_truncation,
-    evolve_correlation,
     evolve_with_state,
     initial_two_point,
     ness_estimate,
@@ -105,7 +104,6 @@ __all__ = [
     "dispersion",
     "divergence_fit",
     "entropy_production",
-    "evolve_correlation",
     "evolve_with_state",
     "flux_derivative",
     "flux_report",

@@ -5,11 +5,12 @@ chain is truncated to a window ``[-M, M]`` with open ends, the Hamiltonians
 are read off the shared stencil as Jacobi (tridiagonal) matrices and
 diagonalized exactly by LAPACK's tridiagonal eigensolver, the decoupled
 initial state is held as one reservoir's eigenpairs with their Planck
-weights at the two temperatures, and correlations are evolved exactly
-through the full eigendecomposition and read off as weighted overlaps of
-the evolved frames' reservoir modes.  A site is evolved through the parity
-blocks it touches and projected onto the reservoir modes once per time
-grid (``SiteParts``); the late-time estimates keep the parts of their
+weights at the two temperatures, and correlations are evolved exactly from
+that factored state alone.  A site is evolved through the parity blocks it
+touches and projected onto the reservoir modes once per time grid
+(``SiteParts``), and a correlation is a weighted overlap of two sites'
+parts: no dense state is formed, and the bound state is evolved with the
+band, not split off.  The late-time estimates keep the parts of their
 latest sites on the window for the next call on the same grid.
 Large-time averages of these finite evolutions are the yardstick the
 analytic formulas are tested against.  ``scipy.linalg`` is imported by the
@@ -51,8 +52,8 @@ from .exceptions import (
 from .model import ModelParams, OperatorKind, ThermalConfig, operator_stencil, planck_density
 
 # half-width caps: below 10 the guard window is empty, above 5000 the
-# eigenvectors pass 0.65 GiB, most of them the three even blocks (about
-# n^2 / 4 floats each), and the window stops being a sane oracle
+# eigenvectors pass 0.45 GiB, most of them the field and free even blocks
+# (about n^2 / 4 floats each), and the window stops being a sane oracle
 _MIN_HALF_WIDTH = 10
 _MAX_HALF_WIDTH = 5000
 _DEFAULT_MEMORY_CAP = 2 << 30
@@ -215,14 +216,6 @@ def _site_vectors(sys: TruncatedSystem, sites) -> np.ndarray:
     return psi
 
 
-def _frames(sys: TruncatedSystem, x: int, y: int, times) -> tuple[np.ndarray, np.ndarray]:
-    """The evolved frames of ``x`` and ``y`` on the window's sites, ``(n, nt)`` each."""
-    frames = _propagate(
-        sys.factorization(OperatorKind.MAGNETIC), _site_vectors(sys, (x,) if x == y else (x, y)), times
-    )
-    return frames[:, 0], frames[:, -1]
-
-
 @dataclass(eq=False)
 class TruncatedSystem:
     """Window ``[-M, M]`` of the chain; immutable after construction.
@@ -287,7 +280,7 @@ class TruncatedSystem:
         the band; the factorization is left to the evolutions that need it.
         A shallow bound state (tiny field, decay length beyond M) may not
         separate from the band on the truncation; then None is returned and
-        the evolution split treats everything as band.
+        ``numeric_wave_action`` treats everything as band.
         """
         from scipy.linalg import eigh_tridiagonal
 
@@ -332,18 +325,19 @@ def build_truncation(
     }
     # float64 held at most: three kinds of 2n - 1 entries, and each distinct
     # block the store solves, k (k + 1) per block of k it solves whole: the
-    # kinds' even blocks of M + 1 coordinates, their odd blocks of M (one
-    # free chain for the field and free kinds, and at nu = 0 for the
-    # decoupled kind too) and the reservoir of M - nu sites (at nu = 0 that
-    # same chain).  The initial state holds the reservoir solve as well,
-    # counted again so that the bound holds per reference, and Planck
-    # weights at two temperatures.  Then the parts of two sites, n complex
-    # rows each, on the longest late-time grid the horizon allows (nt is at
-    # most 0.16 M + 1); none when no t_star fits
+    # field and free kinds' even blocks of M + 1 coordinates, their one odd
+    # block of M (a free chain) and the reservoir of M - nu sites (at nu = 0
+    # that same chain).  No library path solves the decoupled kind, so its
+    # blocks are not counted.  The initial state holds the reservoir solve
+    # as well, counted again so that the bound holds per reference, and
+    # Planck weights at two temperatures.  Then the parts of two sites, n
+    # complex rows each, on the longest late-time grid the horizon allows
+    # (nt is at most 0.16 M + 1); none when no t_star fits
     n_res = max(M - params.nu, 0)
     diag, off = hams[OperatorKind.DECOUPLED]
     reservoir = [(diag[:n_res], off[: n_res - 1])] if n_res else []
-    blocks = [block for kind in OperatorKind for block in _parity_split(*hams[kind])]
+    solved_kinds = (OperatorKind.MAGNETIC, OperatorKind.XY)
+    blocks = [block for kind in solved_kinds for block in _parity_split(*hams[kind])]
     distinct = {(d.tobytes(), e.tobytes()): (d, e) for d, e in blocks + reservoir}
     solved = sum(_solve_floats(*block) for block in [*distinct.values(), *reservoir])
     floats = 3 * (2 * n - 1) + solved + 2 * n_res
@@ -461,26 +455,16 @@ def initial_two_point(sys: TruncatedSystem, th: ThermalConfig) -> DecoupledState
 
 @dataclass(frozen=True, eq=False)
 class EvolutionTrace:
-    """Sampled evolution of one correlation matrix element.
-
-    ``components`` optionally splits each sample into band-band, band-bound,
-    bound-band, and bound-bound parts; the bound-bound part is constant in
-    time because its two evolution phases cancel exactly.
-    """
+    """Sampled evolution of one correlation matrix element."""
 
     times: np.ndarray
     values: np.ndarray
-    components: dict[str, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.times.size < 1 or np.any(np.diff(self.times) <= 0.0):
             raise ValueError("times must be nonempty and strictly increasing")
         if np.max(np.abs(self.values)) > 1.0 + 1e-9:
             raise ConsistencyError("correlation sample above 1 in magnitude")
-        if self.components is not None:
-            pp = self.components["pp"]
-            if np.max(np.abs(pp - pp[0])) > 1e-12:
-                raise ConsistencyError("bound-bound component drifts in time")
 
 
 def _check_horizon(sys: TruncatedSystem, x: int, y: int, t_max: float) -> None:
@@ -541,64 +525,14 @@ def _site_parts(
 
 
 def evolve_with_state(
-    sys: TruncatedSystem,
-    state,
-    x: int,
-    y: int,
-    times,
-    split: bool = True,
+    sys: TruncatedSystem, state: DecoupledState, x: int, y: int, times
 ) -> EvolutionTrace:
-    """Evolve ``(e_x, S(t) e_y)`` for a caller-supplied initial matrix.
-
-    ``state`` is anything with ``state @ f`` for site rows ``f``: a dense
-    ``n x n`` array, or the ``DecoupledState`` of ``initial_two_point``,
-    which reads each site's ``SiteParts`` unless the bound state is split off.
-    """
+    """Evolve ``(e_x, S(t) e_y)`` from the factored initial state ``state``."""
     times = _checked_times(sys, x, y, times)
-    bound = sys.bound_data() if split else None
-    if bound is None:
-        if isinstance(state, DecoupledState):
-            part_x = _site_parts(sys, state, x, times)
-            part_y = part_x if y == x else _site_parts(sys, state, y, times)
-            values, _ = state.pair_overlaps(part_x, part_y)
-        else:
-            frame_x, frame_y = _frames(sys, x, y, times)
-            values = np.einsum("it,it->t", frame_x.conj(), _real_apply(state, frame_y))
-        components = None
-        if split:
-            zero = np.zeros(times.size, dtype=complex)
-            components = {"aa": values.copy(), "ap": zero, "pa": zero.copy(), "pp": zero.copy()}
-    else:
-        ix, iy = sys.index(x), sys.index(y)
-        frame_x, frame_y = _frames(sys, x, y, times)
-        energy, vec = bound
-        phase_b = np.exp(1j * energy * times)
-        pp_x = vec[:, None] * (vec[ix] * phase_b)[None, :]
-        pp_y = vec[:, None] * (vec[iy] * phase_b)[None, :]
-        ac_x = frame_x - pp_x
-        ac_y = frame_y - pp_y
-        s_ac_y = _real_apply(state, ac_y)
-        s_pp_y = (state @ vec)[:, None] * (vec[iy] * phase_b)[None, :]
-        components = {
-            "aa": np.einsum("it,it->t", ac_x.conj(), s_ac_y),
-            "ap": np.einsum("it,it->t", ac_x.conj(), s_pp_y),
-            "pa": np.einsum("it,it->t", pp_x.conj(), s_ac_y),
-            "pp": np.einsum("it,it->t", pp_x.conj(), s_pp_y),
-        }
-        values = components["aa"] + components["ap"] + components["pa"] + components["pp"]
-    return EvolutionTrace(times=times, values=values, components=components)
-
-
-def evolve_correlation(
-    sys: TruncatedSystem,
-    th: ThermalConfig,
-    x: int,
-    y: int,
-    times,
-    split: bool = True,
-) -> EvolutionTrace:
-    """Exact finite-window evolution of the decoupled initial correlation."""
-    return evolve_with_state(sys, initial_two_point(sys, th), x, y, times, split)
+    part_x = _site_parts(sys, state, x, times)
+    part_y = part_x if y == x else _site_parts(sys, state, y, times)
+    values, _ = state.pair_overlaps(part_x, part_y)
+    return EvolutionTrace(times, values)
 
 
 def _late_grid_size(t_star: float) -> int:
@@ -644,8 +578,13 @@ def ness_estimate(
     """Late-time estimate of the steady-state correlation at ``(x, y)``.
 
     Mean of the evolved correlation over ``[0.8 t_star, t_star]`` on a
-    roughly unit-spaced grid; the averaging window damps the residual
-    band-bound oscillation without a full time average.
+    roughly unit-spaced grid.  The mean keeps the bound-band cross terms,
+    which oscillate at ``E_b - e`` with ``|e| <= 1`` and vanish only in the
+    limit.  The window damps them only when their slowest beat period,
+    ``2 pi / (|E_b| - 1)``, is well inside ``0.2 t_star``; a shallow bound
+    state's is not: at ``lam = -0.12`` it is 876 against a window of 140
+    at ``t_star = 700``, and at ``M = 1000`` and temperatures 1 and 2 the
+    estimate of ``(0, 0)`` misses the steady state by 1.9e-4.
     """
     times, (values, _) = _late_overlaps(sys, th, x, y, t_star)
     return complex(np.mean(EvolutionTrace(times, values).values))

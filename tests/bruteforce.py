@@ -9,6 +9,7 @@ when the package is wrong.
 
 import cmath
 import math
+import weakref
 
 import numpy as np
 from scipy.integrate import quad
@@ -308,9 +309,21 @@ def dense_initial_state(h_d, M: int, nu: int, beta_l: float, beta_r: float):
 # window but its ``M``, ``params`` and ``hamiltonians``.
 
 
+# each window's solves, per kind, and dense states, per temperature pair;
+# a window is immutable once built, and its entries go with it
+_UNSPLIT_HELD = weakref.WeakKeyDictionary()
+
+
+def _per_window(sys, key, solve):
+    held = _UNSPLIT_HELD.setdefault(sys, {})
+    if key not in held:
+        held[key] = solve()
+    return held[key]
+
+
 def unsplit_factorization(sys, kind):
     """Eigenpairs of one window Hamiltonian from one tridiagonal solve of every site."""
-    return eigh_tridiagonal(*sys.hamiltonians[kind])
+    return _per_window(sys, kind, lambda: eigh_tridiagonal(*sys.hamiltonians[kind]))
 
 
 def unsplit_bound_data(sys):
@@ -323,8 +336,17 @@ def unsplit_bound_data(sys):
 
 def unsplit_initial_state(sys, th):
     """Dense decoupled initial two-point matrix of the window."""
-    h_d = dense_hamiltonians(sys.M, sys.params)[OperatorKind.DECOUPLED]
-    return dense_initial_state(h_d, sys.M, sys.params.nu, th.beta_l, th.beta_r)
+
+    def solve():
+        h_d = dense_hamiltonians(sys.M, sys.params)[OperatorKind.DECOUPLED]
+        return dense_initial_state(h_d, sys.M, sys.params.nu, th.beta_l, th.beta_r)
+
+    return _per_window(sys, (th.beta_l, th.beta_r), solve)
+
+
+def _real_matmul(mat, z):
+    """``mat @ z`` for a real ``mat``, one real product per part of ``z``."""
+    return mat @ z.real + 1j * (mat @ z.imag)
 
 
 def unsplit_evolve(sys, state, x, y, times, split=True):
@@ -337,15 +359,16 @@ def unsplit_evolve(sys, state, x, y, times, split=True):
     w, u = unsplit_factorization(sys, OperatorKind.MAGNETIC)
     ix, iy = x + sys.M, y + sys.M
     phases = np.exp(1j * np.outer(w, times))
-    fx, fy = (u @ (phases * u[i][:, None]) for i in (ix, iy))
+    fx, fy = (_real_matmul(u, phases * u[i][:, None]) for i in (ix, iy))
     bound = unsplit_bound_data(sys) if split else None
     if bound is None:
         px = py = np.zeros_like(fx)
     else:
         energy, vec = bound
         px, py = (np.outer(vec, vec[i] * np.exp(1j * energy * times)) for i in (ix, iy))
-    pairs = {"aa": (fx - px, fy - py), "ap": (fx - px, py), "pa": (px, fy - py), "pp": (px, py)}
-    parts = {name: np.einsum("it,it->t", a.conj(), state @ b) for name, (a, b) in pairs.items()}
+    band_x, band_y, bound_y = fx - px, _real_matmul(state, fy - py), _real_matmul(state, py)
+    pairs = {"aa": (band_x, band_y), "ap": (band_x, bound_y), "pa": (px, band_y), "pp": (px, bound_y)}
+    parts = {name: np.einsum("it,it->t", a.conj(), b) for name, (a, b) in pairs.items()}
     return sum(parts.values()), parts
 
 

@@ -25,7 +25,6 @@ from nesslab.ness import s_element
 from nesslab.oracle import (
     EvolutionTrace,
     build_truncation,
-    evolve_correlation,
     evolve_with_state,
     initial_two_point,
     ness_estimate,
@@ -76,12 +75,13 @@ class TestBuildTruncation:
 
     @pytest.mark.parametrize("m, nu", [(10, 0), (23, 0), (24, 5), (128, 0), (140, 3)])
     def test_memory_estimate_bounds_what_is_held(self, m, nu, th12):
-        # every kind factored, one state built and, where a late-time grid
+        # the field and free kinds factored (no library path solves the
+        # decoupled kind), one state built and, where a late-time grid
         # fits, two sites' parts on the longest one: the estimate covers
         # it, within 1% when the sample is a single site and the state largest
         params = ModelParams(0.4, nu)
         sys = build_truncation(m, params)
-        for kind in OperatorKind:
+        for kind in (OperatorKind.MAGNETIC, OperatorKind.XY):
             sys.factorization(kind)
         initial_two_point(sys, th12)
         t_star = 0.8 * (m - nu - 2)  # the horizon of the contact sites
@@ -272,21 +272,16 @@ class TestUnsplitTwin:
         dense = initial_two_point(sys, th12) @ np.eye(sys.n_sites)
         assert np.max(np.abs(dense - unsplit_initial_state(sys, th12))) < 1e-13
 
-    @pytest.mark.parametrize("split", [True, False])
     @pytest.mark.parametrize("m, lam, nu", EVOLVE_CASES)
-    def test_evolve_correlation(self, m, lam, nu, split, th12):
+    def test_evolve_with_state(self, m, lam, nu, th12):
         sys = build_truncation(m, ModelParams(lam, nu))
         times = np.linspace(0.0, 0.8 * (m - max(3, nu + 2)), 17)
-        state = unsplit_initial_state(sys, th12)
+        state = initial_two_point(sys, th12)
+        dense = unsplit_initial_state(sys, th12)
         for x, y in ((0, 0), (-1, 3), (2, -2)):
-            trace = evolve_correlation(sys, th12, x, y, times, split=split)
-            values, parts = unsplit_evolve(sys, state, x, y, times, split=split)
+            trace = evolve_with_state(sys, state, x, y, times)
+            values, _ = unsplit_evolve(sys, dense, x, y, times)
             assert np.max(np.abs(trace.values - values)) < 1e-13
-            if split:
-                for name, ref in parts.items():
-                    assert np.max(np.abs(trace.components[name] - ref)) < 1e-13
-            else:
-                assert trace.components is None
 
     @pytest.mark.parametrize("m, lam, nu", NESS_CASES)
     def test_ness_estimate(self, m, lam, nu, th12):
@@ -295,19 +290,6 @@ class TestUnsplitTwin:
         for x, y in ((0, 0), (3, 3), (-2, -2), (0, 1), (-1, 2), (3, -2)):
             ref = unsplit_ness_estimate(sys, state, x, y, 100.0)
             assert abs(ness_estimate(sys, th12, x, y, 100.0) - ref) < 1e-13
-
-    @pytest.mark.parametrize("split", [True, False])
-    @pytest.mark.parametrize("m, lam, nu", EVOLVE_CASES)
-    def test_caller_matrix_matches_factored_state(self, m, lam, nu, split, th12):
-        sys = build_truncation(m, ModelParams(lam, nu))
-        times = np.linspace(0.0, 0.8 * (m - max(3, nu + 2)), 17)
-        dense = unsplit_initial_state(sys, th12)
-        for x, y in ((0, 0), (-1, 3), (2, 2)):
-            got = evolve_with_state(sys, dense, x, y, times, split=split)
-            ref = evolve_with_state(sys, initial_two_point(sys, th12), x, y, times, split=split)
-            assert np.max(np.abs(got.values - ref.values)) < 1e-13
-            for name, part in (ref.components or {}).items():
-                assert np.max(np.abs(got.components[name] - part)) < 1e-13
 
     @pytest.mark.parametrize("m, lam, nu", FLUX_CASES)
     def test_mirrored_flux_is_reflected_frames(self, m, lam, nu, th12):
@@ -610,10 +592,11 @@ class TestInitialState:
 class TestEvolution:
     def test_time_zero_reproduces_initial_state(self, th12):
         sys = build_truncation(400, ModelParams(0.5))
-        state = initial_two_point(sys, th12) @ np.eye(sys.n_sites)
+        state = initial_two_point(sys, th12)
+        dense = state @ np.eye(sys.n_sites)
         for x, y in ((0, 0), (-1, 2), (0, 1)):
-            value = evolve_correlation(sys, th12, x, y, [0.0], split=False).values[0]
-            assert abs(value - state[sys.index(x), sys.index(y)]) < 1e-13
+            value = evolve_with_state(sys, state, x, y, [0.0]).values[0]
+            assert abs(value - dense[sys.index(x), sys.index(y)]) < 1e-13
 
     @pytest.mark.parametrize("lam", [0.5, 0.0])
     def test_centre_frame_reflection_symmetric(self, lam):
@@ -627,62 +610,43 @@ class TestEvolution:
         assert np.any(frame[: sys.M] != 0.0)
         assert np.array_equal(frame, frame[::-1])
 
-    def test_split_components_sum_to_value(self, th12):
-        sys = build_truncation(400, ModelParams(0.5))
-        times = np.linspace(0.0, 200.0, 81)
-        split = evolve_correlation(sys, th12, 0, 1, times, split=True)
-        flat = evolve_correlation(sys, th12, 0, 1, times, split=False)
-        total = sum(split.components[name] for name in ("aa", "ap", "pa", "pp"))
-        assert np.max(np.abs(total - split.values)) < 1e-13
-        assert np.max(np.abs(split.values - flat.values)) < 1e-13
-        assert flat.components is None
-
     def test_bound_band_cross_terms_decay(self, sys_m1000_lam05, th12):
-        # dispersive decay of the band part against the localized state;
-        # window maxima measured 6.7e-4, 2.5e-4, 8.9e-5
-        trace = evolve_correlation(
-            sys_m1000_lam05, th12, 0, 1, np.linspace(50.0, 400.0, 351)
-        )
-        ap = np.abs(trace.components["ap"])
-        t = trace.times
+        # dispersive decay of the band part against the localized state,
+        # on the unsplit twin; window maxima measured 6.7e-4, 2.5e-4, 8.9e-5
+        t = np.linspace(50.0, 400.0, 351)
+        dense = unsplit_initial_state(sys_m1000_lam05, th12)
+        _, parts = unsplit_evolve(sys_m1000_lam05, dense, 0, 1, t, split=True)
+        ap = np.abs(parts["ap"])
         w1 = ap[(t >= 50) & (t <= 100)].max()
         w2 = ap[(t >= 100) & (t <= 200)].max()
         w3 = ap[(t >= 200) & (t <= 400)].max()
         assert w1 > w2 > w3
         assert ap[(t >= 200) & (t <= 300)].max() < 1e-2
 
-    def test_bound_bound_component_constant(self, sys_m1000_lam05, th12):
-        trace = evolve_correlation(
-            sys_m1000_lam05, th12, 0, 1, np.linspace(50.0, 150.0, 41)
-        )
-        pp = trace.components["pp"]
-        assert np.max(np.abs(pp - pp[0])) <= 1e-12
-
     def test_window_doubling_agrees(self, th12):
         # measured 6.0e-16: inside the reflection horizon the window size
         # is invisible
-        va = evolve_correlation(
-            build_truncation(250, ModelParams(0.3)), th12, 0, 1, [150.0], split=False
-        ).values[0]
-        vb = evolve_correlation(
-            build_truncation(500, ModelParams(0.3)), th12, 0, 1, [150.0], split=False
-        ).values[0]
+        va, vb = (
+            evolve_with_state(sys, initial_two_point(sys, th12), 0, 1, [150.0]).values[0]
+            for sys in (build_truncation(m, ModelParams(0.3)) for m in (250, 500))
+        )
         assert abs(va - vb) < 1e-10
 
     def test_rejects_bad_probes_and_times(self, th12):
         sys = build_truncation(100, ModelParams(0.0))
+        state = initial_two_point(sys, th12)
         with pytest.raises(ValueError):
-            evolve_correlation(sys, th12, 0, 1, [-1.0, 5.0])
+            evolve_with_state(sys, state, 0, 1, [-1.0, 5.0])
         with pytest.raises(ValueError):
-            evolve_correlation(sys, th12, 0, 0, [])
+            evolve_with_state(sys, state, 0, 0, [])
         with pytest.raises(ValueError):
-            evolve_correlation(sys, th12, 0, 1, [5.0, 1.0])
+            evolve_with_state(sys, state, 0, 1, [5.0, 1.0])
         with pytest.raises(DomainError):
-            evolve_correlation(sys, th12, 26, 0, [10.0])
+            evolve_with_state(sys, state, 26, 0, [10.0])
         with pytest.raises(TimeHorizonExceeded):
-            evolve_correlation(sys, th12, 0, 1, [79.0])
+            evolve_with_state(sys, state, 0, 1, [79.0])
         # just inside the guard is fine
-        evolve_correlation(sys, th12, 0, 1, [78.0])
+        evolve_with_state(sys, state, 0, 1, [78.0])
 
     def test_trace_validation(self):
         with pytest.raises(ValueError):
@@ -693,18 +657,6 @@ class TestEvolution:
             EvolutionTrace(
                 times=np.array([0.0, 1.0]),
                 values=np.array([0.0 + 0j, 2.0 + 0j]),
-            )
-        zeros = np.zeros(2, dtype=complex)
-        with pytest.raises(ConsistencyError):
-            EvolutionTrace(
-                times=np.array([0.0, 1.0]),
-                values=np.array([0.1 + 0j, 0.1 + 0j]),
-                components={
-                    "aa": zeros,
-                    "ap": zeros,
-                    "pa": zeros,
-                    "pp": np.array([0.0 + 0j, 1e-6 + 0j]),
-                },
             )
 
 
@@ -732,16 +684,6 @@ class TestNessEstimate:
         # Fourier transform of the two-sided occupation symbol
         est = ness_estimate(sys_m1000_lam0, th12, 0, 3, 500.0)
         assert abs(est - symbol_coefficient(1.0, 2.0, 3)) < 1e-3
-
-    def test_equal_temperature_state_is_stationary(self, sys_m1000_lam0):
-        # a thermal state of the evolving Hamiltonian must not move at all;
-        # measured drift 6.6e-16
-        w, u = unsplit_factorization(sys_m1000_lam0, OperatorKind.XY)
-        state_eq = (u * expit(-2.0 * w)) @ u.T
-        trace = evolve_with_state(
-            sys_m1000_lam0, state_eq, 0, 1, np.linspace(0.0, 300.0, 61), split=False
-        )
-        assert np.max(np.abs(trace.values - trace.values[0])) < 1e-10
 
     def test_equal_temperature_ness_is_thermal(self, sys_m1000_lam0):
         # decoupled start, equal temperatures: recoupling relaxes back to

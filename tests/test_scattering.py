@@ -20,7 +20,7 @@ from nesslab.scattering import (
     xy_symbol,
 )
 
-from bruteforce import pp_weight_direct, symbol_coefficient
+from bruteforce import pp_weight_direct, symbol_coefficient, unsplit_evolve, unsplit_initial_state
 
 # 40-digit mpmath values of the weight at th = (1, 2), nu = 0, printed by
 # tests/reference_mp.py; adaptive quadrature missed every field from 1e-6
@@ -129,15 +129,14 @@ class TestAcOverlap:
             assert abs(ac_overlap(p, th12, 0, d) - ref) < 1e-9
 
     def test_matches_band_component_of_evolution(self, th12, sys_m1000_lam05):
-        # late-time average of the band-band component of the dense
-        # evolution against the overlap integral
-        from nesslab.oracle import evolve_correlation
-
+        # late-time average of the band-band component of the unsplit
+        # twin's evolution against the overlap integral
         t_star = 500.0
         n = int(round(0.2 * t_star)) + 1
         times = np.linspace(0.8 * t_star, t_star, n)
-        trace = evolve_correlation(sys_m1000_lam05, th12, 0, 1, times)
-        band_mean = complex(np.mean(trace.components["aa"]))
+        dense = unsplit_initial_state(sys_m1000_lam05, th12)
+        _, parts = unsplit_evolve(sys_m1000_lam05, dense, 0, 1, times, split=True)
+        band_mean = complex(np.mean(parts["aa"]))
         assert abs(band_mean - ac_overlap(ModelParams(0.5), th12, 0, 1)) < 1e-3
 
 
