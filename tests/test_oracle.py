@@ -272,16 +272,21 @@ class TestUnsplitTwin:
         dense = initial_two_point(sys, th12) @ np.eye(sys.n_sites)
         assert np.max(np.abs(dense - unsplit_initial_state(sys, th12))) < 1e-13
 
+    @pytest.mark.parametrize("split", [True, False])
     @pytest.mark.parametrize("m, lam, nu", EVOLVE_CASES)
-    def test_evolve_with_state(self, m, lam, nu, th12):
+    def test_evolve_correlation(self, m, lam, nu, split, th12):
+        # the one library path against the twin's dense evolution, summed
+        # from its band/bound parts (split) or through all eigenvectors
         sys = build_truncation(m, ModelParams(lam, nu))
         times = np.linspace(0.0, 0.8 * (m - max(3, nu + 2)), 17)
         state = initial_two_point(sys, th12)
         dense = unsplit_initial_state(sys, th12)
         for x, y in ((0, 0), (-1, 3), (2, -2)):
             trace = evolve_with_state(sys, state, x, y, times)
-            values, _ = unsplit_evolve(sys, dense, x, y, times)
+            values, parts = unsplit_evolve(sys, dense, x, y, times, split=split)
             assert np.max(np.abs(trace.values - values)) < 1e-13
+            if not split:
+                assert all(not np.any(parts[name]) for name in ("ap", "pa", "pp"))
 
     @pytest.mark.parametrize("m, lam, nu", NESS_CASES)
     def test_ness_estimate(self, m, lam, nu, th12):
