@@ -40,7 +40,7 @@ class NonConvergence(RuntimeError):
     Raised by ``numerics.refine_panels`` for every integral it certifies:
     band moments, flux integrals, the bound-state weight, the translation
     defect and the integrand of ``adaptive_integrate``; also when an error
-    estimate is not finite.
+    estimate is not finite or its summation roundoff reaches the tolerance.
     """
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .exceptions import WindowTooLarge
 from .model import ModelParams, ThermalConfig, bound_state, planck_difference
-from .numerics import QuadratureSpec, graded_mesh, panel_rule, refine_panels
+from .numerics import QuadratureSpec, graded_mesh, refine_panels
 from .scattering import band_moments, overlap_frequencies, pp_weight
 
 MAX_WINDOW_SITES = 512
@@ -120,8 +120,8 @@ def ti_commutator_element(
     even in ``k`` and invariant under ``k -> pi - k``, which leaves
     ``(2 lam/pi) integral_0^{pi/2} rho_diff(cos t) cos t sin^2 t /
     (sin^2 t + lam^2) dt``, a sum of one sign with no cancellation at any
-    field; it is sampled once on the graded mesh of the flux integrals and
-    certified to ``spec.abs_tol`` by ``numerics.refine_panels``.
+    field; ``numerics.refine_panels`` samples it once on the graded mesh of
+    the flux integrals and certifies it, roundoff included, to ``spec.abs_tol``.
     ``ti_commutator_direct`` is the route through the two matrix elements.
     """
     spec = spec if spec is not None else QuadratureSpec()
@@ -129,19 +129,16 @@ def ti_commutator_element(
 
     # sin^2/D = q^2/(1 + (q e)^2) in p = max(sin t, |lam|), q = sin t/p,
     # e = |lam|/p, and |lam| q^2 = sin t * q * e: no field is squared
-    def contract(edges):
-        t, wk, wg = panel_rule(edges)
+    def sample(t):
         s, c = np.sin(t), np.cos(t)
         p = np.maximum(s, a)
         q, e = s / p, a / p
-        samples = planck_difference(th, c) * c * s * q * e / (1.0 + (q * e) ** 2)
-        gap = np.abs(np.sum((wk - wg) * samples, axis=1))
-        return np.sum(wk * samples), (2.0 / math.pi) * gap
+        return planck_difference(th, c) * c * s * q * e / (1.0 + (q * e) ** 2)
 
     edges = graded_mesh(a, th.beta_r, 0.5 * math.pi)
     what = f"translation defect at lam={params.lam!r}"
-    integral, _ = refine_panels(contract, edges, spec, what)
-    return math.copysign((2.0 / math.pi) * float(integral), params.lam)
+    integral, _, _ = refine_panels(sample, edges, np.full((1, 1), 2.0 / math.pi), spec, what)
+    return math.copysign((2.0 / math.pi) * float(integral[0, 0]), params.lam)
 
 
 def ti_commutator_direct(

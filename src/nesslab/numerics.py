@@ -1,17 +1,18 @@
 """Deterministic quadrature rules and closed-form series sums.
 
 One rule serves every integral: ``panel_rule``, a fixed Gauss-Kronrod pair
-on the panels of a mesh, usually ``graded_mesh``; the Gauss rule embedded
-in it gives each panel's error estimate, and ``refine_panels`` bisects
-panels until the caller-weighted estimate meets the tolerance.  Every
-closed form of the library samples its integrand families there;
-``adaptive_integrate`` does the same for one scalar integrand on an
-arbitrary interval, and has no caller in the library.
+on the panels of a mesh, usually ``graded_mesh``.  ``refine_panels`` alone
+samples on it: it contracts a family of integrands, estimates the error
+from the embedded Gauss rule and the roundoff of the sums, and bisects
+panels until the estimate meets the tolerance.  Every closed form is
+certified there; ``adaptive_integrate`` does the same for one scalar
+integrand on an arbitrary interval, and has no caller in the library.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,8 +25,8 @@ from .exceptions import DomainError, InvalidInterval, NonConvergence
 class QuadratureSpec:
     """Accuracy contract for one integral or one family of integrals.
 
-    abs_tol: bound on the certified error estimate, the embedded Gauss
-        rule's distance from the Kronrod rule summed over the panels.
+    abs_tol: bound on the certified error estimate: the embedded Gauss
+        rule's distance from the Kronrod rule plus the summation roundoff.
     max_subdivisions: how many panels ``refine_panels`` may add to the
         starting mesh by bisection.
     """
@@ -111,8 +112,8 @@ def panel_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     on smooth integrands.
     """
     edges = np.asarray(edges, dtype=float)
-    half = 0.5 * np.diff(edges)[:, None]
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    left, right = edges[:-1, None], edges[1:, None]
+    half, mid = 0.5 * (right - left), 0.5 * (left + right)
     return mid + half * _GK_NODES, half * _GK_WEIGHTS, half * _G_WEIGHTS
 
 
@@ -151,37 +152,66 @@ def graded_mesh(lam: float, beta: float, end: float, step: float = math.inf) -> 
     return np.append(inner, end)
 
 
+# elements of one sampled array; wider families are sampled a few panels
+# at a time
+_CHUNK_ELEMENTS = 3 << 14
+# roundoff of a sum per unit of its weighted magnitude
+_ROUNDOFF = 8.0 * sys.float_info.epsilon
+
+
 def refine_panels(
-    contract: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    sample: Callable[[np.ndarray], np.ndarray],
     edges: np.ndarray,
+    weights: np.ndarray,
     spec: QuadratureSpec,
     what: str,
-) -> tuple[np.ndarray, float]:
-    """Bisect panels of ``edges`` until ``contract`` certifies its integrals.
+) -> tuple[np.ndarray, float, int]:
+    """Certify the integrals of a family of integrands on the panels of ``edges``.
 
-    ``contract(edges)`` samples a family of integrands once on the panels
-    of ``panel_rule(edges)`` and returns the integrals and, per panel, the
-    caller-weighted distance of the embedded Gauss rule from the Kronrod
-    rule.  Their sum is the error estimate; while it exceeds
-    ``spec.abs_tol``, the panels above their share of it are bisected.
-    Returns the integrals and the estimate.  Raises NonConvergence, naming
-    ``what``, for a non-finite estimate and once more than
-    ``spec.max_subdivisions`` panels would have been added.
+    ``sample(t)`` gives ``G`` groups of ``K`` integrands at the flat nodes
+    ``t`` of ``panel_rule(edges)``, reshapable to ``(G, K, t.size)``, each
+    node once per round and a chunk of panels at a time; integral ``(g, k)``
+    enters a result times ``weights[g, k]``.  The estimate sums each group's
+    largest weighted Gauss-Kronrod gap over the groups and panels, plus the
+    summation roundoff, ``8 eps`` times the sum over the groups of the
+    largest weighted ``|integral|``.  While it exceeds ``spec.abs_tol``, the
+    panels above their share of what the roundoff leaves are bisected.
+    Returns the Kronrod integrals, shape ``(G, K)``, the estimate and the
+    panel count.  Raises NonConvergence, naming ``what``, for a non-finite
+    estimate, when the roundoff alone reaches ``spec.abs_tol``, and past
+    ``spec.max_subdivisions`` bisections.
     """
+    # one integrand per group: no maximum to take, and the group sum weighs it
+    single, scale = weights.shape[1] == 1, weights[..., None]
+    group_weights = weights[:, 0] if single else np.ones(weights.shape[0])
+    shape = (*weights.shape, -1, _GK_NODES.size)
+    chunk = max(1, _CHUNK_ELEMENTS // (weights.size * _GK_NODES.size))
     cap = edges.size - 1 + spec.max_subdivisions
     while True:
-        values, panel_err = contract(edges)
-        error = float(panel_err.sum())
+        t, wk, wg = panel_rule(edges)
+        n_panels, dw = t.shape[0], wk - wg
+        # per group, the largest gap on each panel and then the largest |integral|
+        largest = np.empty((weights.shape[0], n_panels + 1))
+        for start in range(0, n_panels, chunk):
+            sl = slice(start, start + chunk)
+            samples = sample(t[sl].ravel()).reshape(shape)
+            part = np.einsum("gkpn,pn->gk", samples, wk[sl])
+            values = part if start == 0 else values + part
+            gaps = np.abs(np.einsum("gkpn,pn->gkp", samples, dw[sl]))
+            largest[:, :-1][:, sl] = gaps[:, 0] if single else (scale * gaps).max(axis=1)
+        largest[:, -1] = np.abs(values[:, 0]) if single else (weights * np.abs(values)).max(axis=1)
+        totals = group_weights @ largest
+        panel_err, roundoff = totals[:-1], _ROUNDOFF * float(totals[-1])
+        error = float(panel_err.sum()) + roundoff
         if not math.isfinite(error):
             raise NonConvergence(f"{what} are not finite")
         if error <= spec.abs_tol:
-            return values, error
-        n_panels = edges.size - 1
-        split = panel_err > spec.abs_tol / n_panels
-        if n_panels + int(split.sum()) > cap:
+            return values, error, n_panels
+        split = panel_err > (spec.abs_tol - roundoff) / n_panels
+        if roundoff >= spec.abs_tol or n_panels + int(split.sum()) > cap:
             raise NonConvergence(
-                f"{what}: error estimate {error:.3e} above "
-                f"{spec.abs_tol:.3e} after {n_panels} panels"
+                f"{what}: error estimate {error:.3e} above {spec.abs_tol:.3e} "
+                f"after {n_panels} panels, {roundoff:.3e} of it summation roundoff"
             )
         edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])[split]]))
 
@@ -196,29 +226,24 @@ def adaptive_integrate(
 
     ``f`` is called on one float node at a time, on the ``panel_rule``
     panels of ``[a, b]``, and ``refine_panels`` bisects them until the
-    embedded Gauss estimate is within ``spec.abs_tol``.  The value is
-    complex when any sample is; ``subdivisions_used`` is the panel count of
-    the final mesh.
+    embedded Gauss estimate plus the summation roundoff is within
+    ``spec.abs_tol``.  The value is complex when any sample is;
+    ``subdivisions_used`` is the panel count of the final mesh.
 
     Raises InvalidInterval unless ``a < b`` and ``b - a`` is finite, and
-    NonConvergence for non-finite samples and when the estimate stays above
-    ``spec.abs_tol`` after ``spec.max_subdivisions`` bisections.
+    NonConvergence as ``refine_panels`` does.
     """
     spec = spec if spec is not None else QuadratureSpec()
     a, b = float(a), float(b)
     if not (a < b and math.isfinite(b - a)):
         raise InvalidInterval(f"need a finite interval with a < b, got [{a}, {b}]")
 
-    def contract(edges):
-        t, wk, wg = panel_rule(edges)
-        samples = np.array([f(x) for x in t.ravel().tolist()]).reshape(t.shape)
-        panel_err = np.abs(np.sum((wk - wg) * samples, axis=1))
-        return (np.sum(wk * samples), t.shape[0]), panel_err
+    def sample(t):
+        return np.array([f(x) for x in t.tolist()])
 
-    (value, panels), error = refine_panels(
-        contract, np.array([a, b]), spec, f"integrand samples on [{a:g}, {b:g}]"
-    )
-    value = complex(value) if np.iscomplexobj(value) else float(value)
+    what = f"integrand samples on [{a:g}, {b:g}]"
+    values, error, panels = refine_panels(sample, np.array([a, b]), np.ones((1, 1)), spec, what)
+    value = complex(values[0, 0]) if np.iscomplexobj(values) else float(values[0, 0])
     return QuadratureResult(value=value, error_estimate=error, subdivisions_used=panels)
 
 

@@ -12,9 +12,9 @@ Every band overlap is a linear combination of Fourier moments over
 reservoir temperature vary.  ``band_moments`` samples the few integrands,
 the field kernels already multiplied by their field factors, so that each
 is bounded by 1 at every finite field, once on a Gauss-Kronrod mesh graded
-at their near-poles, contracts them against ``e^{imt}`` for every
-frequency a window needs, and certifies the result with the embedded Gauss
-rule; ``ac_overlap`` and ``ness.correlation_block`` index into it.  The
+at their near-poles, against ``e^{imt}`` for every frequency a window
+needs, and ``numerics.refine_panels`` contracts and certifies them;
+``ac_overlap`` and ``ness.correlation_block`` index into the result.  The
 bound-state weight is one more such sampling, of both reservoirs'
 sine-transform integrands on a mesh graded at the bound state's decay
 rate.
@@ -29,7 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .model import (
     bound_state,
     planck_density,
 )
-from .numerics import QuadratureSpec, graded_mesh, panel_rule, refine_panels
+from .numerics import QuadratureSpec, graded_mesh, refine_panels
 
 _PI = math.pi
 
@@ -92,11 +92,6 @@ def wave_action(lam: float, x: int, k: float) -> complex:
         return plane
     ak = abs(k)
     return plane + 1j * lam * cmath.exp(1j * ak * abs(x)) / (math.sin(ak) - 1j * lam)
-
-
-# elements of one (reservoir, frequency, node) array; larger families are
-# sampled a group of panels at a time
-_CHUNK_ELEMENTS = 1 << 14
 
 
 def overlap_frequencies(x, y) -> tuple:
@@ -170,24 +165,27 @@ def _moment_mesh(lam: float, beta_r: float, m_top: int) -> np.ndarray:
     return graded_mesh(lam, beta_r, _PI, 4.0 / max(m_top, 1))
 
 
-def _moment_integrands(lam: float, betas: np.ndarray, m: np.ndarray, t: np.ndarray) -> list:
+def _moment_integrands(lam: float, betas: np.ndarray, m: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Samples of the plane, cross and scattered families at nodes ``t``.
 
-    One array of shape ``(2, M, N)`` per family, as ``BandMoments`` defines
-    them.  The field kernels are formed in ``p = max(sin t, |lam|)``,
-    ``q = sin t/p`` and ``e = |lam|/p``, as ``sign(lam) q e / r`` and
-    ``e^2 / r`` with ``r = q^2 + e^2``: no field is squared, so they stay
-    finite from the smallest subnormal field to the largest double.  Their
-    near-poles at distance ~|lam| off both endpoints are resolved by the
-    grading of ``_moment_mesh``.
+    One array of shape ``(3, 2, M, N)``: family, reservoir, frequency and
+    node, as ``BandMoments`` defines them.  The field kernels are formed in
+    ``p = max(sin t, |lam|)``, ``q = sin t/p`` and ``e = |lam|/p``, as
+    ``sign(lam) q e / r`` and ``e^2 / r`` with ``r = q^2 + e^2``: no field
+    is squared, so they stay finite from the smallest subnormal field to
+    the largest double.  Their near-poles at distance ~|lam| off both
+    endpoints are resolved by the grading of ``_moment_mesh``.
     """
+    out = np.empty((3, 2, m.size, t.size), dtype=complex)
     rho = planck_density(betas[:, None], np.cos(t))[:, None, :]
-    plane = rho * np.exp(1j * np.multiply.outer(m, t))
+    plane = np.multiply(rho, np.exp(1j * np.multiply.outer(m, t)), out=out[0])
     sin, a = np.sin(t), abs(lam)
     p = np.maximum(sin, a)
     q, e = sin / p, a / p
     r = q * q + e * e
-    return [plane, plane * (math.copysign(1.0, lam) * q * e / r), plane * (e * e / r)]
+    np.multiply(plane, math.copysign(1.0, lam) * q * e / r, out=out[1])
+    np.multiply(plane, e * e / r, out=out[2])
+    return out
 
 
 def band_moments(
@@ -200,39 +198,23 @@ def band_moments(
 
     Only ``|m|`` is computed; ``B(-m) = conj B(m)``.  The integrands are
     sampled once on the graded mesh of ``_moment_mesh``, at every finite
-    field alike, and contracted against ``e^{imt}`` in numpy, and
-    ``numerics.refine_panels`` certifies them.  The error estimate is the
-    embedded Gauss rule's distance from the Kronrod rule, panel by panel,
-    maximized over the frequencies and weighted by how a matrix element
-    combines the moments: one plane moment per reservoir, two cross moments
-    and three scattered moments, each at ``1/2pi``.  It does not count the
-    roundoff of the sums, some 1e-16 per element.  While it exceeds
-    ``spec.abs_tol``, the panels above their share are bisected; past
-    ``spec.max_subdivisions`` bisections NonConvergence is raised.
+    field alike, and ``numerics.refine_panels`` contracts and certifies
+    them, each family and reservoir a group weighted by how a matrix
+    element combines the moments: one plane moment per reservoir, two cross
+    moments and three scattered moments, each at ``1/2pi``.  The estimate,
+    the Gauss gaps maximized over the frequencies plus the summation
+    roundoff (about 9e-16 with frequency 0), bounds the error of any band
+    overlap; above ``spec.abs_tol`` the mesh is refined or NonConvergence
+    raised, as ``refine_panels`` says.
     """
     spec = spec if spec is not None else QuadratureSpec()
     m = np.unique(np.abs(np.concatenate([np.ravel(f) for f in frequencies]))).astype(int)
     betas = np.array([th.beta_l, th.beta_r])
-    weights = np.array([1.0, 2.0, 3.0]) / (2.0 * _PI)
-
-    def contract(edges):
-        t, wk, wg = panel_rule(edges)
-        n_panels, n_nodes = t.shape
-        chunk = max(1, _CHUNK_ELEMENTS // (2 * m.size * n_nodes))
-        sums = [np.zeros((2, m.size), dtype=complex) for _ in weights]
-        panel_err = np.zeros(n_panels)
-        for start in range(0, n_panels, chunk):
-            sl = slice(start, start + chunk)
-            for f, samples in enumerate(_moment_integrands(lam, betas, m, t[sl].ravel())):
-                panels = samples.reshape(2, m.size, -1, n_nodes)
-                sums[f] += np.einsum("bmpk,pk->bm", panels, wk[sl])
-                gap = np.abs(np.einsum("bmpk,pk->bmp", panels, wk[sl] - wg[sl]))
-                panel_err[sl] += weights[f] * gap.max(axis=1).sum(axis=0)
-        return sums, panel_err
-
+    weights = np.repeat(np.array([1.0, 2.0, 3.0]) / (2.0 * _PI), 2)[:, None] * np.ones(m.size)
+    sample = partial(_moment_integrands, lam, betas, m)
     edges = _moment_mesh(lam, th.beta_r, int(m[-1]))
-    moments, error = refine_panels(contract, edges, spec, f"band moments at lam={lam!r}")
-    return BandMoments(m, *moments, error)
+    moments, error, _ = refine_panels(sample, edges, weights, spec, f"band moments at lam={lam!r}")
+    return BandMoments(m, *moments.reshape(3, 2, -1), error)
 
 
 def ac_overlap(
@@ -281,14 +263,13 @@ def _pp_weight_cached(params: ModelParams, th: ThermalConfig, spec: QuadratureSp
     #   S^2 = r w^2 c^2 / (gap^2 + c^2)^2,  c = 2 sqrt(r) v,
     # with v, w = sin(k/2), cos(k/2); their product is the bounded kernel
     # below, in which only ratios of the small quantities enter.
-    def contract(edges):
-        k, wk, wg = panel_rule(edges)
+    def sample(k):
         v = np.sin(0.5 * k)
         c = (2.0 * math.sqrt(r)) * v
         x = 2.0 * betas * v * v
         safe = np.where(x > 0.0, x, 1.0)
         expm1_ratio = np.where(x > 0.0, -np.expm1(-safe) / safe, 1.0)  # (1 - e^{-x})/x
-        samples = (
+        return (
             planck_density(betas, -1.0)
             * planck_density(betas, np.cos(k))
             * (0.5 * betas)
@@ -296,13 +277,11 @@ def _pp_weight_cached(params: ModelParams, th: ThermalConfig, spec: QuadratureSp
             * np.cos(0.5 * k) ** 2
             * (c / np.hypot(gap, c)) ** 4
         )
-        values = np.einsum("bpk,pk->b", samples, wk)
-        spread = np.abs(np.einsum("bpk,pk->bp", samples, wk - wg))
-        return values, (2.0 / _PI) * prefactor * spread.sum(axis=0)
 
     # S has its poles at k = +-i alpha, so the field grading starts from alpha/8
     edges = graded_mesh(alpha, th.beta_r, _PI)
-    band, _ = refine_panels(contract, edges, spec, f"bound-state weight at lam={lam!r}")
+    weights, what = np.full((2, 1), (2.0 / _PI) * prefactor), f"bound-state weight at lam={lam!r}"
+    band, _, _ = refine_panels(sample, edges, weights, spec, what)
     edge = planck_density(th.beta_l, sign) + planck_density(th.beta_r, sign)
     # prefactor q^2/(1 - q^2), with |lam|/gap formed first: both may be subnormal
     geometric = scale * (abs(lam) / gap) * r * r / (1.0 + r)
@@ -323,8 +302,9 @@ def pp_weight(
     NoBoundState, returns 0.  The band integrals of both reservoirs are
     sampled once on a mesh graded toward the band edge from the decay rate
     ``alpha = asinh|lam|`` and toward ``k = pi/2`` from ``1/beta_r``, and
-    ``numerics.refine_panels`` certifies the weight to ``spec.abs_tol`` or
-    raises NonConvergence; the ``2 nu + 1`` sample sites sum in closed form.
+    ``numerics.refine_panels`` certifies the weight to ``spec.abs_tol``,
+    summation roundoff included, or raises NonConvergence; the ``2 nu + 1``
+    sample sites sum in closed form.
     """
     if params.lam == 0.0:
         return 0.0

@@ -28,7 +28,7 @@ import numpy as np
 
 from .exceptions import ConsistencyError, UndefinedAtOrigin
 from .model import ModelParams, ThermalConfig, planck_density, planck_difference
-from .numerics import QuadratureSpec, graded_mesh, panel_rule, refine_panels
+from .numerics import QuadratureSpec, graded_mesh, refine_panels
 
 _PI = math.pi
 # smallest normal double; below it 1/|lam| overflows in the field kernels
@@ -64,9 +64,10 @@ def _flux_integrals(
     quadrature of ``(g - f0) c s^3/D^2`` itself.  The kernels are written in
     ``p = max(s, |lam|)``, ``q = s/p <= 1`` and ``e = |lam|/p <= 1``, so no
     tiny ``lam`` or ``s`` is squared.  The mesh is graded toward ``t = 0``
-    from ``|lam|/8`` and toward ``pi/2`` from ``1/beta_r``; the error
-    estimate weights each family as its value enters a returned number
-    (``1/pi``, ``2|lam|/pi``, ``1/pi``, ``1``).
+    from ``|lam|/8`` and toward ``pi/2`` from ``1/beta_r``; each family is
+    weighted as its value enters a returned number (``1/pi``,
+    ``2|lam|/pi``, ``1/pi``, ``1``), so the certified estimate, summation
+    roundoff included, bounds the error of each.
 
     Zero field contracts the flux kernel alone.  Below the smallest normal
     double, where ``1/|lam|`` overflows, the flux and ``F2`` kernels are
@@ -84,12 +85,11 @@ def _flux_integrals(
     subnormal = 0.0 < a < _MIN_FIELD
     field = 0.0 if subnormal else a  # of the kernels and the mesh
     if field != 0.0:
-        weights = np.array([1.0 / _PI, 2.0 / _PI * a, 1.0 / _PI, 1.0])
+        weights = np.array([1.0 / _PI, 2.0 / _PI * a, 1.0 / _PI, 1.0])[:, None]
     else:
-        weights = np.array([1.0 / _PI, 1.0][: 1 + subnormal])
+        weights = np.array([1.0 / _PI, 1.0][: 1 + subnormal])[:, None]
 
-    def contract(edges):
-        t, wk, wg = panel_rule(edges)
+    def sample(t):
         s, c = np.sin(t), np.cos(t)
         g = planck_difference(th, c)
         p = np.maximum(s, field)
@@ -101,22 +101,19 @@ def _flux_integrals(
             families += [g * k1, g * k1 * (8.0 * e * e / r - 2.0)]
         if lam != 0.0:
             families.append((g - f0) * k1)
-        samples = np.array(families)
-        values = np.einsum("fpk,pk->f", samples, wk)
-        gap = np.abs(np.einsum("fpk,pk->fp", samples, wk - wg))
-        return values, weights @ gap
+        return np.array(families)
 
     edges = graded_mesh(field, th.beta_r, 0.5 * _PI)
-    values, error = refine_panels(contract, edges, spec, f"flux integrals at lam={lam!r}")
+    values, error, _ = refine_panels(sample, edges, weights, spec, f"flux integrals at lam={lam!r}")
     if lam == 0.0:
-        return _FluxIntegrals(float(values[0]) / _PI, 0.0, None, None, error)
+        return _FluxIntegrals(float(values[0, 0]) / _PI, 0.0, None, None, error)
     if subnormal:
-        flux, f2 = (float(v) for v in values)
+        flux, f2 = (float(v) for v in values[:, 0])
         log_a = math.log(a)
         total = f2 - f0 * (log_a + 0.5)
         second = 2.0 * (f0 * (log_a + 1.5) - f2)
     else:
-        flux, total, second, f2 = (float(v) for v in values)
+        flux, total, second, f2 = (float(v) for v in values[:, 0])
     return _FluxIntegrals(flux / _PI, -(2.0 / _PI) * (lam * total), second / _PI, f2, error)
 
 

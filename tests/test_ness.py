@@ -17,7 +17,7 @@ from nesslab.ness import (
     ti_commutator_direct,
     ti_commutator_element,
 )
-from nesslab.scattering import ac_overlap, pp_weight
+from nesslab.scattering import ac_overlap, band_moments, overlap_frequencies, pp_weight
 
 from bruteforce import overlap_direct
 
@@ -240,8 +240,8 @@ S_ELEMENT_MP = {
     ),
 }
 
-# abs_tol plus the roundoff of summing a mesh of up to ~2200 panels, which
-# the Gauss estimate does not count
+# abs_tol plus the roundoff of assembling an element from its moments and
+# the bound-state term, which no estimate counts
 TINY_SPEC, TINY_BOUND = QuadratureSpec(abs_tol=1e-15), 2e-15
 
 
@@ -253,6 +253,13 @@ class TestTinyFields:
         amp = bound_state(lam).amplitude
         ref = bands[site] + weight * amp(site[0]) * amp(site[1])
         assert abs(s_element(ModelParams(lam), th12, *site, TINY_SPEC) - ref) < TINY_BOUND
+
+    @pytest.mark.parametrize("site", [(0, 0), (0, 2)])
+    @pytest.mark.parametrize("lam", list(S_ELEMENT_MP))
+    def test_band_estimate_covers_the_miss(self, th12, lam, site):
+        # with frequency 0 the summation roundoff is most of the estimate, 9e-16
+        moments = band_moments(lam, th12, overlap_frequencies(*site), TINY_SPEC)
+        assert abs(moments.overlap(*site) - S_ELEMENT_MP[lam][1][site]) <= moments.error_estimate
 
     @pytest.mark.parametrize("site", [(0, 0), (0, 2)])
     @pytest.mark.parametrize("lam", [1e-300, 5e-324, -5e-324])

@@ -1,6 +1,7 @@
 """Quadrature contract and the geometric sine sum."""
 
 import math
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -80,6 +81,11 @@ class TestAdaptiveIntegrate:
         with pytest.raises(NonConvergence, match="after"):
             adaptive_integrate(math.exp, 0.0, 1.0, spec)
 
+    def test_estimate_covers_the_miss(self):
+        # the Gauss estimate alone reads 0 here; the miss is summation roundoff
+        res = adaptive_integrate(math.exp, 0.0, 1.0, QuadratureSpec(abs_tol=1e-14))
+        assert abs(res.value - math.expm1(1.0)) <= res.error_estimate
+
     def test_non_finite_samples_raise(self):
         with pytest.raises(NonConvergence, match="not finite"):
             adaptive_integrate(lambda x: 1.0 / (x - 0.5) if x > 0.5 else math.nan, 0.0, 1.0)
@@ -132,38 +138,105 @@ class TestAdaptiveIntegrate:
         assert abs(whole - split) < 3.0 * spec.abs_tol
 
 
+# the centre of a panel is a Kronrod node without a Gauss weight; its
+# Kronrod weight per unit of the span of the panel's nodes
+_T0, _WK0, _ = panel_rule([-1.0, 1.0])
+_CENTRE = _WK0[0, 10] / (_T0[0, -1] - _T0[0, 0])
+
+
+def centre_samples(t, gaps):
+    """Samples at the flat nodes ``t`` that vanish but at each panel's centre.
+
+    There they make the Kronrod integral of each panel, and its distance
+    from the Gauss rule, ``gaps[..., panel]``.
+    """
+    panels = t.reshape(-1, 21)
+    gaps = np.asarray(gaps, dtype=float)
+    out = np.zeros(gaps.shape[:-1] + panels.shape)
+    out[..., 10] = gaps / (_CENTRE * (panels[:, -1] - panels[:, 0]))
+    return out.reshape(*gaps.shape[:-1], -1)
+
+
 class TestRefinePanels:
     @staticmethod
-    def panel_errors(errors):
-        """A contract that records each mesh it is given and returns ``errors`` in turn."""
-        meshes = []
+    def panel_gaps(gaps):
+        """A sample whose panels have the gaps ``gaps[i]`` in round ``i``, and its rounds' nodes."""
+        rounds = []
 
-        def contract(edges):
-            meshes.append(edges)
-            return None, np.asarray(errors[min(len(meshes), len(errors)) - 1], dtype=float)
+        def sample(t):
+            rounds.append(t.reshape(-1, 21))
+            return centre_samples(t, [[gaps[min(len(rounds), len(gaps)) - 1]]])
 
-        return contract, meshes
+        return sample, rounds
 
     def test_non_finite_estimate_names_the_family(self):
-        contract, _ = self.panel_errors([[0.0, math.nan]])
+        sample, _ = self.panel_gaps([[0.0, math.nan]])
+        edges, spec = np.array([0.0, 1.0, 2.0]), QuadratureSpec()
         with pytest.raises(NonConvergence, match="widgets at x=1 are not finite"):
-            refine_panels(contract, np.array([0.0, 1.0, 2.0]), QuadratureSpec(), "widgets at x=1")
+            refine_panels(sample, edges, np.ones((1, 1)), spec, "widgets at x=1")
 
     def test_budget_reports_the_panel_count(self):
         # 2 panels -> 4 -> 8 would add 6 > 5 bisections
-        contract, meshes = self.panel_errors([[1.0, 1.0], [1.0] * 4])
+        sample, rounds = self.panel_gaps([[1.0, 1.0], [1.0] * 4])
         spec = QuadratureSpec(abs_tol=1e-3, max_subdivisions=5)
         with pytest.raises(NonConvergence, match="above 1.000e-03 after 4 panels"):
-            refine_panels(contract, np.array([0.0, 1.0, 2.0]), spec, "widgets")
-        assert [m.size - 1 for m in meshes] == [2, 4]
+            refine_panels(sample, np.array([0.0, 1.0, 2.0]), np.ones((1, 1)), spec, "widgets")
+        assert [r.shape[0] for r in rounds] == [2, 4]
 
     def test_bisects_only_panels_above_their_share(self):
         # total 1.1 > abs_tol 1; share 1/4: panels 0 and 2 are above it
-        contract, meshes = self.panel_errors([[0.5, 0.1, 0.3, 0.2], [0.0] * 6])
+        sample, rounds = self.panel_gaps([[0.5, 0.1, 0.3, 0.2], [0.0] * 6])
         spec = QuadratureSpec(abs_tol=1.0)
-        _, error = refine_panels(contract, np.array([0.0, 1.0, 2.0, 3.0, 4.0]), spec, "widgets")
-        assert error == 0.0
-        assert meshes[1].tolist() == [0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 4.0]
+        edges = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+        _, error, panels = refine_panels(sample, edges, np.ones((1, 1)), spec, "widgets")
+        assert error == 0.0 and panels == 6
+        refined, _, _ = panel_rule(np.array([0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 4.0]))
+        assert np.array_equal(rounds[1], refined)
+
+    def test_estimate_sums_each_groups_largest_weighted_gap(self):
+        # per panel: max(0.1, 2 * 0.3) + max(4 * 0.5, 0) = 2.6 and
+        # max(0.4, 2 * 0.2) + max(0, 0.25) = 0.65; the integrals are
+        # 0.5, 0.5 | 0.5, 0.25, so the roundoff is 8 eps (max(0.5, 1) + max(2, 0.25))
+        gaps = [[[0.1, 0.4], [0.3, 0.2]], [[0.5, 0.0], [0.0, 0.25]]]
+        weights = np.array([[1.0, 2.0], [4.0, 1.0]])
+        values, error, panels = refine_panels(
+            lambda t: centre_samples(t, gaps), np.array([0.0, 1.0, 2.0]), weights,
+            QuadratureSpec(abs_tol=10.0), "pairs",
+        )
+        assert panels == 2
+        assert np.allclose(values, [[0.5, 0.5], [0.5, 0.25]], rtol=1e-15, atol=0.0)
+        assert error == pytest.approx(3.25 + 24.0 * sys.float_info.epsilon, rel=1e-15)
+
+    def test_roundoff_above_tolerance_raises_without_bisecting(self):
+        sizes = []
+
+        def sample(t):
+            sizes.append(t.size)
+            return np.ones((1, 1, t.size))
+
+        spec = QuadratureSpec(abs_tol=1e-16)
+        with pytest.raises(NonConvergence, match="1.776e-15 of it summation roundoff"):
+            refine_panels(sample, np.array([0.0, 1.0]), np.ones((1, 1)), spec, "ones")
+        assert sizes == [21]
+
+    def test_wide_family_samples_each_node_once_per_round(self):
+        # 3000 integrands of 21 nodes fill a chunk with one panel; the first
+        # round's first panel (width 0.25, centre below it) is bisected
+        calls = []
+
+        def sample(t):
+            calls.append(t)
+            panels = t.reshape(-1, 21)
+            first = (panels[:, 10] < 0.25) & (panels[:, -1] - panels[:, 0] > 0.2)
+            return centre_samples(t, np.broadcast_to(first, (1, 3000, first.size)))
+
+        edges = np.linspace(0.0, 1.0, 5)
+        spec = QuadratureSpec(abs_tol=0.5)
+        _, error, panels = refine_panels(sample, edges, np.ones((1, 3000)), spec, "wide")
+        assert error == 0.0 and panels == 5 and len(calls) == 4 + 5
+        refined = np.array([0.0, 0.125, 0.25, 0.5, 0.75, 1.0])
+        nodes = [panel_rule(e)[0].ravel() for e in (edges, refined)]
+        assert np.array_equal(np.concatenate(calls), np.concatenate(nodes))
 
 
 class TestPanelRule:
