@@ -79,19 +79,24 @@ class OperatorKind(Enum):
     MAGNETIC = "magnetic"
 
 
-def operator_stencil(kind: OperatorKind, params: ModelParams, x: int, y: int) -> float:
-    """Matrix element ``(delta_x, h delta_y)`` of the chosen operator variant."""
-    hop = 0.5 if abs(x - y) == 1 else 0.0
+def operator_stencil(kind: OperatorKind, params: ModelParams, x, y):
+    """Matrix element ``(delta_x, h delta_y)`` of the chosen operator variant.
+
+    Elementwise on integer arrays ``x`` and ``y``; a float for scalar sites.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    hop = np.where(np.abs(x - y) == 1, 0.5, 0.0)
     if kind is OperatorKind.XY:
-        return hop
-    if kind is OperatorKind.MAGNETIC:
-        return hop + (params.lam if x == 0 and y == 0 else 0.0)
-    if kind is OperatorKind.DECOUPLED:
+        out = hop
+    elif kind is OperatorKind.MAGNETIC:
+        out = hop + np.where((x == 0) & (y == 0), params.lam, 0.0)
+    elif kind is OperatorKind.DECOUPLED:
         # sever the bonds (-nu-1, -nu) and (nu, nu+1)
-        if hop and min(x, y) in (-(params.nu + 1), params.nu):
-            return 0.0
-        return hop
-    raise ValueError(f"unknown operator kind {kind!r}")
+        low = np.minimum(x, y)
+        out = np.where((low == -(params.nu + 1)) | (low == params.nu), 0.0, hop)
+    else:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    return float(out) if out.ndim == 0 else out
 
 
 def planck_density(r: float, e):

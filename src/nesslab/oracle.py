@@ -2,7 +2,9 @@
 
 Everything here is deliberately independent of the quadrature modules: the
 chain is truncated to a window ``[-M, M]`` with open ends, the Hamiltonians
-are read off the shared stencil as Jacobi (tridiagonal) matrices and
+are read off the shared stencil as Jacobi (tridiagonal) matrices, each
+diagonal from one elementwise stencil call on the window's sites ``(x, x)``
+and each off-diagonal from one on its bonds ``(x, x + 1)``, and
 diagonalized exactly by LAPACK's tridiagonal eigensolver, the decoupled
 initial state is held as one reservoir's eigenpairs with their Planck
 weights at the two temperatures, and correlations are evolved exactly from
@@ -37,7 +39,6 @@ enforces a time horizon keeping the light cone safely inside the window.
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -67,14 +68,6 @@ _REFLECTION_MARGIN = 0.8
 _MIN_T_STAR = 100.0
 
 _SQRT_HALF = np.sqrt(0.5)
-
-# glibc keeps freed heap memory resident below a threshold that rises with
-# the size of the blocks a process has freed, so how much scratch of earlier
-# windows is still held depends on what ran before; trimming returns it
-try:
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-except (AttributeError, OSError, TypeError):  # not glibc
-    _malloc_trim = None
 
 # a Jacobi matrix as (diag, off)
 _Pair = tuple[np.ndarray, np.ndarray]
@@ -255,10 +248,6 @@ class TruncatedSystem:
         """The stored solve of one Jacobi block, solved on first use."""
         key = (diag.tobytes(), off.tobytes())
         if key not in self._solves:
-            # eigenvectors and solver workspace are among the largest arrays
-            # of the oracle; hand freed heap back before them
-            if _malloc_trim is not None:
-                _malloc_trim(0)
             self._solves[key] = _split_eigh(diag, off)
         return self._solves[key]
 
@@ -315,31 +304,28 @@ def build_truncation(
             f"half-width {M} outside [{_MIN_HALF_WIDTH}, {_MAX_HALF_WIDTH}]"
         )
     n = 2 * M + 1
-    sites = range(-M, M + 1)
+    x = np.arange(-M, M + 1)
     hams = {
-        kind: (
-            np.array([operator_stencil(kind, params, x, x) for x in sites]),
-            np.array([operator_stencil(kind, params, x, x + 1) for x in sites[:-1]]),
-        )
+        kind: (operator_stencil(kind, params, x, x), operator_stencil(kind, params, x[:-1], x[1:]))
         for kind in OperatorKind
     }
-    # float64 held at most: three kinds of 2n - 1 entries, and each distinct
-    # block the store solves, k (k + 1) per block of k it solves whole: the
-    # field and free kinds' even blocks of M + 1 coordinates, their one odd
-    # block of M (a free chain) and the reservoir of M - nu sites (at nu = 0
-    # that same chain).  No library path solves the decoupled kind, so its
-    # blocks are not counted.  The initial state holds the reservoir solve
-    # as well, counted again so that the bound holds per reference, and
-    # Planck weights at two temperatures.  Then the parts of two sites, n
-    # complex rows each, on the longest late-time grid the horizon allows
-    # (nt is at most 0.16 M + 1); none when no t_star fits
+    # float64 held at most, each array once: three kinds of 2n - 1 entries,
+    # and each distinct block the store solves, k (k + 1) per block of k it
+    # solves whole: the field and free kinds' even blocks of M + 1
+    # coordinates, their one odd block of M (a free chain) and the reservoir
+    # of M - nu sites (at nu = 0 that same chain).  No library path solves
+    # the decoupled kind, so its blocks are not counted.  The initial state
+    # holds the store's reservoir solve and adds Planck weights at two
+    # temperatures.  Then the parts of two sites, n complex rows each, on
+    # the longest late-time grid the horizon allows (nt is at most
+    # 0.16 M + 1); none when no t_star fits
     n_res = max(M - params.nu, 0)
     diag, off = hams[OperatorKind.DECOUPLED]
     reservoir = [(diag[:n_res], off[: n_res - 1])] if n_res else []
     solved_kinds = (OperatorKind.MAGNETIC, OperatorKind.XY)
     blocks = [block for kind in solved_kinds for block in _parity_split(*hams[kind])]
     distinct = {(d.tobytes(), e.tobytes()): (d, e) for d, e in blocks + reservoir}
-    solved = sum(_solve_floats(*block) for block in [*distinct.values(), *reservoir])
+    solved = sum(_solve_floats(*block) for block in distinct.values())
     floats = 3 * (2 * n - 1) + solved + 2 * n_res
     t_max = _REFLECTION_MARGIN * (M - params.nu - 2)
     nt = _late_grid_size(t_max) if t_max >= _MIN_T_STAR else 0
@@ -382,17 +368,13 @@ class DecoupledState(NamedTuple):
     left: np.ndarray
     right: np.ndarray
 
-    def project(self, rows: np.ndarray) -> np.ndarray:
-        """Mode amplitudes of one reservoir's rows."""
-        return self.modes.to_modes(rows)
-
     def __matmul__(self, f: np.ndarray) -> np.ndarray:
         if len(f) != self.n_sites:
             raise ValueError(f"{len(f)} site rows for a state of {self.n_sites} sites")
         n_res = len(self.left)
         out = 0.5 * f
         for rows, weights in ((slice(0, n_res), self.left), (slice(len(f) - n_res, None), self.right)):
-            out[rows] = self.modes.from_modes((self.project(f[rows]).T * weights).T)
+            out[rows] = self.modes.from_modes((self.modes.to_modes(f[rows]).T * weights).T)
         return out
 
     def pair_overlaps(self, fx: SiteParts, fy: SiteParts) -> tuple[np.ndarray, np.ndarray]:
@@ -467,6 +449,11 @@ class EvolutionTrace:
             raise ConsistencyError("correlation sample above 1 in magnitude")
 
 
+def _check_quarter(sys: TruncatedSystem, x: int, y: int) -> None:
+    if max(abs(x), abs(y)) > sys.M / 4:
+        raise DomainError(f"sites ({x}, {y}) beyond a quarter of the window")
+
+
 def _check_horizon(sys: TruncatedSystem, x: int, y: int, t_max: float) -> None:
     horizon = _REFLECTION_MARGIN * (
         sys.M - max(abs(x), abs(y), sys.params.nu + 2)
@@ -489,8 +476,7 @@ def _checked_times(sys: TruncatedSystem, x: int, y: int, times) -> np.ndarray:
         or np.any(np.diff(times) <= 0.0)
     ):
         raise ValueError("times must be nonempty, finite, nonnegative and strictly increasing")
-    if max(abs(x), abs(y)) > sys.M / 4:
-        raise DomainError(f"sites ({x}, {y}) beyond a quarter of the window")
+    _check_quarter(sys, x, y)
     _check_horizon(sys, x, y, float(times[-1]))
     return times
 
@@ -519,7 +505,7 @@ def _site_parts(
             parts.append((amplitudes[:0], amplitudes))
             continue
         evolved = block.from_modes(amplitudes)  # (m, nt) parity coordinates
-        parts.append((evolved[:k], state.project(evolved[k:])))
+        parts.append((evolved[:k], state.modes.to_modes(evolved[k:])))
     (sample_even, even), (sample_odd, odd) = parts
     return SiteParts(even, odd, np.concatenate([sample_even, sample_odd]))
 
@@ -544,6 +530,7 @@ def _late_times(sys: TruncatedSystem, x: int, y: int, t_star: float) -> np.ndarr
         raise ValueError(f"late-time estimate needs a finite t_star >= 100, got {t_star}")
     # before the grid: its size grows with t_star
     _check_horizon(sys, x, y, t_star)
+    _check_quarter(sys, x, y)
     return np.linspace(0.8 * t_star, t_star, _late_grid_size(t_star))
 
 
@@ -556,7 +543,7 @@ def _late_overlaps(
     the previous call; parts the previous call left on this grid are reused.
     """
     t_star = float(t_star)
-    times = _checked_times(sys, x, y, _late_times(sys, x, y, t_star))
+    times = _late_times(sys, x, y, t_star)
     state = initial_two_point(sys, th)
     cache = sys._site_cache
     keys = [(t_star, x), (t_star, y)]

@@ -132,6 +132,22 @@ class TestStencil:
                 else:
                     assert dec == free
 
+    @pytest.mark.parametrize("nu", range(4))
+    @pytest.mark.parametrize("lam", [0.4, -0.7, 5e-324, -0.0])
+    def test_arrays_match_scalar_calls_bitwise(self, lam, nu):
+        # every pair of sites in [-6, 6], neighbours and non-neighbours alike
+        p = ModelParams(lam, nu)
+        x, y = (a.ravel() for a in np.meshgrid(np.arange(-6, 7), np.arange(-6, 7)))
+        for kind in OperatorKind:
+            out = operator_stencil(kind, p, x, y)
+            scalar = np.array([operator_stencil(kind, p, int(i), int(j)) for i, j in zip(x, y)])
+            assert out.dtype == np.float64 and out.tobytes() == scalar.tobytes()
+
+    def test_unknown_kind_rejected(self):
+        for x in (0, np.arange(3)):
+            with pytest.raises(ValueError, match="unknown operator kind"):
+                operator_stencil("xy", ModelParams(0.2), x, x)
+
     def test_symmetry(self):
         p = ModelParams(-1.2, nu=2)
         for kind in OperatorKind:

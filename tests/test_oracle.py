@@ -7,7 +7,6 @@ shipped grids and frozen.
 """
 
 import math
-import platform
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from nesslab.exceptions import (
     TimeHorizonExceeded,
 )
 from nesslab import oracle
-from nesslab.model import ModelParams, OperatorKind, ThermalConfig, bound_state
+from nesslab.model import ModelParams, OperatorKind, ThermalConfig, bound_state, operator_stencil
 from nesslab.ness import s_element
 from nesslab.oracle import (
     EvolutionTrace,
@@ -49,14 +48,18 @@ from bruteforce import (
 
 
 def _array_bytes(item) -> int:
-    """Bytes of the numpy arrays reachable through dicts and tuples."""
-    if isinstance(item, np.ndarray):
-        return item.nbytes
-    if isinstance(item, dict):
-        item = item.values()
-    elif not isinstance(item, tuple):
-        return 0
-    return sum(_array_bytes(value) for value in item)
+    """Bytes of the numpy arrays reachable through dicts and tuples, each array once."""
+    arrays = {}
+
+    def walk(item):
+        if isinstance(item, np.ndarray):
+            arrays[id(item)] = item
+        elif isinstance(item, (dict, tuple)):
+            for value in item.values() if isinstance(item, dict) else item:
+                walk(value)
+
+    walk(item)
+    return sum(array.nbytes for array in arrays.values())
 
 
 def _all_evals(sys, kind):
@@ -96,14 +99,17 @@ class TestBuildTruncation:
             build_truncation(m, params, max_bytes=int(1.01 * held))
 
     def test_matrices_match_stencil(self):
+        # the dense reference is filled from scalar stencil calls
+        for m, lam, nu in [(12, 0.4, 1), (12, -0.7, 0), (15, 5e-324, 3), (10, -0.0, 2)]:
+            sys = build_truncation(m, ModelParams(lam, nu))
+            dense = dense_hamiltonians(m, ModelParams(lam, nu))
+            for kind in OperatorKind:
+                diag, off = sys.hamiltonians[kind]
+                assert diag.shape == (sys.n_sites,) and off.shape == (sys.n_sites - 1,)
+                mat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+                assert np.array_equal(mat, dense[kind])
         sys = build_truncation(12, ModelParams(0.4, 1))
-        dense = dense_hamiltonians(12, ModelParams(0.4, 1))
         mid = sys.index(0)
-        for kind in OperatorKind:
-            diag, off = sys.hamiltonians[kind]
-            assert diag.shape == (sys.n_sites,) and off.shape == (sys.n_sites - 1,)
-            mat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-            assert np.array_equal(mat, dense[kind])
         assert sys.hamiltonians[OperatorKind.MAGNETIC][0][mid] == 0.4
         assert sys.hamiltonians[OperatorKind.XY][0][mid] == 0.0
         assert sys.hamiltonians[OperatorKind.XY][1][mid] == 0.5
@@ -119,11 +125,17 @@ class TestBuildTruncation:
         assert np.max(np.abs(_all_evals(sys, OperatorKind.MAGNETIC))) < 1.0
         assert sys.bound_data() is None
 
-    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap trim is glibc's")
-    def test_heap_trim_found_on_glibc(self):
-        # without it the memory peak of a factorization depends on
-        # which windows the process built before
-        assert oracle._malloc_trim is not None
+    @pytest.mark.parametrize("m", [10, 37, 200])
+    def test_one_stencil_call_per_diagonal(self, m, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return operator_stencil(*args)
+
+        monkeypatch.setattr(oracle, "operator_stencil", counted)
+        build_truncation(m, ModelParams(0.4, 1))
+        assert len(calls) == 6 and set(calls) == set(OperatorKind)
 
     def test_index_round_trip(self):
         sys = build_truncation(15, ModelParams(0.0))
@@ -400,6 +412,7 @@ class TestSiteReuse:
         # nu = 0 the odd parts are read as phases of the reservoir modes
         sys = build_truncation(m, ModelParams(lam, nu))
         state = initial_two_point(sys, th12)
+        modes = state.modes
         times = np.linspace(0.0, 20.0, 5)
         n_res = m - nu
         n_even = len(state.modes.even.energies)
@@ -411,8 +424,8 @@ class TestSiteReuse:
             )[:, 0]
             right = (part.even + part.odd) * np.sqrt(0.5)
             left = odd_sign * (part.even - part.odd) * np.sqrt(0.5)
-            assert np.max(np.abs(state.project(frame[sys.n_sites - n_res :]) - right)) < 1e-14
-            assert np.max(np.abs(state.project(frame[:n_res]) - left)) < 1e-14
+            assert np.max(np.abs(modes.to_modes(frame[sys.n_sites - n_res :]) - right)) < 1e-14
+            assert np.max(np.abs(modes.to_modes(frame[:n_res]) - left)) < 1e-14
             sample = np.concatenate(oracle._fold(frame[n_res : sys.n_sites - n_res]))
             assert np.max(np.abs(part.sample - sample)) < 1e-14
 
