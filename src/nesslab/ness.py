@@ -133,7 +133,7 @@ def ti_commutator_element(
         s, c = np.sin(t), np.cos(t)
         p = np.maximum(s, a)
         q, e = s / p, a / p
-        return planck_difference(th, c) * c * s * q * e / (1.0 + (q * e) ** 2)
+        return planck_difference(th, c) * c * s * q * e / (1.0 + (q * e) ** 2), None
 
     edges = graded_mesh(a, th.beta_r, 0.5 * math.pi)
     what = f"translation defect at lam={params.lam!r}"

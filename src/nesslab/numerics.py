@@ -4,9 +4,13 @@ One rule serves every integral: ``panel_rule``, a fixed Gauss-Kronrod pair
 on the panels of a mesh, usually ``graded_mesh``.  ``refine_panels`` alone
 samples on it: it contracts a family of integrands, estimates the error
 from the embedded Gauss rule and the roundoff of the sums, and bisects
-panels until the estimate meets the tolerance.  Every closed form is
-certified there; ``adaptive_integrate`` does the same for one scalar
-integrand on an arbitrary interval, and has no caller in the library.
+panels until the estimate meets the tolerance.  A family may come factored
+as kernels times a shared basis, as the band moments do (every kernel
+times ``e^{imt}`` at every frequency): then each panel's sums come from
+one product of its weighted kernels with the basis, and no integrand is
+ever formed.  Every closed form is certified there; ``adaptive_integrate``
+does the same for one scalar integrand on an arbitrary interval, and has
+no caller in the library.
 """
 
 from __future__ import annotations
@@ -152,15 +156,15 @@ def graded_mesh(lam: float, beta: float, end: float, step: float = math.inf) -> 
     return np.append(inner, end)
 
 
-# elements of one sampled array; wider families are sampled a few panels
-# at a time
+# elements one chunk of panels samples; wider families are sampled a few
+# panels at a time
 _CHUNK_ELEMENTS = 3 << 14
 # roundoff of a sum per unit of its weighted magnitude
 _ROUNDOFF = 8.0 * sys.float_info.epsilon
 
 
 def refine_panels(
-    sample: Callable[[np.ndarray], np.ndarray],
+    sample: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]],
     edges: np.ndarray,
     weights: np.ndarray,
     spec: QuadratureSpec,
@@ -168,37 +172,63 @@ def refine_panels(
 ) -> tuple[np.ndarray, float, int]:
     """Certify the integrals of a family of integrands on the panels of ``edges``.
 
-    ``sample(t)`` gives ``G`` groups of ``K`` integrands at the flat nodes
-    ``t`` of ``panel_rule(edges)``, reshapable to ``(G, K, t.size)``, each
-    node once per round and a chunk of panels at a time; integral ``(g, k)``
-    enters a result times ``weights[g, k]``.  The estimate sums each group's
-    largest weighted Gauss-Kronrod gap over the groups and panels, plus the
-    summation roundoff, ``8 eps`` times the sum over the groups of the
-    largest weighted ``|integral|``.  While it exceeds ``spec.abs_tol``, the
-    panels above their share of what the roundoff leaves are bisected.
-    Returns the Kronrod integrals, shape ``(G, K)``, the estimate and the
-    panel count.  Raises NonConvergence, naming ``what``, for a non-finite
-    estimate, when the roundoff alone reaches ``spec.abs_tol``, and past
-    ``spec.max_subdivisions`` bisections.
+    ``sample(t)`` gives ``(kernels, basis)`` at the flat nodes ``t`` of
+    ``panel_rule(edges)``, each node once per round and a chunk of panels
+    at a time.  With a ``basis`` of shape ``(K, t.size)``, ``kernels`` is
+    ``(G, t.size)`` and integrand ``(g, k)`` is ``kernels[g] * basis[k]``;
+    with ``basis=None`` the kernels are the integrands, reshapable to
+    ``(G, K, t.size)``.  Integral ``(g, k)`` enters a result times
+    ``weights[g, k]``.  A chunk holds about ``_CHUNK_ELEMENTS`` sampled
+    elements: ``G + K`` per node with a basis, ``G K`` without (and in the
+    first chunk, before the first sample shows which).
+
+    With a basis, each chunk stacks every panel's kernels times its Kronrod
+    weights and times its Kronrod-minus-Gauss weights, and one batched
+    product with the basis gives each panel's Kronrod sums and Gauss-Kronrod
+    gaps; a chunk's value is its panels' sums added in panel order.  Without
+    one, the integrands are contracted with both weights over the chunk's
+    nodes at once.  The chunks' values are added in order.
+
+    The estimate sums each group's largest weighted Gauss-Kronrod gap over
+    the groups and panels, plus the summation roundoff, ``8 eps`` times the
+    sum over the groups of the largest weighted ``|integral|``.  While it
+    exceeds ``spec.abs_tol``, the panels above their share of what the
+    roundoff leaves are bisected.  Returns the Kronrod integrals, shape
+    ``(G, K)``, the estimate and the panel count.  Raises NonConvergence,
+    naming ``what``, for a non-finite estimate, when the roundoff alone
+    reaches ``spec.abs_tol``, and past ``spec.max_subdivisions`` bisections.
     """
+    n_groups = weights.shape[0]
     # one integrand per group: no maximum to take, and the group sum weighs it
     single, scale = weights.shape[1] == 1, weights[..., None]
-    group_weights = weights[:, 0] if single else np.ones(weights.shape[0])
+    group_weights = weights[:, 0] if single else np.ones(n_groups)
     shape = (*weights.shape, -1, _GK_NODES.size)
-    chunk = max(1, _CHUNK_ELEMENTS // (weights.size * _GK_NODES.size))
+    per_node = weights.size  # sampled elements per node, G K until a basis shows
     cap = edges.size - 1 + spec.max_subdivisions
     while True:
         t, wk, wg = panel_rule(edges)
         n_panels, dw = t.shape[0], wk - wg
         # per group, the largest gap on each panel and then the largest |integral|
-        largest = np.empty((weights.shape[0], n_panels + 1))
-        for start in range(0, n_panels, chunk):
-            sl = slice(start, start + chunk)
-            samples = sample(t[sl].ravel()).reshape(shape)
-            part = np.einsum("gkpn,pn->gk", samples, wk[sl])
+        largest = np.empty((n_groups, n_panels + 1))
+        start = 0
+        while start < n_panels:
+            sl = slice(start, start + max(1, _CHUNK_ELEMENTS // (per_node * _GK_NODES.size)))
+            kernels, basis = sample(t[sl].ravel())
+            if basis is None:
+                samples = kernels.reshape(shape)
+                part = np.einsum("gkpn,pn->gk", samples, wk[sl])
+                gaps = np.abs(np.einsum("gkpn,pn->gkp", samples, dw[sl]))
+            else:
+                per_node = n_groups + basis.shape[0]
+                p = wk[sl].shape[0]
+                kernels = kernels.reshape(n_groups, p, -1).transpose(1, 0, 2)
+                stacked = np.concatenate([kernels * wk[sl, None], kernels * dw[sl, None]], axis=1)
+                sums = stacked @ basis.reshape(basis.shape[0], p, -1).transpose(1, 2, 0)
+                part = sums[:, :n_groups].sum(axis=0)
+                gaps = np.abs(sums[:, n_groups:]).transpose(1, 2, 0)
             values = part if start == 0 else values + part
-            gaps = np.abs(np.einsum("gkpn,pn->gkp", samples, dw[sl]))
             largest[:, :-1][:, sl] = gaps[:, 0] if single else (scale * gaps).max(axis=1)
+            start = sl.stop
         largest[:, -1] = np.abs(values[:, 0]) if single else (weights * np.abs(values)).max(axis=1)
         totals = group_weights @ largest
         panel_err, roundoff = totals[:-1], _ROUNDOFF * float(totals[-1])
@@ -239,7 +269,7 @@ def adaptive_integrate(
         raise InvalidInterval(f"need a finite interval with a < b, got [{a}, {b}]")
 
     def sample(t):
-        return np.array([f(x) for x in t.tolist()])
+        return np.array([f(x) for x in t.tolist()]), None
 
     what = f"integrand samples on [{a:g}, {b:g}]"
     values, error, panels = refine_panels(sample, np.array([a, b]), np.ones((1, 1)), spec, what)

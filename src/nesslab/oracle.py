@@ -218,10 +218,12 @@ class TruncatedSystem:
     even and odd parity blocks, and the reservoir's of ``initial_two_point``,
     are kept in one store keyed by block content, so a block that several
     matrices share is solved once and every reader holds the same arrays.
-    The latest initial state is cached with its temperature pair, and the
+    The latest initial state is cached with its temperature pair, the
     ``SiteParts`` of the latest late-time estimate's sites with
-    ``(t_star, site)``.  The parts do not depend on the temperatures: a
-    state at any temperatures holds the same reservoir solve.
+    ``(t_star, site)``, and beside them the phases ``exp(i w t)`` of each
+    parity block on that grid, by ``t_star`` and block (0 even, 1 odd).  The
+    parts do not depend on the temperatures: a state at any temperatures
+    holds the same reservoir solve.
     """
 
     M: int
@@ -230,6 +232,7 @@ class TruncatedSystem:
     _solves: dict[tuple[bytes, bytes], Eigenpairs | Split] = field(default_factory=dict)
     _state_cache: dict[tuple[float, float], DecoupledState] = field(default_factory=dict)
     _site_cache: dict[tuple[float, int], SiteParts] = field(default_factory=dict)
+    _phase_cache: dict[float, dict[int, np.ndarray]] = field(default_factory=dict)
 
     @property
     def n_sites(self) -> int:
@@ -297,7 +300,14 @@ def build_truncation(
     params: ModelParams,
     max_bytes: int = _DEFAULT_MEMORY_CAP,
 ) -> TruncatedSystem:
-    """Read the three Jacobi matrices of the window off the stencil."""
+    """Read the three Jacobi matrices of the window off the stencil.
+
+    Raises ResourceLimit when the dense storage the window may come to hold
+    exceeds ``max_bytes``: its matrices and solves, one initial state, and
+    on the longest late-time grid of ``nt`` times the parts of two sites,
+    ``16 n nt`` bytes each, and the phases of both parity blocks, ``16 n nt``
+    bytes together.
+    """
     M = int(M)
     if not _MIN_HALF_WIDTH <= M <= _MAX_HALF_WIDTH:
         raise ValueError(
@@ -316,9 +326,10 @@ def build_truncation(
     # of M - nu sites (at nu = 0 that same chain).  No library path solves
     # the decoupled kind, so its blocks are not counted.  The initial state
     # holds the store's reservoir solve and adds Planck weights at two
-    # temperatures.  Then the parts of two sites, n complex rows each, on
-    # the longest late-time grid the horizon allows (nt is at most
-    # 0.16 M + 1); none when no t_star fits
+    # temperatures.  Then the parts of two sites, n complex rows each, and
+    # the phases of both parity blocks, n complex rows in all, on the
+    # longest late-time grid the horizon allows (nt is at most 0.16 M + 1);
+    # none when no t_star fits
     n_res = max(M - params.nu, 0)
     diag, off = hams[OperatorKind.DECOUPLED]
     reservoir = [(diag[:n_res], off[: n_res - 1])] if n_res else []
@@ -329,7 +340,7 @@ def build_truncation(
     floats = 3 * (2 * n - 1) + solved + 2 * n_res
     t_max = _REFLECTION_MARGIN * (M - params.nu - 2)
     nt = _late_grid_size(t_max) if t_max >= _MIN_T_STAR else 0
-    estimate = 8 * floats + 2 * 16 * n * nt
+    estimate = 8 * floats + 3 * 16 * n * nt
     if estimate > max_bytes:
         raise ResourceLimit(
             f"window of {n} sites needs about {estimate / 2**30:.1f} GiB "
@@ -385,12 +396,15 @@ class DecoupledState(NamedTuple):
         each odd mode, which cancels in ``conj(a) b``.  The sample rows
         count over two.
         """
-        right = (fx.even + fx.odd).conj() * (fy.even + fy.odd)
-        left = (fx.even - fx.odd).conj() * (fy.even - fy.odd)
         sample = np.einsum("it,it->t", fx.sample.conj(), fy.sample)
+        # one reservoir's products held at a time: each is as large as a part
+        right = (fx.even + fx.odd).conj() * (fy.even + fy.odd)
+        right_l, right_r = self.left @ right, self.right @ right
+        del right
+        left = (fx.even - fx.odd).conj() * (fy.even - fy.odd)
         return (
-            0.5 * (sample + self.left @ left + self.right @ right),
-            0.5 * (sample + self.right @ left + self.left @ right),
+            0.5 * (sample + self.left @ left + right_r),
+            0.5 * (sample + self.right @ left + right_l),
         )
 
 
@@ -482,7 +496,11 @@ def _checked_times(sys: TruncatedSystem, x: int, y: int, times) -> np.ndarray:
 
 
 def _site_parts(
-    sys: TruncatedSystem, state: DecoupledState, x: int, times: np.ndarray
+    sys: TruncatedSystem,
+    state: DecoupledState,
+    x: int,
+    times: np.ndarray,
+    phases: dict[int, np.ndarray],
 ) -> SiteParts:
     """Evolve ``e_x`` through the parity blocks it touches and project it once.
 
@@ -491,16 +509,20 @@ def _site_parts(
     part, so its odd block is neither evolved nor projected.  At ``nu = 0``
     the odd block is the reservoir's own solve and has no sample
     coordinates, so its reservoir amplitudes are its evolved mode
-    amplitudes: phases, with no product and no projection.
+    amplitudes: phases, with no product and no projection.  ``phases``
+    holds each block's ``exp(i w t)`` on ``times`` (0 even, 1 odd), and a
+    block's is added on first use.
     """
     inner = (sys.params.nu + 1, sys.params.nu)  # parity coordinates in the sample
     blocks = zip(sys.factorization(OperatorKind.MAGNETIC), _fold(_site_vectors(sys, (x,))), inner)
     parts = []
-    for block, coords, k in blocks:
+    for parity, (block, coords, k) in enumerate(blocks):
         if not coords.any():
             parts.append([np.zeros((rows, times.size), complex) for rows in (k, len(state.left))])
             continue
-        amplitudes = block.to_modes(coords) * np.exp(1j * np.outer(block.energies, times))
+        if parity not in phases:
+            phases[parity] = np.exp(1j * np.outer(block.energies, times))
+        amplitudes = block.to_modes(coords) * phases[parity]
         if block is state.modes:
             parts.append((amplitudes[:0], amplitudes))
             continue
@@ -515,8 +537,9 @@ def evolve_with_state(
 ) -> EvolutionTrace:
     """Evolve ``(e_x, S(t) e_y)`` from the factored initial state ``state``."""
     times = _checked_times(sys, x, y, times)
-    part_x = _site_parts(sys, state, x, times)
-    part_y = part_x if y == x else _site_parts(sys, state, y, times)
+    phases = {}
+    part_x = _site_parts(sys, state, x, times, phases)
+    part_y = part_x if y == x else _site_parts(sys, state, y, times, phases)
     values, _ = state.pair_overlaps(part_x, part_y)
     return EvolutionTrace(times, values)
 
@@ -540,7 +563,9 @@ def _late_overlaps(
     """The late-time grid of ``t_star`` and ``pair_overlaps`` of ``(x, y)`` on it.
 
     The parts of ``x`` and ``y`` are kept on ``sys`` in place of those of
-    the previous call; parts the previous call left on this grid are reused.
+    the previous call, and the block phases of this grid in place of those
+    of another; parts and phases the previous call left on this grid are
+    reused.
     """
     t_star = float(t_star)
     times = _late_times(sys, x, y, t_star)
@@ -549,9 +574,12 @@ def _late_overlaps(
     keys = [(t_star, x), (t_star, y)]
     for key in set(cache).difference(keys):
         del cache[key]
+    if t_star not in sys._phase_cache:
+        sys._phase_cache.clear()
+    phases = sys._phase_cache.setdefault(t_star, {})
     for key in keys:
         if key not in cache:
-            cache[key] = _site_parts(sys, state, key[1], times)
+            cache[key] = _site_parts(sys, state, key[1], times, phases)
     return times, state.pair_overlaps(*(cache[key] for key in keys))
 
 

@@ -9,12 +9,14 @@ the initial state puts on the bound state.
 
 Every band overlap is a linear combination of Fourier moments over
 ``[0, pi]`` with integer frequencies, in which only the frequency and the
-reservoir temperature vary.  ``band_moments`` samples the few integrands,
-the field kernels already multiplied by their field factors, so that each
-is bounded by 1 at every finite field, once on a Gauss-Kronrod mesh graded
-at their near-poles, against ``e^{imt}`` for every frequency a window
-needs, and ``numerics.refine_panels`` contracts and certifies them;
-``ac_overlap`` and ``ness.correlation_block`` index into the result.  The
+reservoir temperature vary.  ``band_moments`` samples the six real
+kernels, the plane one and the field kernels already multiplied by their
+field factors, so that each is bounded by 1 at every finite field, once on
+a Gauss-Kronrod mesh graded at their near-poles, with the basis
+``e^{imt}`` of every frequency a window needs beside them, and
+``numerics.refine_panels`` contracts each panel's kernels with the basis
+in one product and certifies the moments; ``ac_overlap`` and
+``ness.correlation_block`` index into the result.  The
 bound-state weight is one more such sampling, of both reservoirs'
 sine-transform integrands on a mesh graded at the bound state's decay
 rate.
@@ -129,13 +131,17 @@ class BandMoments:
     scattered: np.ndarray
     error_estimate: float
 
-    def at(self, family: np.ndarray, row: int, m) -> np.ndarray:
-        """Moments of one family and reservoir at the integer frequencies ``m``."""
-        m = np.asarray(m)
+    def _index(self, m: np.ndarray) -> np.ndarray:
+        """Column of every frequency in ``m``, by one search and one check."""
         i = np.minimum(np.searchsorted(self.frequencies, np.abs(m)), self.frequencies.size - 1)
         if np.any(self.frequencies[i] != np.abs(m)):
             raise ValueError("frequency outside the computed set")
-        value = family[row, i]
+        return i
+
+    def at(self, family: np.ndarray, row: int, m) -> np.ndarray:
+        """Moments of one family and reservoir at the integer frequencies ``m``."""
+        m = np.asarray(m)
+        value = family[row, self._index(m)]
         return np.where(m < 0, value.conj(), value)
 
     def overlap(self, x, y) -> np.ndarray:
@@ -144,11 +150,22 @@ class BandMoments:
         The plane term takes ``k > 0`` from the left reservoir and ``k < 0``,
         mapped by ``k -> -t``, from the right one; the cross and scattered
         terms are the wave products of ``wave_action`` with the momentum
-        folded onto ``[0, pi]``, so every frequency is an integer.
+        folded onto ``[0, pi]``, so every frequency is an integer.  All
+        seven frequency arrays are looked up at once, and the terms
+        gathered one at a time.
         """
         d, m1, m2, m1r, m2r, m3 = overlap_frequencies(x, y)
-        at, p, c, s = self.at, self.plane, self.cross, self.scattered
-        plane = at(p, 0, d) + at(p, 1, -d)
+        m = np.stack(np.broadcast_arrays(d, -d, m1, m2, m1r, m2r, m3))
+        # each frequency array with its columns
+        d, nd, m1, m2, m1r, m2r, m3 = zip(m, self._index(m))
+
+        def at(family, row, frequency):
+            m, i = frequency
+            value = family[row, i]
+            return np.where(m < 0, value.conj(), value)
+
+        p, c, s = self.plane, self.cross, self.scattered
+        plane = at(p, 0, d) + at(p, 1, nd)
         cross = at(c, 0, m1) - at(c, 0, m2) + at(c, 1, m1r) - at(c, 1, m2r)
         scattered = (
             at(s, 0, m1) + at(s, 0, m2) - at(s, 0, m3) + at(s, 1, m1r) + at(s, 1, m2r) - at(s, 1, m3)
@@ -165,27 +182,28 @@ def _moment_mesh(lam: float, beta_r: float, m_top: int) -> np.ndarray:
     return graded_mesh(lam, beta_r, _PI, 4.0 / max(m_top, 1))
 
 
-def _moment_integrands(lam: float, betas: np.ndarray, m: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Samples of the plane, cross and scattered families at nodes ``t``.
+def _moment_integrands(
+    lam: float, betas: np.ndarray, m: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The band-moment kernels and frequency basis at nodes ``t``.
 
-    One array of shape ``(3, 2, M, N)``: family, reservoir, frequency and
-    node, as ``BandMoments`` defines them.  The field kernels are formed in
+    The kernels are real, shape ``(6, N)``: the plane, cross and scattered
+    kernels of ``BandMoments``, each for ``beta_l`` then ``beta_r``; the
+    basis is ``e^{imt}``, shape ``(M, N)``, the exponential of each
+    rounded ``m t``.  The field kernels are formed in
     ``p = max(sin t, |lam|)``, ``q = sin t/p`` and ``e = |lam|/p``, as
     ``sign(lam) q e / r`` and ``e^2 / r`` with ``r = q^2 + e^2``: no field
     is squared, so they stay finite from the smallest subnormal field to
     the largest double.  Their near-poles at distance ~|lam| off both
     endpoints are resolved by the grading of ``_moment_mesh``.
     """
-    out = np.empty((3, 2, m.size, t.size), dtype=complex)
-    rho = planck_density(betas[:, None], np.cos(t))[:, None, :]
-    plane = np.multiply(rho, np.exp(1j * np.multiply.outer(m, t)), out=out[0])
+    rho = planck_density(betas[:, None], np.cos(t))
     sin, a = np.sin(t), abs(lam)
     p = np.maximum(sin, a)
     q, e = sin / p, a / p
     r = q * q + e * e
-    np.multiply(plane, math.copysign(1.0, lam) * q * e / r, out=out[1])
-    np.multiply(plane, e * e / r, out=out[2])
-    return out
+    kernels = np.concatenate([rho, rho * (math.copysign(1.0, lam) * q * e / r), rho * (e * e / r)])
+    return kernels, np.exp(1j * np.multiply.outer(m, t))
 
 
 def band_moments(
@@ -196,16 +214,17 @@ def band_moments(
 ) -> BandMoments:
     """Band moments of both reservoirs at the given integer frequencies, on one mesh.
 
-    Only ``|m|`` is computed; ``B(-m) = conj B(m)``.  The integrands are
-    sampled once on the graded mesh of ``_moment_mesh``, at every finite
-    field alike, and ``numerics.refine_panels`` contracts and certifies
-    them, each family and reservoir a group weighted by how a matrix
-    element combines the moments: one plane moment per reservoir, two cross
-    moments and three scattered moments, each at ``1/2pi``.  The estimate,
-    the Gauss gaps maximized over the frequencies plus the summation
-    roundoff (about 9e-16 with frequency 0), bounds the error of any band
-    overlap; above ``spec.abs_tol`` the mesh is refined or NonConvergence
-    raised, as ``refine_panels`` says.
+    Only ``|m|`` is computed; ``B(-m) = conj B(m)``.  The kernels and the
+    frequency basis of ``_moment_integrands`` are sampled once on the
+    graded mesh of ``_moment_mesh``, at every finite field alike, and
+    ``numerics.refine_panels`` contracts them panel by panel in one batched
+    product and certifies the moments, each family and reservoir a group
+    weighted by how a matrix element combines the moments: one plane moment
+    per reservoir, two cross moments and three scattered moments, each at
+    ``1/2pi``.  The estimate, the Gauss gaps maximized over the frequencies
+    plus the summation roundoff (about 9e-16 with frequency 0), bounds the
+    error of any band overlap; above ``spec.abs_tol`` the mesh is refined
+    or NonConvergence raised, as ``refine_panels`` says.
     """
     spec = spec if spec is not None else QuadratureSpec()
     m = np.unique(np.abs(np.concatenate([np.ravel(f) for f in frequencies]))).astype(int)
@@ -269,7 +288,7 @@ def _pp_weight_cached(params: ModelParams, th: ThermalConfig, spec: QuadratureSp
         x = 2.0 * betas * v * v
         safe = np.where(x > 0.0, x, 1.0)
         expm1_ratio = np.where(x > 0.0, -np.expm1(-safe) / safe, 1.0)  # (1 - e^{-x})/x
-        return (
+        kernels = (
             planck_density(betas, -1.0)
             * planck_density(betas, np.cos(k))
             * (0.5 * betas)
@@ -277,6 +296,7 @@ def _pp_weight_cached(params: ModelParams, th: ThermalConfig, spec: QuadratureSp
             * np.cos(0.5 * k) ** 2
             * (c / np.hypot(gap, c)) ** 4
         )
+        return kernels, None
 
     # S has its poles at k = +-i alpha, so the field grading starts from alpha/8
     edges = graded_mesh(alpha, th.beta_r, _PI)

@@ -101,7 +101,7 @@ def _flux_integrals(
             families += [g * k1, g * k1 * (8.0 * e * e / r - 2.0)]
         if lam != 0.0:
             families.append((g - f0) * k1)
-        return np.array(families)
+        return np.array(families), None
 
     edges = graded_mesh(field, th.beta_r, 0.5 * _PI)
     values, error, _ = refine_panels(sample, edges, weights, spec, f"flux integrals at lam={lam!r}")

@@ -10,12 +10,14 @@ when the package is wrong.
 import cmath
 import math
 import weakref
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import eigh, eigh_tridiagonal
 
-from nesslab.model import OperatorKind, operator_stencil
+from nesslab.model import OperatorKind, operator_stencil, planck_density
+from nesslab.numerics import panel_rule
 
 
 def fermi(r: float, e):
@@ -255,6 +257,81 @@ def overlap_direct(lam: float, beta_l: float, beta_r: float, x: int, y: int) -> 
             for part, unit in ((lambda k: integrand(k).real, 1.0), (lambda k: integrand(k).imag, 1j)):
                 total += unit * quad(part, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
     return total / (2.0 * math.pi)
+
+
+def moment_products(lam: float, betas, m, edges, chunk: int = 64) -> np.ndarray:
+    """Band moments from the full product array, on the panels of ``edges``.
+
+    The plane, cross and scattered kernels of ``scattering.BandMoments``,
+    in the same no-square field form, are each multiplied by ``e^{imt}``
+    for every frequency into one ``(3, 2, M, N)`` complex array per
+    ``chunk`` panels, and that array is contracted with the Kronrod weights
+    by one einsum; the chunks' sums are added in order.  The twin of the
+    factored kernel-times-basis product of ``numerics.refine_panels``.
+    """
+    t, wk, _ = panel_rule(edges)
+    betas, m = np.asarray(betas, dtype=float), np.asarray(m)
+    sign, a = math.copysign(1.0, lam), abs(lam)
+    total = 0.0
+    for start in range(0, t.shape[0], chunk):
+        nodes, w = t[start : start + chunk].ravel(), wk[start : start + chunk].ravel()
+        rho = planck_density(betas[:, None], np.cos(nodes))[:, None, :]
+        plane = rho * np.exp(1j * np.multiply.outer(m, nodes))
+        sin = np.sin(nodes)
+        p = np.maximum(sin, a)
+        q, e = sin / p, a / p
+        r = q * q + e * e
+        products = np.stack([plane, plane * (sign * q * e / r), plane * (e * e / r)])
+        total = total + np.einsum("fbmn,n->fbm", products, w)
+    return total
+
+
+def _cos_sin(x: Decimal, tiny: Decimal) -> tuple[Decimal, Decimal]:
+    """``cos x`` and ``sin x`` from the Taylor series of ``e^{ix}``, to ``tiny``."""
+    c, s, term, n = Decimal(0), Decimal(0), Decimal(1), 0
+    while abs(term) > tiny:
+        if n % 2 == 0:
+            c += term if n % 4 == 0 else -term
+        else:
+            s += term if n % 4 == 1 else -term
+        n += 1
+        term = term * x / n
+    return c, s
+
+
+def kronrod_sums_decimal(lam: float, betas, m, t, wk, digits: int = 30) -> list:
+    """Band-moment Kronrod sums on the nodes ``t`` with weights ``wk``, at ``digits`` digits.
+
+    ``sum_n wk[n] kernel(t[n]) e^{i m t[n]}`` for the plane, cross and
+    scattered kernels of ``scattering.BandMoments`` (rows as there: family
+    then reservoir), from their definitions, ``1 / (1 + e^{beta cos t})``,
+    ``lam sin t / (sin^2 t + lam^2)`` and ``lam^2 / (sin^2 t + lam^2)``,
+    with every node and weight the exact value of its double.  Evaluated in
+    decimal arithmetic ten digits beyond ``digits``: cosine and sine by
+    their series, the frequencies as powers of ``e^{it}``.  Returns rows of
+    ``(re, im)`` pairs of Decimals, shape ``(6, len(m))``.
+    """
+    m = [int(k) for k in m]
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        tiny = Decimal(10) ** -(digits + 15)
+        lam_d = Decimal(lam)
+        sums = [[[Decimal(0), Decimal(0)] for _ in m] for _ in range(6)]
+        for node, weight in zip(np.ravel(t).tolist(), np.ravel(wk).tolist()):
+            c, s = _cos_sin(Decimal(node), tiny)
+            rho = [1 / (1 + (Decimal(beta) * c).exp()) for beta in betas]
+            d = s * s + lam_d * lam_d
+            field = (lam_d * s / d, lam_d * lam_d / d)
+            kernels = [Decimal(weight) * r * f for f in (1, *field) for r in rho]
+            powers = [(Decimal(1), Decimal(0))]
+            for _ in range(max(m)):
+                re, im = powers[-1]
+                powers.append((re * c - im * s, re * s + im * c))
+            for row, kernel in zip(sums, kernels):
+                for pair, k in zip(row, m):
+                    pair[0] += kernel * powers[k][0]
+                    pair[1] += kernel * powers[k][1]
+        return sums
 
 
 def central_difference(f, x: float, h: float) -> float:

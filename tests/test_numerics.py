@@ -165,7 +165,7 @@ class TestRefinePanels:
 
         def sample(t):
             rounds.append(t.reshape(-1, 21))
-            return centre_samples(t, [[gaps[min(len(rounds), len(gaps)) - 1]]])
+            return centre_samples(t, [[gaps[min(len(rounds), len(gaps)) - 1]]]), None
 
         return sample, rounds
 
@@ -200,7 +200,7 @@ class TestRefinePanels:
         gaps = [[[0.1, 0.4], [0.3, 0.2]], [[0.5, 0.0], [0.0, 0.25]]]
         weights = np.array([[1.0, 2.0], [4.0, 1.0]])
         values, error, panels = refine_panels(
-            lambda t: centre_samples(t, gaps), np.array([0.0, 1.0, 2.0]), weights,
+            lambda t: (centre_samples(t, gaps), None), np.array([0.0, 1.0, 2.0]), weights,
             QuadratureSpec(abs_tol=10.0), "pairs",
         )
         assert panels == 2
@@ -212,7 +212,7 @@ class TestRefinePanels:
 
         def sample(t):
             sizes.append(t.size)
-            return np.ones((1, 1, t.size))
+            return np.ones((1, 1, t.size)), None
 
         spec = QuadratureSpec(abs_tol=1e-16)
         with pytest.raises(NonConvergence, match="1.776e-15 of it summation roundoff"):
@@ -228,13 +228,56 @@ class TestRefinePanels:
             calls.append(t)
             panels = t.reshape(-1, 21)
             first = (panels[:, 10] < 0.25) & (panels[:, -1] - panels[:, 0] > 0.2)
-            return centre_samples(t, np.broadcast_to(first, (1, 3000, first.size)))
+            return centre_samples(t, np.broadcast_to(first, (1, 3000, first.size))), None
 
         edges = np.linspace(0.0, 1.0, 5)
         spec = QuadratureSpec(abs_tol=0.5)
         _, error, panels = refine_panels(sample, edges, np.ones((1, 3000)), spec, "wide")
         assert error == 0.0 and panels == 5 and len(calls) == 4 + 5
         refined = np.array([0.0, 0.125, 0.25, 0.5, 0.75, 1.0])
+        nodes = [panel_rule(e)[0].ravel() for e in (edges, refined)]
+        assert np.array_equal(np.concatenate(calls), np.concatenate(nodes))
+
+
+    def test_basis_family_sums_and_estimate(self):
+        # kernels vanish but at the panel centres pi/2 and 3pi/2, where the
+        # basis e^{imt}, m = 0, 1, is 1, 1 and i, -i; so the integrals are
+        # 0.1 + 0.4, (0.1 - 0.4) i | 0.5, 0.5 i, and each panel's gap is its
+        # kernel's: max(0.1, 2 * 0.1) + max(4 * 0.5, 0.5) on the first,
+        # max(0.4, 2 * 0.4) + 0 on the second, 3.0 in all; the roundoff is
+        # 8 eps (max(0.5, 2 * 0.3) + max(4 * 0.5, 0.5))
+        gaps = [[0.1, 0.4], [0.5, 0.0]]
+        weights = np.array([[1.0, 2.0], [4.0, 1.0]])
+
+        def sample(t):
+            return centre_samples(t, gaps), np.exp(1j * np.multiply.outer([0.0, 1.0], t))
+
+        edges, spec = np.array([0.0, math.pi, 2.0 * math.pi]), QuadratureSpec(abs_tol=10.0)
+        values, error, panels = refine_panels(sample, edges, weights, spec, "pairs")
+        assert panels == 2
+        assert np.allclose(values, [[0.5, -0.3j], [0.5, 0.5j]], rtol=0.0, atol=1e-15)
+        assert error == pytest.approx(3.0 + 20.8 * sys.float_info.epsilon, rel=1e-15)
+
+    def test_wide_basis_family_samples_each_node_once_per_round(self):
+        # 4 kernels and 600 basis functions: the first chunk, sized before
+        # the basis shows, holds one panel (2400 integrands of 21 nodes);
+        # then 604 sampled elements per node fit three panels.  The first
+        # round's first panel (width 0.125, centre below it) is bisected
+        calls = []
+
+        def sample(t):
+            calls.append(t)
+            panels = t.reshape(-1, 21)
+            first = (panels[:, 10] < 0.125) & (panels[:, -1] - panels[:, 0] > 0.1)
+            kernels = centre_samples(t, np.broadcast_to(first, (4, first.size)))
+            return kernels, np.ones((600, t.size))
+
+        edges = np.linspace(0.0, 1.0, 9)
+        spec = QuadratureSpec(abs_tol=0.5)
+        _, error, panels = refine_panels(sample, edges, np.ones((4, 600)), spec, "wide")
+        assert error == 0.0 and panels == 9
+        assert [c.size // 21 for c in calls] == [1, 3, 3, 1, 3, 3, 3]
+        refined = np.sort(np.append(edges, 0.0625))
         nodes = [panel_rule(e)[0].ravel() for e in (edges, refined)]
         assert np.array_equal(np.concatenate(calls), np.concatenate(nodes))
 

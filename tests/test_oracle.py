@@ -417,8 +417,9 @@ class TestSiteReuse:
         n_res = m - nu
         n_even = len(state.modes.even.energies)
         odd_sign = np.where(np.arange(n_res) < n_even, 1.0, -1.0)[:, None]
+        phases = {}  # shared by the sites, as on a late-time grid
         for x in (0, 1, -2, nu + 2):
-            part = oracle._site_parts(sys, state, x, times)
+            part = oracle._site_parts(sys, state, x, times, phases)
             frame = oracle._propagate(
                 sys.factorization(OperatorKind.MAGNETIC), oracle._site_vectors(sys, (x,)), times
             )[:, 0]

@@ -1,7 +1,12 @@
 """Wave-operator action, overlap integrals, and the bound-state weight."""
 
 import cmath
+import json
 import math
+import sys
+from decimal import Decimal
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from nesslab import scattering
 from nesslab.exceptions import DomainError, NonConvergence
 from nesslab.model import ModelParams, ThermalConfig, planck_density
-from nesslab.numerics import QuadratureSpec
+from nesslab.numerics import QuadratureSpec, panel_rule, refine_panels
 from nesslab.scattering import (
     ac_overlap,
     band_moments,
@@ -20,7 +25,18 @@ from nesslab.scattering import (
     xy_symbol,
 )
 
-from bruteforce import pp_weight_direct, symbol_coefficient, unsplit_evolve, unsplit_initial_state
+from bruteforce import (
+    kronrod_sums_decimal,
+    moment_products,
+    pp_weight_direct,
+    symbol_coefficient,
+    unsplit_evolve,
+    unsplit_initial_state,
+)
+
+# the fields of the benchmark's window pool, perfbench/refs/window.json
+WINDOW_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "window.json"
+WINDOW_FIELDS = [f["lam"] for f in json.loads(WINDOW_REFS.read_text())["fields"]]
 
 # 40-digit mpmath values of the weight at th = (1, 2), nu = 0, printed by
 # tests/reference_mp.py; adaptive quadrature missed every field from 1e-6
@@ -187,6 +203,46 @@ class TestBandMoments:
         mom = band_moments(0.5, th12, range(5))
         with pytest.raises(ValueError):
             mom.overlap(3, -2)
+
+
+class TestFactoredMoments:
+    """The kernel-times-basis product against its product-array twin and exact sums."""
+
+    @pytest.mark.parametrize("lam", [*WINDOW_FIELDS, 5e-324, 1e300])
+    def test_match_the_product_array_twin(self, th12, lam):
+        # weighted as the estimate weighs them: each group's largest miss
+        # times its weight, summed over the groups
+        m = np.arange(17)  # every frequency of a half-width-8 window
+        mom = band_moments(lam, th12, m)
+        edges = scattering._moment_mesh(lam, th12.beta_r, int(m[-1]))
+        twin = moment_products(lam, [th12.beta_l, th12.beta_r], m, edges)
+        factored = np.stack([mom.plane, mom.cross, mom.scattered])
+        miss = np.abs(factored - twin).max(axis=2).sum(axis=1)
+        assert miss @ np.array([1.0, 2.0, 3.0]) / (2.0 * math.pi) <= mom.error_estimate
+
+    @pytest.mark.parametrize("lam, width", [(1e-4, 2), (1e-4, 8), (0.5, 8)])
+    def test_kronrod_sums_within_roundoff(self, th12, lam, width):
+        # 30-digit sums on the same nodes: the weighted miss, summed over the
+        # groups, stays within the estimate's roundoff term.  The moments
+        # are certified as band_moments certifies them, on its first mesh
+        m = np.arange(2 * width + 1)
+        weights = np.repeat(np.array([1.0, 2.0, 3.0]) / (2.0 * math.pi), 2)[:, None] * np.ones(m.size)
+        sample = partial(scattering._moment_integrands, lam, np.array([1.0, 2.0]), m)
+        edges = scattering._moment_mesh(lam, th12.beta_r, int(m[-1]))
+        values, _, panels = refine_panels(sample, edges, weights, QuadratureSpec(), "moments")
+        mom = band_moments(lam, th12, m)
+        assert panels == edges.size - 1
+        assert np.array_equal(values.reshape(3, 2, -1), [mom.plane, mom.cross, mom.scattered])
+        t, wk, _ = panel_rule(edges)
+        exact = kronrod_sums_decimal(lam, (th12.beta_l, th12.beta_r), m, t, wk)
+        miss = np.array(
+            [
+                [abs(complex(Decimal(v.real) - re, Decimal(v.imag) - im)) for v, (re, im) in zip(*rows)]
+                for rows in zip(values, exact)
+            ]
+        )
+        roundoff = 8.0 * sys.float_info.epsilon * (weights * np.abs(values)).max(axis=1).sum()
+        assert (weights * miss).max(axis=1).sum() <= roundoff
 
 
 class TestPpWeight:
