@@ -22,7 +22,6 @@ from .model import (
     OperatorKind,
     ThermalConfig,
     bound_state,
-    dispersion,
     operator_stencil,
     planck_density,
     planck_difference,
@@ -55,7 +54,6 @@ from .scattering import (
     magnetic_correction,
     pp_weight,
     wave_action,
-    xy_symbol,
 )
 from .transport import (
     DivergenceFit,
@@ -101,7 +99,6 @@ __all__ = [
     "bound_state",
     "build_truncation",
     "correlation_block",
-    "dispersion",
     "divergence_fit",
     "entropy_production",
     "evolve_with_state",
@@ -126,5 +123,4 @@ __all__ = [
     "ti_commutator_element",
     "ti_commutator_direct",
     "wave_action",
-    "xy_symbol",
 ]

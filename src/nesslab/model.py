@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .exceptions import DomainError, NoBoundState
+from .exceptions import NoBoundState
 
 
 @dataclass(frozen=True)
@@ -126,13 +126,6 @@ def planck_difference(th: ThermalConfig, e):
     den = np.exp(a - m) + np.exp(-a - m) + np.exp(b - m) + np.exp(-b - m)
     out = num / den
     return float(out) if np.ndim(out) == 0 else out
-
-
-def dispersion(k: float) -> float:
-    """Band function ``cos k`` on the momentum interval ``[-pi, pi]``."""
-    if not -math.pi <= k <= math.pi:
-        raise DomainError(f"momentum {k} outside [-pi, pi]")
-    return math.cos(k)
 
 
 @dataclass(frozen=True)

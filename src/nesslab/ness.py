@@ -17,7 +17,7 @@ import numpy as np
 
 from .exceptions import WindowTooLarge
 from .model import ModelParams, ThermalConfig, bound_state, planck_difference
-from .numerics import QuadratureSpec, graded_mesh, refine_panels
+from .numerics import QuadratureSpec, field_ratios, graded_mesh, refine_panels
 from .scattering import band_moments, overlap_frequencies, pp_weight
 
 MAX_WINDOW_SITES = 512
@@ -127,13 +127,12 @@ def ti_commutator_element(
     spec = spec if spec is not None else QuadratureSpec()
     a = abs(params.lam)
 
-    # sin^2/D = q^2/(1 + (q e)^2) in p = max(sin t, |lam|), q = sin t/p,
-    # e = |lam|/p, and |lam| q^2 = sin t * q * e: no field is squared
+    # sin^2/D = q^2/r in the ratios of field_ratios(sin t, |lam|), and
+    # |lam| q^2 = sin t * q * e: no field is squared
     def sample(t):
         s, c = np.sin(t), np.cos(t)
-        p = np.maximum(s, a)
-        q, e = s / p, a / p
-        return planck_difference(th, c) * c * s * q * e / (1.0 + (q * e) ** 2), None
+        _, q, e, r = field_ratios(s, a)
+        return planck_difference(th, c) * c * s * q * e / r, None
 
     edges = graded_mesh(a, th.beta_r, 0.5 * math.pi)
     what = f"translation defect at lam={params.lam!r}"

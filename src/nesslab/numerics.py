@@ -2,15 +2,16 @@
 
 One rule serves every integral: ``panel_rule``, a fixed Gauss-Kronrod pair
 on the panels of a mesh, usually ``graded_mesh``.  ``refine_panels`` alone
-samples on it: it contracts a family of integrands, estimates the error
-from the embedded Gauss rule and the roundoff of the sums, and bisects
-panels until the estimate meets the tolerance.  A family may come factored
-as kernels times a shared basis, as the band moments do (every kernel
-times ``e^{imt}`` at every frequency): then each panel's sums come from
-one product of its weighted kernels with the basis, and no integrand is
-ever formed.  Every closed form is certified there; ``adaptive_integrate``
-does the same for one scalar integrand on an arbitrary interval, and has
-no caller in the library.
+samples on it: it sums a family of integrands panel by panel, estimates
+the error from the embedded Gauss rule and the roundoff of the sums, and
+bisects panels until the estimate meets the tolerance.  A family is
+kernels times a shared basis, as the band moments are (every kernel times
+``e^{imt}`` at every frequency), or kernels alone: each panel's sums are
+one product of its weighted kernels with the basis, or their sums over
+the nodes, and no integrand is ever formed.  Every closed form is
+certified there; ``adaptive_integrate`` does the same for one scalar
+integrand on an arbitrary interval, and has no caller in the library.
+``field_ratios`` holds the one form in which the field kernels are written.
 """
 
 from __future__ import annotations
@@ -163,6 +164,19 @@ _CHUNK_ELEMENTS = 3 << 14
 _ROUNDOFF = 8.0 * sys.float_info.epsilon
 
 
+def field_ratios(s, a):
+    """``(p, q, e, r)`` with ``p = max(s, a)``, ``q = s/p``, ``e = a/p``, ``r = 1 + (q e)^2``.
+
+    For ``s, a >= 0`` the field kernels are written in these: ``r`` is
+    ``(s^2 + a^2)/p^2``, because one of ``q``, ``e`` is exactly 1, and no
+    ``s`` or ``a`` is squared, so the kernels stay finite from the smallest
+    subnormal field to the largest double.
+    """
+    p = np.maximum(s, a)
+    q, e = s / p, a / p
+    return p, q, e, 1.0 + (q * e) ** 2
+
+
 def refine_panels(
     sample: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]],
     edges: np.ndarray,
@@ -174,20 +188,18 @@ def refine_panels(
 
     ``sample(t)`` gives ``(kernels, basis)`` at the flat nodes ``t`` of
     ``panel_rule(edges)``, each node once per round and a chunk of panels
-    at a time.  With a ``basis`` of shape ``(K, t.size)``, ``kernels`` is
-    ``(G, t.size)`` and integrand ``(g, k)`` is ``kernels[g] * basis[k]``;
-    with ``basis=None`` the kernels are the integrands, reshapable to
-    ``(G, K, t.size)``.  Integral ``(g, k)`` enters a result times
+    at a time.  ``kernels`` is ``(G, t.size)`` and ``basis`` ``(K, t.size)``,
+    or None for ``K = 1``, the kernels being the integrands; integrand
+    ``(g, k)`` is ``kernels[g] * basis[k]`` and enters a result times
     ``weights[g, k]``.  A chunk holds about ``_CHUNK_ELEMENTS`` sampled
-    elements: ``G + K`` per node with a basis, ``G K`` without (and in the
-    first chunk, before the first sample shows which).
+    elements, ``G + K`` per node, so its panel count is fixed by
+    ``weights.shape`` before the first sample.
 
-    With a basis, each chunk stacks every panel's kernels times its Kronrod
-    weights and times its Kronrod-minus-Gauss weights, and one batched
-    product with the basis gives each panel's Kronrod sums and Gauss-Kronrod
-    gaps; a chunk's value is its panels' sums added in panel order.  Without
-    one, the integrands are contracted with both weights over the chunk's
-    nodes at once.  The chunks' values are added in order.
+    Each chunk stacks every panel's kernels times its Kronrod weights and
+    times its Kronrod-minus-Gauss weights, shape ``(panels, 2G, 21)``; one
+    batched product with the basis, or without one the sums over the 21
+    nodes, gives each panel's Kronrod sums and Gauss-Kronrod gaps.  A
+    chunk's panel sums are added in panel order, and the chunks' in turn.
 
     The estimate sums each group's largest weighted Gauss-Kronrod gap over
     the groups and panels, plus the summation roundoff, ``8 eps`` times the
@@ -198,40 +210,29 @@ def refine_panels(
     naming ``what``, for a non-finite estimate, when the roundoff alone
     reaches ``spec.abs_tol``, and past ``spec.max_subdivisions`` bisections.
     """
-    n_groups = weights.shape[0]
-    # one integrand per group: no maximum to take, and the group sum weighs it
-    single, scale = weights.shape[1] == 1, weights[..., None]
-    group_weights = weights[:, 0] if single else np.ones(n_groups)
-    shape = (*weights.shape, -1, _GK_NODES.size)
-    per_node = weights.size  # sampled elements per node, G K until a basis shows
+    n_groups, n_basis = weights.shape
+    step = max(1, _CHUNK_ELEMENTS // ((n_groups + n_basis) * _GK_NODES.size))
     cap = edges.size - 1 + spec.max_subdivisions
     while True:
         t, wk, wg = panel_rule(edges)
         n_panels, dw = t.shape[0], wk - wg
-        # per group, the largest gap on each panel and then the largest |integral|
-        largest = np.empty((n_groups, n_panels + 1))
-        start = 0
-        while start < n_panels:
-            sl = slice(start, start + max(1, _CHUNK_ELEMENTS // (per_node * _GK_NODES.size)))
+        # per group, the largest weighted gap on each panel
+        gaps = np.empty((n_groups, n_panels))
+        for start in range(0, n_panels, step):
+            sl = slice(start, start + step)
             kernels, basis = sample(t[sl].ravel())
+            kernels = kernels.reshape(n_groups, -1, _GK_NODES.size).transpose(1, 0, 2)
+            stacked = np.concatenate([kernels * wk[sl, None], kernels * dw[sl, None]], axis=1)
+            # per panel, the Kronrod sums and then the gaps, (p, 2G, K)
             if basis is None:
-                samples = kernels.reshape(shape)
-                part = np.einsum("gkpn,pn->gk", samples, wk[sl])
-                gaps = np.abs(np.einsum("gkpn,pn->gkp", samples, dw[sl]))
+                sums = stacked.sum(axis=2, keepdims=True)
             else:
-                per_node = n_groups + basis.shape[0]
-                p = wk[sl].shape[0]
-                kernels = kernels.reshape(n_groups, p, -1).transpose(1, 0, 2)
-                stacked = np.concatenate([kernels * wk[sl, None], kernels * dw[sl, None]], axis=1)
-                sums = stacked @ basis.reshape(basis.shape[0], p, -1).transpose(1, 2, 0)
-                part = sums[:, :n_groups].sum(axis=0)
-                gaps = np.abs(sums[:, n_groups:]).transpose(1, 2, 0)
+                sums = stacked @ basis.reshape(n_basis, -1, _GK_NODES.size).transpose(1, 2, 0)
+            part = sums[:, :n_groups].sum(axis=0)
             values = part if start == 0 else values + part
-            largest[:, :-1][:, sl] = gaps[:, 0] if single else (scale * gaps).max(axis=1)
-            start = sl.stop
-        largest[:, -1] = np.abs(values[:, 0]) if single else (weights * np.abs(values)).max(axis=1)
-        totals = group_weights @ largest
-        panel_err, roundoff = totals[:-1], _ROUNDOFF * float(totals[-1])
+            gaps[:, sl] = (weights * np.abs(sums[:, n_groups:])).max(axis=2).T
+        panel_err = gaps.sum(axis=0)
+        roundoff = _ROUNDOFF * float((weights * np.abs(values)).max(axis=1).sum())
         error = float(panel_err.sum()) + roundoff
         if not math.isfinite(error):
             raise NonConvergence(f"{what} are not finite")

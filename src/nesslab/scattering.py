@@ -42,22 +42,9 @@ from .model import (
     bound_state,
     planck_density,
 )
-from .numerics import QuadratureSpec, graded_mesh, refine_panels
+from .numerics import QuadratureSpec, field_ratios, graded_mesh, refine_panels
 
 _PI = math.pi
-
-
-def xy_symbol(th: ThermalConfig, k: float) -> float:
-    """Momentum density of the driven chain without the field.
-
-    Planck density of the band energy ``cos k`` at the right temperature for
-    ``k <= 0`` and at the left temperature for ``k > 0``: right movers carry
-    the left reservoir's occupation and vice versa.
-    """
-    if not -_PI <= k <= _PI:
-        raise DomainError(f"momentum {k} outside [-pi, pi]")
-    r = th.beta_r if k <= 0.0 else th.beta_l
-    return planck_density(r, math.cos(k))
 
 
 def magnetic_correction(lam: float, e: float) -> float:
@@ -138,12 +125,6 @@ class BandMoments:
             raise ValueError("frequency outside the computed set")
         return i
 
-    def at(self, family: np.ndarray, row: int, m) -> np.ndarray:
-        """Moments of one family and reservoir at the integer frequencies ``m``."""
-        m = np.asarray(m)
-        value = family[row, self._index(m)]
-        return np.where(m < 0, value.conj(), value)
-
     def overlap(self, x, y) -> np.ndarray:
         """Band overlap ``ac(x, y)`` for integer arrays of sites.
 
@@ -190,18 +171,14 @@ def _moment_integrands(
     The kernels are real, shape ``(6, N)``: the plane, cross and scattered
     kernels of ``BandMoments``, each for ``beta_l`` then ``beta_r``; the
     basis is ``e^{imt}``, shape ``(M, N)``, the exponential of each
-    rounded ``m t``.  The field kernels are formed in
-    ``p = max(sin t, |lam|)``, ``q = sin t/p`` and ``e = |lam|/p``, as
-    ``sign(lam) q e / r`` and ``e^2 / r`` with ``r = q^2 + e^2``: no field
-    is squared, so they stay finite from the smallest subnormal field to
-    the largest double.  Their near-poles at distance ~|lam| off both
+    rounded ``m t``.  The field kernels are ``sign(lam) q e / r`` and
+    ``e^2 / r`` in the ratios ``numerics.field_ratios(sin t, |lam|)``: no
+    field is squared, so they stay finite from the smallest subnormal field
+    to the largest double.  Their near-poles at distance ~|lam| off both
     endpoints are resolved by the grading of ``_moment_mesh``.
     """
     rho = planck_density(betas[:, None], np.cos(t))
-    sin, a = np.sin(t), abs(lam)
-    p = np.maximum(sin, a)
-    q, e = sin / p, a / p
-    r = q * q + e * e
+    _, q, e, r = field_ratios(np.sin(t), abs(lam))
     kernels = np.concatenate([rho, rho * (math.copysign(1.0, lam) * q * e / r), rho * (e * e / r)])
     return kernels, np.exp(1j * np.multiply.outer(m, t))
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .exceptions import ConsistencyError, UndefinedAtOrigin
 from .model import ModelParams, ThermalConfig, planck_density, planck_difference
-from .numerics import QuadratureSpec, graded_mesh, refine_panels
+from .numerics import QuadratureSpec, field_ratios, graded_mesh, refine_panels
 
 _PI = math.pi
 # smallest normal double; below it 1/|lam| overflows in the field kernels
@@ -62,7 +62,7 @@ def _flux_integrals(
     ``c s^3/D^2`` (``F1 + F2 = -(pi/2) J'/lam``),
     ``c s^3 (-2/D^2 + 8 lam^2/D^3)`` (``pi J''``), and ``F2`` is the
     quadrature of ``(g - f0) c s^3/D^2`` itself.  The kernels are written in
-    ``p = max(s, |lam|)``, ``q = s/p <= 1`` and ``e = |lam|/p <= 1``, so no
+    the ratios ``p, q, e, r`` of ``numerics.field_ratios(s, |lam|)``, so no
     tiny ``lam`` or ``s`` is squared.  The mesh is graded toward ``t = 0``
     from ``|lam|/8`` and toward ``pi/2`` from ``1/beta_r``; each family is
     weighted as its value enters a returned number (``1/pi``,
@@ -92,9 +92,7 @@ def _flux_integrals(
     def sample(t):
         s, c = np.sin(t), np.cos(t)
         g = planck_difference(th, c)
-        p = np.maximum(s, field)
-        q, e = s / p, field / p
-        r = 1.0 + (q * e) ** 2  # D / p^2
+        p, q, e, r = field_ratios(s, field)  # r = D / p^2
         k1 = c * q**3 / (p * r * r)  # c s^3 / D^2
         families = [g * c * s * q * q / r]
         if field != 0.0:

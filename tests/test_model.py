@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nesslab.exceptions import DomainError, NoBoundState
+from nesslab.exceptions import NoBoundState
 from nesslab.model import (
     BoundState,
     ModelParams,
     OperatorKind,
     ThermalConfig,
     bound_state,
-    dispersion,
     operator_stencil,
     planck_density,
     planck_difference,
@@ -89,19 +88,6 @@ class TestPlanck:
         for e in (0.1, 0.5, 1.0):
             assert abs(planck_difference(th, -e) + planck_difference(th, e)) < 1e-15
         assert planck_difference(th, 0.0) == 0.0
-
-
-class TestDispersion:
-    def test_band_values(self):
-        assert dispersion(0.0) == 1.0
-        assert abs(dispersion(math.pi / 3.0) - 0.5) < 1e-15
-        assert dispersion(math.pi) == -1.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            dispersion(3.5)
-        with pytest.raises(DomainError):
-            dispersion(-4.0)
 
 
 class TestStencil:

@@ -3,12 +3,16 @@
 import math
 import sys
 from dataclasses import fields
+from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from nesslab import ness, numerics, scattering, transport
 from nesslab.exceptions import DomainError, InvalidInterval, NonConvergence
+from nesslab.model import ModelParams
 from nesslab.numerics import (
     QuadratureSpec,
     adaptive_integrate,
@@ -194,18 +198,22 @@ class TestRefinePanels:
         assert np.array_equal(rounds[1], refined)
 
     def test_estimate_sums_each_groups_largest_weighted_gap(self):
-        # per panel: max(0.1, 2 * 0.3) + max(4 * 0.5, 0) = 2.6 and
-        # max(0.4, 2 * 0.2) + max(0, 0.25) = 0.65; the integrals are
-        # 0.5, 0.5 | 0.5, 0.25, so the roundoff is 8 eps (max(0.5, 1) + max(2, 0.25))
-        gaps = [[[0.1, 0.4], [0.3, 0.2]], [[0.5, 0.0], [0.0, 0.25]]]
+        # kernels 0.1, 0.4 and 0.5, 0.25 on the two panels; basis 1, 1 and
+        # 3, 0.5.  Per panel: max(0.1, 2 * 0.3) + max(4 * 0.5, 1.5) = 2.6 and
+        # max(0.4, 2 * 0.2) + max(4 * 0.25, 0.125) = 1.4; the integrals are
+        # 0.5, 0.5 | 0.75, 1.625, so the roundoff is 8 eps (max(0.5, 1) + max(3, 1.625))
         weights = np.array([[1.0, 2.0], [4.0, 1.0]])
+
+        def sample(t):
+            basis = np.stack([np.ones_like(t), np.where(t < 1.0, 3.0, 0.5)])
+            return centre_samples(t, [[0.1, 0.4], [0.5, 0.25]]), basis
+
         values, error, panels = refine_panels(
-            lambda t: (centre_samples(t, gaps), None), np.array([0.0, 1.0, 2.0]), weights,
-            QuadratureSpec(abs_tol=10.0), "pairs",
+            sample, np.array([0.0, 1.0, 2.0]), weights, QuadratureSpec(abs_tol=10.0), "pairs"
         )
         assert panels == 2
-        assert np.allclose(values, [[0.5, 0.5], [0.5, 0.25]], rtol=1e-15, atol=0.0)
-        assert error == pytest.approx(3.25 + 24.0 * sys.float_info.epsilon, rel=1e-15)
+        assert np.allclose(values, [[0.5, 0.5], [0.75, 1.625]], rtol=1e-15, atol=0.0)
+        assert error == pytest.approx(4.0 + 32.0 * sys.float_info.epsilon, rel=1e-15)
 
     def test_roundoff_above_tolerance_raises_without_bisecting(self):
         sizes = []
@@ -220,19 +228,20 @@ class TestRefinePanels:
         assert sizes == [21]
 
     def test_wide_family_samples_each_node_once_per_round(self):
-        # 3000 integrands of 21 nodes fill a chunk with one panel; the first
-        # round's first panel (width 0.25, centre below it) is bisected
+        # 3000 groups of one integrand of 21 nodes fill a chunk with one
+        # panel; the first round's first panel (width 0.25, centre below it)
+        # is bisected
         calls = []
 
         def sample(t):
             calls.append(t)
             panels = t.reshape(-1, 21)
             first = (panels[:, 10] < 0.25) & (panels[:, -1] - panels[:, 0] > 0.2)
-            return centre_samples(t, np.broadcast_to(first, (1, 3000, first.size))), None
+            return centre_samples(t, np.broadcast_to(first, (3000, first.size))), None
 
         edges = np.linspace(0.0, 1.0, 5)
         spec = QuadratureSpec(abs_tol=0.5)
-        _, error, panels = refine_panels(sample, edges, np.ones((1, 3000)), spec, "wide")
+        _, error, panels = refine_panels(sample, edges, np.ones((3000, 1)), spec, "wide")
         assert error == 0.0 and panels == 5 and len(calls) == 4 + 5
         refined = np.array([0.0, 0.125, 0.25, 0.5, 0.75, 1.0])
         nodes = [panel_rule(e)[0].ravel() for e in (edges, refined)]
@@ -259,10 +268,9 @@ class TestRefinePanels:
         assert error == pytest.approx(3.0 + 20.8 * sys.float_info.epsilon, rel=1e-15)
 
     def test_wide_basis_family_samples_each_node_once_per_round(self):
-        # 4 kernels and 600 basis functions: the first chunk, sized before
-        # the basis shows, holds one panel (2400 integrands of 21 nodes);
-        # then 604 sampled elements per node fit three panels.  The first
-        # round's first panel (width 0.125, centre below it) is bisected
+        # 4 kernels and 600 basis functions: 604 sampled elements per node
+        # fit three panels in every chunk.  The first round's first panel
+        # (width 0.125, centre below it) is bisected
         calls = []
 
         def sample(t):
@@ -276,10 +284,68 @@ class TestRefinePanels:
         spec = QuadratureSpec(abs_tol=0.5)
         _, error, panels = refine_panels(sample, edges, np.ones((4, 600)), spec, "wide")
         assert error == 0.0 and panels == 9
-        assert [c.size // 21 for c in calls] == [1, 3, 3, 1, 3, 3, 3]
+        assert [c.size // 21 for c in calls] == [3, 3, 2, 3, 3, 3]
         refined = np.sort(np.append(edges, 0.0625))
         nodes = [panel_rule(e)[0].ravel() for e in (edges, refined)]
         assert np.array_equal(np.concatenate(calls), np.concatenate(nodes))
+
+
+class TestScalarFamilySums:
+    """Kronrod sums of the families without a basis against their exact sums.
+
+    Each family's kernels are sampled again on its final mesh, and the sum
+    of every sample times its Kronrod weight is formed exactly in
+    ``Fraction`` arithmetic; the per-panel sums of ``refine_panels`` stay
+    within 2 eps of it, relative, for every integral of the family.
+    """
+
+    FIELDS = [0.0, 5e-324, -1e-5, 1e-3, 0.05, -0.2, 0.5, -0.9, 1.7, 3.0]
+
+    @staticmethod
+    def certify(monkeypatch, module, call):
+        """Run ``call`` with ``module.refine_panels`` watched: its values, samples and final weights."""
+        seen = {}
+        refine, rule = module.refine_panels, numerics.panel_rule
+
+        def watched_refine(sample, *args):
+            seen["values"], *rest = refine(sample, *args)
+            seen["sample"] = sample
+            return (seen["values"], *rest)
+
+        def watched_rule(edges):
+            seen["rule"] = rule(edges)
+            return seen["rule"]
+
+        monkeypatch.setattr(module, "refine_panels", watched_refine)
+        monkeypatch.setattr(numerics, "panel_rule", watched_rule)
+        call()
+        t, wk, _ = seen["rule"]
+        kernels, basis = seen["sample"](t.ravel())
+        assert basis is None
+        return seen["values"][:, 0], np.reshape(kernels, (seen["values"].shape[0], -1)), wk.ravel()
+
+    @staticmethod
+    def assert_exact(values, kernels, wk):
+        weights = [Fraction(w) for w in wk.tolist()]
+        for value, row in zip(values.tolist(), kernels.tolist()):
+            exact = sum(Fraction(k) * w for k, w in zip(row, weights))
+            assert abs(Fraction(value) - exact) <= 2 * Fraction(sys.float_info.epsilon) * abs(exact)
+
+    @pytest.mark.parametrize("lam", FIELDS)
+    def test_flux_family(self, monkeypatch, th12, lam):
+        call = partial(transport._flux_integrals, lam, th12, None)
+        self.assert_exact(*self.certify(monkeypatch, transport, call))
+
+    @pytest.mark.parametrize("lam", FIELDS)
+    def test_translation_defect(self, monkeypatch, th12, lam):
+        call = partial(ness.ti_commutator_element, ModelParams(lam), th12)
+        self.assert_exact(*self.certify(monkeypatch, ness, call))
+
+    @pytest.mark.parametrize("lam", [lam for lam in FIELDS if lam != 0.0])
+    def test_bound_state_weight(self, monkeypatch, th12, lam):
+        # past the cache, which would skip the sampling on a repeat
+        call = partial(scattering._pp_weight_cached.__wrapped__, ModelParams(lam), th12, QuadratureSpec())
+        self.assert_exact(*self.certify(monkeypatch, scattering, call))
 
 
 class TestPanelRule:

@@ -22,7 +22,6 @@ from nesslab.scattering import (
     magnetic_correction,
     pp_weight,
     wave_action,
-    xy_symbol,
 )
 
 from bruteforce import (
@@ -54,24 +53,6 @@ PP_WEIGHT_MP = {
     -8.4039e-05: 0.80588103777518014057,
     7.08503e-05: 0.19411161941615385696,
 }
-
-
-class TestXySymbol:
-    def test_momentum_sign_selects_reservoir(self, th12):
-        # cos(pi/3) = 1/2; negative momenta carry the right occupation
-        assert abs(xy_symbol(th12, -math.pi / 3.0) - planck_density(2.0, 0.5)) < 1e-15
-        assert abs(xy_symbol(th12, math.pi / 3.0) - planck_density(1.0, 0.5)) < 1e-15
-        assert xy_symbol(th12, 0.0) == planck_density(2.0, 1.0)
-
-    def test_domain(self, th12):
-        with pytest.raises(DomainError):
-            xy_symbol(th12, 3.3)
-        with pytest.raises(DomainError):
-            xy_symbol(th12, -3.3)
-
-    def test_continuous_at_equilibrium(self):
-        th = ThermalConfig(1.5, 1.5)
-        assert abs(xy_symbol(th, -0.4) - xy_symbol(th, 0.4)) < 1e-15
 
 
 class TestMagneticCorrection:
@@ -158,10 +139,14 @@ class TestAcOverlap:
 
 class TestBandMoments:
     def test_negative_frequencies_conjugate(self, th12):
+        # s(y, x) reads the negatives of the frequencies s(x, y) reads, of
+        # every family and reservoir; conjugated, it is s(x, y) up to the
+        # order of its sums
         mom = band_moments(0.3, th12, range(5))
-        for family in (mom.plane, mom.cross, mom.scattered):
-            for row in (0, 1):
-                assert np.array_equal(mom.at(family, row, -np.arange(5)), family[row].conj())
+        x, y = np.meshgrid(np.arange(-2, 3), np.arange(-2, 3), indexing="ij")
+        forward, backward = mom.overlap(x, y), mom.overlap(y, x)
+        assert np.abs(forward.imag).max() > 0.01
+        assert np.abs(backward - forward.conj()).max() <= sys.float_info.epsilon * np.abs(forward).max()
 
     def test_frequency_subset_matches_full_range(self, th12):
         # same mesh up to frequency 20, so the shared moments agree to roundoff
