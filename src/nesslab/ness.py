@@ -1,11 +1,12 @@
 """Closed-form steady-state two-point function of the driven chain.
 
 ``s_element`` assembles one matrix element from the band overlap and the
-bound-state weight; ``correlation_block`` fills a finite window using
-self-adjointness of the two-point operator.  ``ti_commutator_element`` gives
-the closed-form momentum integral for the difference ``s(0,2) - s(-1,1)``,
-which vanishes without driving or without the field and is the cheapest
-witness that the driven steady state breaks translation invariance.
+bound-state weight, both from one certified sampling; ``correlation_block``
+fills a finite window using self-adjointness of the two-point operator.
+``ti_commutator_element`` gives the closed-form momentum integral for the
+difference ``s(0,2) - s(-1,1)``, which vanishes without driving or without
+the field and is the cheapest witness that the driven steady state breaks
+translation invariance.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .exceptions import WindowTooLarge
 from .model import ModelParams, ThermalConfig, bound_state, planck_difference
 from .numerics import QuadratureSpec, field_ratios, graded_mesh, refine_panels
-from .scattering import band_moments, overlap_frequencies, pp_weight
+from .scattering import band_moments, bound_weight, overlap_frequencies
 
 MAX_WINDOW_SITES = 512
 
@@ -27,13 +28,15 @@ def _elements(params: ModelParams, th: ThermalConfig, x, y, spec: QuadratureSpec
     """Steady-state correlations ``s(x, y)`` for integer arrays of sites.
 
     The band overlap from one set of band moments, with every frequency the
-    pairs read, plus the bound-state term at every nonzero field; zero
-    field has no bound state.
+    pairs read, plus the bound-state term at every nonzero field, its
+    weight completed from the bound-state integrals of the same sampling;
+    zero field has no bound state.
     """
-    value = band_moments(params.lam, th, overlap_frequencies(x, y), spec).overlap(x, y)
+    moments = band_moments(params.lam, th, overlap_frequencies(x, y), spec)
+    value = moments.overlap(x, y)
     if params.lam != 0.0:
         amp = bound_state(params.lam).amplitude
-        value = value + pp_weight(params, th, spec) * amp(x) * amp(y)
+        value = value + bound_weight(params, th, moments.bound) * amp(x) * amp(y)
     return value
 
 
@@ -86,9 +89,9 @@ def correlation_block(
 ) -> CorrelationBlock:
     """Fill the window ``[lo, hi]`` of the steady-state matrix.
 
-    The band part of the upper triangle comes from one set of band moments,
-    with every frequency the window reads; the lower triangle is its exact
-    conjugate, ``s(y, x) = conj(s(x, y))``.
+    The upper triangle comes from one set of band moments, with every
+    frequency the window reads and the bound-state integrals; the lower
+    triangle is its exact conjugate, ``s(y, x) = conj(s(x, y))``.
     """
     lo, hi = int(lo), int(hi)
     if lo > hi:

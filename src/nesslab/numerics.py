@@ -16,6 +16,7 @@ integrand on an arbitrary interval, and has no caller in the library.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass
@@ -146,15 +147,22 @@ def graded_mesh(lam: float, beta: float, end: float, step: float = math.inf) -> 
     while s < half:
         points += [half - s, half + s]
         s *= 2.0
-    edges = np.unique(points)
-    edges = edges[edges <= end]
-    widths = np.diff(edges)
-    pieces = np.ceil(widths / min(_MAX_PANEL, step)).astype(int)
-    # each piece as np.linspace(a, b, k, endpoint=False) makes it: a + i * ((b - a) / k)
-    first = np.cumsum(pieces) - pieces
-    i = np.arange(first[-1] + pieces[-1]) - np.repeat(first, pieces)
-    inner = np.repeat(edges[:-1], pieces) + i * np.repeat(widths / pieces, pieces)
-    return np.append(inner, end)
+    points.sort()
+    points = points[: bisect.bisect_right(points, end)]
+    longest = min(_MAX_PANEL, step)
+    mesh = []
+    for a, b in zip(points, points[1:]):
+        if b == a:
+            continue
+        pieces = math.ceil((b - a) / longest)
+        if pieces == 1:
+            mesh.append(a)
+        else:
+            # each piece as np.linspace(a, b, pieces, endpoint=False) makes it
+            size = (b - a) / pieces
+            mesh += [a + i * size for i in range(pieces)]
+    mesh.append(end)
+    return np.array(mesh)
 
 
 # elements one chunk of panels samples; wider families are sampled a few
@@ -199,7 +207,11 @@ def refine_panels(
     times its Kronrod-minus-Gauss weights, shape ``(panels, 2G, 21)``; one
     batched product with the basis, or without one the sums over the 21
     nodes, gives each panel's Kronrod sums and Gauss-Kronrod gaps.  A
-    chunk's panel sums are added in panel order, and the chunks' in turn.
+    complex basis enters that product as interleaved real and imaginary
+    columns, so the real kernels are multiplied in real arithmetic; it is
+    read fastest along ``K``, so the transpose of a C-ordered ``(N, K)``
+    array is read without a copy.  A chunk's panel sums are added in panel
+    order, and the chunks' in turn.
 
     The estimate sums each group's largest weighted Gauss-Kronrod gap over
     the groups and panels, plus the summation roundoff, ``8 eps`` times the
@@ -227,7 +239,9 @@ def refine_panels(
             if basis is None:
                 sums = stacked.sum(axis=2, keepdims=True)
             else:
-                sums = stacked @ basis.reshape(n_basis, -1, _GK_NODES.size).transpose(1, 2, 0)
+                # (p, 21, K), a complex one multiplied as (p, 21, 2K) reals
+                basis = np.ascontiguousarray(basis.T).reshape(-1, _GK_NODES.size, n_basis)
+                sums = (stacked @ basis.view(basis.real.dtype)).view(basis.dtype)
             part = sums[:, :n_groups].sum(axis=0)
             values = part if start == 0 else values + part
             gaps[:, sl] = (weights * np.abs(sums[:, n_groups:])).max(axis=2).T

@@ -11,15 +11,15 @@ Every band overlap is a linear combination of Fourier moments over
 ``[0, pi]`` with integer frequencies, in which only the frequency and the
 reservoir temperature vary.  ``band_moments`` samples the six real
 kernels, the plane one and the field kernels already multiplied by their
-field factors, so that each is bounded by 1 at every finite field, once on
-a Gauss-Kronrod mesh graded at their near-poles, with the basis
-``e^{imt}`` of every frequency a window needs beside them, and
-``numerics.refine_panels`` contracts each panel's kernels with the basis
-in one product and certifies the moments; ``ac_overlap`` and
-``ness.correlation_block`` index into the result.  The
-bound-state weight is one more such sampling, of both reservoirs'
-sine-transform integrands on a mesh graded at the bound state's decay
-rate.
+field factors, so that each is bounded by 1 at every finite field, and the
+two reservoirs' bound-state kernels, once on a Gauss-Kronrod mesh graded
+at their common near-poles, with the basis ``e^{imt}`` of every frequency
+a window needs beside them, and ``numerics.refine_panels`` contracts each
+panel's kernels with the basis in one product and certifies the moments
+and the bound-state integrals together.  ``ac_overlap`` and
+``ness.correlation_block`` index into the result, and ``bound_weight``
+adds the closed-form rest of the bound-state weight, so a window is one
+certified sampling.
 
 Momentum-space convention: a lattice vector f transforms to
 ``fhat(k) = sum_x f(x) exp(i k x)`` with inverse measure ``dk / 2 pi`` on
@@ -99,7 +99,8 @@ class BandMoments:
     """Fourier moments over ``[0, pi]`` of both reservoirs' band integrands.
 
     Row 0 belongs to ``beta_l``, row 1 to ``beta_r``; column ``i`` holds
-    frequency ``frequencies[i]`` (distinct, ascending, nonnegative):
+    frequency ``frequencies[i]`` (distinct, ascending, nonnegative, and
+    starting at 0):
 
     * ``plane[b, i]``     = ``integral rho_b(cos t) e^{imt} dt``
     * ``cross[b, i]``     = ``integral rho_b(cos t) e^{imt} lam sin t / (sin^2 t + lam^2) dt``
@@ -108,14 +109,19 @@ class BandMoments:
     The field kernels of ``cross`` and ``scattered`` are bounded by 1/2 and
     1 at every finite field, and vanish at zero field.  Negative
     frequencies are the conjugates, the integrands being real but for
-    ``e^{imt}``.  ``error_estimate`` bounds the error of any band overlap
-    assembled from these moments.
+    ``e^{imt}``.  ``bound[b]`` is reservoir ``b``'s band integral of the
+    bound-state weight, the one that ``bound_weight`` completes, or None
+    at zero field, which has no bound state.  ``error_estimate`` bounds
+    the error of any matrix element ``s(x, y)`` assembled from these: the
+    band overlap plus ``bound_weight`` times ``amp(x) amp(y)``, whose
+    amplitudes are at most 1.
     """
 
     frequencies: np.ndarray
     plane: np.ndarray
     cross: np.ndarray
     scattered: np.ndarray
+    bound: np.ndarray | None
     error_estimate: float
 
     def _index(self, m: np.ndarray) -> np.ndarray:
@@ -132,55 +138,150 @@ class BandMoments:
         mapped by ``k -> -t``, from the right one; the cross and scattered
         terms are the wave products of ``wave_action`` with the momentum
         folded onto ``[0, pi]``, so every frequency is an integer.  All
-        seven frequency arrays are looked up at once, and the terms
-        gathered one at a time.
+        seven frequency arrays are looked up at once, in tables whose second
+        half holds the conjugates, the moments of the negative frequencies,
+        and the terms gathered one at a time.
         """
         d, m1, m2, m1r, m2r, m3 = overlap_frequencies(x, y)
         m = np.stack(np.broadcast_arrays(d, -d, m1, m2, m1r, m2r, m3))
-        # each frequency array with its columns
-        d, nd, m1, m2, m1r, m2r, m3 = zip(m, self._index(m))
-
-        def at(family, row, frequency):
-            m, i = frequency
-            value = family[row, i]
-            return np.where(m < 0, value.conj(), value)
-
-        p, c, s = self.plane, self.cross, self.scattered
-        plane = at(p, 0, d) + at(p, 1, nd)
-        cross = at(c, 0, m1) - at(c, 0, m2) + at(c, 1, m1r) - at(c, 1, m2r)
-        scattered = (
-            at(s, 0, m1) + at(s, 0, m2) - at(s, 0, m3) + at(s, 1, m1r) + at(s, 1, m2r) - at(s, 1, m3)
-        )
+        d, nd, m1, m2, m1r, m2r, m3 = self._index(m) + (m < 0) * self.frequencies.size
+        moments = np.stack([self.plane, self.cross, self.scattered])
+        p, c, s = np.concatenate([moments, moments.conj()], axis=2)
+        plane = p[0, d] + p[1, nd]
+        cross = c[0, m1] - c[0, m2] + c[1, m1r] - c[1, m2r]
+        scattered = s[0, m1] + s[0, m2] - s[0, m3] + s[1, m1r] + s[1, m2r] - s[1, m3]
         return (plane + 1j * cross - scattered) / (2.0 * _PI)
 
 
 def _moment_mesh(lam: float, beta_r: float, m_top: int) -> np.ndarray:
     """Panel edges on ``[0, pi]`` for band moments up to frequency ``m_top``.
 
-    ``graded_mesh`` in panels no longer than ``min(pi/16, 4/m_top)`` for the
-    oscillation, so all requests up to frequency 20 share one mesh.
+    ``graded_mesh`` from ``asinh|lam|``, where the field kernels and the
+    bound-state kernels both have their poles, ``+-i asinh|lam|`` off
+    ``t = 0`` and ``t = pi``, in panels no longer than
+    ``min(pi/16, 4/m_top)`` for the oscillation, so all requests up to
+    frequency 20 share one mesh.
     """
-    return graded_mesh(lam, beta_r, _PI, 4.0 / max(m_top, 1))
+    return graded_mesh(math.asinh(abs(lam)), beta_r, _PI, 4.0 / max(m_top, 1))
+
+
+def _moment_weights(lam: float, m: np.ndarray) -> np.ndarray:
+    """How each moment of ``_moment_integrands`` enters a matrix element, ``(G, M)``.
+
+    One plane moment per reservoir, two cross moments and three scattered
+    moments, each at ``1/2pi``; each bound-state integral, at frequency 0
+    alone, at ``(2/pi) |lam| / sqrt(1 + lam^2)``, its factor in
+    ``bound_weight`` at ``nu = 0``, which bounds it at every ``nu``.
+    """
+    band = np.repeat(np.array([1.0, 2.0, 3.0]) / (2.0 * _PI), 2)[:, None] * np.ones(m.size)
+    if lam == 0.0:
+        return band
+    bound = np.zeros((2, m.size))
+    bound[:, 0] = (2.0 / _PI) * (abs(lam) / math.hypot(1.0, lam))
+    return np.concatenate([band, bound])
+
+
+def _bound_kernels(lam: float, betas: np.ndarray, t: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Both reservoirs' bound-state kernels at nodes ``t``, shape ``(2, N)``.
+
+    Reservoir overlaps via the half-line sine transform: the eigenvector
+    tail on sites >= nu+1 transforms to (e^{-alpha nu}/nu_norm) S(q, k),
+    S(q, k) = sum_{n>=1} q^n sin(nk) with q = sign(lam) r, r = e^{-alpha};
+    the left and right tails give identical |transform|^2.  S^2 peaks like
+    1/gap^2, gap = 1 - r, at the band edge the bound state hugs; Parseval
+    integrates that peak, (2/pi) integral S^2 = q^2/(1 - q^2), against the
+    edge density, which leaves the band integral of (rho(cos k) - rho_edge) S^2.
+    k -> pi - k and rho(-e) = 1 - rho(e) map lam < 0 onto the kernel of
+    lam > 0 with the band integral's sign flipped, so the edge sits at k = 0:
+      rho(cos k) - rho(1) = rho(cos k) rho(-1) (1 - exp(-x)),  x = 2 beta v^2,
+      S^2 = r w^2 c^2 / (gap^2 + c^2)^2,  c = 2 sqrt(r) v,
+    with v, w = sin(k/2), cos(k/2); their product is the bounded kernel
+    below, in which only ratios of the small quantities enter.  At nodes
+    ``t`` it is sampled at ``k = t`` for ``lam > 0``, where ``rho`` is
+    ``rho(cos t)``, and at ``k = pi - t`` for ``lam < 0``, which swaps
+    ``v`` and ``w`` and reads ``rho(-cos t)``.
+    """
+    alpha = math.asinh(abs(lam))
+    r, gap = math.exp(-alpha), -math.expm1(-alpha)  # gap = 1 - r without cancellation
+    v, w = np.sin(0.5 * t), np.cos(0.5 * t)
+    betas = betas[:, None]
+    if lam < 0.0:
+        v, w, rho = w, v, planck_density(betas, -np.cos(t))
+    c = (2.0 * math.sqrt(r)) * v
+    x = 2.0 * betas * v * v
+    safe = np.where(x > 0.0, x, 1.0)
+    expm1_ratio = np.where(x > 0.0, -np.expm1(-safe) / safe, 1.0)  # (1 - e^{-x})/x
+    return (
+        planck_density(betas, -1.0)
+        * rho
+        * (0.5 * betas)
+        * expm1_ratio
+        * w**2
+        * (c / np.hypot(gap, c)) ** 4
+    )
+
+
+def _frequency_basis(m: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``e^{imt}`` at nodes ``t`` for ascending frequencies ``m >= 0``, shape ``(M, N)``.
+
+    Each frequency is ``m = a B + b`` with ``B = isqrt(m_top + 1)``, and
+    ``e^{imt} = E_a e_b``, ``E_a = e^{iaBt}``, ``e_b = e^{ibt}``.  Both
+    runs of powers are repeated products of a seed ``e^{ikt}``, ``k`` 1 or
+    ``B``, formed as ``exp(i k t_hi) exp(i k t_lo)`` with ``t_hi`` the node
+    rounded to ``51 - bit_length(m_top)`` fractional bits and ``t_lo`` the
+    rest: ``k t_hi`` is exact, and ``k t_lo`` is rounded relative to its
+    own small size, so a seed is as accurate as one exponential at any
+    frequency.  Every element is at most ``A + B`` products from its seeds,
+    and frequency 0 is exactly 1.  For the frequencies ``0..m_top`` of a
+    window, all ``E_a e_b`` are formed by one product, node by node, and
+    the result is the transpose of a C-ordered ``(N, M)`` array, the layout
+    ``refine_panels`` contracts without a copy; other sets form only the
+    products they read.
+    """
+    top = int(m[-1])
+    width = math.isqrt(top + 1)
+    bits = 51 - top.bit_length()
+    t_hi = np.ldexp(np.rint(np.ldexp(t, bits)), -bits)
+    t_lo = t - t_hi
+
+    def powers(k: int, count: int) -> np.ndarray:
+        out = np.ones((count, t.size), dtype=np.complex128)
+        if count > 1:
+            out[1] = np.exp(1j * (k * t_hi)) * np.exp(1j * (k * t_lo))
+            for j in range(2, count):
+                np.multiply(out[j - 1], out[1], out=out[j])
+        return out
+
+    large, small = powers(width, top // width + 1), powers(1, width)
+    if m.size < top + 1:
+        # a sparse set, as far sites read: all E_a e_b would be (A + 1) B a node
+        return large[m // width] * small[m % width]
+    # every a B + b up to (A + 1) B - 1, node by node
+    every = np.multiply(large.T[:, :, None], small.T[:, None, :], order="C").reshape(t.size, -1)
+    return np.take(every, m, axis=1).T
 
 
 def _moment_integrands(
     lam: float, betas: np.ndarray, m: np.ndarray, t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The band-moment kernels and frequency basis at nodes ``t``.
+    """The band-moment and bound-state kernels and the frequency basis at nodes ``t``.
 
-    The kernels are real, shape ``(6, N)``: the plane, cross and scattered
-    kernels of ``BandMoments``, each for ``beta_l`` then ``beta_r``; the
-    basis is ``e^{imt}``, shape ``(M, N)``, the exponential of each
-    rounded ``m t``.  The field kernels are ``sign(lam) q e / r`` and
-    ``e^2 / r`` in the ratios ``numerics.field_ratios(sin t, |lam|)``: no
-    field is squared, so they stay finite from the smallest subnormal field
-    to the largest double.  Their near-poles at distance ~|lam| off both
-    endpoints are resolved by the grading of ``_moment_mesh``.
+    The kernels are real, shape ``(8, N)``: the plane, cross and scattered
+    kernels of ``BandMoments``, each for ``beta_l`` then ``beta_r``, then
+    the two reservoirs' ``_bound_kernels``, left out at zero field.  The
+    basis is ``_frequency_basis``, shape ``(M, N)``, built by products.
+    The field kernels are ``sign(lam) q e / r`` and ``e^2 / r`` in the
+    ratios ``numerics.field_ratios(sin t, |lam|)``: no field is squared,
+    so they stay finite from the smallest subnormal field to the largest
+    double.  Their near-poles at distance ~asinh|lam| off both endpoints
+    are resolved by the grading of ``_moment_mesh``.
     """
     rho = planck_density(betas[:, None], np.cos(t))
     _, q, e, r = field_ratios(np.sin(t), abs(lam))
-    kernels = np.concatenate([rho, rho * (math.copysign(1.0, lam) * q * e / r), rho * (e * e / r)])
-    return kernels, np.exp(1j * np.multiply.outer(m, t))
+    kernels = [rho, rho * (math.copysign(1.0, lam) * q * e / r), rho * (e * e / r)]
+    if lam != 0.0:
+        kernels.append(_bound_kernels(lam, betas, t, rho))
+    return np.concatenate(kernels), _frequency_basis(m, t)
 
 
 def band_moments(
@@ -189,28 +290,28 @@ def band_moments(
     frequencies,
     spec: QuadratureSpec | None = None,
 ) -> BandMoments:
-    """Band moments of both reservoirs at the given integer frequencies, on one mesh.
+    """Band moments and bound-state integrals of both reservoirs, on one mesh.
 
-    Only ``|m|`` is computed; ``B(-m) = conj B(m)``.  The kernels and the
-    frequency basis of ``_moment_integrands`` are sampled once on the
-    graded mesh of ``_moment_mesh``, at every finite field alike, and
+    The moments are computed at frequency 0 and every ``|m|`` given;
+    ``B(-m) = conj B(m)``.  The kernels and the frequency basis of
+    ``_moment_integrands`` are sampled once on the graded mesh of
+    ``_moment_mesh``, at every finite field alike, and
     ``numerics.refine_panels`` contracts them panel by panel in one batched
-    product and certifies the moments, each family and reservoir a group
-    weighted by how a matrix element combines the moments: one plane moment
-    per reservoir, two cross moments and three scattered moments, each at
-    ``1/2pi``.  The estimate, the Gauss gaps maximized over the frequencies
-    plus the summation roundoff (about 9e-16 with frequency 0), bounds the
-    error of any band overlap; above ``spec.abs_tol`` the mesh is refined
-    or NonConvergence raised, as ``refine_panels`` says.
+    product and certifies them, each family and reservoir a group weighted
+    by ``_moment_weights``.  The estimate, the Gauss gaps maximized over the
+    frequencies plus the summation roundoff (about 9e-16), bounds the error
+    of any matrix element; above ``spec.abs_tol`` the mesh is refined or
+    NonConvergence raised, as ``refine_panels`` says.
     """
     spec = spec if spec is not None else QuadratureSpec()
-    m = np.unique(np.abs(np.concatenate([np.ravel(f) for f in frequencies]))).astype(int)
+    m = np.unique(np.abs(np.concatenate([[0], *(np.ravel(f) for f in frequencies)]))).astype(int)
     betas = np.array([th.beta_l, th.beta_r])
-    weights = np.repeat(np.array([1.0, 2.0, 3.0]) / (2.0 * _PI), 2)[:, None] * np.ones(m.size)
     sample = partial(_moment_integrands, lam, betas, m)
     edges = _moment_mesh(lam, th.beta_r, int(m[-1]))
+    weights = _moment_weights(lam, m)
     moments, error, _ = refine_panels(sample, edges, weights, spec, f"band moments at lam={lam!r}")
-    return BandMoments(m, *moments.reshape(3, 2, -1), error)
+    bound = moments[6:, 0].real if lam != 0.0 else None
+    return BandMoments(m, *moments[:6].reshape(3, 2, -1), bound, error)
 
 
 def ac_overlap(
@@ -232,8 +333,14 @@ def ac_overlap(
     return complex(moments.overlap(x, y))
 
 
-@lru_cache(maxsize=128)
-def _pp_weight_cached(params: ModelParams, th: ThermalConfig, spec: QuadratureSpec) -> float:
+def bound_weight(params: ModelParams, th: ThermalConfig, bound: np.ndarray) -> float:
+    """Thermal weight on the bound state from the integrals ``BandMoments.bound``.
+
+    The band integrals of ``_bound_kernels`` enter at
+    ``sign(lam) (2/pi) e^{-2 alpha nu} |lam| / sqrt(1 + lam^2)``; the rest
+    is closed: the edge occupations times Parseval's ``q^2/(1 - q^2)``, and
+    the ``2 nu + 1`` sample sites, each occupied 1/2.
+    """
     lam, nu = params.lam, params.nu
     state = bound_state(lam)
     alpha = state.decay_rate
@@ -244,48 +351,18 @@ def _pp_weight_cached(params: ModelParams, th: ThermalConfig, spec: QuadratureSp
     scale = math.exp(-2.0 * alpha * nu) / math.hypot(1.0, lam)
     prefactor = scale * abs(lam)
     sign = math.copysign(1.0, lam)
-    betas = np.array([th.beta_l, th.beta_r])[:, None, None]
-
-    # Reservoir overlaps via the half-line sine transform: the eigenvector
-    # tail on sites >= nu+1 transforms to (e^{-alpha nu}/nu_norm) S(q, k),
-    # S(q, k) = sum_{n>=1} q^n sin(nk) with q = sign(lam) r; the left and
-    # right tails give identical |transform|^2.  S^2 peaks like 1/gap^2 at
-    # the band edge the bound state hugs; Parseval integrates that peak,
-    # (2/pi) integral S^2 = q^2/(1 - q^2), against the edge density, which
-    # leaves the band integral of (rho(cos k) - rho_edge) S^2.  k -> pi - k
-    # and rho(-e) = 1 - rho(e) map lam < 0 onto the kernel of lam > 0 with
-    # the band integral's sign flipped, so the edge sits at k = 0:
-    #   rho(cos k) - rho(1) = rho(cos k) rho(-1) (1 - exp(-x)),  x = 2 beta v^2,
-    #   S^2 = r w^2 c^2 / (gap^2 + c^2)^2,  c = 2 sqrt(r) v,
-    # with v, w = sin(k/2), cos(k/2); their product is the bounded kernel
-    # below, in which only ratios of the small quantities enter.
-    def sample(k):
-        v = np.sin(0.5 * k)
-        c = (2.0 * math.sqrt(r)) * v
-        x = 2.0 * betas * v * v
-        safe = np.where(x > 0.0, x, 1.0)
-        expm1_ratio = np.where(x > 0.0, -np.expm1(-safe) / safe, 1.0)  # (1 - e^{-x})/x
-        kernels = (
-            planck_density(betas, -1.0)
-            * planck_density(betas, np.cos(k))
-            * (0.5 * betas)
-            * expm1_ratio
-            * np.cos(0.5 * k) ** 2
-            * (c / np.hypot(gap, c)) ** 4
-        )
-        return kernels, None
-
-    # S has its poles at k = +-i alpha, so the field grading starts from alpha/8
-    edges = graded_mesh(alpha, th.beta_r, _PI)
-    weights, what = np.full((2, 1), (2.0 / _PI) * prefactor), f"bound-state weight at lam={lam!r}"
-    band, _, _ = refine_panels(sample, edges, weights, spec, what)
     edge = planck_density(th.beta_l, sign) + planck_density(th.beta_r, sign)
     # prefactor q^2/(1 - q^2), with |lam|/gap formed first: both may be subnormal
     geometric = scale * (abs(lam) / gap) * r * r / (1.0 + r)
     # Sample sites hold occupation 1/2 each: a geometric sum of amplitude^2.
     tail = math.expm1(-2.0 * alpha * nu) / math.expm1(-2.0 * alpha)
     sample = 0.5 * state.amplitude(0) ** 2 * (1.0 + 2.0 * r * r * tail)
-    return float(geometric * edge + sign * (2.0 / _PI) * prefactor * band.sum() + sample)
+    return float(geometric * edge + sign * (2.0 / _PI) * prefactor * bound.sum() + sample)
+
+
+@lru_cache(maxsize=128)
+def _pp_weight_cached(params: ModelParams, th: ThermalConfig, spec: QuadratureSpec) -> float:
+    return bound_weight(params, th, band_moments(params.lam, th, [0], spec).bound)
 
 
 def pp_weight(
@@ -297,11 +374,11 @@ def pp_weight(
 
     Defined at every nonzero field; zero field, where ``bound_state`` raises
     NoBoundState, returns 0.  The band integrals of both reservoirs are
-    sampled once on a mesh graded toward the band edge from the decay rate
-    ``alpha = asinh|lam|`` and toward ``k = pi/2`` from ``1/beta_r``, and
-    ``numerics.refine_panels`` certifies the weight to ``spec.abs_tol``,
-    summation roundoff included, or raises NonConvergence; the ``2 nu + 1``
-    sample sites sum in closed form.
+    those of ``band_moments`` at frequency 0, sampled on its mesh, graded
+    toward the band edges from the decay rate ``alpha = asinh|lam|`` and
+    toward ``k = pi/2`` from ``1/beta_r``, and certified to
+    ``spec.abs_tol``, summation roundoff included, or NonConvergence
+    raised; ``bound_weight`` adds the rest in closed form.
     """
     if params.lam == 0.0:
         return 0.0

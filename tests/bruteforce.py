@@ -4,20 +4,23 @@ Everything here is written against the definitions directly, avoiding the
 package's own quadrature and special-function paths: plain Fermi factors,
 vectorized midpoint Riemann sums, central differences, and raw partial sums.
 Slower and cruder than the package by design; the only job is to disagree
-when the package is wrong.
+when the package is wrong.  The sampling twins, ``moment_products`` and
+``bound_integrals_standalone``, share the package's panel rule and differ
+in how and where they sample.
 """
 
 import cmath
 import math
 import weakref
 from decimal import Decimal, localcontext
+from operator import mul
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import eigh, eigh_tridiagonal
 
 from nesslab.model import OperatorKind, operator_stencil, planck_density
-from nesslab.numerics import panel_rule
+from nesslab.numerics import QuadratureSpec, graded_mesh, panel_rule, refine_panels
 
 
 def fermi(r: float, e):
@@ -174,6 +177,45 @@ def pp_weight_direct(lam: float, beta_l: float, beta_r: float, nu: int = 0) -> f
     return (math.exp(-2.0 * alpha * nu) * total + sample) / norm_sq
 
 
+def bound_integrals_standalone(lam: float, beta_l: float, beta_r: float) -> tuple[np.ndarray, float]:
+    """Both reservoirs' band integrals of the bound-state weight, on a mesh of their own.
+
+    The integrals that ``scattering.BandMoments.bound`` holds, sampled in
+    ``k`` with the kernel of ``lam > 0`` at either sign (for ``lam < 0``
+    the map ``k -> pi - k`` leaves the integral unchanged): with
+    ``v, w = sin(k/2), cos(k/2)``, ``x = 2 beta v^2``, ``c = 2 sqrt(r) v``,
+    ``r = e^{-alpha}`` and ``gap = 1 - r``, the kernel
+    ``rho(-1) rho(cos k) (beta/2) ((1 - e^{-x})/x) w^2 (c / hypot(gap, c))^4``.
+    On ``graded_mesh(alpha, beta_r, pi)``, certified by ``refine_panels``
+    at the weight ``(2/pi) |lam| / sqrt(1 + lam^2)``.  Returns the two
+    integrals and the weighted estimate.
+    """
+    alpha = math.asinh(abs(lam))
+    r, gap = math.exp(-alpha), -math.expm1(-alpha)
+    betas = np.array([beta_l, beta_r])[:, None]
+
+    def sample(k):
+        v = np.sin(0.5 * k)
+        c = (2.0 * math.sqrt(r)) * v
+        x = 2.0 * betas * v * v
+        safe = np.where(x > 0.0, x, 1.0)
+        expm1_ratio = np.where(x > 0.0, -np.expm1(-safe) / safe, 1.0)
+        kernels = (
+            planck_density(betas, -1.0)
+            * planck_density(betas, np.cos(k))
+            * (0.5 * betas)
+            * expm1_ratio
+            * np.cos(0.5 * k) ** 2
+            * (c / np.hypot(gap, c)) ** 4
+        )
+        return kernels, None
+
+    weights = np.full((2, 1), (2.0 / math.pi) * (abs(lam) / math.hypot(1.0, lam)))
+    edges = graded_mesh(alpha, beta_r, math.pi)
+    values, error, _ = refine_panels(sample, edges, weights, QuadratureSpec(), "bound-state integrals")
+    return values[:, 0], error
+
+
 def _field_kernels(lam: float, x2: float) -> tuple[float, float, float]:
     """``1/D``, ``-2 lam/D^2`` and ``-2/D^2 + 8 lam^2/D^3`` for ``D = x2 + lam^2``:
     the field suppression of the flux and its two field derivatives, per ``x2``."""
@@ -306,32 +348,46 @@ def kronrod_sums_decimal(lam: float, betas, m, t, wk, digits: int = 30) -> list:
     scattered kernels of ``scattering.BandMoments`` (rows as there: family
     then reservoir), from their definitions, ``1 / (1 + e^{beta cos t})``,
     ``lam sin t / (sin^2 t + lam^2)`` and ``lam^2 / (sin^2 t + lam^2)``,
-    with every node and weight the exact value of its double.  Evaluated in
-    decimal arithmetic ten digits beyond ``digits``: cosine and sine by
-    their series, the frequencies as powers of ``e^{it}``.  Returns rows of
-    ``(re, im)`` pairs of Decimals, shape ``(6, len(m))``.
+    with every node and weight the exact value of its double.  The weighted
+    kernels, cosine and sine (by their series) are evaluated in decimal
+    arithmetic ten digits beyond ``digits`` and rounded to integers in
+    units of ``2^-(4 digits)``; the frequencies are then powers of
+    ``e^{it}`` by recurrence in those units, and each sum over the nodes is
+    exact in integers.  Returns rows of ``(re, im)`` pairs of Decimals,
+    shape ``(6, len(m))``.
     """
     m = [int(k) for k in m]
+    bits = 4 * digits
+    one = Decimal(1 << bits)
     with localcontext() as ctx:
         ctx.prec = digits + 10
         tiny = Decimal(10) ** -(digits + 15)
         lam_d = Decimal(lam)
-        sums = [[[Decimal(0), Decimal(0)] for _ in m] for _ in range(6)]
+
+        def fixed(x: Decimal) -> int:
+            return int((x * one).to_integral_value())
+
+        kernels, cos, sin = [], [], []
         for node, weight in zip(np.ravel(t).tolist(), np.ravel(wk).tolist()):
             c, s = _cos_sin(Decimal(node), tiny)
             rho = [1 / (1 + (Decimal(beta) * c).exp()) for beta in betas]
             d = s * s + lam_d * lam_d
             field = (lam_d * s / d, lam_d * lam_d / d)
-            kernels = [Decimal(weight) * r * f for f in (1, *field) for r in rho]
-            powers = [(Decimal(1), Decimal(0))]
-            for _ in range(max(m)):
-                re, im = powers[-1]
-                powers.append((re * c - im * s, re * s + im * c))
-            for row, kernel in zip(sums, kernels):
-                for pair, k in zip(row, m):
-                    pair[0] += kernel * powers[k][0]
-                    pair[1] += kernel * powers[k][1]
-        return sums
+            kernels.append([fixed(Decimal(weight) * r * f) for f in (1, *field) for r in rho])
+            cos.append(fixed(c))
+            sin.append(fixed(s))
+        rows = list(zip(*kernels))
+        re, im = [1 << bits] * len(cos), [0] * len(cos)
+        sums = {}
+        for k in range(max(m) + 1):
+            if k in m:
+                sums[k] = [(sum(map(mul, row, re)), sum(map(mul, row, im))) for row in rows]
+            re, im = (
+                [(a * c - b * s) >> bits for a, b, c, s in zip(re, im, cos, sin)],
+                [(a * s + b * c) >> bits for a, b, c, s in zip(re, im, cos, sin)],
+            )
+        scale = one * one
+        return [[(Decimal(sums[k][i][0]) / scale, Decimal(sums[k][i][1]) / scale) for k in m] for i in range(6)]
 
 
 def central_difference(f, x: float, h: float) -> float:

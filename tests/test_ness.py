@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nesslab import ness, numerics, scattering, transport
 from nesslab.exceptions import NonConvergence, WindowTooLarge
 from nesslab.model import ModelParams, ThermalConfig, bound_state
 from nesslab.numerics import QuadratureSpec
@@ -117,6 +118,27 @@ class TestCorrelationBlock:
     def test_window_order(self, th12):
         with pytest.raises(ValueError):
             correlation_block(ModelParams(0.1), th12, 2, 1)
+
+
+class TestOneSampling:
+    @pytest.mark.parametrize("lam", [0.0, 5e-324, -0.3, 0.5, 1e300])
+    def test_each_call_samples_once(self, monkeypatch, th12, lam):
+        # band moments and bound-state weight from one certified sampling,
+        # with no cached weight to skip a second one
+        calls = []
+        refine = numerics.refine_panels
+
+        def counted(*args):
+            calls.append(args[-1])
+            return refine(*args)
+
+        for module in (numerics, scattering, ness, transport):
+            monkeypatch.setattr(module, "refine_panels", counted)
+        scattering._pp_weight_cached.cache_clear()
+        correlation_block(ModelParams(lam, 1), th12, -3, 3)
+        assert len(calls) == 1
+        s_element(ModelParams(lam), th12, 2, -1)
+        assert len(calls) == 2
 
 
 def direct_block(params, th, lo, hi):

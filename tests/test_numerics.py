@@ -22,7 +22,7 @@ from nesslab.numerics import (
     refine_panels,
 )
 
-from bruteforce import graded_mesh_by_pieces, sine_partial_sum
+from bruteforce import bound_integrals_standalone, graded_mesh_by_pieces, sine_partial_sum
 
 
 class TestQuadratureSpec:
@@ -296,14 +296,16 @@ class TestScalarFamilySums:
     Each family's kernels are sampled again on its final mesh, and the sum
     of every sample times its Kronrod weight is formed exactly in
     ``Fraction`` arithmetic; the per-panel sums of ``refine_panels`` stay
-    within 2 eps of it, relative, for every integral of the family.
+    within 2 eps of it, relative, for every integral of the family.  The
+    bound-state rows of the band moments are held to the same sums at
+    frequency 0, where their basis is exactly 1.
     """
 
     FIELDS = [0.0, 5e-324, -1e-5, 1e-3, 0.05, -0.2, 0.5, -0.9, 1.7, 3.0]
 
     @staticmethod
     def certify(monkeypatch, module, call):
-        """Run ``call`` with ``module.refine_panels`` watched: its values, samples and final weights."""
+        """Run ``call`` with ``module.refine_panels`` watched: values, kernels, basis and final weights."""
         seen = {}
         refine, rule = module.refine_panels, numerics.panel_rule
 
@@ -321,8 +323,8 @@ class TestScalarFamilySums:
         call()
         t, wk, _ = seen["rule"]
         kernels, basis = seen["sample"](t.ravel())
-        assert basis is None
-        return seen["values"][:, 0], np.reshape(kernels, (seen["values"].shape[0], -1)), wk.ravel()
+        values = seen["values"]
+        return values, np.reshape(kernels, (values.shape[0], -1)), basis, wk.ravel()
 
     @staticmethod
     def assert_exact(values, kernels, wk):
@@ -334,18 +336,39 @@ class TestScalarFamilySums:
     @pytest.mark.parametrize("lam", FIELDS)
     def test_flux_family(self, monkeypatch, th12, lam):
         call = partial(transport._flux_integrals, lam, th12, None)
-        self.assert_exact(*self.certify(monkeypatch, transport, call))
+        values, kernels, basis, wk = self.certify(monkeypatch, transport, call)
+        assert basis is None
+        self.assert_exact(values[:, 0], kernels, wk)
 
     @pytest.mark.parametrize("lam", FIELDS)
     def test_translation_defect(self, monkeypatch, th12, lam):
         call = partial(ness.ti_commutator_element, ModelParams(lam), th12)
-        self.assert_exact(*self.certify(monkeypatch, ness, call))
+        values, kernels, basis, wk = self.certify(monkeypatch, ness, call)
+        assert basis is None
+        self.assert_exact(values[:, 0], kernels, wk)
 
     @pytest.mark.parametrize("lam", [lam for lam in FIELDS if lam != 0.0])
     def test_bound_state_weight(self, monkeypatch, th12, lam):
-        # past the cache, which would skip the sampling on a repeat
+        # past the cache, which would skip the sampling on a repeat; the
+        # weight samples the band moments at frequency 0 alone
         call = partial(scattering._pp_weight_cached.__wrapped__, ModelParams(lam), th12, QuadratureSpec())
-        self.assert_exact(*self.certify(monkeypatch, scattering, call))
+        values, kernels, basis, wk = self.certify(monkeypatch, scattering, call)
+        assert basis.shape == (1, wk.size) and np.all(basis == 1.0)
+        assert values.shape == (8, 1) and not np.any(values.imag)
+        self.assert_exact(values[6:, 0].real, kernels[6:], wk)
+
+    @pytest.mark.parametrize("lam", FIELDS)
+    def test_bound_rows_match_the_standalone_sampler(self, th12, lam):
+        # the bound-state integrals of a half-width-8 window against the
+        # same integrals sampled on their own mesh in k, lam < 0 mapped by
+        # k -> pi - t; weighted as the estimates weigh them
+        mom = scattering.band_moments(lam, th12, range(17))
+        if lam == 0.0:
+            assert mom.bound is None
+            return
+        twin, twin_error = bound_integrals_standalone(lam, th12.beta_l, th12.beta_r)
+        weight = (2.0 / math.pi) * (abs(lam) / math.hypot(1.0, lam))
+        assert weight * np.abs(mom.bound - twin).sum() <= mom.error_estimate + twin_error
 
 
 class TestPanelRule:

@@ -149,18 +149,21 @@ class TestBandMoments:
         assert np.abs(backward - forward.conj()).max() <= sys.float_info.epsilon * np.abs(forward).max()
 
     def test_frequency_subset_matches_full_range(self, th12):
-        # same mesh up to frequency 20, so the shared moments agree to roundoff
+        # same mesh up to frequency 20, so the shared moments agree to
+        # roundoff; frequency 0, which the bound-state rows read, is always there
         full = band_moments(0.3, th12, range(13))
         subset = band_moments(0.3, th12, [-12, 3, 7])
-        assert list(subset.frequencies) == [3, 7, 12]
+        assert list(subset.frequencies) == [0, 3, 7, 12]
         for name in ("plane", "cross", "scattered"):
             a, b = getattr(full, name), getattr(subset, name)
-            assert np.max(np.abs(a[:, [3, 7, 12]] - b)) < 1e-13 * max(1.0, np.max(np.abs(a)))
+            assert np.max(np.abs(a[:, [0, 3, 7, 12]] - b)) < 1e-13 * max(1.0, np.max(np.abs(a)))
+        assert np.max(np.abs(full.bound - subset.bound)) < 1e-13
 
     def test_zero_field_plane_only(self, th12):
-        # the field rows carry their field factors, so they vanish exactly
+        # the field rows carry their field factors, so they vanish exactly,
+        # and there is no bound state
         mom = band_moments(0.0, th12, range(4))
-        assert not np.any(mom.cross) and not np.any(mom.scattered)
+        assert not np.any(mom.cross) and not np.any(mom.scattered) and mom.bound is None
         assert abs(mom.overlap(0, 2) - symbol_coefficient(1.0, 2.0, 2)) < 1e-9
 
     def test_certified_below_target(self, th12):
@@ -205,19 +208,20 @@ class TestFactoredMoments:
         miss = np.abs(factored - twin).max(axis=2).sum(axis=1)
         assert miss @ np.array([1.0, 2.0, 3.0]) / (2.0 * math.pi) <= mom.error_estimate
 
-    @pytest.mark.parametrize("lam, width", [(1e-4, 2), (1e-4, 8), (0.5, 8)])
+    @pytest.mark.parametrize("lam, width", [(1e-4, 2), (1e-4, 8), (0.5, 8), (0.5, 64), (0.5, 128)])
     def test_kronrod_sums_within_roundoff(self, th12, lam, width):
-        # 30-digit sums on the same nodes: the weighted miss, summed over the
-        # groups, stays within the estimate's roundoff term.  The moments
-        # are certified as band_moments certifies them, on its first mesh
+        # 30-digit sums on the same nodes: the weighted miss of the band
+        # moments, summed over the groups, stays within their share of the
+        # estimate's roundoff term.  The moments are certified as
+        # band_moments certifies them, on its first mesh
         m = np.arange(2 * width + 1)
-        weights = np.repeat(np.array([1.0, 2.0, 3.0]) / (2.0 * math.pi), 2)[:, None] * np.ones(m.size)
+        weights = scattering._moment_weights(lam, m)
         sample = partial(scattering._moment_integrands, lam, np.array([1.0, 2.0]), m)
         edges = scattering._moment_mesh(lam, th12.beta_r, int(m[-1]))
         values, _, panels = refine_panels(sample, edges, weights, QuadratureSpec(), "moments")
         mom = band_moments(lam, th12, m)
         assert panels == edges.size - 1
-        assert np.array_equal(values.reshape(3, 2, -1), [mom.plane, mom.cross, mom.scattered])
+        assert np.array_equal(values[:6].reshape(3, 2, -1), [mom.plane, mom.cross, mom.scattered])
         t, wk, _ = panel_rule(edges)
         exact = kronrod_sums_decimal(lam, (th12.beta_l, th12.beta_r), m, t, wk)
         miss = np.array(
@@ -226,8 +230,27 @@ class TestFactoredMoments:
                 for rows in zip(values, exact)
             ]
         )
+        weights, values = weights[:6], values[:6]
         roundoff = 8.0 * sys.float_info.epsilon * (weights * np.abs(values)).max(axis=1).sum()
         assert (weights * miss).max(axis=1).sum() <= roundoff
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs a 64-bit long double")
+    @pytest.mark.parametrize(
+        "sites", [(-8, 8), (-64, 64), (-255, 255), (400, 403)], ids=["w8", "w64", "w255", "pair"]
+    )
+    def test_product_basis_as_accurate_as_the_exponential(self, th12, sites):
+        # the frequencies of the window [x, y] (or, far out, of the pair
+        # s(x, y) alone, which reads 0, 3 and 803) on its nodes, against
+        # e^{imt} in long double, where m t is exact: the products are no
+        # less accurate than the exponential of the rounded m t, and within
+        # a few ulps at every frequency
+        x, y = sites
+        m = np.arange(2 * y + 1) if x == -y else np.array([0, y - x, x + y])
+        t = panel_rule(scattering._moment_mesh(0.5, th12.beta_r, int(m[-1])))[0].ravel()
+        reference = np.exp(1j * np.multiply.outer(m.astype(np.longdouble), t.astype(np.longdouble)))
+        products = np.abs(scattering._frequency_basis(m, t) - reference).max()
+        exponential = np.abs(np.exp(1j * np.multiply.outer(m, t)) - reference).max()
+        assert products <= exponential and products < 32 * sys.float_info.epsilon
 
 
 class TestPpWeight:
