@@ -224,19 +224,23 @@ def _bound_kernels(lam: float, betas: np.ndarray, t: np.ndarray, rho: np.ndarray
 def _frequency_basis(m: np.ndarray, t: np.ndarray) -> np.ndarray:
     """``e^{imt}`` at nodes ``t`` for ascending frequencies ``m >= 0``, shape ``(M, N)``.
 
-    Each frequency is ``m = a B + b`` with ``B = isqrt(m_top + 1)``, and
-    ``e^{imt} = E_a e_b``, ``E_a = e^{iaBt}``, ``e_b = e^{ibt}``.  Both
-    runs of powers are repeated products of a seed ``e^{ikt}``, ``k`` 1 or
-    ``B``, formed as ``exp(i k t_hi) exp(i k t_lo)`` with ``t_hi`` the node
-    rounded to ``51 - bit_length(m_top)`` fractional bits and ``t_lo`` the
-    rest: ``k t_hi`` is exact, and ``k t_lo`` is rounded relative to its
-    own small size, so a seed is as accurate as one exponential at any
-    frequency.  Every element is at most ``A + B`` products from its seeds,
-    and frequency 0 is exactly 1.  For the frequencies ``0..m_top`` of a
-    window, all ``E_a e_b`` are formed by one product, node by node, and
-    the result is the transpose of a C-ordered ``(N, M)`` array, the layout
-    ``refine_panels`` contracts without a copy; other sets form only the
-    products they read.
+    A frequency ``k`` is formed directly as ``exp(i k t_hi) exp(i k t_lo)``,
+    with ``t_hi`` the node rounded to ``51 - bit_length(m_top)`` fractional
+    bits and ``t_lo`` the rest: ``k t_hi`` is exact, and ``k t_lo`` is
+    rounded relative to its own small size, so each is as accurate as one
+    exponential at any frequency.  Most sets are formed by products
+    instead: ``m = a B + b`` with ``B = isqrt(m_top + 1)``, and
+    ``e^{imt} = E_a e_b``, ``E_a = e^{iaBt}``, ``e_b = e^{ibt}``, both runs
+    repeated products of a seed ``e^{ikt}``, ``k`` ``B`` or 1, formed
+    directly.  An element is at most ``A + B`` products from its seeds,
+    and its error grows by about half an ulp a product.  At about 8
+    products' time an exponential, the runs cost ``A + B + 32`` products,
+    the direct form 16 a frequency; the cheaper is taken, which leaves the
+    direct form to single pairs, a few frequencies up to ``m_top``, and the
+    runs fewer than 16 rows of nodes a frequency beside the ``M`` returned.
+    Either way frequency 0 is exactly 1, and the result is the transpose
+    of a C-ordered ``(N, M)`` array, the layout ``refine_panels``
+    contracts without a copy.
     """
     top = int(m[-1])
     width = math.isqrt(top + 1)
@@ -244,21 +248,25 @@ def _frequency_basis(m: np.ndarray, t: np.ndarray) -> np.ndarray:
     t_hi = np.ldexp(np.rint(np.ldexp(t, bits)), -bits)
     t_lo = t - t_hi
 
+    def exponentials(k) -> np.ndarray:
+        # at nodes along the first axis
+        return np.exp(1j * np.multiply.outer(t_hi, k)) * np.exp(1j * np.multiply.outer(t_lo, k))
+
     def powers(k: int, count: int) -> np.ndarray:
         out = np.ones((count, t.size), dtype=np.complex128)
         if count > 1:
-            out[1] = np.exp(1j * (k * t_hi)) * np.exp(1j * (k * t_lo))
+            out[1] = exponentials(k)
             for j in range(2, count):
                 np.multiply(out[j - 1], out[1], out=out[j])
         return out
 
-    large, small = powers(width, top // width + 1), powers(1, width)
-    if m.size < top + 1:
-        # a sparse set, as far sites read: all E_a e_b would be (A + 1) B a node
-        return large[m // width] * small[m % width]
-    # every a B + b up to (A + 1) B - 1, node by node
-    every = np.multiply(large.T[:, :, None], small.T[:, None, :], order="C").reshape(t.size, -1)
-    return np.take(every, m, axis=1).T
+    count = top // width + 1
+    if count + width + 32 > 16 * m.size:
+        out = np.ones((t.size, m.size), dtype=np.complex128)  # frequency 0 costs nothing
+        out[:, m > 0] = exponentials(m[m > 0])
+        return out.T
+    large, small = powers(width, count), powers(1, width)
+    return (large.T[:, m // width] * small.T[:, m % width]).T
 
 
 def _moment_integrands(
@@ -269,7 +277,7 @@ def _moment_integrands(
     The kernels are real, shape ``(8, N)``: the plane, cross and scattered
     kernels of ``BandMoments``, each for ``beta_l`` then ``beta_r``, then
     the two reservoirs' ``_bound_kernels``, left out at zero field.  The
-    basis is ``_frequency_basis``, shape ``(M, N)``, built by products.
+    basis is ``_frequency_basis``, shape ``(M, N)``, mostly built by products.
     The field kernels are ``sign(lam) q e / r`` and ``e^2 / r`` in the
     ratios ``numerics.field_ratios(sin t, |lam|)``: no field is squared,
     so they stay finite from the smallest subnormal field to the largest

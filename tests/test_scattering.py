@@ -20,6 +20,7 @@ from nesslab.scattering import (
     ac_overlap,
     band_moments,
     magnetic_correction,
+    overlap_frequencies,
     pp_weight,
     wave_action,
 )
@@ -236,21 +237,26 @@ class TestFactoredMoments:
 
     @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs a 64-bit long double")
     @pytest.mark.parametrize(
-        "sites", [(-8, 8), (-64, 64), (-255, 255), (400, 403)], ids=["w8", "w64", "w255", "pair"]
+        "x, y, window",
+        [(-8, 8, True), (-64, 64, True), (-255, 255, True), (1000, 1016, True), (400, 403, False)],
+        ids=["w8", "w64", "w255", "off-centre", "pair"],
     )
-    def test_product_basis_as_accurate_as_the_exponential(self, th12, sites):
+    def test_basis_as_accurate_as_the_exponential(self, th12, x, y, window):
         # the frequencies of the window [x, y] (or, far out, of the pair
-        # s(x, y) alone, which reads 0, 3 and 803) on its nodes, against
-        # e^{imt} in long double, where m t is exact: the products are no
-        # less accurate than the exponential of the rounded m t, and within
-        # a few ulps at every frequency
-        x, y = sites
-        m = np.arange(2 * y + 1) if x == -y else np.array([0, y - x, x + y])
+        # s(x, y) alone, which reads 0, 3 and 803, formed by exponentials)
+        # on its nodes, against e^{imt} in long double, where m t is exact:
+        # the basis is no less accurate than the exponential of the rounded
+        # m t, and within an ulp per product on the longest run of powers
+        sites = np.arange(x, y + 1)
+        pairs = np.meshgrid(sites, sites) if window else (np.array(x), np.array(y))
+        read = np.concatenate([[0], *(np.ravel(f) for f in overlap_frequencies(*pairs))])
+        m = np.unique(np.abs(read))
         t = panel_rule(scattering._moment_mesh(0.5, th12.beta_r, int(m[-1])))[0].ravel()
         reference = np.exp(1j * np.multiply.outer(m.astype(np.longdouble), t.astype(np.longdouble)))
-        products = np.abs(scattering._frequency_basis(m, t) - reference).max()
+        basis = np.abs(scattering._frequency_basis(m, t) - reference).max()
         exponential = np.abs(np.exp(1j * np.multiply.outer(m, t)) - reference).max()
-        assert products <= exponential and products < 32 * sys.float_info.epsilon
+        width = math.isqrt(int(m[-1]) + 1)
+        assert basis <= exponential and basis < (m[-1] // width + width) * sys.float_info.epsilon
 
 
 class TestPpWeight:
