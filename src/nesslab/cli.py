@@ -26,6 +26,7 @@ one-line JSON error record to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -218,15 +219,7 @@ def _cmd_oracle_verify(ns: argparse.Namespace):
 
 def _cmd_transition_fit(ns: argparse.Namespace):
     fit = divergence_fit(ThermalConfig(ns.beta_l, ns.beta_r))
-    result = {
-        "lambda_grid": list(fit.lambda_grid),
-        "ratios": list(fit.ratios),
-        "C_fit": fit.C_fit,
-        "C_theory": fit.C_theory,
-        "intercept": fit.intercept,
-        "residual": fit.residual,
-        "rel_error": fit.rel_error,
-    }
+    result = dataclasses.asdict(fit)
     cols = ["lambda", "ratio", "C_fit", "C_theory", "intercept", "residual",
             "rel_error"]
     rows = [

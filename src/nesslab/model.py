@@ -115,16 +115,16 @@ def planck_density(r: float, e):
 def planck_difference(th: ThermalConfig, e):
     """``planck_density(beta_l, e) - planck_density(beta_r, e)``, elementwise on arrays.
 
-    Evaluates ``sinh(delta e) / (cosh(delta e) + cosh(beta_mean e))`` in
-    product form with the largest exponent scaled out, so it stays finite
-    for large ``beta * e``.
+    Evaluated as ``sign(e) el (1 - exp(-(beta_r - beta_l)|e|)) /
+    ((1 + el)(1 + er))`` with ``el, er = exp(-beta_{l,r} |e|)``: a product
+    of positive factors and one ``expm1``, so nothing cancels, the result
+    is within a few ulps plus the rounding of ``beta_l |e|`` at any
+    temperatures and energy, and no exponential overflows.
     """
-    a = np.multiply(th.delta, e)
-    b = np.multiply(th.beta_mean, e)
-    m = np.abs(b)  # beta_mean >= delta >= 0, so |b| >= |a|
-    num = np.exp(a - m) - np.exp(-a - m)
-    den = np.exp(a - m) + np.exp(-a - m) + np.exp(b - m) + np.exp(-b - m)
-    out = num / den
+    a = np.abs(e)
+    el, er = np.exp(-th.beta_l * a), np.exp(-th.beta_r * a)
+    gap = -np.expm1((th.beta_l - th.beta_r) * a)  # 1 - er / el
+    out = np.sign(e) * el * gap / ((1.0 + el) * (1.0 + er))
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -29,7 +29,7 @@ def _elements(params: ModelParams, th: ThermalConfig, x, y, spec: QuadratureSpec
 
     The band overlap from one set of band moments, with every frequency the
     pairs read, plus the bound-state term at every nonzero field, its
-    weight completed from the bound-state integrals of the same sampling;
+    weight completed from the bound-state integral of the same sampling;
     zero field has no bound state.
     """
     moments = band_moments(params.lam, th, overlap_frequencies(x, y), spec)
@@ -90,7 +90,7 @@ def correlation_block(
     """Fill the window ``[lo, hi]`` of the steady-state matrix.
 
     The upper triangle comes from one set of band moments, with every
-    frequency the window reads and the bound-state integrals; the lower
+    frequency the window reads and the bound-state integral; the lower
     triangle is its exact conjugate, ``s(y, x) = conj(s(x, y))``.
     """
     lo, hi = int(lo), int(hi)

@@ -9,14 +9,15 @@ the initial state puts on the bound state.
 
 Every band overlap is a linear combination of Fourier moments over
 ``[0, pi]`` with integer frequencies, in which only the frequency and the
-reservoir temperature vary.  ``band_moments`` samples the six real
-kernels, the plane one and the field kernels already multiplied by their
-field factors, so that each is bounded by 1 at every finite field, and the
-two reservoirs' bound-state kernels, once on a Gauss-Kronrod mesh graded
-at their common near-poles, with the basis ``e^{imt}`` of every frequency
-a window needs beside them, and ``numerics.refine_panels`` contracts each
-panel's kernels with the basis in one product and certifies the moments
-and the bound-state integrals together.  ``ac_overlap`` and
+reservoir temperature vary.  ``band_moments`` samples seven real kernels
+once on a Gauss-Kronrod mesh graded at their common near-poles: for each
+reservoir the plane kernel and the two field kernels, already multiplied
+by their field factors so that each is bounded by 1 at every finite
+field, and one bound-state kernel, the two reservoirs' summed node by
+node.  Beside them it samples the basis ``e^{imt}`` of every frequency a
+window needs, and ``numerics.refine_panels`` contracts each panel's
+kernels with the basis in one product and certifies the moments and the
+bound-state integral together.  ``ac_overlap`` and
 ``ness.correlation_block`` index into the result, and ``bound_weight``
 adds the closed-form rest of the bound-state weight, so a window is one
 certified sampling.
@@ -109,19 +110,19 @@ class BandMoments:
     The field kernels of ``cross`` and ``scattered`` are bounded by 1/2 and
     1 at every finite field, and vanish at zero field.  Negative
     frequencies are the conjugates, the integrands being real but for
-    ``e^{imt}``.  ``bound[b]`` is reservoir ``b``'s band integral of the
-    bound-state weight, the one that ``bound_weight`` completes, or None
-    at zero field, which has no bound state.  ``error_estimate`` bounds
-    the error of any matrix element ``s(x, y)`` assembled from these: the
-    band overlap plus ``bound_weight`` times ``amp(x) amp(y)``, whose
-    amplitudes are at most 1.
+    ``e^{imt}``.  ``bound`` is the band integral of the bound-state
+    weight, both reservoirs' together, that ``bound_weight`` completes, or
+    None at zero field, which has no bound state.  ``error_estimate``
+    bounds the error of any matrix element ``s(x, y)`` assembled from
+    these: the band overlap plus ``bound_weight`` times ``amp(x) amp(y)``,
+    whose amplitudes are at most 1.
     """
 
     frequencies: np.ndarray
     plane: np.ndarray
     cross: np.ndarray
     scattered: np.ndarray
-    bound: np.ndarray | None
+    bound: float | None
     error_estimate: float
 
     def _index(self, m: np.ndarray) -> np.ndarray:
@@ -169,20 +170,20 @@ def _moment_weights(lam: float, m: np.ndarray) -> np.ndarray:
     """How each moment of ``_moment_integrands`` enters a matrix element, ``(G, M)``.
 
     One plane moment per reservoir, two cross moments and three scattered
-    moments, each at ``1/2pi``; each bound-state integral, at frequency 0
+    moments, each at ``1/2pi``; the bound-state integral, at frequency 0
     alone, at ``(2/pi) |lam| / sqrt(1 + lam^2)``, its factor in
     ``bound_weight`` at ``nu = 0``, which bounds it at every ``nu``.
     """
     band = np.repeat(np.array([1.0, 2.0, 3.0]) / (2.0 * _PI), 2)[:, None] * np.ones(m.size)
     if lam == 0.0:
         return band
-    bound = np.zeros((2, m.size))
-    bound[:, 0] = (2.0 / _PI) * (abs(lam) / math.hypot(1.0, lam))
+    bound = np.zeros((1, m.size))
+    bound[0, 0] = (2.0 / _PI) * (abs(lam) / math.hypot(1.0, lam))
     return np.concatenate([band, bound])
 
 
 def _bound_kernels(lam: float, betas: np.ndarray, t: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Both reservoirs' bound-state kernels at nodes ``t``, shape ``(2, N)``.
+    """The bound-state kernel at nodes ``t``, both reservoirs' summed, shape ``(1, N)``.
 
     Reservoir overlaps via the half-line sine transform: the eigenvector
     tail on sites >= nu+1 transforms to (e^{-alpha nu}/nu_norm) S(q, k),
@@ -199,7 +200,10 @@ def _bound_kernels(lam: float, betas: np.ndarray, t: np.ndarray, rho: np.ndarray
     below, in which only ratios of the small quantities enter.  At nodes
     ``t`` it is sampled at ``k = t`` for ``lam > 0``, where ``rho`` is
     ``rho(cos t)``, and at ``k = pi - t`` for ``lam < 0``, which swaps
-    ``v`` and ``w`` and reads ``rho(-cos t)``.
+    ``v`` and ``w`` and reads ``rho(-cos t)``.  The weight reads the two
+    reservoirs' integrals only as their sum, so their thermal factors are
+    added node by node, times the one ``w^2 (c / hypot(gap, c))^4``, and
+    integrated once.
     """
     alpha = math.asinh(abs(lam))
     r, gap = math.exp(-alpha), -math.expm1(-alpha)  # gap = 1 - r without cancellation
@@ -211,14 +215,8 @@ def _bound_kernels(lam: float, betas: np.ndarray, t: np.ndarray, rho: np.ndarray
     x = 2.0 * betas * v * v
     safe = np.where(x > 0.0, x, 1.0)
     expm1_ratio = np.where(x > 0.0, -np.expm1(-safe) / safe, 1.0)  # (1 - e^{-x})/x
-    return (
-        planck_density(betas, -1.0)
-        * rho
-        * (0.5 * betas)
-        * expm1_ratio
-        * w**2
-        * (c / np.hypot(gap, c)) ** 4
-    )
+    thermal = planck_density(betas, -1.0) * rho * (0.5 * betas) * expm1_ratio
+    return thermal.sum(axis=0, keepdims=True) * (w**2 * (c / np.hypot(gap, c)) ** 4)
 
 
 def _frequency_basis(m: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -274,10 +272,11 @@ def _moment_integrands(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The band-moment and bound-state kernels and the frequency basis at nodes ``t``.
 
-    The kernels are real, shape ``(8, N)``: the plane, cross and scattered
+    The kernels are real, shape ``(7, N)``: the plane, cross and scattered
     kernels of ``BandMoments``, each for ``beta_l`` then ``beta_r``, then
-    the two reservoirs' ``_bound_kernels``, left out at zero field.  The
-    basis is ``_frequency_basis``, shape ``(M, N)``, mostly built by products.
+    the bound-state kernel of ``_bound_kernels``, left out at zero field.
+    The basis is ``_frequency_basis``, shape ``(M, N)``, mostly built by
+    products.
     The field kernels are ``sign(lam) q e / r`` and ``e^2 / r`` in the
     ratios ``numerics.field_ratios(sin t, |lam|)``: no field is squared,
     so they stay finite from the smallest subnormal field to the largest
@@ -298,7 +297,7 @@ def band_moments(
     frequencies,
     spec: QuadratureSpec | None = None,
 ) -> BandMoments:
-    """Band moments and bound-state integrals of both reservoirs, on one mesh.
+    """Band moments of both reservoirs and their bound-state integral, on one mesh.
 
     The moments are computed at frequency 0 and every ``|m|`` given;
     ``B(-m) = conj B(m)``.  The kernels and the frequency basis of
@@ -318,7 +317,7 @@ def band_moments(
     edges = _moment_mesh(lam, th.beta_r, int(m[-1]))
     weights = _moment_weights(lam, m)
     moments, error, _ = refine_panels(sample, edges, weights, spec, f"band moments at lam={lam!r}")
-    bound = moments[6:, 0].real if lam != 0.0 else None
+    bound = float(moments[6, 0].real) if lam != 0.0 else None
     return BandMoments(m, *moments[:6].reshape(3, 2, -1), bound, error)
 
 
@@ -341,10 +340,10 @@ def ac_overlap(
     return complex(moments.overlap(x, y))
 
 
-def bound_weight(params: ModelParams, th: ThermalConfig, bound: np.ndarray) -> float:
-    """Thermal weight on the bound state from the integrals ``BandMoments.bound``.
+def bound_weight(params: ModelParams, th: ThermalConfig, bound: float) -> float:
+    """Thermal weight on the bound state from the integral ``BandMoments.bound``.
 
-    The band integrals of ``_bound_kernels`` enter at
+    The band integral of ``_bound_kernels`` enters at
     ``sign(lam) (2/pi) e^{-2 alpha nu} |lam| / sqrt(1 + lam^2)``; the rest
     is closed: the edge occupations times Parseval's ``q^2/(1 - q^2)``, and
     the ``2 nu + 1`` sample sites, each occupied 1/2.
@@ -365,7 +364,7 @@ def bound_weight(params: ModelParams, th: ThermalConfig, bound: np.ndarray) -> f
     # Sample sites hold occupation 1/2 each: a geometric sum of amplitude^2.
     tail = math.expm1(-2.0 * alpha * nu) / math.expm1(-2.0 * alpha)
     sample = 0.5 * state.amplitude(0) ** 2 * (1.0 + 2.0 * r * r * tail)
-    return float(geometric * edge + sign * (2.0 / _PI) * prefactor * bound.sum() + sample)
+    return geometric * edge + sign * (2.0 / _PI) * prefactor * bound + sample
 
 
 @lru_cache(maxsize=128)
@@ -381,8 +380,8 @@ def pp_weight(
     """Thermal weight of the initial state on the bound state, in [0, 1].
 
     Defined at every nonzero field; zero field, where ``bound_state`` raises
-    NoBoundState, returns 0.  The band integrals of both reservoirs are
-    those of ``band_moments`` at frequency 0, sampled on its mesh, graded
+    NoBoundState, returns 0.  The band integral of both reservoirs is
+    that of ``band_moments`` at frequency 0, sampled on its mesh, graded
     toward the band edges from the decay rate ``alpha = asinh|lam|`` and
     toward ``k = pi/2`` from ``1/beta_r``, and certified to
     ``spec.abs_tol``, summation roundoff included, or NonConvergence

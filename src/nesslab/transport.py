@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConsistencyError, UndefinedAtOrigin
-from .model import ModelParams, ThermalConfig, planck_density, planck_difference
+from .model import ModelParams, ThermalConfig, planck_difference
 from .numerics import QuadratureSpec, field_ratios, graded_mesh, refine_panels
 
 _PI = math.pi
@@ -203,9 +203,9 @@ class LogDecomposition:
 def log_coefficient(th: ThermalConfig) -> float:
     """Occupation difference at the band edge, ``rho_diff(1)``.
 
-    Equals ``sinh(delta) / (cosh(delta) + cosh(beta_mean))`` and multiplies
-    ``-log|lam|`` in ``F1`` of the log split; the scaled derivative
-    ``flux_derivative / lam`` therefore diverges like ``(2/pi) f0 log|lam|``.
+    ``planck_difference`` at ``e = 1``, exact to a few ulps.  It multiplies
+    ``-log|lam|`` in ``F1`` of the log split, so the scaled derivative
+    ``flux_derivative / lam`` diverges like ``(2/pi) f0 log|lam|``.
     """
     return planck_difference(th, 1.0)
 
@@ -282,9 +282,7 @@ def divergence_fit(
     slope, intercept = np.polyfit(logs, ratios, 1)
     fitted = slope * logs + intercept
     residual = float(np.sqrt(np.mean((ratios - fitted) ** 2)))
-    c_theory = (2.0 / _PI) * (
-        planck_density(th.beta_l, 1.0) - planck_density(th.beta_r, 1.0)
-    )
+    c_theory = (2.0 / _PI) * log_coefficient(th)
     if c_theory != 0.0:
         rel = abs(slope - c_theory) / c_theory
     else:

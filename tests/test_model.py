@@ -1,6 +1,9 @@
 """Thermal data, lattice stencils, and the out-of-band eigenvector."""
 
 import math
+import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +22,47 @@ from nesslab.model import (
 )
 
 from bruteforce import fermi_difference
+
+# rho_l(e) - rho_r(e) at 40 digits (mpmath at 800 digits, from the plain
+# Fermi factors at the exact binary values of beta and e), for e in ENERGIES
+ENERGIES = (1.0, 0.3, 1e-3, 1e-300, -0.7)
+PLANCK_DIFFERENCE_MP = {
+    (1.0, 2.0): (
+        "1.497384993478775648085698994805605208412e-1",
+        "7.121378941413646339104120465063915119122e-2",
+        "2.499998541667312551773880180602138787299e-4",
+        "2.50000000000000006264772958802189921424e-301",
+        "-1.339961163904156373755345845612877635033e-1",
+    ),
+    (1.0, 1.000000001): (
+        "1.966119494637972704260565162327246429276e-10",
+        "7.33374995735573505085187393640997669971e-11",
+        "2.499999581850979378696362123798380035067e-13",
+        "2.500000206850927560373668561725196757551e-310",
+        "-1.551990241281282956424989016023251692029e-10",
+    ),
+    (3.0, 3.0000001): (
+        "4.517665761239829433735377011982764820012e-9",
+        "6.165009171163210449564360600796977434766e-9",
+        "2.49999437091681206653312221357169568775e-11",
+        "2.499999995908552881593920595210840807739e-308",
+        "-6.803629138739881582796095033143549788343e-9",
+    ),
+    (0.001, 1000.0): (
+        "4.997500000208333312447960416865826754308e-1",
+        "4.99925000000562499996151806451966780981e-1",
+        "2.310583286300048833647902018285117818725e-1",
+        "2.499997500000000062647614898588031888127e-298",
+        "-4.998250000071458329906468273943314620061e-1",
+    ),
+    (100.0, 1000.0): (
+        "3.720075976020835962959695803863118337359e-44",
+        "9.357622968839309342888038418922039565659e-14",
+        "2.060793911510648967256559287093996183718e-1",
+        "2.250000000000000056382956629219709292816e-298",
+        "-3.975449735908664462332419936943046874242e-31",
+    ),
+}
 
 
 class TestConfigs:
@@ -82,6 +126,19 @@ class TestPlanck:
         val = planck_difference(th, 1.0)
         assert math.isfinite(val)
         assert 0.0 <= val <= 1.0
+
+    @pytest.mark.parametrize("pair", list(PLANCK_DIFFERENCE_MP), ids=str)
+    def test_difference_golden_table(self, pair):
+        # within a few eps plus the rounding of beta_l |e|, the argument of
+        # exp, relative; below the smallest normal double, doubles are
+        # spaced by 2^-1074, so the bound adds one such spacing
+        th = ThermalConfig(*pair)
+        got = planck_difference(th, np.array(ENERGIES))
+        eps = Fraction(sys.float_info.epsilon)
+        for e, value, ref in zip(ENERGIES, got.tolist(), PLANCK_DIFFERENCE_MP[pair]):
+            exact = Fraction(Decimal(ref))
+            bound = (3 + Fraction(th.beta_l * abs(e))) * eps * abs(exact) + Fraction(math.ulp(0.0))
+            assert abs(Fraction(value) - exact) <= bound, e
 
     def test_difference_odd_in_energy(self):
         th = ThermalConfig(0.7, 2.3)

@@ -43,7 +43,10 @@ from bruteforce import (
 # below reproduces it to 1e-12 (its integrand has a kink at k = 0)
 GOLDEN_FLUX_12 = 0.019467106206978297
 # occupation difference at the band edge for (beta_l, beta_r) = (1, 2)
-EDGE_STEP_12 = 0.14973849934787756
+EDGE_STEP_12 = 0.14973849934787753
+# J at lam = 0.5, (beta_l, beta_r) = (1, 1 + 1e-9): mpmath at 45 digits on
+# the defining integral, with the plain Fermi factors at the same doubles
+FLUX_NEAR_EQUILIBRIUM_MP = 1.26632580693135980e-11
 
 
 class TestHeatFlux:
@@ -83,6 +86,15 @@ class TestHeatFlux:
         for lam in (0.0, 0.5):
             with pytest.raises(NonConvergence):
                 heat_flux(ModelParams(lam), th12, spec)
+
+    def test_near_equilibrium_within_its_estimate(self):
+        # the occupation difference, at most 2e-10 here, is formed without
+        # cancellation, so the flux keeps its digits: within its certified
+        # estimate, and within 1e-15 relative, of the 45-digit value
+        report = flux_report(ModelParams(0.5), ThermalConfig(1.0, 1.0 + 1e-9))
+        miss = abs(report.J - FLUX_NEAR_EQUILIBRIUM_MP)
+        assert miss <= report.quadrature_error
+        assert miss <= 1e-15 * FLUX_NEAR_EQUILIBRIUM_MP
 
     @settings(max_examples=20)
     @given(lam=st.floats(0.0, 4.0))
