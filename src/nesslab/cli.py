@@ -15,6 +15,9 @@ any other flag is an argument error.  ``correction`` reads ``--lambda``;
 ``--beta-l --beta-r --lambda --nu --tol --oracle-m --t-star``; and
 ``transition-fit`` ``--beta-l --beta-r``.  The JSON ``config`` echoes all
 eight value flags, with the default of each flag the command does not read.
+A negative value other than a plain decimal (``-0.5``), such as a sweep or
+an exponent form, is read as a flag unless given in the equals form,
+``--lambda=-2:2:0.01`` or ``--lambda=-1e-5``.
 
 Exit codes: 0 success, 2 invalid configuration (including argument errors
 and an output path that cannot be opened), 3 numerical failure

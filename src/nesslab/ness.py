@@ -148,6 +148,6 @@ def ti_commutator_direct(
     th: ThermalConfig,
     spec: QuadratureSpec | None = None,
 ) -> float:
-    """``s(0, 2) - s(-1, 1)`` assembled from the two matrix elements."""
-    diff = s_element(params, th, 0, 2, spec) - s_element(params, th, -1, 1, spec)
-    return diff.real
+    """``s(0, 2) - s(-1, 1)`` from the two matrix elements, one sampling for both."""
+    upper, lower = _elements(params, th, np.array([0, -1]), np.array([2, 1]), spec)
+    return float((upper - lower).real)

@@ -124,17 +124,9 @@ def _fold(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _unfold(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
     """Site array of the given parity coordinates; the inverse of ``_fold``."""
-    m = len(odd)
-    c = len(even) - m  # 1 with a centre site
-    # written in place: the frames unfolded here are the largest arrays
-    out = np.empty((c + 2 * m, *even.shape[1:]), np.result_type(even, odd))
-    upper, lower = out[m + c :], out[:m][::-1]
-    np.add(even[c:], odd, out=upper)
-    np.subtract(even[c:], odd, out=lower)
-    upper *= _SQRT_HALF
-    lower *= _SQRT_HALF
-    out[m : m + c] = even[:c]
-    return out
+    c = len(even) - len(odd)  # 1 with a centre site
+    upper, lower = (even[c:] + odd) * _SQRT_HALF, (even[c:] - odd) * _SQRT_HALF
+    return np.concatenate([lower[::-1], even[:c], upper])
 
 
 class Eigenpairs(NamedTuple):
@@ -145,14 +137,10 @@ class Eigenpairs(NamedTuple):
 
     def to_modes(self, z: np.ndarray) -> np.ndarray:
         """Mode amplitudes of the block coordinates ``z`` (on axis 0)."""
-        if not z.any():  # the centre site has no odd part
-            return np.zeros((len(self.energies), *z.shape[1:]), z.dtype)
         return _real_apply(self.vectors.T, z)
 
     def from_modes(self, a: np.ndarray) -> np.ndarray:
         """Block coordinates of the mode amplitudes ``a``; the inverse of ``to_modes``."""
-        if not a.any():
-            return np.zeros((len(self.energies), *a.shape[1:]), a.dtype)
         return _real_apply(self.vectors, a)
 
 
@@ -218,12 +206,12 @@ class TruncatedSystem:
     even and odd parity blocks, and the reservoir's of ``initial_two_point``,
     are kept in one store keyed by block content, so a block that several
     matrices share is solved once and every reader holds the same arrays.
-    The latest initial state is cached with its temperature pair, the
-    ``SiteParts`` of the latest late-time estimate's sites with
-    ``(t_star, site)``, and beside them the phases ``exp(i w t)`` of each
-    parity block on that grid, by ``t_star`` and block (0 even, 1 odd).  The
-    parts do not depend on the temperatures: a state at any temperatures
-    holds the same reservoir solve.
+    The latest initial state is cached with its temperature pair, and the
+    latest late-time grid in one ``_GridStore``: its ``t_star``, the phases
+    ``exp(i w t)`` of each parity block on it, and the ``SiteParts`` of the
+    latest estimate's two sites.  The parts do not depend on the
+    temperatures: a state at any temperatures holds the same reservoir
+    solve.
     """
 
     M: int
@@ -231,8 +219,7 @@ class TruncatedSystem:
     hamiltonians: dict[OperatorKind, tuple[np.ndarray, np.ndarray]]
     _solves: dict[tuple[bytes, bytes], Eigenpairs | Split] = field(default_factory=dict)
     _state_cache: dict[tuple[float, float], DecoupledState] = field(default_factory=dict)
-    _site_cache: dict[tuple[float, int], SiteParts] = field(default_factory=dict)
-    _phase_cache: dict[float, dict[int, np.ndarray]] = field(default_factory=dict)
+    _grid_store: _GridStore | None = None
 
     @property
     def n_sites(self) -> int:
@@ -362,6 +349,18 @@ class SiteParts(NamedTuple):
     even: np.ndarray
     odd: np.ndarray
     sample: np.ndarray
+
+
+class _GridStore(NamedTuple):
+    """Evolutions on one time grid ending at ``t_star``.
+
+    ``phases`` holds each parity block's ``exp(i w t)`` on the grid (0
+    even, 1 odd), ``parts`` the ``SiteParts`` of the latest two sites.
+    """
+
+    t_star: float
+    phases: dict[int, np.ndarray]
+    parts: dict[int, SiteParts]
 
 
 class DecoupledState(NamedTuple):
@@ -532,15 +531,29 @@ def _site_parts(
     return SiteParts(even, odd, np.concatenate([sample_even, sample_odd]))
 
 
+def _held_parts(
+    sys: TruncatedSystem, state: DecoupledState, store: _GridStore, times, x: int, y: int
+) -> tuple[SiteParts, SiteParts]:
+    """The parts of ``x`` and ``y`` on ``store``'s grid ``times``, evolved into it if missing.
+
+    The store keeps these two sites' parts alone, and drops the others first.
+    """
+    parts = store.parts
+    for site in set(parts).difference((x, y)):
+        del parts[site]
+    for site in (x, y):
+        if site not in parts:
+            parts[site] = _site_parts(sys, state, site, times, store.phases)
+    return parts[x], parts[y]
+
+
 def evolve_with_state(
     sys: TruncatedSystem, state: DecoupledState, x: int, y: int, times
 ) -> EvolutionTrace:
     """Evolve ``(e_x, S(t) e_y)`` from the factored initial state ``state``."""
     times = _checked_times(sys, x, y, times)
-    phases = {}
-    part_x = _site_parts(sys, state, x, times, phases)
-    part_y = part_x if y == x else _site_parts(sys, state, y, times, phases)
-    values, _ = state.pair_overlaps(part_x, part_y)
+    store = _GridStore(float(times[-1]), {}, {})
+    values, _ = state.pair_overlaps(*_held_parts(sys, state, store, times, x, y))
     return EvolutionTrace(times, values)
 
 
@@ -548,39 +561,28 @@ def _late_grid_size(t_star: float) -> int:
     return int(round(0.2 * t_star)) + 1
 
 
-def _late_times(sys: TruncatedSystem, x: int, y: int, t_star: float) -> np.ndarray:
+def _late_means(
+    sys: TruncatedSystem, th: ThermalConfig, x: int, y: int, t_star: float
+) -> tuple[complex, complex]:
+    """Means of ``pair_overlaps`` of ``(x, y)`` over ``[0.8 t_star, t_star]``.
+
+    Both temperature orderings, on a roughly unit-spaced grid.  The
+    window's store is kept while ``t_star`` is unchanged, so the parts and
+    phases of the previous call on this grid are reused; another ``t_star``
+    replaces it.
+    """
+    t_star = float(t_star)
     if not (np.isfinite(t_star) and t_star >= _MIN_T_STAR):
         raise ValueError(f"late-time estimate needs a finite t_star >= 100, got {t_star}")
     # before the grid: its size grows with t_star
     _check_horizon(sys, x, y, t_star)
     _check_quarter(sys, x, y)
-    return np.linspace(0.8 * t_star, t_star, _late_grid_size(t_star))
-
-
-def _late_overlaps(
-    sys: TruncatedSystem, th: ThermalConfig, x: int, y: int, t_star: float
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """The late-time grid of ``t_star`` and ``pair_overlaps`` of ``(x, y)`` on it.
-
-    The parts of ``x`` and ``y`` are kept on ``sys`` in place of those of
-    the previous call, and the block phases of this grid in place of those
-    of another; parts and phases the previous call left on this grid are
-    reused.
-    """
-    t_star = float(t_star)
-    times = _late_times(sys, x, y, t_star)
+    times = np.linspace(0.8 * t_star, t_star, _late_grid_size(t_star))
     state = initial_two_point(sys, th)
-    cache = sys._site_cache
-    keys = [(t_star, x), (t_star, y)]
-    for key in set(cache).difference(keys):
-        del cache[key]
-    if t_star not in sys._phase_cache:
-        sys._phase_cache.clear()
-    phases = sys._phase_cache.setdefault(t_star, {})
-    for key in keys:
-        if key not in cache:
-            cache[key] = _site_parts(sys, state, key[1], times, phases)
-    return times, state.pair_overlaps(*(cache[key] for key in keys))
+    if sys._grid_store is None or sys._grid_store.t_star != t_star:
+        sys._grid_store = _GridStore(t_star, {}, {})
+    overlaps = state.pair_overlaps(*_held_parts(sys, state, sys._grid_store, times, x, y))
+    return tuple(complex(np.mean(EvolutionTrace(times, v).values)) for v in overlaps)
 
 
 def ness_estimate(
@@ -592,8 +594,8 @@ def ness_estimate(
 ) -> complex:
     """Late-time estimate of the steady-state correlation at ``(x, y)``.
 
-    Mean of the evolved correlation over ``[0.8 t_star, t_star]`` on a
-    roughly unit-spaced grid.  The mean keeps the bound-band cross terms,
+    The first of ``_late_means``: the mean of the evolved correlation over
+    ``[0.8 t_star, t_star]`` on a roughly unit-spaced grid.  The mean keeps the bound-band cross terms,
     which oscillate at ``E_b - e`` with ``|e| <= 1`` and vanish only in the
     limit.  The window damps them only when their slowest beat period,
     ``2 pi / (|E_b| - 1)``, is well inside ``0.2 t_star``; a shallow bound
@@ -601,8 +603,7 @@ def ness_estimate(
     at ``t_star = 700``, and at ``M = 1000`` and temperatures 1 and 2 the
     estimate of ``(0, 0)`` misses the steady state by 1.9e-4.
     """
-    times, (values, _) = _late_overlaps(sys, th, x, y, t_star)
-    return complex(np.mean(EvolutionTrace(times, values).values))
+    return _late_means(sys, th, x, y, t_star)[0]
 
 
 def oracle_flux(sys: TruncatedSystem, th: ThermalConfig, t_star: float) -> tuple[float, float]:
@@ -615,13 +616,11 @@ def oracle_flux(sys: TruncatedSystem, th: ThermalConfig, t_star: float) -> tuple
     reflection, so the left frames are the right ones reflected; the
     reflection swaps the reservoirs, so the left flux is the right one's
     mode overlaps with the two temperatures exchanged, and the contact
-    sites are evolved and projected once.
+    sites are evolved and projected once: the fluxes halve the imaginary
+    parts of the two means of one ``_late_means`` call.
     """
     nu = sys.params.nu
-    times, overlaps = _late_overlaps(sys, th, nu + 2, nu, t_star)
-    j_right, j_left = (
-        0.5 * float(np.mean(EvolutionTrace(times, values).values).imag) for values in overlaps
-    )
+    j_right, j_left = (0.5 * mean.imag for mean in _late_means(sys, th, nu + 2, nu, t_star))
     return j_left, j_right
 
 

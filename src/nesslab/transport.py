@@ -38,81 +38,105 @@ _FIT_GRID = np.geomspace(1e-3, 1e-5, 9)
 
 
 @dataclass(frozen=True)
-class _FluxIntegrals:
-    """The flux, its field derivatives and the log-split remainder at one field.
+class FluxReport:
+    """Flux observables at one operating point, with quadrature error budget.
 
-    ``J_second`` and ``F2`` are None at zero field; ``error`` bounds the
-    quadrature error of each of the other fields.
+    ``J_second`` is None at zero field, where the second derivative has no
+    value; ``quadrature_error`` is the certified error estimate of the one
+    evaluation behind ``J``, ``J_prime`` and ``J_second``, and bounds the
+    quadrature error of each.
     """
 
     J: float
+    sigma: float
     J_prime: float
     J_second: float | None
-    F2: float | None
-    error: float
+    quadrature_error: float
+    params: ModelParams
+    thermal: ThermalConfig
+
+    def to_dict(self) -> dict:
+        return {
+            "J": self.J,
+            "sigma": self.sigma,
+            "J_prime": self.J_prime,
+            "J_second": self.J_second,
+            "quadrature_error": self.quadrature_error,
+            "params": {"lambda": self.params.lam, "nu": self.params.nu},
+            "thermal": {"beta_l": self.thermal.beta_l, "beta_r": self.thermal.beta_r},
+        }
 
 
 def _flux_integrals(
-    lam: float, th: ThermalConfig, spec: QuadratureSpec | None
-) -> _FluxIntegrals:
-    """Evaluate the flux family on one mesh, certified to ``spec.abs_tol``.
+    params: ModelParams, th: ThermalConfig, spec: QuadratureSpec | None
+) -> tuple[FluxReport, float | None]:
+    """The ``FluxReport`` at one operating point, and ``F2`` of the log split.
 
-    With ``s = sin t``, ``c = cos t`` and ``D = s^2 + lam^2`` on
-    ``[0, pi/2]``, ``g`` is contracted against ``c s^3/D`` (``pi J``),
-    ``c s^3/D^2`` (``F1 + F2 = -(pi/2) J'/lam``),
-    ``c s^3 (-2/D^2 + 8 lam^2/D^3)`` (``pi J''``), and ``F2`` is the
-    quadrature of ``(g - f0) c s^3/D^2`` itself.  The kernels are written in
-    the ratios ``p, q, e, r`` of ``numerics.field_ratios(s, |lam|)``, so no
-    tiny ``lam`` or ``s`` is squared.  The mesh is graded toward ``t = 0``
-    from ``|lam|/8`` and toward ``pi/2`` from ``1/beta_r``; each family is
-    weighted as its value enters a returned number (``1/pi``,
-    ``2|lam|/pi``, ``1/pi``, ``1``), so the certified estimate, summation
-    roundoff included, bounds the error of each.
+    One sampling on one mesh, certified to ``spec.abs_tol``.  With
+    ``s = sin t``, ``c = cos t`` and ``D = s^2 + lam^2`` on ``[0, pi/2]``,
+    ``g`` is contracted against ``c s^3/D`` (``pi J``), ``c s^3/D^2``
+    (``F1 + F2 = -(pi/2) J'/lam``), ``c s^3 (-2/D^2 + 8 lam^2/D^3)``
+    (``pi J''``), and ``F2`` is the quadrature of ``(g - f0) c s^3/D^2``
+    itself; ``sigma = (beta_r - beta_l) J`` is formed here alone.  The
+    kernels are written in the ratios ``p, q, e, r`` of
+    ``numerics.field_ratios(s, |lam|)``, so no tiny ``lam`` or ``s`` is
+    squared.  The mesh is graded toward ``t = 0`` from ``|lam|/8`` and
+    toward ``pi/2`` from ``1/beta_r``; each family is weighted as its value
+    enters a returned number (``1/pi``, ``2|lam|/pi``, ``1/pi``, ``1``), so
+    the certified estimate, summation roundoff included, bounds the error
+    of each.
 
-    Zero field contracts the flux kernel alone.  Below the smallest normal
-    double, where ``1/|lam|`` overflows, the flux and ``F2`` kernels are
-    contracted at zero field and the derivatives follow from their exact
-    log terms, ``J' = -(2 lam/pi)(F1 + F2)`` with ``F1 = -f0 (log|lam| +
-    1/2)`` and ``J'' = (2/pi)[f0 (log|lam| + 3/2) - F2]``; every value
-    differs from that limit by ``O(lam^2 log|lam|)``, below 1e-600.
+    Equal temperatures sample nothing: every value is zero.  Zero field
+    contracts the flux kernel alone, and ``J_second`` and ``F2`` are None.
+    Below the smallest normal double, where ``1/|lam|`` overflows, the flux
+    and ``F2`` kernels are contracted at zero field and the derivatives
+    follow from their exact log terms, ``J' = -(2 lam/pi)(F1 + F2)`` with
+    ``F1 = -f0 (log|lam| + 1/2)`` and ``J'' = (2/pi)[f0 (log|lam| + 3/2) -
+    F2]``; every value differs from that limit by ``O(lam^2 log|lam|)``,
+    below 1e-600.
     """
-    if th.is_equilibrium:
-        zero = None if lam == 0.0 else 0.0
-        return _FluxIntegrals(0.0, 0.0, zero, zero, 0.0)
-    spec = spec if spec is not None else QuadratureSpec()
-    a = abs(lam)
-    f0 = log_coefficient(th)
-    subnormal = 0.0 < a < _MIN_FIELD
-    field = 0.0 if subnormal else a  # of the kernels and the mesh
-    if field != 0.0:
-        weights = np.array([1.0 / _PI, 2.0 / _PI * a, 1.0 / _PI, 1.0])[:, None]
-    else:
-        weights = np.array([1.0 / _PI, 1.0][: 1 + subnormal])[:, None]
-
-    def sample(t):
-        s, c = np.sin(t), np.cos(t)
-        g = planck_difference(th, c)
-        p, q, e, r = field_ratios(s, field)  # r = D / p^2
-        k1 = c * q**3 / (p * r * r)  # c s^3 / D^2
-        families = [g * c * s * q * q / r]
+    lam = params.lam
+    f2 = second = None if lam == 0.0 else 0.0
+    flux = slope = error = 0.0
+    if not th.is_equilibrium:
+        spec = spec if spec is not None else QuadratureSpec()
+        a = abs(lam)
+        f0 = log_coefficient(th)
+        subnormal = 0.0 < a < _MIN_FIELD
+        field = 0.0 if subnormal else a  # of the kernels and the mesh
         if field != 0.0:
-            families += [g * k1, g * k1 * (8.0 * e * e / r - 2.0)]
-        if lam != 0.0:
-            families.append((g - f0) * k1)
-        return np.array(families), None
+            weights = np.array([1.0 / _PI, 2.0 / _PI * a, 1.0 / _PI, 1.0])[:, None]
+        else:
+            weights = np.array([1.0 / _PI, 1.0][: 1 + subnormal])[:, None]
 
-    edges = graded_mesh(field, th.beta_r, 0.5 * _PI)
-    values, error, _ = refine_panels(sample, edges, weights, spec, f"flux integrals at lam={lam!r}")
-    if lam == 0.0:
-        return _FluxIntegrals(float(values[0, 0]) / _PI, 0.0, None, None, error)
-    if subnormal:
-        flux, f2 = (float(v) for v in values[:, 0])
-        log_a = math.log(a)
-        total = f2 - f0 * (log_a + 0.5)
-        second = 2.0 * (f0 * (log_a + 1.5) - f2)
-    else:
-        flux, total, second, f2 = (float(v) for v in values[:, 0])
-    return _FluxIntegrals(flux / _PI, -(2.0 / _PI) * (lam * total), second / _PI, f2, error)
+        def sample(t):
+            s, c = np.sin(t), np.cos(t)
+            g = planck_difference(th, c)
+            p, q, e, r = field_ratios(s, field)  # r = D / p^2
+            k1 = c * q**3 / (p * r * r)  # c s^3 / D^2
+            families = [g * c * s * q * q / r]
+            if field != 0.0:
+                families += [g * k1, g * k1 * (8.0 * e * e / r - 2.0)]
+            if lam != 0.0:
+                families.append((g - f0) * k1)
+            return np.array(families), None
+
+        edges = graded_mesh(field, th.beta_r, 0.5 * _PI)
+        what = f"flux integrals at lam={lam!r}"
+        values, error, _ = refine_panels(sample, edges, weights, spec, what)
+        if lam == 0.0:
+            flux = float(values[0, 0]) / _PI
+        else:
+            if subnormal:
+                flux, f2 = (float(v) for v in values[:, 0])
+                log_a = math.log(a)
+                total = f2 - f0 * (log_a + 0.5)
+                second = 2.0 * (f0 * (log_a + 1.5) - f2)
+            else:
+                flux, total, second, f2 = (float(v) for v in values[:, 0])
+            flux, slope, second = flux / _PI, -(2.0 / _PI) * (lam * total), second / _PI
+    sigma = (th.beta_r - th.beta_l) * flux
+    return FluxReport(flux, sigma, slope, second, error, params, th), f2
 
 
 def heat_flux(
@@ -130,7 +154,7 @@ def heat_flux(
     when the left reservoir is the hotter one, zero at equal temperatures,
     even in the field strength, and independent of the sample half-width.
     """
-    return _flux_integrals(params.lam, th, spec).J
+    return _flux_integrals(params, th, spec)[0].J
 
 
 def entropy_production(
@@ -139,7 +163,7 @@ def entropy_production(
     spec: QuadratureSpec | None = None,
 ) -> float:
     """Entropy production rate ``(beta_r - beta_l) * heat_flux``; nonnegative."""
-    return (th.beta_r - th.beta_l) * heat_flux(params, th, spec)
+    return _flux_integrals(params, th, spec)[0].sigma
 
 
 def flux_derivative(
@@ -154,7 +178,7 @@ def flux_derivative(
     ``heat_flux``; ``-(pi/2) J'/lam`` is the sum ``F1 + F2`` of
     ``log_decomposition``.
     """
-    return _flux_integrals(params.lam, th, spec).J_prime
+    return _flux_integrals(params, th, spec)[0].J_prime
 
 
 def flux_second_derivative(
@@ -176,7 +200,7 @@ def flux_second_derivative(
         raise UndefinedAtOrigin(
             "second flux derivative has no value at zero field strength"
         )
-    return _flux_integrals(params.lam, th, spec).J_second
+    return _flux_integrals(params, th, spec)[0].J_second
 
 
 @dataclass(frozen=True)
@@ -241,7 +265,7 @@ def log_decomposition(
     else:
         log_ratio = -0.5 * math.log1p(1.0 / (a * a))
     f1 = -f0 * log_ratio - 0.5 * f0 / (1.0 + a * a)
-    f2 = _flux_integrals(lam, th, spec).F2
+    _, f2 = _flux_integrals(params, th, spec)
     return LogDecomposition(F1=f1, F2=f2, f0=f0, c_bound=remainder_bound(th))
 
 
@@ -298,36 +322,6 @@ def divergence_fit(
     )
 
 
-@dataclass(frozen=True)
-class FluxReport:
-    """Flux observables at one operating point, with quadrature error budget.
-
-    ``J_second`` is None at zero field, where the second derivative has no
-    value; ``quadrature_error`` is the certified error estimate of the one
-    evaluation behind ``J``, ``J_prime`` and ``J_second``, and bounds the
-    quadrature error of each.
-    """
-
-    J: float
-    sigma: float
-    J_prime: float
-    J_second: float | None
-    quadrature_error: float
-    params: ModelParams
-    thermal: ThermalConfig
-
-    def to_dict(self) -> dict:
-        return {
-            "J": self.J,
-            "sigma": self.sigma,
-            "J_prime": self.J_prime,
-            "J_second": self.J_second,
-            "quadrature_error": self.quadrature_error,
-            "params": {"lambda": self.params.lam, "nu": self.params.nu},
-            "thermal": {"beta_l": self.thermal.beta_l, "beta_r": self.thermal.beta_r},
-        }
-
-
 def flux_report(
     params: ModelParams,
     th: ThermalConfig,
@@ -336,15 +330,7 @@ def flux_report(
     """Bundle flux, entropy production, and field derivatives at one point.
 
     One certified evaluation, the same that ``heat_flux``,
-    ``flux_derivative`` and ``flux_second_derivative`` read.
+    ``entropy_production``, ``flux_derivative`` and
+    ``flux_second_derivative`` read.
     """
-    flux = _flux_integrals(params.lam, th, spec)
-    return FluxReport(
-        J=flux.J,
-        sigma=(th.beta_r - th.beta_l) * flux.J,
-        J_prime=flux.J_prime,
-        J_second=flux.J_second,
-        quadrature_error=flux.error,
-        params=params,
-        thermal=th,
-    )
+    return _flux_integrals(params, th, spec)[0]

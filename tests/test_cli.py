@@ -77,6 +77,16 @@ class TestSweepParsing:
         code, _, _ = run_cli(capsys, "flux", "--lambda", text)
         assert code == 2
 
+    # argparse reads an exponent-form negative as a flag; the equals form passes it
+    @pytest.mark.parametrize(
+        "args",
+        [["flux", "--lambda=-1e-5"], ["ness-matrix", "--lambda=-5e-324", "--window", "1"]],
+        ids=lambda a: a[0],
+    )
+    def test_equals_form_negative_exits_zero(self, capsys, args):
+        code, _, _ = run_cli(capsys, *args)
+        assert code == 0
+
     def test_point_cap(self):
         assert len(_sweep("0:99999:1")) == 100_000
         with pytest.raises(argparse.ArgumentTypeError, match="more than 100000 points"):

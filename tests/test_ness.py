@@ -330,3 +330,11 @@ class TestTiCommutator:
                     fast = ti_commutator_element(p, th)
                     assert abs(fast - sign * ref) < 1e-15
                     assert abs(fast - ti_commutator_direct(p, th)) < 1e-10
+
+    @pytest.mark.parametrize("nu", [0, 2, 10**9])
+    @pytest.mark.parametrize("lam", [0.2, -0.7, 1e-300, 5e-324, 3.0, 1e6, -1e-5])
+    def test_direct_route_is_the_two_elements(self, th12, lam, nu):
+        # both pairs from one sampling: bitwise the two separate elements
+        p = ModelParams(lam, nu)
+        pair = s_element(p, th12, 0, 2) - s_element(p, th12, -1, 1)
+        assert ti_commutator_direct(p, th12) == pair.real

@@ -335,7 +335,7 @@ class TestScalarFamilySums:
 
     @pytest.mark.parametrize("lam", FIELDS)
     def test_flux_family(self, monkeypatch, th12, lam):
-        call = partial(transport._flux_integrals, lam, th12, None)
+        call = partial(transport._flux_integrals, ModelParams(lam), th12, None)
         values, kernels, basis, wk = self.certify(monkeypatch, transport, call)
         assert basis is None
         self.assert_exact(values[:, 0], kernels, wk)
@@ -409,7 +409,7 @@ class TestCancellingFamilySums:
 
     @pytest.mark.parametrize("lam", FIELDS)
     def test_flux_family(self, monkeypatch, th12, lam):
-        call = partial(transport._flux_integrals, lam, th12, None)
+        call = partial(transport._flux_integrals, ModelParams(lam), th12, None)
         values, kernels, _, wk = TestScalarFamilySums.certify(monkeypatch, transport, call)
         self.assert_within_magnitude(values[:, 0], kernels, wk, 2.0 * sys.float_info.epsilon)
 

@@ -62,6 +62,12 @@ def _array_bytes(item) -> int:
     return sum(array.nbytes for array in arrays.values())
 
 
+def _held_sites(sys) -> dict:
+    """The site parts the window's grid store holds, by ``(t_star, site)``."""
+    store = sys._grid_store
+    return {(store.t_star, x): part for x, part in store.parts.items()}
+
+
 def _all_evals(sys, kind):
     return np.sort(sys.factorization(kind).energies)
 
@@ -91,7 +97,7 @@ class TestBuildTruncation:
         if t_star >= 100.0:
             ness_estimate(sys, th12, 0, 0, t_star)
             oracle_flux(sys, th12, t_star)
-            assert len(sys._site_cache) == 2
+            assert len(sys._grid_store.parts) == 2
         held = _array_bytes(vars(sys))
         with pytest.raises(ResourceLimit):
             build_truncation(m, params, max_bytes=held - 1)
@@ -363,26 +369,26 @@ class TestSiteReuse:
     def test_shared_site_evolved_once(self, th12):
         sys = build_truncation(128, ModelParams(0.6))
         ness_estimate(sys, th12, 0, 0, 100.0)
-        centre = sys._site_cache[(100.0, 0)]
+        centre = _held_sites(sys)[(100.0, 0)]
         ness_estimate(sys, th12, 0, 1, 100.0)
         oracle_flux(sys, th12, 100.0)  # contact sites 2 and 0
-        assert sys._site_cache[(100.0, 0)] is centre
+        assert _held_sites(sys)[(100.0, 0)] is centre
 
     def test_cache_holds_the_latest_sites_only(self, th12):
         sys = build_truncation(131, ModelParams(0.5, 1))
         for x, y in ((0, 0), (0, 1), (2, -3), (-3, -3), (1, 2)):
             ness_estimate(sys, th12, x, y, 100.0)
-            assert set(sys._site_cache) == {(100.0, x), (100.0, y)}
+            assert set(_held_sites(sys)) == {(100.0, x), (100.0, y)}
         oracle_flux(sys, th12, 100.0)
-        assert set(sys._site_cache) == {(100.0, 3), (100.0, 1)}
+        assert set(_held_sites(sys)) == {(100.0, 3), (100.0, 1)}
 
     def test_new_t_star_clears_the_cache(self, th12):
         sys = build_truncation(131, ModelParams(-0.4, 2))
         ness_estimate(sys, th12, 0, 1, 100.0)
-        before = dict(sys._site_cache)
+        before = _held_sites(sys)
         got = ness_estimate(sys, th12, 0, 1, 101.0)
-        assert set(sys._site_cache) == {(101.0, 0), (101.0, 1)}
-        assert all(part is not before[(100.0, x)] for (_, x), part in sys._site_cache.items())
+        assert set(_held_sites(sys)) == {(101.0, 0), (101.0, 1)}
+        assert all(part is not before[(100.0, x)] for (_, x), part in _held_sites(sys).items())
         ref = unsplit_ness_estimate(sys, unsplit_initial_state(sys, th12), 0, 1, 101.0)
         assert abs(got - ref) < 1e-13
 
@@ -390,11 +396,11 @@ class TestSiteReuse:
     def test_new_temperatures_reuse_the_parts(self, m, lam, nu, th12):
         sys = build_truncation(m, ModelParams(lam, nu))
         oracle_flux(sys, th12, 100.0)
-        before = dict(sys._site_cache)
+        before = _held_sites(sys)
         th13 = ThermalConfig(1.0, 3.0)
         got = oracle_flux(sys, th13, 100.0)
-        assert set(sys._site_cache) == set(before)
-        assert all(sys._site_cache[key] is part for key, part in before.items())
+        assert set(_held_sites(sys)) == set(before)
+        assert all(_held_sites(sys)[key] is part for key, part in before.items())
         ref = unsplit_oracle_flux(sys, unsplit_initial_state(sys, th13), 100.0)
         assert np.max(np.abs(np.subtract(got, ref))) < 1e-13
         est = ness_estimate(sys, th13, -1, 2, 100.0)

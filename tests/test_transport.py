@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nesslab import transport
 from nesslab.exceptions import (
     ConsistencyError,
     NonConvergence,
@@ -323,6 +324,24 @@ class TestFluxReport:
         assert rep.J_prime == flux_derivative(p, th12)
         assert rep.J_second == flux_second_derivative(p, th12)
         assert isinstance(rep, FluxReport)
+
+    @pytest.mark.parametrize(
+        "lam, betas",
+        [(0.0, (1.0, 2.0)), (5e-324, (1.0, 2.0)), (-1e-8, (1.0, 2.0)), (0.5, (1.0, 2.0)),
+         (3.0, (1.0, 2.0)), (0.0, (2.0, 2.0)), (0.5, (2.0, 2.0))],
+    )
+    def test_every_reader_is_the_one_report(self, lam, betas):
+        # one construction: each reader is bitwise (repr keeps the sign of
+        # zero) a field of the report or the log-split remainder
+        p, th = ModelParams(lam), ThermalConfig(*betas)
+        rep, f2 = transport._flux_integrals(p, th, None)
+        got = [flux_report(p, th), heat_flux(p, th), entropy_production(p, th),
+               flux_derivative(p, th)]
+        want = [rep, rep.J, rep.sigma, rep.J_prime]
+        if lam != 0.0:
+            got += [flux_second_derivative(p, th), log_decomposition(p, th).F2]
+            want += [rep.J_second, f2]
+        assert list(map(repr, got)) == list(map(repr, want))
 
     def test_to_dict_round_trip(self, th12):
         doc = flux_report(ModelParams(0.2, nu=1), th12).to_dict()
