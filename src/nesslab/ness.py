@@ -19,7 +19,7 @@ import numpy as np
 from .exceptions import WindowTooLarge
 from .model import ModelParams, ThermalConfig, bound_state, planck_difference
 from .numerics import QuadratureSpec, field_ratios, graded_mesh, refine_panels
-from .scattering import band_moments, bound_weight, overlap_frequencies
+from .scattering import band_moments, bound_weight
 
 MAX_WINDOW_SITES = 512
 
@@ -27,12 +27,12 @@ MAX_WINDOW_SITES = 512
 def _elements(params: ModelParams, th: ThermalConfig, x, y, spec: QuadratureSpec | None):
     """Steady-state correlations ``s(x, y)`` for integer arrays of sites.
 
-    The band overlap from one set of band moments, with every frequency the
-    pairs read, plus the bound-state term at every nonzero field, its
+    The band overlap from one set of band moments at the pairs' ``y - x``
+    and ``x + y``, plus the bound-state term at every nonzero field, its
     weight completed from the bound-state integral of the same sampling;
     zero field has no bound state.
     """
-    moments = band_moments(params.lam, th, overlap_frequencies(x, y), spec)
+    moments = band_moments(params.lam, th, (y - x, x + y), spec)
     value = moments.overlap(x, y)
     if params.lam != 0.0:
         amp = bound_state(params.lam).amplitude

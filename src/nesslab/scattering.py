@@ -7,19 +7,15 @@ on lattice basis vectors, the band-part overlap integrals it induces, the
 transmission-suppression factor of the local field, and the thermal weight
 the initial state puts on the bound state.
 
-Every band overlap is a linear combination of Fourier moments over
-``[0, pi]`` with integer frequencies, in which only the frequency and the
-reservoir temperature vary.  ``band_moments`` samples seven real kernels
-once on a Gauss-Kronrod mesh graded at their common near-poles: for each
-reservoir the plane kernel and the two field kernels, already multiplied
-by their field factors so that each is bounded by 1 at every finite
-field, and one bound-state kernel, the two reservoirs' summed node by
-node.  Beside them it samples the basis ``e^{imt}`` of every frequency a
-window needs, and ``numerics.refine_panels`` contracts each panel's
-kernels with the basis in one product and certifies the moments and the
-bound-state integral together.  ``ac_overlap`` and
-``ness.correlation_block`` index into the result, and ``bound_weight``
-adds the closed-form rest of the bound-state weight, so a window is one
+The band overlap of sites ``(x, y)`` is a sum of Fourier moments over
+``[0, pi]`` at two integer frequencies: in each quadrant of signs of
+``(x, y)``, a Toeplitz part in ``y - x`` plus a Hankel part in ``x + y``,
+the field's breaking of translation invariance, which vanishes at zero
+field.  ``band_moments`` samples the moments' kernels, each bounded at
+every finite field, and the bound-state kernel on one graded
+Gauss-Kronrod mesh, and certifies them together.  ``BandMoments.overlap``
+sums the moments into the two parts' tables, and ``bound_weight`` adds
+the closed-form rest of the bound-state weight, so a window is one
 certified sampling.
 
 Momentum-space convention: a lattice vector f transforms to
@@ -84,17 +80,6 @@ def wave_action(lam: float, x: int, k: float) -> complex:
     return plane + 1j * lam * cmath.exp(1j * ak * abs(x)) / (math.sin(ak) - 1j * lam)
 
 
-def overlap_frequencies(x, y) -> tuple:
-    """Every frequency the band overlap of ``(x, y)`` reads, for integer arrays.
-
-    The plane term reads ``+-(y - x)``; the wave products read ``m1, m2`` of
-    the left reservoir, ``m1r, m2r`` of the right one, and ``m3`` of both.
-    """
-    x, y = np.asarray(x), np.asarray(y)
-    ax, ay = np.abs(x), np.abs(y)
-    return y - x, ay - x, y - ax, ay + x, -y - ax, ay - ax
-
-
 @dataclass(frozen=True, eq=False)
 class BandMoments:
     """Fourier moments over ``[0, pi]`` of both reservoirs' band integrands.
@@ -126,11 +111,31 @@ class BandMoments:
     error_estimate: float
 
     def _index(self, m: np.ndarray) -> np.ndarray:
-        """Column of every frequency in ``m``, by one search and one check."""
+        """Column of every signed frequency in ``m`` in ``_tables``, by one search and one check."""
         i = np.minimum(np.searchsorted(self.frequencies, np.abs(m)), self.frequencies.size - 1)
         if np.any(self.frequencies[i] != np.abs(m)):
             raise ValueError("frequency outside the computed set")
-        return i
+        return i + (m < 0) * self.frequencies.size
+
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``2 pi T_q`` and ``2 pi H_q`` of ``overlap``, ``(4, 2F)``; column ``F + i`` negates ``i``."""
+        moments = np.stack([self.plane, self.cross, self.scattered])
+        p, c, s = np.concatenate([moments, moments.conj()], axis=2)
+        pn, cn, sn = np.concatenate([moments.conj(), moments], axis=2)  # at the negated frequency
+        plane = p[0] + pn[1]
+        toeplitz = [
+            plane - s[0] + s[1],
+            plane + 1j * (c[0] - cn[1]) - s[0] - sn[1],
+            plane + 1j * (cn[1] - c[0]) - s[0] - sn[1],
+            plane + sn[0] - sn[1],
+        ]
+        hankel = [
+            1j * (c[1] - cn[1]) - s[1] - sn[1],
+            1j * (c[1] - c[0]),
+            1j * (cn[0] - cn[1]),
+            1j * (cn[0] - c[0]) - s[0] - sn[0],
+        ]
+        return np.stack(toeplitz), np.stack(hankel)
 
     def overlap(self, x, y) -> np.ndarray:
         """Band overlap ``ac(x, y)`` for integer arrays of sites.
@@ -138,20 +143,16 @@ class BandMoments:
         The plane term takes ``k > 0`` from the left reservoir and ``k < 0``,
         mapped by ``k -> -t``, from the right one; the cross and scattered
         terms are the wave products of ``wave_action`` with the momentum
-        folded onto ``[0, pi]``, so every frequency is an integer.  All
-        seven frequency arrays are looked up at once, in tables whose second
-        half holds the conjugates, the moments of the negative frequencies,
-        and the terms gathered one at a time.
+        folded onto ``[0, pi]``.  So in quadrant ``q = (x < 0) + 2 (y < 0)``
+        the overlap is a Toeplitz part ``T_q(y - x)`` plus a Hankel part
+        ``H_q(x + y)``, where the field breaks translation invariance: two
+        gathers an element from the tables of ``_tables``.
         """
-        d, m1, m2, m1r, m2r, m3 = overlap_frequencies(x, y)
-        m = np.stack(np.broadcast_arrays(d, -d, m1, m2, m1r, m2r, m3))
-        d, nd, m1, m2, m1r, m2r, m3 = self._index(m) + (m < 0) * self.frequencies.size
-        moments = np.stack([self.plane, self.cross, self.scattered])
-        p, c, s = np.concatenate([moments, moments.conj()], axis=2)
-        plane = p[0, d] + p[1, nd]
-        cross = c[0, m1] - c[0, m2] + c[1, m1r] - c[1, m2r]
-        scattered = s[0, m1] + s[0, m2] - s[0, m3] + s[1, m1r] + s[1, m2r] - s[1, m3]
-        return (plane + 1j * cross - scattered) / (2.0 * _PI)
+        x, y = np.asarray(x), np.asarray(y)
+        d, s = self._index(np.stack([y - x, x + y]))
+        toeplitz, hankel = self._tables()
+        q = (x < 0) + 2 * (y < 0)
+        return (toeplitz[q, d] + hankel[q, s]) / (2.0 * _PI)
 
 
 def _moment_mesh(lam: float, beta_r: float, m_top: int) -> np.ndarray:
@@ -331,12 +332,11 @@ def ac_overlap(
     """Band contribution to the steady-state two-point function at ``(x, y)``.
 
     The overlap ``integral dk/2pi conj(w e_x)(k) theta(k) (w e_y)(k)`` with
-    ``theta`` the thermal symbol, expanded into three terms (plane-plane,
-    plane-scattered cross terms, scattered-scattered), each a linear
-    combination of the band moments of ``band_moments`` at the frequencies
-    of ``overlap_frequencies``, certified at every finite field.
+    ``theta`` the thermal symbol: the Toeplitz-plus-Hankel sum of
+    ``BandMoments.overlap`` over the band moments at ``y - x`` and
+    ``x + y``, certified at every finite field.
     """
-    moments = band_moments(params.lam, th, overlap_frequencies(x, y), spec)
+    moments = band_moments(params.lam, th, (y - x, x + y), spec)
     return complex(moments.overlap(x, y))
 
 

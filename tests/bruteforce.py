@@ -6,7 +6,8 @@ vectorized midpoint Riemann sums, central differences, and raw partial sums.
 Slower and cruder than the package by design; the only job is to disagree
 when the package is wrong.  The sampling twins, ``moment_products`` and
 ``bound_integrals_standalone``, share the package's panel rule and differ
-in how and where they sample.
+in how and where they sample.  ``overlap_gather`` sums given band moments
+as the package once did, term by term.
 """
 
 import cmath
@@ -299,6 +300,35 @@ def overlap_direct(lam: float, beta_l: float, beta_r: float, x: int, y: int) -> 
             for part, unit in ((lambda k: integrand(k).real, 1.0), (lambda k: integrand(k).imag, 1j)):
                 total += unit * quad(part, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
     return total / (2.0 * math.pi)
+
+
+def overlap_gather(moments, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Band overlap from ``BandMoments`` by six frequency arrays and twelve gathers.
+
+    The plane term reads ``+-(y - x)``; the wave products read ``m1, m2`` of
+    the left reservoir, ``m1r, m2r`` of the right one, and ``m3`` of both,
+    each moment looked up on its own and conjugated at a negative
+    frequency.  The twin of the Toeplitz and Hankel tables of
+    ``BandMoments.overlap``, which sum the same twelve terms in another
+    order.  Returns the overlap and the sum of its terms' magnitudes, the
+    scale of its rounding, both over ``2 pi``.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    ax, ay = np.abs(x), np.abs(y)
+    d, m1, m2, m1r, m2r, m3 = y - x, ay - x, y - ax, ay + x, -y - ax, ay - ax
+
+    def at(row, m):
+        i = np.searchsorted(moments.frequencies, np.abs(m))
+        assert np.array_equal(moments.frequencies[i], np.abs(m)), "frequency not computed"
+        return np.where(m < 0, row[i].conj(), row[i])
+
+    p, c, s = moments.plane, moments.cross, moments.scattered
+    plane = [at(p[0], d), at(p[1], -d)]
+    cross = [at(c[0], m1), -at(c[0], m2), at(c[1], m1r), -at(c[1], m2r)]
+    scattered = [at(s[0], m1), at(s[0], m2), -at(s[0], m3), at(s[1], m1r), at(s[1], m2r), -at(s[1], m3)]
+    value = sum(plane) + 1j * sum(cross) - sum(scattered)
+    scale = sum(np.abs(term) for term in plane + cross + scattered)
+    return value / (2.0 * math.pi), scale / (2.0 * math.pi)
 
 
 def moment_products(lam: float, betas, m, edges, chunk: int = 64) -> np.ndarray:

@@ -15,12 +15,12 @@ from hypothesis import given, settings, strategies as st
 from nesslab import scattering
 from nesslab.exceptions import DomainError, NonConvergence
 from nesslab.model import ModelParams, ThermalConfig, planck_density
+from nesslab.ness import correlation_block
 from nesslab.numerics import QuadratureSpec, panel_rule, refine_panels
 from nesslab.scattering import (
     ac_overlap,
     band_moments,
     magnetic_correction,
-    overlap_frequencies,
     pp_weight,
     wave_action,
 )
@@ -28,6 +28,7 @@ from nesslab.scattering import (
 from bruteforce import (
     kronrod_sums_decimal,
     moment_products,
+    overlap_gather,
     pp_weight_direct,
     symbol_coefficient,
     unsplit_evolve,
@@ -194,6 +195,51 @@ class TestBandMoments:
             mom.overlap(3, -2)
 
 
+# centred, off-centre and asymmetric windows, and the corners of the four
+# sign quadrants, x = 0 against y = -1
+WINDOWS = {"centred": (-8, 8), "off-centre": (3, 9), "asymmetric": (-7, 2), "corners": (-1, 0)}
+
+
+class TestToeplitzHankel:
+    """The overlap as ``T_q(y - x) + H_q(x + y)`` in each quadrant of signs."""
+
+    @pytest.mark.parametrize("lam", [*WINDOW_FIELDS, 5e-324, 1e300])
+    def test_matches_the_twelve_term_gather(self, th12, lam):
+        # the same twelve moments summed in another order: every element,
+        # both triangles, within a few eps of the magnitude of its terms
+        for lo, hi in WINDOWS.values():
+            x, y = np.meshgrid(np.arange(lo, hi + 1), np.arange(lo, hi + 1), indexing="ij")
+            mom = band_moments(lam, th12, (y - x, x + y))
+            value, scale = overlap_gather(mom, x, y)
+            assert np.all(np.abs(mom.overlap(x, y) - value) <= 4.0 * sys.float_info.epsilon * scale)
+
+    def test_zero_field_is_exactly_toeplitz(self, th12):
+        # no field, no Hankel part: every diagonal is one value, bitwise
+        mom = band_moments(0.0, th12, range(17))
+        _, hankel = mom._tables()
+        assert not np.any(hankel)
+        for lo, hi in WINDOWS.values():
+            m = correlation_block(ModelParams(0.0), th12, lo, hi).matrix
+            assert np.array_equal(m[1:, 1:], m[:-1, :-1])
+
+    @pytest.mark.parametrize("lam", [1e-300, 1e-5, -0.3, 0.5, 1e300])
+    def test_field_makes_a_hankel_part(self, th12, lam):
+        # every quadrant's Hankel table is nonzero, down to fields whose
+        # moments are of order 1e-298 (at 5e-324 they underflow to zero)
+        mom = band_moments(lam, th12, range(17))
+        _, hankel = mom._tables()
+        assert np.all(np.any(hankel != 0.0, axis=1))
+        if abs(lam) >= 1e-5:  # above roundoff next to the Toeplitz part
+            m = correlation_block(ModelParams(lam), th12, -8, 8).matrix
+            assert not np.array_equal(m[1:, 1:], m[:-1, :-1])
+
+    @pytest.mark.parametrize("lam", [0.0, 5e-324, 1e-5, -0.3, 0.5, -1.5, 1e300])
+    @pytest.mark.parametrize("window", list(WINDOWS.values()), ids=list(WINDOWS))
+    def test_block_is_bitwise_hermitian(self, th12, lam, window):
+        m = correlation_block(ModelParams(lam, 1), th12, *window).matrix
+        assert np.array_equal(m, m.conj().T)
+
+
 class TestFactoredMoments:
     """The kernel-times-basis product against its product-array twin and exact sums."""
 
@@ -248,8 +294,8 @@ class TestFactoredMoments:
         # the basis is no less accurate than the exponential of the rounded
         # m t, and within an ulp per product on the longest run of powers
         sites = np.arange(x, y + 1)
-        pairs = np.meshgrid(sites, sites) if window else (np.array(x), np.array(y))
-        read = np.concatenate([[0], *(np.ravel(f) for f in overlap_frequencies(*pairs))])
+        left, right = np.meshgrid(sites, sites) if window else (np.array(x), np.array(y))
+        read = np.concatenate([[0], np.ravel(right - left), np.ravel(left + right)])
         m = np.unique(np.abs(read))
         t = panel_rule(scattering._moment_mesh(0.5, th12.beta_r, int(m[-1])))[0].ravel()
         reference = np.exp(1j * np.multiply.outer(m.astype(np.longdouble), t.astype(np.longdouble)))
