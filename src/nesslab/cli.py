@@ -130,8 +130,8 @@ def _cmd_flux_scan(ns: argparse.Namespace):
     th = ThermalConfig(ns.beta_l, ns.beta_r)
     rows = []
     for lam in ns.lam:
-        j = heat_flux(ModelParams(lam, ns.nu), th)
-        rows.append((lam, j, (th.beta_r - th.beta_l) * j))
+        report = flux_report(ModelParams(lam, ns.nu), th)
+        rows.append((lam, report.J, report.sigma))
     return _columns(["lambda", "J", "sigma"], rows)
 
 

@@ -139,6 +139,32 @@ def _flux_integrals(
     return FluxReport(flux, sigma, slope, second, error, params, th), f2
 
 
+_DEFAULT_SPEC = QuadratureSpec()
+# (params, th, spec, (report, f2)) of the latest sampling, replaced whole
+_latest: tuple = (None, None, None, None)
+
+
+def _sampled(
+    params: ModelParams, th: ThermalConfig, spec: QuadratureSpec | None
+) -> tuple[FluxReport, float | None]:
+    """``_flux_integrals``, sampled once for consecutive reads of one point.
+
+    Returns the held result when ``params`` and ``th`` are the very objects
+    of the latest sampling and the resolved ``spec`` is equal; otherwise
+    samples and holds the new result in place of the old.  One entry and
+    one tuple assignment (``docs/decisions.md`` entry 4); a sampling that
+    raises holds nothing.
+    """
+    global _latest
+    spec = _DEFAULT_SPEC if spec is None else spec
+    held = _latest
+    if held[0] is params and held[1] is th and held[2] == spec:
+        return held[3]
+    result = _flux_integrals(params, th, spec)
+    _latest = (params, th, spec, result)
+    return result
+
+
 def heat_flux(
     params: ModelParams,
     th: ThermalConfig,
@@ -153,8 +179,9 @@ def heat_flux(
     together with its field derivatives (see ``flux_report``).  Positive
     when the left reservoir is the hotter one, zero at equal temperatures,
     even in the field strength, and independent of the sample half-width.
+    Consecutive reads at one operating point share one sampling.
     """
-    return _flux_integrals(params, th, spec)[0].J
+    return _sampled(params, th, spec)[0].J
 
 
 def entropy_production(
@@ -162,8 +189,11 @@ def entropy_production(
     th: ThermalConfig,
     spec: QuadratureSpec | None = None,
 ) -> float:
-    """Entropy production rate ``(beta_r - beta_l) * heat_flux``; nonnegative."""
-    return _flux_integrals(params, th, spec)[0].sigma
+    """Entropy production rate ``(beta_r - beta_l) * heat_flux``; nonnegative.
+
+    Consecutive reads at one operating point share one sampling.
+    """
+    return _sampled(params, th, spec)[0].sigma
 
 
 def flux_derivative(
@@ -176,9 +206,10 @@ def flux_derivative(
     ``-(2 lam / pi) integral_0^{pi/2} rho_diff(cos t) cos t sin^3 t /
     (sin^2 t + lam^2)^2 dt``, from the same certified evaluation as
     ``heat_flux``; ``-(pi/2) J'/lam`` is the sum ``F1 + F2`` of
-    ``log_decomposition``.
+    ``log_decomposition``.  Consecutive reads at one operating point share
+    one sampling.
     """
-    return _flux_integrals(params, th, spec)[0].J_prime
+    return _sampled(params, th, spec)[0].J_prime
 
 
 def flux_second_derivative(
@@ -194,13 +225,14 @@ def flux_second_derivative(
     Near zero field it follows the two-term asymptote
     ``(2/pi)[f0 (log|lam| + 3/2) - F2(0)] + O(lam^2 log|lam|)``, with ``f0``
     from ``log_coefficient`` and ``F2(0) = integral_0^1 (f(x) - f0)/x dx`` the
-    zero-field remainder of ``log_decomposition``.
+    zero-field remainder of ``log_decomposition``.  Consecutive reads at one
+    operating point share one sampling.
     """
     if params.lam == 0.0:
         raise UndefinedAtOrigin(
             "second flux derivative has no value at zero field strength"
         )
-    return _flux_integrals(params, th, spec)[0].J_second
+    return _sampled(params, th, spec)[0].J_second
 
 
 @dataclass(frozen=True)
@@ -252,7 +284,8 @@ def log_decomposition(
     form of ``f0 integral_0^1 x^3/(x^2+lam^2)^2 dx``, and
     ``F2 = integral_0^1 (f(x) - f0) x^3/(x^2+lam^2)^2 dx`` is quadratured.
     Their sum is the full derivative integral, so ``F1 + F2`` equals
-    ``-(pi/2) flux_derivative / lam``.
+    ``-(pi/2) flux_derivative / lam``.  ``F2`` comes from the flux readers'
+    sampling, which consecutive reads at one operating point share.
     """
     lam = params.lam
     if lam == 0.0:
@@ -265,7 +298,7 @@ def log_decomposition(
     else:
         log_ratio = -0.5 * math.log1p(1.0 / (a * a))
     f1 = -f0 * log_ratio - 0.5 * f0 / (1.0 + a * a)
-    _, f2 = _flux_integrals(params, th, spec)
+    _, f2 = _sampled(params, th, spec)
     return LogDecomposition(F1=f1, F2=f2, f0=f0, c_bound=remainder_bound(th))
 
 
@@ -330,7 +363,11 @@ def flux_report(
     """Bundle flux, entropy production, and field derivatives at one point.
 
     One certified evaluation, the same that ``heat_flux``,
-    ``entropy_production``, ``flux_derivative`` and
-    ``flux_second_derivative`` read.
+    ``entropy_production``, ``flux_derivative``,
+    ``flux_second_derivative`` and ``log_decomposition`` read.  Consecutive
+    reads at one operating point share one sampling: a reader called with
+    the very ``params`` and ``th`` objects of the latest sampling and an
+    equal ``spec`` (``None`` and the default are equal) returns its values
+    without sampling again.
     """
-    return _flux_integrals(params, th, spec)[0]
+    return _sampled(params, th, spec)[0]

@@ -1,4 +1,4 @@
-"""mpmath values of the weight, the defect and the band overlap, the source of the test literals.
+"""mpmath values of the weight, the defect, the band overlap and the flux family, the source of the test literals.
 
     PYTHONPATH=src python tests/reference_mp.py
 
@@ -7,8 +7,10 @@ as the ``PP_WEIGHT_MP`` literals of ``test_scattering.py`` hold them, then
 ``lam: (defect at (1, 2), defect at (0.1, 50))`` as the ``TI_DEFECT_MP``
 literals of ``test_ness.py`` hold them, then ``lam: (weight, {(x, y): band
 overlap})`` at the tiny fields, as the ``S_ELEMENT_MP`` literals of
-``test_ness.py`` hold them.  The name keeps pytest from collecting this
-file.
+``test_ness.py`` hold them, then ``lam: (J'', F1 + F2)`` at the tiny
+fields of the flux family, as the ``FLUX_FAMILY_MP`` literals of
+``test_transport.py`` hold them.  The name keeps pytest from collecting
+this file.
 
 The weight is evaluated from its definition, independently of the
 library: the half-line sine transform of the bound eigenvector's tail,
@@ -130,6 +132,38 @@ def band_overlap_mp(lam: float, x: int, y: int, betas=BETAS):
         return (half(1, mp.mpf(betas[0])) + half(-1, mp.mpf(betas[1]))) / (2 * mp.pi)
 
 
+FLUX_FIELDS = (1e-10, -1e-14, 1e-100, 1e-300, 5e-324)
+
+
+def flux_family_mp(lam: float, betas=BETAS):
+    """``(J'', F1 + F2)`` at ``DPS`` digits, from their defining integrals.
+
+    With ``s = sin t``, ``c = cos t``, ``D = s^2 + lam^2`` and the occupation
+    difference ``g = 1/(1 + e^{beta_l c}) - 1/(1 + e^{beta_r c})``, the sum
+    of the log split is ``F1 + F2 = integral_0^{pi/2} g c s^3/D^2 dt`` and
+    the flux differentiated twice under the integral sign is ``J'' = (1/pi)
+    integral_0^{pi/2} g c s^3 (8 lam^2/D^3 - 2/D^2) dt``.  No log term is
+    split off: at 40 digits the peak of height ``~1/lam`` costs nothing.
+    Panels are the weight's edges on ``[0, pi/2]``, graded from ``|lam|/8``
+    toward ``t = 0`` and from ``1/beta_r`` toward ``pi/2``.
+    """
+    with mp.workdps(DPS):
+        lam2 = mp.mpf(lam) ** 2
+        beta_l, beta_r = (mp.mpf(b) for b in betas)
+        edges = [t for t in _edges(abs(mp.mpf(lam)), max(betas)) if t <= mp.pi / 2]
+
+        def family(kernel):
+            def integrand(t):
+                s, c = mp.sin(t), mp.cos(t)
+                g = 1 / (1 + mp.exp(beta_l * c)) - 1 / (1 + mp.exp(beta_r * c))
+                return g * c * s**3 * kernel(s**2 + lam2)
+
+            return mp.quad(integrand, edges)
+
+        second = family(lambda d: 8 * lam2 / d**3 - 2 / d**2) / mp.pi
+        return second, family(lambda d: 1 / d**2)
+
+
 def main() -> None:
     for lam in FIELDS:
         print(f"    {lam!r}: {mp.nstr(pp_weight_mp(lam), 20)},")
@@ -142,6 +176,9 @@ def main() -> None:
             for site, v in ((s, band_overlap_mp(lam, *s)) for s in BAND_SITES)
         )
         print(f"    {lam!r}: ({mp.nstr(pp_weight_mp(lam), 20)}, {{{bands}}}),")
+    for lam in FLUX_FIELDS:
+        values = ", ".join(mp.nstr(v, 17) for v in flux_family_mp(lam))
+        print(f"    {lam!r}: ({values}),")
 
 
 if __name__ == "__main__":

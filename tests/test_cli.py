@@ -387,7 +387,7 @@ class TestExitCodes:
         def broken(params, th, spec=None):
             raise NonConvergence("quadrature budget exhausted")
 
-        monkeypatch.setattr("nesslab.cli.heat_flux", broken)
+        monkeypatch.setattr("nesslab.cli.flux_report", broken)
         code, _, err = run_cli(capsys, "flux-scan", "--lambda", "0.5")
         assert code == 3
         assert json.loads(err)["error"]["type"] == "NonConvergence"

@@ -1,6 +1,8 @@
 """Flux observables, their field derivatives, and the log-divergence split."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -48,6 +50,33 @@ EDGE_STEP_12 = 0.14973849934787753
 # J at lam = 0.5, (beta_l, beta_r) = (1, 1 + 1e-9): mpmath at 45 digits on
 # the defining integral, with the plain Fermi factors at the same doubles
 FLUX_NEAR_EQUILIBRIUM_MP = 1.26632580693135980e-11
+# (J'', F1 + F2) at th (1, 2): tests/reference_mp.py, 40 digits on the
+# defining integrals; 5e-324 is below the smallest normal double, where
+# both come from their exact log terms
+FLUX_FAMILY_MP = {
+    1e-10: (-2.0395223671892435, 3.3534127421447736),
+    -1e-14: (-2.917511780747991, 4.7325552879276596),
+    1e-100: (-21.794284172261063, 34.38412002225971),
+    1e-300: (-65.693754850198441, 103.34124731140401),
+    5e-324: (-70.809407435542473, 111.37689560162123),
+}
+# the log terms f0 log|lam|, up to 112, are formed in doubles beside the
+# quadrature: a few eps of the value on top of the certified estimate
+LOG_TERM_ALLOWANCE = 4 * np.finfo(float).eps
+
+
+@pytest.fixture
+def samplings(monkeypatch):
+    """The ``what`` label of every ``refine_panels`` call the flux family makes."""
+    calls = []
+    real = transport.refine_panels
+
+    def counted(sample, edges, weights, spec, what):
+        calls.append(what)
+        return real(sample, edges, weights, spec, what)
+
+    monkeypatch.setattr(transport, "refine_panels", counted)
+    return calls
 
 
 class TestHeatFlux:
@@ -343,12 +372,99 @@ class TestFluxReport:
             want += [rep.J_second, f2]
         assert list(map(repr, got)) == list(map(repr, want))
 
+    def test_one_operating_point_samples_once(self, samplings):
+        p, th = ModelParams(0.37), ThermalConfig(1.0, 2.0)
+        heat_flux(p, th)
+        entropy_production(p, th)
+        flux_derivative(p, th, QuadratureSpec())  # equal to the default
+        flux_second_derivative(p, th)
+        flux_report(p, th)
+        log_decomposition(p, th)
+        assert len(samplings) == 1
+
+    def test_another_point_samples_again(self, samplings):
+        p, q, th = ModelParams(0.37), ModelParams(-1.3), ThermalConfig(1.0, 2.0)
+        tight = QuadratureSpec(abs_tol=1e-12)
+        for params, thermal, spec in [
+            (p, th, None), (ModelParams(0.37), th, None), (p, ThermalConfig(1.0, 2.0), None),
+            (p, th, tight), (p, th, None), (q, th, None), (p, th, None), (q, th, None),
+        ]:
+            before = len(samplings)
+            got = flux_report(params, thermal, spec)
+            assert len(samplings) == before + 1
+            assert repr(got) == repr(transport._flux_integrals(params, thermal, spec)[0])
+
+    def test_report_echoes_the_callers_params(self):
+        # equal values are not the same point: the sign of a zero field and
+        # nu are echoed from the caller's own params
+        th = ThermalConfig(1.0, 2.0)
+        heat_flux(ModelParams(0.0), th)
+        assert math.copysign(1.0, flux_report(ModelParams(-0.0), th).params.lam) == -1.0
+        heat_flux(ModelParams(0.5), th)
+        assert flux_report(ModelParams(0.5, nu=3), th).to_dict()["params"]["nu"] == 3
+
+    def test_failed_sampling_holds_nothing(self, samplings):
+        p, th = ModelParams(0.5), ThermalConfig(1.0, 2.0)
+        spec = QuadratureSpec(abs_tol=1e-30, max_subdivisions=5)
+        j = heat_flux(p, th)
+        for _ in range(2):
+            with pytest.raises(NonConvergence):
+                heat_flux(p, th, spec)
+        assert heat_flux(p, th) == j  # the entry before the failures
+        assert len(samplings) == 3
+        assert heat_flux(ModelParams(0.5), th, spec=None) == j
+        assert len(samplings) == 4
+
+    def test_threads_read_their_own_points(self):
+        # each thread alternates readers at its own point; a torn or lost
+        # entry would hand one thread another's values
+        th = ThermalConfig(1.0, 2.0)
+        points = [ModelParams(lam) for lam in (0.2, -0.7, 1.5, 3e-3)]
+        misses = []
+
+        def read(p):
+            want = transport._flux_integrals(p, th, None)[0]
+            for _ in range(40):
+                if repr(flux_report(p, th)) != repr(want) or heat_flux(p, th) != want.J:
+                    misses.append(p)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=read, args=(p,)) for p in points]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert misses == []
+
     def test_to_dict_round_trip(self, th12):
         doc = flux_report(ModelParams(0.2, nu=1), th12).to_dict()
         assert doc["params"] == {"lambda": 0.2, "nu": 1}
         assert doc["thermal"] == {"beta_l": 1.0, "beta_r": 2.0}
         assert set(doc) == {"J", "sigma", "J_prime", "J_second", "quadrature_error",
                             "params", "thermal"}
+
+
+class TestTinyFieldGolden:
+    """``J''`` and ``F1 + F2`` below 1e-8 against ``FLUX_FAMILY_MP``."""
+
+    @pytest.mark.parametrize("lam", list(FLUX_FAMILY_MP))
+    def test_second_derivative(self, th12, lam):
+        ref = FLUX_FAMILY_MP[lam][0]
+        rep = flux_report(ModelParams(lam), th12)
+        assert abs(rep.J_second - ref) <= rep.quadrature_error + LOG_TERM_ALLOWANCE * abs(ref)
+
+    @pytest.mark.parametrize("lam", list(FLUX_FAMILY_MP))
+    def test_log_split_sum(self, th12, lam):
+        ref = FLUX_FAMILY_MP[lam][1]
+        p = ModelParams(lam)
+        dec = log_decomposition(p, th12)
+        error = flux_report(p, th12).quadrature_error  # bounds F2
+        assert abs(dec.F1 + dec.F2 - ref) <= error + LOG_TERM_ALLOWANCE * abs(ref)
 
 
 class TestMpmathReference:
