@@ -30,7 +30,6 @@ from .ness import (
     CorrelationBlock,
     correlation_block,
     s_element,
-    ti_commutator_element,
     ti_commutator_direct,
 )
 from .numerics import (
@@ -68,6 +67,7 @@ from .transport import (
     log_coefficient,
     log_decomposition,
     remainder_bound,
+    ti_commutator_element,
 )
 
 __version__ = "0.1.0"

@@ -37,11 +37,10 @@ import sys
 import numpy as np
 
 from .model import ModelParams, ThermalConfig, bound_state
-from .ness import (correlation_block, s_element, ti_commutator_direct,
-                   ti_commutator_element)
+from .ness import correlation_block, s_element, ti_commutator_direct
 from .oracle import build_truncation, ness_estimate, oracle_flux
 from .scattering import magnetic_correction
-from .transport import divergence_fit, flux_report, heat_flux
+from .transport import divergence_fit, flux_report, heat_flux, ti_commutator_element
 
 _CORRECTION_POINTS = 801  # odd and divisible by 4 plus 1: hits 0 and +-pi/2
 _MAX_SWEEP_POINTS = 10**5

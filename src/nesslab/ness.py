@@ -3,22 +3,22 @@
 ``s_element`` assembles one matrix element from the band overlap and the
 bound-state weight, both from one certified sampling; ``correlation_block``
 fills a finite window using self-adjointness of the two-point operator.
-``ti_commutator_element`` gives the closed-form momentum integral for the
-difference ``s(0,2) - s(-1,1)``, which vanishes without driving or without
-the field and is the cheapest witness that the driven steady state breaks
-translation invariance.
+``ti_commutator_direct`` forms the difference ``s(0,2) - s(-1,1)``, which
+vanishes without driving or without the field and witnesses that the
+driven steady state breaks translation invariance, from the two matrix
+elements; ``transport.ti_commutator_element``, its closed-form momentum
+integral, is a row of the flux integrals and shares no sampling with it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import WindowTooLarge
-from .model import ModelParams, ThermalConfig, bound_state, planck_difference
-from .numerics import QuadratureSpec, field_ratios, graded_mesh, refine_panels
+from .model import ModelParams, ThermalConfig, bound_state
+from .numerics import QuadratureSpec
 from .scattering import band_moments, bound_weight
 
 MAX_WINDOW_SITES = 512
@@ -109,38 +109,6 @@ def correlation_block(
     matrix[i, j] = _elements(params, th, sites[i], sites[j], spec)
     matrix += np.triu(matrix, 1).conj().T
     return CorrelationBlock(lo=lo, hi=hi, params=params, thermal=th, matrix=matrix)
-
-
-def ti_commutator_element(
-    params: ModelParams,
-    th: ThermalConfig,
-    spec: QuadratureSpec | None = None,
-) -> float:
-    """Closed form of ``s(0, 2) - s(-1, 1)`` as a single momentum integral.
-
-    ``lam * integral dk/2pi cos(k) rho_diff(cos k) corr(lam, cos k)``; real,
-    and zero whenever ``lam = 0`` or the reservoirs agree.  The integrand is
-    even in ``k`` and invariant under ``k -> pi - k``, which leaves
-    ``(2 lam/pi) integral_0^{pi/2} rho_diff(cos t) cos t sin^2 t /
-    (sin^2 t + lam^2) dt``, a sum of one sign with no cancellation at any
-    field; ``numerics.refine_panels`` samples it once on the graded mesh of
-    the flux integrals and certifies it, roundoff included, to ``spec.abs_tol``.
-    ``ti_commutator_direct`` is the route through the two matrix elements.
-    """
-    spec = spec if spec is not None else QuadratureSpec()
-    a = abs(params.lam)
-
-    # sin^2/D = q^2/r in the ratios of field_ratios(sin t, |lam|), and
-    # |lam| q^2 = sin t * q * e: no field is squared
-    def sample(t):
-        s, c = np.sin(t), np.cos(t)
-        _, q, e, r = field_ratios(s, a)
-        return planck_difference(th, c) * c * s * q * e / r, None
-
-    edges = graded_mesh(a, th.beta_r, 0.5 * math.pi)
-    what = f"translation defect at lam={params.lam!r}"
-    integral, _, _ = refine_panels(sample, edges, np.full((1, 1), 2.0 / math.pi), spec, what)
-    return math.copysign((2.0 / math.pi) * float(integral[0, 0]), params.lam)
 
 
 def ti_commutator_direct(

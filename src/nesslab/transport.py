@@ -8,14 +8,16 @@ difference ``g(t) = rho_diff(cos t)`` against a rational kernel in
 
 Its field derivatives, taken under the integral sign, and the remainder of
 the log split of the first derivative are integrals of the same ``g``
-against kernels with higher powers of ``sin^2 t + lam^2``.  All four are
-sampled once on one graded Gauss-Kronrod mesh and certified together by
-the embedded Gauss rule (``numerics.refine_panels``), so every value the
-module returns is within the requested absolute tolerance or the call
-raises NonConvergence.  Built on them: entropy production, the explicit
-logarithmic term of the derivative, and the regression estimate of the
-log-divergence coefficient that marks the second-order transition at zero
-field, where the second derivative has no limit.
+against kernels with higher powers of ``sin^2 t + lam^2``, and so is the
+translation defect ``s(0, 2) - s(-1, 1)`` of the steady state, against
+``cos t sin^2 t |lam| / (sin^2 t + lam^2)``.  All five are sampled once on
+one graded Gauss-Kronrod mesh and certified together by the embedded Gauss
+rule (``numerics.refine_panels``), so every value the module returns is
+within the requested absolute tolerance or the call raises NonConvergence.
+Built on them: entropy production, the explicit logarithmic term of the
+derivative, and the regression estimate of the log-divergence coefficient
+that marks the second-order transition at zero field, where the second
+derivative has no limit.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ class FluxReport:
     ``J_second`` is None at zero field, where the second derivative has no
     value; ``quadrature_error`` is the certified error estimate of the one
     evaluation behind ``J``, ``J_prime`` and ``J_second``, and bounds the
-    quadrature error of each.
+    quadrature error of each, and of ``F2`` and the translation defect,
+    which the same evaluation gives.
     """
 
     J: float
@@ -69,35 +72,37 @@ class FluxReport:
 
 def _flux_integrals(
     params: ModelParams, th: ThermalConfig, spec: QuadratureSpec | None
-) -> tuple[FluxReport, float | None]:
-    """The ``FluxReport`` at one operating point, and ``F2`` of the log split.
+) -> tuple[FluxReport, float | None, float]:
+    """The ``FluxReport`` at one operating point, ``F2`` of the log split and the defect.
 
     One sampling on one mesh, certified to ``spec.abs_tol``.  With
     ``s = sin t``, ``c = cos t`` and ``D = s^2 + lam^2`` on ``[0, pi/2]``,
     ``g`` is contracted against ``c s^3/D`` (``pi J``), ``c s^3/D^2``
     (``F1 + F2 = -(pi/2) J'/lam``), ``c s^3 (-2/D^2 + 8 lam^2/D^3)``
-    (``pi J''``), and ``F2`` is the quadrature of ``(g - f0) c s^3/D^2``
-    itself; ``sigma = (beta_r - beta_l) J`` is formed here alone.  The
-    kernels are written in the ratios ``p, q, e, r`` of
-    ``numerics.field_ratios(s, |lam|)``, so no tiny ``lam`` or ``s`` is
-    squared.  The mesh is graded toward ``t = 0`` from ``|lam|/8`` and
-    toward ``pi/2`` from ``1/beta_r``; each family is weighted as its value
-    enters a returned number (``1/pi``, ``2|lam|/pi``, ``1/pi``, ``1``), so
-    the certified estimate, summation roundoff included, bounds the error
-    of each.
+    (``pi J''``), ``F2`` is the quadrature of ``(g - f0) c s^3/D^2``
+    itself, and ``c s^2 |lam|/D`` gives ``(pi/2) |s(0, 2) - s(-1, 1)|``;
+    ``sigma = (beta_r - beta_l) J`` is formed here alone.  The kernels are
+    written in the ratios ``p, q, e, r`` of ``numerics.field_ratios(s,
+    |lam|)``, so no tiny ``lam`` or ``s`` is squared.  The mesh is graded
+    toward ``t = 0`` from ``|lam|/8`` and toward ``pi/2`` from
+    ``1/beta_r``; each family is weighted as its value enters a returned
+    number (``1/pi``, ``2|lam|/pi``, ``1/pi``, ``1``, ``2/pi``), so the
+    certified estimate, summation roundoff included, bounds the error of
+    each.  The defect is signed by ``lam``, its zero included.
 
     Equal temperatures sample nothing: every value is zero.  Zero field
-    contracts the flux kernel alone, and ``J_second`` and ``F2`` are None.
-    Below the smallest normal double, where ``1/|lam|`` overflows, the flux
-    and ``F2`` kernels are contracted at zero field and the derivatives
-    follow from their exact log terms, ``J' = -(2 lam/pi)(F1 + F2)`` with
-    ``F1 = -f0 (log|lam| + 1/2)`` and ``J'' = (2/pi)[f0 (log|lam| + 3/2) -
-    F2]``; every value differs from that limit by ``O(lam^2 log|lam|)``,
-    below 1e-600.
+    contracts the flux kernel alone, ``J_second`` and ``F2`` are None and
+    the defect is zero.  Below the smallest normal double, where
+    ``1/|lam|`` overflows, the flux, ``F2`` and defect kernels are
+    contracted at zero field, the defect's factor ``|lam|`` moving to its
+    weight, and the derivatives follow from their exact log terms, ``J' =
+    -(2 lam/pi)(F1 + F2)`` with ``F1 = -f0 (log|lam| + 1/2)`` and ``J'' =
+    (2/pi)[f0 (log|lam| + 3/2) - F2]``; every value differs from that limit
+    by ``O(lam^2 log|lam|)``, below 1e-600.
     """
     lam = params.lam
     f2 = second = None if lam == 0.0 else 0.0
-    flux = slope = error = 0.0
+    flux = slope = error = defect = 0.0
     if not th.is_equilibrium:
         spec = spec if spec is not None else QuadratureSpec()
         a = abs(lam)
@@ -105,48 +110,53 @@ def _flux_integrals(
         subnormal = 0.0 < a < _MIN_FIELD
         field = 0.0 if subnormal else a  # of the kernels and the mesh
         if field != 0.0:
-            weights = np.array([1.0 / _PI, 2.0 / _PI * a, 1.0 / _PI, 1.0])[:, None]
+            weights = [1.0 / _PI, 2.0 / _PI * a, 1.0 / _PI, 1.0, 2.0 / _PI]
         else:
-            weights = np.array([1.0 / _PI, 1.0][: 1 + subnormal])[:, None]
+            weights = [1.0 / _PI, 1.0, 2.0 / _PI * a][: 1 + 2 * subnormal]
 
         def sample(t):
             s, c = np.sin(t), np.cos(t)
             g = planck_difference(th, c)
             p, q, e, r = field_ratios(s, field)  # r = D / p^2
-            k1 = c * q**3 / (p * r * r)  # c s^3 / D^2
-            families = [g * c * s * q * q / r]
-            if field != 0.0:
-                families += [g * k1, g * k1 * (8.0 * e * e / r - 2.0)]
+            gcsq = g * c * s * q
+            families = [gcsq * q / r]  # c s^3 / D
             if lam != 0.0:
-                families.append((g - f0) * k1)
+                k1 = c * q**3 / (p * r * r)  # c s^3 / D^2
+                if field != 0.0:
+                    families += [g * k1, g * k1 * (8.0 * e * e / r - 2.0)]
+                # the defect c s^2 |lam| / D = c s q e / r; its factor |lam|
+                # leaves the kernel for the weight at a subnormal field
+                families += [(g - f0) * k1, gcsq * e / r if field != 0.0 else g * c]
             return np.array(families), None
 
         edges = graded_mesh(field, th.beta_r, 0.5 * _PI)
         what = f"flux integrals at lam={lam!r}"
-        values, error, _ = refine_panels(sample, edges, weights, spec, what)
+        values, error, _ = refine_panels(sample, edges, np.array(weights)[:, None], spec, what)
         if lam == 0.0:
             flux = float(values[0, 0]) / _PI
         else:
             if subnormal:
-                flux, f2 = (float(v) for v in values[:, 0])
+                flux, f2, defect = (float(v) for v in values[:, 0])
                 log_a = math.log(a)
                 total = f2 - f0 * (log_a + 0.5)
                 second = 2.0 * (f0 * (log_a + 1.5) - f2)
             else:
-                flux, total, second, f2 = (float(v) for v in values[:, 0])
+                flux, total, second, f2, defect = (float(v) for v in values[:, 0])
             flux, slope, second = flux / _PI, -(2.0 / _PI) * (lam * total), second / _PI
+            defect = (2.0 / _PI) * defect * (a if subnormal else 1.0)
     sigma = (th.beta_r - th.beta_l) * flux
-    return FluxReport(flux, sigma, slope, second, error, params, th), f2
+    report = FluxReport(flux, sigma, slope, second, error, params, th)
+    return report, f2, math.copysign(defect, lam)
 
 
 _DEFAULT_SPEC = QuadratureSpec()
-# (params, th, spec, (report, f2)) of the latest sampling, replaced whole
+# (params, th, spec, (report, f2, defect)) of the latest sampling, replaced whole
 _latest: tuple = (None, None, None, None)
 
 
 def _sampled(
     params: ModelParams, th: ThermalConfig, spec: QuadratureSpec | None
-) -> tuple[FluxReport, float | None]:
+) -> tuple[FluxReport, float | None, float]:
     """``_flux_integrals``, sampled once for consecutive reads of one point.
 
     Returns the held result when ``params`` and ``th`` are the very objects
@@ -235,6 +245,25 @@ def flux_second_derivative(
     return _sampled(params, th, spec)[0].J_second
 
 
+def ti_commutator_element(
+    params: ModelParams,
+    th: ThermalConfig,
+    spec: QuadratureSpec | None = None,
+) -> float:
+    """Closed form of ``s(0, 2) - s(-1, 1)`` as a single momentum integral.
+
+    ``lam * integral dk/2pi cos(k) rho_diff(cos k) corr(lam, cos k)``; real,
+    and zero whenever ``lam = 0`` or the reservoirs agree.  The integrand is
+    even in ``k`` and invariant under ``k -> pi - k``, which leaves
+    ``(2 lam/pi) integral_0^{pi/2} rho_diff(cos t) cos t sin^2 t /
+    (sin^2 t + lam^2) dt``, a sum of one sign at every field and a row of
+    the flux integrals, certified with them; consecutive reads at one
+    operating point share one sampling.  ``ness.ti_commutator_direct`` is
+    the independent route through the two matrix elements.
+    """
+    return _sampled(params, th, spec)[2]
+
+
 @dataclass(frozen=True)
 class LogDecomposition:
     """Split of the scaled flux derivative into log term plus bounded rest.
@@ -298,7 +327,7 @@ def log_decomposition(
     else:
         log_ratio = -0.5 * math.log1p(1.0 / (a * a))
     f1 = -f0 * log_ratio - 0.5 * f0 / (1.0 + a * a)
-    _, f2 = _sampled(params, th, spec)
+    _, f2, _ = _sampled(params, th, spec)
     return LogDecomposition(F1=f1, F2=f2, f0=f0, c_bound=remainder_bound(th))
 
 
@@ -363,8 +392,8 @@ def flux_report(
     """Bundle flux, entropy production, and field derivatives at one point.
 
     One certified evaluation, the same that ``heat_flux``,
-    ``entropy_production``, ``flux_derivative``,
-    ``flux_second_derivative`` and ``log_decomposition`` read.  Consecutive
+    ``entropy_production``, ``flux_derivative``, ``flux_second_derivative``,
+    ``log_decomposition`` and ``ti_commutator_element`` read.  Consecutive
     reads at one operating point share one sampling: a reader called with
     the very ``params`` and ``th`` objects of the latest sampling and an
     equal ``spec`` (``None`` and the default are equal) returns its values

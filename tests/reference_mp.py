@@ -75,7 +75,7 @@ def pp_weight_mp(lam: float, betas=BETAS, nu: int = 0):
 
 TI_DPS = 30
 TI_THERMALS = ((1.0, 2.0), (0.1, 50.0))
-TI_FIELDS = (0.2, 1e5, 6e5, 1e6)
+TI_FIELDS = (0.2, 1e5, 6e5, 1e6, 1e-10, 1e-300, 1e-310)
 
 
 def ti_commutator_mp(lam: float, betas=BETAS):

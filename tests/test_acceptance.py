@@ -20,7 +20,6 @@ from nesslab.ness import (
     correlation_block,
     s_element,
     ti_commutator_direct,
-    ti_commutator_element,
 )
 from nesslab.oracle import (
     OperatorKind,
@@ -38,6 +37,7 @@ from nesslab.transport import (
     heat_flux,
     log_decomposition,
     remainder_bound,
+    ti_commutator_element,
 )
 
 from bruteforce import central_difference, fermi_difference, flux_arcsin, flux_momentum

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nesslab import ness, numerics, scattering, transport
+from nesslab import numerics, scattering, transport
 from nesslab.exceptions import NonConvergence, WindowTooLarge
 from nesslab.model import ModelParams, ThermalConfig, bound_state
 from nesslab.numerics import QuadratureSpec
@@ -16,20 +16,24 @@ from nesslab.ness import (
     correlation_block,
     s_element,
     ti_commutator_direct,
-    ti_commutator_element,
 )
 from nesslab.scattering import ac_overlap, band_moments, pp_weight
+from nesslab.transport import ti_commutator_element
 
 from bruteforce import overlap_direct
 
 # 30-digit mpmath values of s(0, 2) - s(-1, 1) at th = (1, 2) and (0.1, 50),
 # printed by tests/reference_mp.py; the closed form as lam*plain -
-# lam^3*kernel missed by 1.3e-10 at 6e5 and raised NonConvergence at 1e6
+# lam^3*kernel missed by 1.3e-10 at 6e5 and raised NonConvergence at 1e6;
+# 1e-310 is below the smallest normal double, and so is its defect
 TI_DEFECT_MP = {
     0.2: (0.011909127466196463, 0.044455705592329944),
     1e5: (2.4096155257420706e-7, 1.027704471477255e-6),
     6e5: (4.0160258764444905e-8, 1.7128407858957119e-7),
     1e6: (2.4096155258689731e-8, 1.0277044715385275e-7),
+    1e-10: (8.5133214305905458e-12, 3.0560796139625749e-11),
+    1e-300: (8.5133214320879307e-302, 3.0560796144375957e-301),
+    1e-310: (8.5133214320879045e-312, 3.0560796144375863e-311),
 }
 
 
@@ -132,7 +136,7 @@ class TestOneSampling:
             calls.append(args[-1])
             return refine(*args)
 
-        for module in (numerics, scattering, ness, transport):
+        for module in (numerics, scattering, transport):
             monkeypatch.setattr(module, "refine_panels", counted)
         scattering._pp_weight_cached.cache_clear()
         correlation_block(ModelParams(lam, 1), th12, -3, 3)
@@ -318,9 +322,11 @@ class TestTiCommutator:
             assert math.copysign(1.0, val) == math.copysign(1.0, lam)
 
     def test_equilibrium_vanishes(self):
+        # a zero defect carries the sign of the field, zero included
         th = ThermalConfig(2.0, 2.0)
-        for lam in (0.0, 0.3, 1.0):
-            assert ti_commutator_element(ModelParams(lam), th) == 0.0
+        for lam in (0.0, 0.3, 1.0, -0.0, -0.3, -5e-324):
+            val = ti_commutator_element(ModelParams(lam), th)
+            assert val == 0.0 and math.copysign(1.0, val) == math.copysign(1.0, lam)
 
     def test_fast_path_matches_matrix_elements(self):
         for lam, refs in TI_DEFECT_MP.items():
@@ -329,7 +335,10 @@ class TestTiCommutator:
                 for sign in (1.0, -1.0):
                     p = ModelParams(sign * lam)
                     fast = ti_commutator_element(p, th)
-                    assert abs(fast - sign * ref) < 1e-15
+                    # relative, as 1e-15 absolute says nothing at 1e-10 and
+                    # below; at 1e-310 the defect is subnormal, and its ulp
+                    # is the smallest subnormal, 2^-1074
+                    assert abs(fast - sign * ref) <= 8 * math.ulp(ref)
                     assert abs(fast - ti_commutator_direct(p, th)) < 1e-10
 
     @pytest.mark.parametrize("nu", [0, 2, 10**9])

@@ -30,6 +30,7 @@ from nesslab.transport import (
     log_coefficient,
     log_decomposition,
     remainder_bound,
+    ti_commutator_element,
 )
 
 from bruteforce import (
@@ -357,16 +358,17 @@ class TestFluxReport:
     @pytest.mark.parametrize(
         "lam, betas",
         [(0.0, (1.0, 2.0)), (5e-324, (1.0, 2.0)), (-1e-8, (1.0, 2.0)), (0.5, (1.0, 2.0)),
-         (3.0, (1.0, 2.0)), (0.0, (2.0, 2.0)), (0.5, (2.0, 2.0))],
+         (3.0, (1.0, 2.0)), (0.0, (2.0, 2.0)), (0.5, (2.0, 2.0)), (-0.0, (1.0, 2.0)),
+         (-5e-324, (1.0, 2.0)), (-0.3, (2.0, 2.0))],
     )
     def test_every_reader_is_the_one_report(self, lam, betas):
         # one construction: each reader is bitwise (repr keeps the sign of
-        # zero) a field of the report or the log-split remainder
+        # zero) a field of the report, the log-split remainder or the defect
         p, th = ModelParams(lam), ThermalConfig(*betas)
-        rep, f2 = transport._flux_integrals(p, th, None)
+        rep, f2, defect = transport._flux_integrals(p, th, None)
         got = [flux_report(p, th), heat_flux(p, th), entropy_production(p, th),
-               flux_derivative(p, th)]
-        want = [rep, rep.J, rep.sigma, rep.J_prime]
+               flux_derivative(p, th), ti_commutator_element(p, th)]
+        want = [rep, rep.J, rep.sigma, rep.J_prime, defect]
         if lam != 0.0:
             got += [flux_second_derivative(p, th), log_decomposition(p, th).F2]
             want += [rep.J_second, f2]
@@ -380,6 +382,7 @@ class TestFluxReport:
         flux_second_derivative(p, th)
         flux_report(p, th)
         log_decomposition(p, th)
+        ti_commutator_element(p, th)
         assert len(samplings) == 1
 
     def test_another_point_samples_again(self, samplings):
