@@ -8,15 +8,17 @@ and each off-diagonal from one on its bonds ``(x, x + 1)``, and
 diagonalized exactly by LAPACK's tridiagonal eigensolver, the decoupled
 initial state is held as one reservoir's eigenpairs with their Planck
 weights at the two temperatures, and correlations are evolved exactly from
-that factored state alone.  A site is evolved through the parity blocks it
-touches and projected onto the reservoir modes once per time grid
-(``SiteParts``), and a correlation is a weighted overlap of two sites'
-parts: no dense state is formed, and the bound state is evolved with the
-band, not split off.  The late-time estimates keep the parts of their
-latest sites on the window for the next call on the same grid.
-Large-time averages of these finite evolutions are the yardstick the
-analytic formulas are tested against.  ``scipy.linalg`` is imported by the
-functions that solve, so importing the package loads no scipy.
+that factored state alone.  Each parity block's first coordinate is
+evolved and projected onto the reservoir modes once per time grid, and the
+sites within ``nu + 2`` of the centre follow from it by the Jacobi
+matrix's three-term recurrence, with the bound state carried exactly;
+farther sites are evolved directly.  A correlation is a weighted overlap
+of two sites' parts (``SiteParts``): no dense state is formed.  The
+late-time estimates keep the first-coordinate frames on the window for
+the next call on the same grid.  Large-time averages of these finite
+evolutions are the yardstick the analytic formulas are tested against.
+``scipy.linalg`` is imported by the functions that solve, so importing the
+package loads no scipy.
 
 Every Jacobi matrix here (the window's three, and each reservoir block) is
 symmetric under reflection about its centre.  In the parity coordinates
@@ -24,12 +26,15 @@ symmetric under reflection about its centre.  In the parity coordinates
 and an odd Jacobi matrix of about half the size, and it is solved as those
 two blocks: an exact orthogonal change of basis, not an approximation.  A
 block that is symmetric again (the field-free odd block, a reservoir's odd
-block of odd size) is split again, down to blocks that are not.  ``_fold``
-and ``_unfold`` map site arrays to the two blocks and back; a solve's
-``to_modes`` and ``from_modes`` map them to its eigenbasis and back through
-every level.  A window solves each distinct block once: the odd blocks of
-the field and free Hamiltonians are one free chain, and at ``nu = 0`` that
-chain is also the decoupled odd block and the reservoir.
+block of odd size) is split again, down to blocks that are not.  A
+symmetric block of even size with a zero diagonal (a bipartite chain: the
+free chain, a reservoir) solves its even half alone, and its odd half is
+the exact sublattice image of it.  ``_fold`` and ``_unfold`` map site
+arrays to the two blocks and back; a solve's ``to_modes`` and
+``from_modes`` map them to its eigenbasis and back through every level.
+A window solves each distinct block once: the odd blocks of the field and
+free Hamiltonians are one free chain, and at ``nu = 0`` that chain is also
+the decoupled odd block and the reservoir.
 
 Evolution convention: ``omega_xy(t) = (exp(ith) e_x, S exp(ith) e_y)`` with
 ``h`` the field Hamiltonian and ``S`` the initial two-point matrix.  The
@@ -165,10 +170,31 @@ class Split(NamedTuple):
         return _unfold(*(block.from_modes(p) for block, p in zip(self, parts)))
 
 
+def _sublattice_image(solve: Eigenpairs) -> Eigenpairs:
+    """Eigenpairs of ``-S T S``, ``S = diag((-1)^i)``, from those ``(w, V)`` of ``T``.
+
+    ``-S T S`` negates the diagonal of ``T`` and keeps its hoppings, and
+    ``(-S T S) S V = S V diag(-w)``, so they are ``(-w, S V)``, reversed to
+    ascend: an exact map, no eigensolve.
+    """
+    vectors = solve.vectors[:, ::-1].copy()
+    vectors[1::2] *= -1.0
+    return Eigenpairs(-solve.energies[::-1], vectors)
+
+
 def _split_eigh(diag: np.ndarray, off: np.ndarray) -> Eigenpairs | Split:
-    """Eigenpairs of a Jacobi matrix, split by its reflection while the block is symmetric."""
+    """Eigenpairs of a Jacobi matrix, split by its reflection while the block is symmetric.
+
+    When the odd block is the even block with its diagonal negated (a
+    symmetric block of even size with a zero diagonal, a bipartite chain),
+    only the even block is solved and the odd one is its sublattice image.
+    """
     if diag.size > 1 and _is_symmetric(diag, off):
-        return Split(*(_split_eigh(d, e) for d, e in _parity_split(diag, off)))
+        (d, e), (d_odd, e_odd) = _parity_split(diag, off)
+        even = _split_eigh(d, e)
+        if isinstance(even, Eigenpairs) and np.array_equal(d_odd, -d) and np.array_equal(e_odd, e):
+            return Split(even, _sublattice_image(even))
+        return Split(even, _split_eigh(d_odd, e_odd))
     from scipy.linalg import eigh_tridiagonal
 
     return Eigenpairs(*eigh_tridiagonal(diag, off))
@@ -291,9 +317,10 @@ def build_truncation(
 
     Raises ResourceLimit when the dense storage the window may come to hold
     exceeds ``max_bytes``: its matrices and solves, one initial state, and
-    on the longest late-time grid of ``nt`` times the parts of two sites,
-    ``16 n nt`` bytes each, and the phases of both parity blocks, ``16 n nt``
-    bytes together.
+    on the longest late-time grid of ``nt`` times the phases of both parity
+    blocks, ``16 n nt`` bytes together, and the first-coordinate frames of
+    the blocks that step, ``16 (M + 1) nt`` bytes for the even block and,
+    beside a sample, ``16 M nt`` for the odd one.
     """
     M = int(M)
     if not _MIN_HALF_WIDTH <= M <= _MAX_HALF_WIDTH:
@@ -313,10 +340,11 @@ def build_truncation(
     # of M - nu sites (at nu = 0 that same chain).  No library path solves
     # the decoupled kind, so its blocks are not counted.  The initial state
     # holds the store's reservoir solve and adds Planck weights at two
-    # temperatures.  Then the parts of two sites, n complex rows each, and
-    # the phases of both parity blocks, n complex rows in all, on the
-    # longest late-time grid the horizon allows (nt is at most 0.16 M + 1);
-    # none when no t_star fits
+    # temperatures.  Then the phases of both parity blocks, n complex rows
+    # in all, and the first-coordinate frames, M + 1 rows for the even block
+    # and M for the odd one when it steps (nu > 0), on the longest late-time
+    # grid the horizon allows (nt is at most 0.16 M + 1); none when no
+    # t_star fits
     n_res = max(M - params.nu, 0)
     diag, off = hams[OperatorKind.DECOUPLED]
     reservoir = [(diag[:n_res], off[: n_res - 1])] if n_res else []
@@ -327,7 +355,8 @@ def build_truncation(
     floats = 3 * (2 * n - 1) + solved + 2 * n_res
     t_max = _REFLECTION_MARGIN * (M - params.nu - 2)
     nt = _late_grid_size(t_max) if t_max >= _MIN_T_STAR else 0
-    estimate = 8 * floats + 3 * 16 * n * nt
+    rows = n + M + 1 + (M if params.nu else 0)
+    estimate = 8 * floats + 16 * rows * nt
     if estimate > max_bytes:
         raise ResourceLimit(
             f"window of {n} sites needs about {estimate / 2**30:.1f} GiB "
@@ -343,7 +372,8 @@ class SiteParts(NamedTuple):
     parity coordinates beyond the sample, ordered outward like the right
     reservoir's sites, projected onto the reservoir modes (even modes
     first).  ``sample`` is ``(2 nu + 1, nt)``: its parity coordinates
-    inside the sample.
+    inside the sample.  The centre site has no odd part; its ``odd`` is a
+    read-only broadcast zero that holds no memory.
     """
 
     even: np.ndarray
@@ -355,12 +385,14 @@ class _GridStore(NamedTuple):
     """Evolutions on one time grid ending at ``t_star``.
 
     ``phases`` holds each parity block's ``exp(i w t)`` on the grid (0
-    even, 1 odd), ``parts`` the ``SiteParts`` of the latest two sites.
+    even, 1 odd), ``frames`` the band frame of the first coordinate of each
+    block that steps (``_stepped``), from which the parts of every site
+    within ``nu + 2`` of the centre follow.
     """
 
     t_star: float
     phases: dict[int, np.ndarray]
-    parts: dict[int, SiteParts]
+    frames: dict[int, np.ndarray]
 
 
 class DecoupledState(NamedTuple):
@@ -494,6 +526,47 @@ def _checked_times(sys: TruncatedSystem, x: int, y: int, times) -> np.ndarray:
     return times
 
 
+def _evolve(
+    block: Eigenpairs | Split,
+    parity: int,
+    state: DecoupledState,
+    coords: np.ndarray,
+    times: np.ndarray,
+    phases: dict[int, np.ndarray],
+    drop: np.ndarray | None = None,
+) -> np.ndarray:
+    """Evolve coordinates ``coords`` (m, 1) through ``block``, parity block ``parity``.
+
+    Returns the frame's rows as the state reads them, ``(k + M - nu, nt)``:
+    its ``k`` coordinates inside the sample, then its outer coordinates
+    projected onto the reservoir modes, in place; no frame is unfolded to
+    the window's sites.  At ``nu = 0`` the odd block is the reservoir's own
+    solve and has no sample coordinates, so the rows are its evolved mode
+    amplitudes: phases, with no product and no projection.  ``phases``
+    holds each block's ``exp(i w t)`` on ``times`` (0 even, 1 odd), and a
+    block's is added on first use.  The modes ``drop`` indexes are left out.
+    """
+    if parity not in phases:
+        phases[parity] = np.exp(1j * np.outer(block.energies, times))
+    amplitudes = block.to_modes(coords) * phases[parity]
+    if drop is not None:
+        amplitudes[drop] = 0.0
+    if block is state.modes:
+        return amplitudes
+    frame = block.from_modes(amplitudes)
+    k = len(frame) - len(state.left)
+    frame[k:] = state.modes.to_modes(frame[k:])
+    return frame
+
+
+def _parts(sys: TruncatedSystem, even: np.ndarray, odd: np.ndarray | None) -> SiteParts:
+    """A site's parts from its even and odd frames (``_evolve`` rows); no odd one at the centre."""
+    k = sys.params.nu + 1  # even coordinates in the sample; the odd block has one fewer
+    if odd is None:
+        odd = np.broadcast_to(0j, (len(even) - 1, even.shape[1]))
+    return SiteParts(even[k:], odd[k - 1 :], np.concatenate([even[:k], odd[: k - 1]]))
+
+
 def _site_parts(
     sys: TruncatedSystem,
     state: DecoupledState,
@@ -501,49 +574,170 @@ def _site_parts(
     times: np.ndarray,
     phases: dict[int, np.ndarray],
 ) -> SiteParts:
-    """Evolve ``e_x`` through the parity blocks it touches and project it once.
+    """Evolve ``e_x`` directly through the parity blocks it touches and project it once.
 
-    Each block's outer coordinates are projected onto the reservoir modes;
-    no frame is unfolded to the window's sites.  The centre site has no odd
-    part, so its odd block is neither evolved nor projected.  At ``nu = 0``
-    the odd block is the reservoir's own solve and has no sample
-    coordinates, so its reservoir amplitudes are its evolved mode
-    amplitudes: phases, with no product and no projection.  ``phases``
-    holds each block's ``exp(i w t)`` on ``times`` (0 even, 1 odd), and a
-    block's is added on first use.
+    The centre site has no odd part, so its odd block is neither evolved
+    nor projected.
     """
-    inner = (sys.params.nu + 1, sys.params.nu)  # parity coordinates in the sample
-    blocks = zip(sys.factorization(OperatorKind.MAGNETIC), _fold(_site_vectors(sys, (x,))), inner)
-    parts = []
-    for parity, (block, coords, k) in enumerate(blocks):
-        if not coords.any():
-            parts.append([np.zeros((rows, times.size), complex) for rows in (k, len(state.left))])
-            continue
-        if parity not in phases:
-            phases[parity] = np.exp(1j * np.outer(block.energies, times))
-        amplitudes = block.to_modes(coords) * phases[parity]
-        if block is state.modes:
-            parts.append((amplitudes[:0], amplitudes))
-            continue
-        evolved = block.from_modes(amplitudes)  # (m, nt) parity coordinates
-        parts.append((evolved[:k], state.modes.to_modes(evolved[k:])))
-    (sample_even, even), (sample_odd, odd) = parts
-    return SiteParts(even, odd, np.concatenate([sample_even, sample_odd]))
+    blocks = zip(sys.factorization(OperatorKind.MAGNETIC), _fold(_site_vectors(sys, (x,))))
+    frames = [
+        _evolve(block, parity, state, coords, times, phases) if coords.any() else None
+        for parity, (block, coords) in enumerate(blocks)
+    ]
+    return _parts(sys, *frames)
 
 
-def _held_parts(
+def _recur(
+    pair: _Pair,
+    k: int,
+    modes: Eigenpairs | Split,
+    first: np.ndarray,
+    steps: int,
+    carry: np.ndarray,
+    carried: np.ndarray,
+    scale: float,
+) -> np.ndarray:
+    """``scale`` times the frame of block coordinate ``steps``, stepped from coordinate 0's.
+
+    ``first`` is the band frame of coordinate 0 in ``_evolve`` rows, ``k``
+    sample rows ``S`` and then reservoir mode amplitudes ``R``.  A step is
+    ``F_{j+1} = (h F_j - d_j F_j - e_{j-1} F_{j-1}) / e_j``, with ``(d, e)``
+    the block's ``pair``, and ``h`` acts on the rows as
+
+        (h F)_S = T_k S + delta (u . R) on row k - 1,
+        (h F)_R = w R + delta S_{k-1} u,
+
+    ``T_k`` being the block's rows on the sample, ``delta = e_{k-1}`` the
+    contact hop, ``w`` the reservoir energies and ``u`` the modes of the
+    reservoir's first site.  On ``R``
+    that is diagonal plus rank one, so ``R_j = p_j(w) R_0 + G_j H``: ``p_j``
+    follows the recurrence itself, and each step appends to the time rows
+    ``H`` the contact row ``S_{j, k-1}`` and the coefficients of the
+    carried modes.  These, the orthonormal columns of ``carry`` (the
+    block's out-of-band modes in the same rows), are projected out of every
+    step, since the recurrence grows their share by ``e^{asinh|lam|}`` a
+    step, rounding included; ``carry @ carried`` is added back at the end.
+    A step reads ``R_0`` once, and the frame is formed in three passes.
+    """
+    d, e = pair
+    w = modes.energies
+    u = modes.to_modes(np.eye(len(w), 1))[:, 0]
+    sample, amplitudes = first[:k], first[k:]
+    block = np.diag(d[:k]) + np.diag(e[: k - 1], 1) + np.diag(e[: k - 1], -1)
+    rows = np.empty((0, first.shape[1]), complex)
+    # each frame as (S, p, G); coordinate -1 is zero
+    prev, cur = (0.0, 0.0, np.zeros((len(w), 0))), (sample, np.ones_like(w), np.zeros((len(w), 0)))
+    for j in range(steps):
+        (s, p, g), (s_back, p_back, g_back) = cur, prev
+        back = e[j - 1] if j else 0.0
+        p_next = ((w - d[j]) * p - back * p_back) / e[j]
+        reads = np.column_stack([u * p, carry[k:] * p_next[:, None]]).T @ amplitudes
+        contact = reads[0] + (u @ g) @ rows  # u . R_j
+        s_next = block @ s - d[j] * s - back * s_back
+        s_next[k - 1] += e[k - 1] * contact
+        s_next /= e[j]
+        g_next = np.zeros((len(w), len(rows) + 1))
+        g_next[:, : g.shape[1]] = (w - d[j])[:, None] * g
+        g_next[:, : g_back.shape[1]] -= back * g_back
+        g_next[:, -1] = e[k - 1] * u
+        g_next /= e[j]
+        rows = np.vstack([rows, s[k - 1]])
+        if carry.size:
+            shares = carry[:k].T @ s_next + reads[1:] + (carry[k:].T @ g_next) @ rows
+            s_next = s_next - carry[:k] @ shares
+            g_next = np.hstack([g_next, -carry[k:]])
+            rows = np.vstack([rows, shares])
+        prev, cur = cur, (s_next, p_next, g_next)
+    s, p, g = cur
+    frame = np.empty_like(first)
+    frame[:k] = scale * (s + carry[:k] @ carried)
+    np.multiply((scale * p)[:, None], amplitudes, out=frame[k:])
+    frame[k:] += (scale * np.hstack([g, carry[k:]])) @ np.vstack([rows, carried])
+    return frame
+
+
+def _stepped(
+    sys: TruncatedSystem,
+    state: DecoupledState,
+    solve: Split,
+    store: _GridStore,
+    times: np.ndarray,
+    parity: int,
+    j: int,
+    scale: float = 1.0,
+) -> np.ndarray:
+    """``scale`` times the frame of coordinate ``j`` of block ``parity``, in ``_evolve`` rows.
+
+    ``solve`` is the field Hamiltonian's ``factorization``.
+
+    The block's out-of-band eigenpairs ``(E_b, v)`` (the bound state, in
+    the even block) are carried exactly: the store holds the first
+    coordinate's frame evolved without them, ``_recur`` steps that band
+    frame, and ``v_j exp(i E_b t) B`` is added back, ``B`` being ``v`` in
+    the frame's rows.  Beyond the sample the block is the reservoir chain,
+    which the recurrence reads through the reservoir's solve.
+    """
+    pair = _parity_split(*sys.hamiltonians[OperatorKind.MAGNETIC])[parity]
+    block = solve[parity]
+    m = len(pair[0])
+    outside = np.flatnonzero(np.abs(block.energies) > 1.0 + _BAND_EDGE_TOL)
+    vectors = np.zeros((m, outside.size))
+    vectors[outside, np.arange(outside.size)] = 1.0
+    vectors = block.from_modes(vectors)  # (m, n_b) block coordinates
+    if parity not in store.frames:
+        first = np.eye(m, 1)
+        store.frames[parity] = _evolve(block, parity, state, first, times, store.phases, outside)
+    k = m - len(state.left)
+    carry = vectors.copy()
+    carry[k:] = state.modes.to_modes(vectors[k:])
+    carried = vectors[j][:, None] * store.phases[parity][outside]
+    return _recur(pair, k, state.modes, store.frames[parity], j, carry, carried, scale)
+
+
+def _stepped_parts(
+    sys: TruncatedSystem,
+    state: DecoupledState,
+    solve: Split,
+    store: _GridStore,
+    times: np.ndarray,
+    x: int,
+) -> SiteParts:
+    """The parts of a site within ``nu + 2`` of the centre, stepped from the store's frames.
+
+    ``e_{+-j}`` folds to ``1 / sqrt 2`` times even coordinate ``j`` and
+    ``+-1 / sqrt 2`` times odd coordinate ``j - 1``.  At ``nu = 0`` the odd
+    part stays the reservoir's phases (``_evolve``).
+    """
+    j = abs(x)
+    if j == 0:
+        return _parts(sys, _stepped(sys, state, solve, store, times, 0, 0), None)
+    if sys.params.nu == 0:
+        coords = _fold(_site_vectors(sys, (x,)))[1]
+        odd = _evolve(solve.odd, 1, state, coords, times, store.phases)
+    else:
+        sign = _SQRT_HALF if x > 0 else -_SQRT_HALF
+        odd = _stepped(sys, state, solve, store, times, 1, j - 1, sign)
+    return _parts(sys, _stepped(sys, state, solve, store, times, 0, j, _SQRT_HALF), odd)
+
+
+def _pair_parts(
     sys: TruncatedSystem, state: DecoupledState, store: _GridStore, times, x: int, y: int
 ) -> tuple[SiteParts, SiteParts]:
-    """The parts of ``x`` and ``y`` on ``store``'s grid ``times``, evolved into it if missing.
+    """The parts of ``x`` and ``y`` on ``store``'s grid ``times``.
 
-    The store keeps these two sites' parts alone, and drops the others first.
+    A site within ``nu + 2`` of the centre (the sample and its contact
+    pairs) is stepped from the first-coordinate frames the store holds,
+    which are evolved into it on first use; a farther site is evolved
+    directly.  A site's parts do not depend on the sites read before.
     """
-    parts = store.parts
-    for site in set(parts).difference((x, y)):
-        del parts[site]
-    for site in (x, y):
-        if site not in parts:
-            parts[site] = _site_parts(sys, state, site, times, store.phases)
+    near = sys.params.nu + 2
+    solve = sys.factorization(OperatorKind.MAGNETIC)
+    parts = {
+        site: _stepped_parts(sys, state, solve, store, times, site)
+        if abs(site) <= near
+        else _site_parts(sys, state, site, times, store.phases)
+        for site in {x, y}
+    }
     return parts[x], parts[y]
 
 
@@ -553,7 +747,7 @@ def evolve_with_state(
     """Evolve ``(e_x, S(t) e_y)`` from the factored initial state ``state``."""
     times = _checked_times(sys, x, y, times)
     store = _GridStore(float(times[-1]), {}, {})
-    values, _ = state.pair_overlaps(*_held_parts(sys, state, store, times, x, y))
+    values, _ = state.pair_overlaps(*_pair_parts(sys, state, store, times, x, y))
     return EvolutionTrace(times, values)
 
 
@@ -581,7 +775,7 @@ def _late_means(
     state = initial_two_point(sys, th)
     if sys._grid_store is None or sys._grid_store.t_star != t_star:
         sys._grid_store = _GridStore(t_star, {}, {})
-    overlaps = state.pair_overlaps(*_held_parts(sys, state, sys._grid_store, times, x, y))
+    overlaps = state.pair_overlaps(*_pair_parts(sys, state, sys._grid_store, times, x, y))
     return tuple(complex(np.mean(EvolutionTrace(times, v).values)) for v in overlaps)
 
 

@@ -19,8 +19,15 @@ from nesslab.exceptions import (
     TimeHorizonExceeded,
 )
 from nesslab import oracle
-from nesslab.model import ModelParams, OperatorKind, ThermalConfig, bound_state, operator_stencil
-from nesslab.ness import s_element
+from nesslab.model import (
+    ModelParams,
+    OperatorKind,
+    ThermalConfig,
+    bound_state,
+    operator_stencil,
+    planck_density,
+)
+from nesslab.ness import correlation_block, s_element
 from nesslab.oracle import (
     EvolutionTrace,
     build_truncation,
@@ -62,10 +69,10 @@ def _array_bytes(item) -> int:
     return sum(array.nbytes for array in arrays.values())
 
 
-def _held_sites(sys) -> dict:
-    """The site parts the window's grid store holds, by ``(t_star, site)``."""
+def _held_frames(sys) -> dict:
+    """The first-coordinate frames the window's grid store holds, by ``(t_star, parity block)``."""
     store = sys._grid_store
-    return {(store.t_star, x): part for x, part in store.parts.items()}
+    return {(store.t_star, parity): frame for parity, frame in store.frames.items()}
 
 
 def _all_evals(sys, kind):
@@ -86,8 +93,10 @@ class TestBuildTruncation:
     def test_memory_estimate_bounds_what_is_held(self, m, nu, th12):
         # the field and free kinds factored (no library path solves the
         # decoupled kind), one state built and, where a late-time grid
-        # fits, two sites' parts on the longest one: the estimate covers
-        # it, within 1% when the sample is a single site and the state largest
+        # fits, the first-coordinate frames of the blocks that step (the
+        # odd block only beside a sample) on the longest one: the estimate
+        # covers it, within 1% when the sample is a single site and the
+        # state largest
         params = ModelParams(0.4, nu)
         sys = build_truncation(m, params)
         for kind in (OperatorKind.MAGNETIC, OperatorKind.XY):
@@ -97,7 +106,7 @@ class TestBuildTruncation:
         if t_star >= 100.0:
             ness_estimate(sys, th12, 0, 0, t_star)
             oracle_flux(sys, th12, t_star)
-            assert len(sys._grid_store.parts) == 2
+            assert set(sys._grid_store.frames) == ({0, 1} if nu else {0})
         held = _array_bytes(vars(sys))
         with pytest.raises(ResourceLimit):
             build_truncation(m, params, max_bytes=held - 1)
@@ -366,29 +375,53 @@ class TestSiteReuse:
         got = [call(shared) for call in calls]
         assert got == [call(build_truncation(m, params)) for call in calls]
 
-    def test_shared_site_evolved_once(self, th12):
-        sys = build_truncation(128, ModelParams(0.6))
-        ness_estimate(sys, th12, 0, 0, 100.0)
-        centre = _held_sites(sys)[(100.0, 0)]
-        ness_estimate(sys, th12, 0, 1, 100.0)
-        oracle_flux(sys, th12, 100.0)  # contact sites 2 and 0
-        assert _held_sites(sys)[(100.0, 0)] is centre
+    def test_shared_site_evolved_once(self, th12, monkeypatch):
+        # the verify sequence evolves each block's first coordinate once on
+        # its grid and steps every site from those frames; at nu = 0 the
+        # odd parts of sites 1 and 2 are the reservoir's phases
+        calls = []
+        evolve = oracle._evolve
+
+        def counted(block, parity, state, coords, *args):
+            calls.append((parity, np.flatnonzero(coords).tolist()))
+            return evolve(block, parity, state, coords, *args)
+
+        monkeypatch.setattr(oracle, "_evolve", counted)
+        for (m, lam, nu), evolved in zip(
+            REUSE_CASES, ([(0, [0]), (1, [0]), (1, [1])], [(0, [0]), (1, [0])])
+        ):
+            calls.clear()
+            sys = build_truncation(m, ModelParams(lam, nu))
+            ness_estimate(sys, th12, 0, 0, 100.0)
+            even = _held_frames(sys)[(100.0, 0)]
+            ness_estimate(sys, th12, 0, 1, 100.0)
+            oracle_flux(sys, th12, 100.0)  # contact sites nu + 2 and nu
+            assert _held_frames(sys)[(100.0, 0)] is even
+            assert calls == evolved
 
     def test_cache_holds_the_latest_sites_only(self, th12):
+        # the store holds the first-coordinate frames alone, whatever sites
+        # are read: far sites (beyond nu + 2) are evolved and dropped
         sys = build_truncation(131, ModelParams(0.5, 1))
-        for x, y in ((0, 0), (0, 1), (2, -3), (-3, -3), (1, 2)):
+        held = {}
+        for x, y in ((0, 0), (0, 1), (2, -3), (4, -5), (-3, -3), (1, 2)):
             ness_estimate(sys, th12, x, y, 100.0)
-            assert set(_held_sites(sys)) == {(100.0, x), (100.0, y)}
+            assert all(_held_frames(sys)[key] is frame for key, frame in held.items())
+            held = _held_frames(sys)
         oracle_flux(sys, th12, 100.0)
-        assert set(_held_sites(sys)) == {(100.0, 3), (100.0, 1)}
+        assert set(_held_frames(sys)) == set(held) == {(100.0, 0), (100.0, 1)}
+        assert all(_held_frames(sys)[key] is frame for key, frame in held.items())
 
     def test_new_t_star_clears_the_cache(self, th12):
         sys = build_truncation(131, ModelParams(-0.4, 2))
         ness_estimate(sys, th12, 0, 1, 100.0)
-        before = _held_sites(sys)
+        before = _held_frames(sys)
         got = ness_estimate(sys, th12, 0, 1, 101.0)
-        assert set(_held_sites(sys)) == {(101.0, 0), (101.0, 1)}
-        assert all(part is not before[(100.0, x)] for (_, x), part in _held_sites(sys).items())
+        assert set(_held_frames(sys)) == {(101.0, 0), (101.0, 1)}  # both blocks at nu = 2
+        assert all(
+            frame is not before[(100.0, parity)]
+            for (_, parity), frame in _held_frames(sys).items()
+        )
         ref = unsplit_ness_estimate(sys, unsplit_initial_state(sys, th12), 0, 1, 101.0)
         assert abs(got - ref) < 1e-13
 
@@ -396,11 +429,11 @@ class TestSiteReuse:
     def test_new_temperatures_reuse_the_parts(self, m, lam, nu, th12):
         sys = build_truncation(m, ModelParams(lam, nu))
         oracle_flux(sys, th12, 100.0)
-        before = _held_sites(sys)
+        before = _held_frames(sys)
         th13 = ThermalConfig(1.0, 3.0)
         got = oracle_flux(sys, th13, 100.0)
-        assert set(_held_sites(sys)) == set(before)
-        assert all(_held_sites(sys)[key] is part for key, part in before.items())
+        assert set(_held_frames(sys)) == set(before)
+        assert all(_held_frames(sys)[key] is frame for key, frame in before.items())
         ref = unsplit_oracle_flux(sys, unsplit_initial_state(sys, th13), 100.0)
         assert np.max(np.abs(np.subtract(got, ref))) < 1e-13
         est = ness_estimate(sys, th13, -1, 2, 100.0)
@@ -437,23 +470,24 @@ class TestSiteReuse:
             assert np.max(np.abs(part.sample - sample)) < 1e-14
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    # the content of every block handed to the tridiagonal eigensolver
+    import scipy.linalg
+
+    calls = []
+    solve = scipy.linalg.eigh_tridiagonal
+
+    def counted(d, e, *args, **kwargs):
+        calls.append((d.tobytes(), e.tobytes(), kwargs.get("select", "a")))
+        return solve(d, e, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+    return calls
+
+
 class TestSharedSolves:
     """A window solves each distinct Jacobi block once, and its readers share it."""
-
-    @pytest.fixture
-    def solves(self, monkeypatch):
-        # the content of every block handed to the tridiagonal eigensolver
-        import scipy.linalg
-
-        calls = []
-        solve = scipy.linalg.eigh_tridiagonal
-
-        def counted(d, e, *args, **kwargs):
-            calls.append((d.tobytes(), e.tobytes(), kwargs.get("select", "a")))
-            return solve(d, e, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
-        return calls
 
     @pytest.mark.parametrize("m", [60, 61])
     def test_odd_blocks_are_the_reservoir_at_zero_sample(self, m, th12):
@@ -500,7 +534,176 @@ class TestSharedSolves:
             sys.factorization(kind)
         initial_two_point(sys, th12)
         assert len(sys._solves) == 3
-        assert len(solves) == len(set(solves)) == 4  # the odd chain splits once
+        # the odd chain splits once, and its odd half is the even half's
+        # sublattice image
+        assert len(solves) == len(set(solves)) == 3
+
+
+def _jacobi(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+class TestSublatticePairing:
+    """A bipartite chain's odd half is its even half's sublattice image, not a second solve."""
+
+    @staticmethod
+    def _pairs(diag, off):
+        # (odd half, its derived eigenpairs) at every split of a zero-diagonal block of even size
+        stack, found = [(oracle._split_eigh(diag, off), diag, off)], []
+        while stack:
+            solve, d, e = stack.pop()
+            if isinstance(solve, oracle.Split):
+                halves = oracle._parity_split(d, e)
+                if d.size % 2 == 0 and not d.any():
+                    found.append((halves[1], solve.odd))
+                stack.extend((block, *half) for block, half in zip(solve, halves))
+        return found
+
+    @staticmethod
+    def _check(found):
+        from scipy.linalg import eigh_tridiagonal
+
+        for (d, e), (w, v) in found:
+            assert isinstance(w, np.ndarray) and np.all(np.diff(w) > 0.0)
+            direct = eigh_tridiagonal(d, e, eigvals_only=True) if d.size > 1 else d
+            assert np.max(np.abs(w - direct)) < 1e-14
+            assert np.max(np.abs(_jacobi(d, e) @ v - v * w)) < 1e-14
+            assert np.max(np.abs(v.T @ v - np.eye(w.size))) < 1e-14
+
+    @pytest.mark.parametrize("n", [2, 8, 64, 500])
+    def test_free_chain(self, n, solves):
+        # measured 2.0e-15 at most; the chain is solved once, its halves
+        # halved again only where one is symmetric (n = 2: single sites)
+        found = self._pairs(np.zeros(n), np.full(n - 1, 0.5))
+        assert len(found) == len(solves) == 1
+        self._check(found)
+
+    @pytest.mark.parametrize("m", [61, 64])
+    @pytest.mark.parametrize("nu", [0, 1, 2, 3])
+    def test_reservoirs(self, m, nu):
+        sys = build_truncation(m, ModelParams(0.3, nu))
+        diag, off = sys.hamiltonians[OperatorKind.DECOUPLED]
+        n_res = m - nu
+        # a chain of odd length splits off a free chain of (n - 1) / 2, so
+        # every reservoir here meets a bipartite split
+        found = self._pairs(diag[:n_res], off[: n_res - 1])
+        assert found
+        self._check(found)
+
+    def test_diagonal_away_from_the_centre_solves_both_halves(self, solves):
+        diag, off = np.zeros(8), np.full(7, 0.5)
+        diag[[1, 6]] = 0.3
+        solve = oracle._split_eigh(diag, off)
+        assert len(solves) == 2
+        full = np.linalg.eigvalsh(_jacobi(diag, off))
+        assert np.max(np.abs(np.sort(solve.energies) - full)) < 1e-14
+
+
+# every field the oracle meets, from none to deeply bound
+STEP_FIELDS = [0.0, 0.3, -0.3, -2.0, 30.0, 1e3, 1e6]
+
+
+class TestJacobiSteps:
+    """Sites near the centre stepped from the first coordinates, against direct evolution."""
+
+    @pytest.mark.parametrize("nu", [0, 1, 2, 3])
+    @pytest.mark.parametrize("lam", STEP_FIELDS)
+    def test_stepped_parts_match_direct_evolution(self, lam, nu, th12):
+        # measured 1.1e-14 at most, up to lam = 1e6; stepping the whole
+        # frame, the bound state not carried, misses by 3.2e-11 at
+        # lam = 30, 1.3e-6 at 1e3 and 1e3 at 1e6
+        for m in (40, 41):
+            sys = build_truncation(m, ModelParams(lam, nu))
+            state = initial_two_point(sys, th12)
+            times = np.linspace(0.0, 0.8 * (m - nu - 2), 7)
+            store = oracle._GridStore(float(times[-1]), {}, {})
+            for x in [x for x in range(-nu - 2, nu + 3) if x]:
+                solve = sys.factorization(OperatorKind.MAGNETIC)
+                stepped = oracle._stepped_parts(sys, state, solve, store, times, x)
+                direct = oracle._site_parts(sys, state, x, times, {})
+                for got, ref in zip(stepped, direct):
+                    assert got.shape == ref.shape
+                    assert np.max(np.abs(got - ref)) < 1e-13
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_centre_odd_part_holds_no_memory(self, lam, th12):
+        sys = build_truncation(60, ModelParams(lam, 2))
+        state = initial_two_point(sys, th12)
+        times = np.linspace(0.0, 40.0, 5)
+        store = oracle._GridStore(40.0, {}, {})
+        solve = sys.factorization(OperatorKind.MAGNETIC)
+        for part in (
+            oracle._stepped_parts(sys, state, solve, store, times, 0),
+            oracle._site_parts(sys, state, 0, times, {}),
+        ):
+            assert part.odd.shape == part.even.shape
+            assert part.odd.strides == (0, 0) and not np.any(part.odd)
+            assert not np.any(part.sample[3:])  # the sample's odd coordinates
+
+    def test_verify_case_at_zero_sample(self, th12, solves, monkeypatch):
+        # two eigensolves (the field's even block, half the free chain) and
+        # one dense evolution (the even block's first coordinate)
+        products = []
+        from_modes = oracle.Eigenpairs.from_modes
+
+        def counted(self, a):
+            if a.ndim == 2 and a.shape[1] > 1:
+                products.append(a.shape)
+            return from_modes(self, a)
+
+        monkeypatch.setattr(oracle.Eigenpairs, "from_modes", counted)
+        sys = build_truncation(128, ModelParams(0.6))
+        initial_two_point(sys, th12)
+        ness_estimate(sys, th12, 0, 0, 100.0)
+        ness_estimate(sys, th12, 0, 1, 100.0)
+        oracle_flux(sys, th12, 100.0)
+        assert len(solves) == 2
+        assert products == [(129, 21)]
+
+
+# (lam, nu, (beta_l, beta_r), M): the cases of ROADMAP item 9 with M <= 600,
+# the (0.05, 1) and (2, 0) rows moved to M = 600; window [-8, 8]
+MIRROR_CASES = [
+    (0.5, 0, (1.0, 2.0), 400),
+    (-0.3, 2, (0.5, 3.0), 400),
+    (0.0, 0, (1.0, 2.0), 400),
+    (0.2, 0, (1.0, 2.0), 600),
+    (0.05, 1, (1.0, 2.0), 600),
+    (2.0, 0, (0.1, 50.0), 600),
+]
+
+
+class TestMirrorSum:
+    """``S(x, y) + S(-x, -y)`` of the closed form against two Gibbs states of the window.
+
+    The reflection-even half of the steady state is static
+    (``docs/decisions.md``, "The mirror sum"): the band part of
+    ``f_l(h) + f_r(h)``, plus twice the bound state's weight, which is
+    ``<b, S_0 b>`` in the decoupled initial state.  The right side reads
+    the window's parity solves, its odd block's derived half included,
+    and no quadrature.
+    """
+
+    @pytest.mark.parametrize("lam, nu, betas, m", MIRROR_CASES)
+    def test_reflection_even_half(self, lam, nu, betas, m):
+        # measured 0.8e-15 to 4.1e-15
+        params, th, w_half = ModelParams(lam, nu), ThermalConfig(*betas), 8
+        sys = build_truncation(m, params)
+        solve = sys.factorization(OperatorKind.MAGNETIC)
+        energies = solve.energies
+        # the window's sites in the modes of the field Hamiltonian
+        amps = solve.to_modes(oracle._site_vectors(sys, range(-w_half, w_half + 1)))
+        bound = np.abs(energies) > 1.0 + 1e-9
+        assert np.count_nonzero(bound) == (lam != 0.0)
+        occupation = planck_density(th.beta_l, energies) + planck_density(th.beta_r, energies)
+        band = amps[~bound]
+        static = band.T @ (occupation[~bound, None] * band)
+        if lam != 0.0:
+            vec = solve.from_modes(bound[:, None].astype(float))[:, 0]
+            weight = vec @ (initial_two_point(sys, th) @ vec)
+            static += 2.0 * weight * np.outer(amps[bound], amps[bound])
+        s = correlation_block(params, th, -w_half, w_half).matrix
+        assert np.max(np.abs(s + s[::-1, ::-1] - static)) < 1e-13
 
 
 class TestBoundData:
