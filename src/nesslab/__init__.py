@@ -11,7 +11,6 @@ from .exceptions import (
     InvalidInterval,
     NoBoundState,
     NonConvergence,
-    ResourceLimit,
     TimeHorizonExceeded,
     UndefinedAtOrigin,
     WindowTooLarge,
@@ -88,7 +87,6 @@ __all__ = [
     "OperatorKind",
     "QuadratureResult",
     "QuadratureSpec",
-    "ResourceLimit",
     "ThermalConfig",
     "TimeHorizonExceeded",
     "TruncatedSystem",

@@ -21,15 +21,16 @@ an exponent form, is read as a flag unless given in the equals form,
 
 Exit codes: 0 success, 2 invalid configuration (including argument errors
 and an output path that cannot be opened), 3 numerical failure
-(non-convergence, internal cross-checks, resource caps), 4 oracle
-verification ran and failed.  Failures other than argument errors print a
-one-line JSON error record to stderr.
+(non-convergence, internal cross-checks), 4 oracle verification ran and
+failed.  Failures other than argument errors print a one-line JSON error
+record to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -125,22 +126,14 @@ def _cmd_flux(ns: argparse.Namespace):
     return report.to_dict(), cols, [row]
 
 
-def _cmd_flux_scan(ns: argparse.Namespace):
+def _cmd_sweep(fields: tuple[str, ...], ns: argparse.Namespace):
+    """The ``FluxReport`` ``fields`` at each field strength of the sweep, a column each."""
     th = ThermalConfig(ns.beta_l, ns.beta_r)
     rows = []
     for lam in ns.lam:
         report = flux_report(ModelParams(lam, ns.nu), th)
-        rows.append((lam, report.J, report.sigma))
-    return _columns(["lambda", "J", "sigma"], rows)
-
-
-def _cmd_dflux(ns: argparse.Namespace):
-    th = ThermalConfig(ns.beta_l, ns.beta_r)
-    rows = []
-    for lam in ns.lam:
-        report = flux_report(ModelParams(lam, ns.nu), th)
-        rows.append((lam, report.J_prime, report.J_second))
-    return _columns(["lambda", "J_prime", "J_second"], rows)
+        rows.append((lam, *(getattr(report, f) for f in fields)))
+    return _columns(["lambda", *fields], rows)
 
 
 def _cmd_ness_matrix(ns: argparse.Namespace):
@@ -242,9 +235,11 @@ _COMMANDS = {
                    "transmission suppression profile over the band"),
     "flux": (_cmd_flux, _POINT, {},
              "flux observables at one operating point"),
-    "flux-scan": (_cmd_flux_scan, _POINT, {"lam": _DEFAULT_SWEEP},
+    "flux-scan": (functools.partial(_cmd_sweep, ("J", "sigma")), _POINT,
+                  {"lam": _DEFAULT_SWEEP},
                   "flux and entropy production over a field sweep"),
-    "dflux": (_cmd_dflux, _POINT, {"lam": _DEFAULT_SWEEP},
+    "dflux": (functools.partial(_cmd_sweep, ("J_prime", "J_second")), _POINT,
+              {"lam": _DEFAULT_SWEEP},
               "first and second flux derivatives over a field sweep"),
     "ness-matrix": (_cmd_ness_matrix, (*_POINT, "window"), {},
                     "steady-state correlation window"),

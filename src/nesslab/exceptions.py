@@ -1,7 +1,7 @@
 """Error types shared across the package.
 
 ValueError subclasses mark requests the caller could have known were bad
-(domains, windows, resources); RuntimeError subclasses mark numerical
+(domains, windows, time horizons); RuntimeError subclasses mark numerical
 trouble discovered while computing.
 """
 
@@ -28,10 +28,6 @@ class UndefinedAtOrigin(ValueError):
 
 class TimeHorizonExceeded(ValueError):
     """Evolution time long enough for boundary reflections to reach the probe sites."""
-
-
-class ResourceLimit(RuntimeError):
-    """Dense truncation would exceed the configured memory budget."""
 
 
 class NonConvergence(RuntimeError):

@@ -49,20 +49,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import (
-    ConsistencyError,
-    DomainError,
-    ResourceLimit,
-    TimeHorizonExceeded,
-)
+from .exceptions import ConsistencyError, DomainError, TimeHorizonExceeded
 from .model import ModelParams, OperatorKind, ThermalConfig, operator_stencil, planck_density
 
-# half-width caps: below 10 the guard window is empty, above 5000 the
-# eigenvectors pass 0.45 GiB, most of them the field and free even blocks
-# (about n^2 / 4 floats each), and the window stops being a sane oracle
+# half-width caps: below 10 the guard window is empty, and the cap of 5000
+# bounds memory.  At M = 5000 and lam = 0.4, after the verify sequence on
+# the longest late-time grid, a window holds 0.65 GiB at nu = 0 and 0.77
+# and 0.79 GiB at nu = 1 and 100: 0.47 GiB of eigenvectors, most of them
+# the field and free even blocks (about n^2 / 4 floats each), and the
+# store's phases and first frames.  Beyond it the window stops being a
+# sane oracle
 _MIN_HALF_WIDTH = 10
 _MAX_HALF_WIDTH = 5000
-_DEFAULT_MEMORY_CAP = 2 << 30
 
 # an eigenvalue this far beyond the band edge marks the bound state
 _BAND_EDGE_TOL = 1e-9
@@ -200,13 +198,6 @@ def _split_eigh(diag: np.ndarray, off: np.ndarray) -> Eigenpairs | Split:
     return Eigenpairs(*eigh_tridiagonal(diag, off))
 
 
-def _solve_floats(diag: np.ndarray, off: np.ndarray) -> int:
-    """Floats ``_split_eigh(diag, off)`` holds: ``k (k + 1)`` per block of ``k`` it solves whole."""
-    if diag.size > 1 and _is_symmetric(diag, off):
-        return sum(_solve_floats(d, e) for d, e in _parity_split(diag, off))
-    return diag.size * (diag.size + 1)
-
-
 def _propagate(solve: Eigenpairs | Split, psi: np.ndarray, times) -> np.ndarray:
     """``exp(i h t) psi`` for site vectors ``psi`` (n, k), ``solve`` the factorization of ``h``.
 
@@ -234,8 +225,8 @@ class TruncatedSystem:
     matrices share is solved once and every reader holds the same arrays.
     The latest initial state is cached with its temperature pair, and the
     latest late-time grid in one ``_GridStore``: its ``t_star``, the phases
-    ``exp(i w t)`` of each parity block on it, and the ``SiteParts`` of the
-    latest estimate's two sites.  The parts do not depend on the
+    ``exp(i w t)`` of each parity block on it, and the first-coordinate
+    frames of the blocks that step.  The frames do not depend on the
     temperatures: a state at any temperatures holds the same reservoir
     solve.
     """
@@ -308,60 +299,18 @@ class TruncatedSystem:
         return float(evals[0]), _unfold(np.hstack([v_lo, v_hi])[:, 0], np.zeros(self.M))
 
 
-def build_truncation(
-    M: int,
-    params: ModelParams,
-    max_bytes: int = _DEFAULT_MEMORY_CAP,
-) -> TruncatedSystem:
-    """Read the three Jacobi matrices of the window off the stencil.
-
-    Raises ResourceLimit when the dense storage the window may come to hold
-    exceeds ``max_bytes``: its matrices and solves, one initial state, and
-    on the longest late-time grid of ``nt`` times the phases of both parity
-    blocks, ``16 n nt`` bytes together, and the first-coordinate frames of
-    the blocks that step, ``16 (M + 1) nt`` bytes for the even block and,
-    beside a sample, ``16 M nt`` for the odd one.
-    """
+def build_truncation(M: int, params: ModelParams) -> TruncatedSystem:
+    """Read the three Jacobi matrices of the window off the stencil."""
     M = int(M)
     if not _MIN_HALF_WIDTH <= M <= _MAX_HALF_WIDTH:
         raise ValueError(
             f"half-width {M} outside [{_MIN_HALF_WIDTH}, {_MAX_HALF_WIDTH}]"
         )
-    n = 2 * M + 1
     x = np.arange(-M, M + 1)
     hams = {
         kind: (operator_stencil(kind, params, x, x), operator_stencil(kind, params, x[:-1], x[1:]))
         for kind in OperatorKind
     }
-    # float64 held at most, each array once: three kinds of 2n - 1 entries,
-    # and each distinct block the store solves, k (k + 1) per block of k it
-    # solves whole: the field and free kinds' even blocks of M + 1
-    # coordinates, their one odd block of M (a free chain) and the reservoir
-    # of M - nu sites (at nu = 0 that same chain).  No library path solves
-    # the decoupled kind, so its blocks are not counted.  The initial state
-    # holds the store's reservoir solve and adds Planck weights at two
-    # temperatures.  Then the phases of both parity blocks, n complex rows
-    # in all, and the first-coordinate frames, M + 1 rows for the even block
-    # and M for the odd one when it steps (nu > 0), on the longest late-time
-    # grid the horizon allows (nt is at most 0.16 M + 1); none when no
-    # t_star fits
-    n_res = max(M - params.nu, 0)
-    diag, off = hams[OperatorKind.DECOUPLED]
-    reservoir = [(diag[:n_res], off[: n_res - 1])] if n_res else []
-    solved_kinds = (OperatorKind.MAGNETIC, OperatorKind.XY)
-    blocks = [block for kind in solved_kinds for block in _parity_split(*hams[kind])]
-    distinct = {(d.tobytes(), e.tobytes()): (d, e) for d, e in blocks + reservoir}
-    solved = sum(_solve_floats(*block) for block in distinct.values())
-    floats = 3 * (2 * n - 1) + solved + 2 * n_res
-    t_max = _REFLECTION_MARGIN * (M - params.nu - 2)
-    nt = _late_grid_size(t_max) if t_max >= _MIN_T_STAR else 0
-    rows = n + M + 1 + (M if params.nu else 0)
-    estimate = 8 * floats + 16 * rows * nt
-    if estimate > max_bytes:
-        raise ResourceLimit(
-            f"window of {n} sites needs about {estimate / 2**30:.1f} GiB "
-            f"of dense storage, above the {max_bytes / 2**30:.1f} GiB cap"
-        )
     return TruncatedSystem(M=M, params=params, hamiltonians=hams)
 
 
@@ -474,7 +423,7 @@ def initial_two_point(sys: TruncatedSystem, th: ThermalConfig) -> DecoupledState
     state = DecoupledState(
         n, modes, planck_density(th.beta_l, energies), planck_density(th.beta_r, energies)
     )
-    # the memory budget of build_truncation holds one state
+    # one state held at a time: a new temperature pair replaces it
     sys._state_cache.clear()
     sys._state_cache[key] = state
     return state
@@ -751,18 +700,14 @@ def evolve_with_state(
     return EvolutionTrace(times, values)
 
 
-def _late_grid_size(t_star: float) -> int:
-    return int(round(0.2 * t_star)) + 1
-
-
 def _late_means(
     sys: TruncatedSystem, th: ThermalConfig, x: int, y: int, t_star: float
 ) -> tuple[complex, complex]:
     """Means of ``pair_overlaps`` of ``(x, y)`` over ``[0.8 t_star, t_star]``.
 
     Both temperature orderings, on a roughly unit-spaced grid.  The
-    window's store is kept while ``t_star`` is unchanged, so the parts and
-    phases of the previous call on this grid are reused; another ``t_star``
+    window's store is kept while ``t_star`` is unchanged, so the frames and
+    phases of the previous calls on this grid are reused; another ``t_star``
     replaces it.
     """
     t_star = float(t_star)
@@ -771,7 +716,7 @@ def _late_means(
     # before the grid: its size grows with t_star
     _check_horizon(sys, x, y, t_star)
     _check_quarter(sys, x, y)
-    times = np.linspace(0.8 * t_star, t_star, _late_grid_size(t_star))
+    times = np.linspace(0.8 * t_star, t_star, int(round(0.2 * t_star)) + 1)
     state = initial_two_point(sys, th)
     if sys._grid_store is None or sys._grid_store.t_star != t_star:
         sys._grid_store = _GridStore(t_star, {}, {})
