@@ -17,8 +17,9 @@ of two sites' parts (``SiteParts``): no dense state is formed.  The
 late-time estimates keep the first-coordinate frames on the window for
 the next call on the same grid.  Large-time averages of these finite
 evolutions are the yardstick the analytic formulas are tested against.
-``scipy.linalg`` is imported by the functions that solve, so importing the
-package loads no scipy.
+``scipy.linalg`` is imported by the functions that solve and multiply,
+so importing the package loads no scipy: the products run on the BLAS
+that the eigensolves load (``_real_apply``), and numpy's is left idle.
 
 Every Jacobi matrix here (the window's three, and each reservoir block) is
 symmetric under reflection about its centre.  In the parity coordinates
@@ -76,18 +77,34 @@ _SQRT_HALF = np.sqrt(0.5)
 _Pair = tuple[np.ndarray, np.ndarray]
 
 
-def _real_apply(mat, z: np.ndarray) -> np.ndarray:
-    """``mat @ z`` along the first axis of ``z``, for a real ``mat``.
+def _real_apply(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``mat @ z`` along the first axis of ``z``, for a real ``mat`` ``(r, n)``.
 
-    A complex ``z`` is multiplied as real columns, its real and imaginary
-    parts interleaved, so the matrix is not upcast and one real product
-    does it.
+    One ``dgemm`` of ``scipy.linalg.blas`` forms it: the BLAS that the
+    eigensolves load, so the oracle runs on one BLAS and its thread pool
+    alone.  A complex ``z`` is multiplied as real columns, its real and
+    imaginary parts interleaved, so the matrix is not upcast and one real
+    product does it.  The product is formed transposed, ``z^T mat^T``, each
+    operand passed in a layout ``dgemm`` reads in place (a C-ordered array
+    as its transpose, an F-ordered one as stored and transposed by the
+    flag), and its F-ordered result transposes to the C-ordered ``mat @ z``
+    whose columns view as complex.  Empty operands are left to numpy.
     """
-    if not np.iscomplexobj(z):
-        return mat @ z
-    z = np.ascontiguousarray(z, dtype=complex)
-    cols = z.reshape(len(z), -1).view(float)
-    return (mat @ cols).view(complex).reshape(-1, *z.shape[1:])
+    from scipy.linalg.blas import dgemm
+
+    if mat.size == 0 or np.size(z) == 0:
+        return np.tensordot(mat, z, axes=1)
+    if np.iscomplexobj(z):
+        z = np.ascontiguousarray(z, dtype=complex)
+        cols = z.reshape(len(z), -1).view(float)
+    else:
+        z = np.asarray(z, dtype=float)
+        cols = z.reshape(len(z), -1)
+    a, b = (x.T if x.flags.c_contiguous else x for x in (cols, mat))
+    product = dgemm(1.0, a, b, trans_a=a is cols, trans_b=b is mat).T
+    if np.iscomplexobj(z):
+        product = product.view(complex)
+    return product.reshape(len(mat), *z.shape[1:])
 
 
 def _is_symmetric(diag: np.ndarray, off: np.ndarray) -> bool:
@@ -228,7 +245,8 @@ class TruncatedSystem:
     ``exp(i w t)`` of each parity block on it, and the first-coordinate
     frames of the blocks that step.  The frames do not depend on the
     temperatures: a state at any temperatures holds the same reservoir
-    solve.
+    solve, and what stepping a parity block reads of the window alone, its
+    ``_Stepping``, is kept whatever the grid and the temperatures.
     """
 
     M: int
@@ -237,6 +255,7 @@ class TruncatedSystem:
     _solves: dict[tuple[bytes, bytes], Eigenpairs | Split] = field(default_factory=dict)
     _state_cache: dict[tuple[float, float], DecoupledState] = field(default_factory=dict)
     _grid_store: _GridStore | None = None
+    _steppings: dict[int, _Stepping] = field(default_factory=dict)
 
     @property
     def n_sites(self) -> int:
@@ -377,15 +396,11 @@ class DecoupledState(NamedTuple):
         count over two.
         """
         sample = np.einsum("it,it->t", fx.sample.conj(), fy.sample)
+        weights = np.stack([self.left, self.right])
         # one reservoir's products held at a time: each is as large as a part
-        right = (fx.even + fx.odd).conj() * (fy.even + fy.odd)
-        right_l, right_r = self.left @ right, self.right @ right
-        del right
-        left = (fx.even - fx.odd).conj() * (fy.even - fy.odd)
-        return (
-            0.5 * (sample + self.left @ left + right_r),
-            0.5 * (sample + self.right @ left + right_l),
-        )
+        right_l, right_r = _real_apply(weights, (fx.even + fx.odd).conj() * (fy.even + fy.odd))
+        left_l, left_r = _real_apply(weights, (fx.even - fx.odd).conj() * (fy.even - fy.odd))
+        return 0.5 * (sample + left_l + right_r), 0.5 * (sample + left_r + right_l)
 
 
 def initial_two_point(sys: TruncatedSystem, th: ThermalConfig) -> DecoupledState:
@@ -536,15 +551,51 @@ def _site_parts(
     return _parts(sys, *frames)
 
 
+class _Stepping(NamedTuple):
+    """What stepping one parity block of the field Hamiltonian reads of the window alone.
+
+    ``pair`` is the block's ``(diag, off)`` and ``k`` its sample
+    coordinates.  ``outside`` indexes its out-of-band modes, ``vectors``
+    holds them in block coordinates ``(m, n_b)`` and ``carry`` in
+    ``_evolve`` rows.  ``energies`` and ``contact`` are the reservoir's
+    energies ``w`` and the modes ``u`` of its first site.
+    """
+
+    pair: _Pair
+    k: int
+    outside: np.ndarray
+    vectors: np.ndarray
+    carry: np.ndarray
+    energies: np.ndarray
+    contact: np.ndarray
+
+
+def _stepping(sys: TruncatedSystem, state: DecoupledState, solve: Split, parity: int) -> _Stepping:
+    """The window's ``_Stepping`` of block ``parity``, formed on first use and kept.
+
+    ``solve`` is the field Hamiltonian's ``factorization``; ``state`` holds
+    the window's reservoir solve, whatever its temperatures.
+    """
+    held = sys._steppings.get(parity)
+    if held is not None:
+        return held
+    pair = _parity_split(*sys.hamiltonians[OperatorKind.MAGNETIC])[parity]
+    block, modes = solve[parity], state.modes
+    m, w = len(pair[0]), modes.energies
+    k = m - len(w)
+    outside = np.flatnonzero(np.abs(block.energies) > 1.0 + _BAND_EDGE_TOL)
+    vectors = np.zeros((m, outside.size))
+    vectors[outside, np.arange(outside.size)] = 1.0
+    vectors = block.from_modes(vectors)
+    carry = vectors.copy()
+    carry[k:] = modes.to_modes(vectors[k:])
+    contact = modes.to_modes(np.eye(len(w), 1))[:, 0]
+    held = sys._steppings[parity] = _Stepping(pair, k, outside, vectors, carry, w, contact)
+    return held
+
+
 def _recur(
-    pair: _Pair,
-    k: int,
-    modes: Eigenpairs | Split,
-    first: np.ndarray,
-    steps: int,
-    carry: np.ndarray,
-    carried: np.ndarray,
-    scale: float,
+    stepping: _Stepping, first: np.ndarray, steps: int, carried: np.ndarray, scale: float
 ) -> np.ndarray:
     """``scale`` times the frame of block coordinate ``steps``, stepped from coordinate 0's.
 
@@ -558,8 +609,8 @@ def _recur(
 
     ``T_k`` being the block's rows on the sample, ``delta = e_{k-1}`` the
     contact hop, ``w`` the reservoir energies and ``u`` the modes of the
-    reservoir's first site.  On ``R``
-    that is diagonal plus rank one, so ``R_j = p_j(w) R_0 + G_j H``: ``p_j``
+    reservoir's first site, all read off ``stepping``.  On ``R`` that is
+    diagonal plus rank one, so ``R_j = p_j(w) R_0 + G_j H``: ``p_j``
     follows the recurrence itself, and each step appends to the time rows
     ``H`` the contact row ``S_{j, k-1}`` and the coefficients of the
     carried modes.  These, the orthonormal columns of ``carry`` (the
@@ -568,9 +619,8 @@ def _recur(
     step, rounding included; ``carry @ carried`` is added back at the end.
     A step reads ``R_0`` once, and the frame is formed in three passes.
     """
-    d, e = pair
-    w = modes.energies
-    u = modes.to_modes(np.eye(len(w), 1))[:, 0]
+    (d, e), k, carry = stepping.pair, stepping.k, stepping.carry
+    w, u = stepping.energies, stepping.contact
     sample, amplitudes = first[:k], first[k:]
     block = np.diag(d[:k]) + np.diag(e[: k - 1], 1) + np.diag(e[: k - 1], -1)
     rows = np.empty((0, first.shape[1]), complex)
@@ -580,7 +630,7 @@ def _recur(
         (s, p, g), (s_back, p_back, g_back) = cur, prev
         back = e[j - 1] if j else 0.0
         p_next = ((w - d[j]) * p - back * p_back) / e[j]
-        reads = np.column_stack([u * p, carry[k:] * p_next[:, None]]).T @ amplitudes
+        reads = _real_apply(np.column_stack([u * p, carry[k:] * p_next[:, None]]).T, amplitudes)
         contact = reads[0] + (u @ g) @ rows  # u . R_j
         s_next = block @ s - d[j] * s - back * s_back
         s_next[k - 1] += e[k - 1] * contact
@@ -601,7 +651,7 @@ def _recur(
     frame = np.empty_like(first)
     frame[:k] = scale * (s + carry[:k] @ carried)
     np.multiply((scale * p)[:, None], amplitudes, out=frame[k:])
-    frame[k:] += (scale * np.hstack([g, carry[k:]])) @ np.vstack([rows, carried])
+    frame[k:] += _real_apply(scale * np.hstack([g, carry[k:]]), np.vstack([rows, carried]))
     return frame
 
 
@@ -626,21 +676,14 @@ def _stepped(
     the frame's rows.  Beyond the sample the block is the reservoir chain,
     which the recurrence reads through the reservoir's solve.
     """
-    pair = _parity_split(*sys.hamiltonians[OperatorKind.MAGNETIC])[parity]
-    block = solve[parity]
-    m = len(pair[0])
-    outside = np.flatnonzero(np.abs(block.energies) > 1.0 + _BAND_EDGE_TOL)
-    vectors = np.zeros((m, outside.size))
-    vectors[outside, np.arange(outside.size)] = 1.0
-    vectors = block.from_modes(vectors)  # (m, n_b) block coordinates
+    stepping = _stepping(sys, state, solve, parity)
+    outside = stepping.outside
     if parity not in store.frames:
-        first = np.eye(m, 1)
+        first = np.eye(len(stepping.pair[0]), 1)
+        block = solve[parity]
         store.frames[parity] = _evolve(block, parity, state, first, times, store.phases, outside)
-    k = m - len(state.left)
-    carry = vectors.copy()
-    carry[k:] = state.modes.to_modes(vectors[k:])
-    carried = vectors[j][:, None] * store.phases[parity][outside]
-    return _recur(pair, k, state.modes, store.frames[parity], j, carry, carried, scale)
+    carried = stepping.vectors[j][:, None] * store.phases[parity][outside]
+    return _recur(stepping, store.frames[parity], j, carried, scale)
 
 
 def _stepped_parts(

@@ -450,7 +450,7 @@ class TestOutputDiscipline:
 class TestImportCost:
     def test_closed_forms_load_no_scipy(self):
         # scipy.integrate alone costs ~0.6 s of every start; only the
-        # oracle's eigensolves load scipy, on first use
+        # oracle loads scipy, on first use
         script = """
 import math
 import sys
