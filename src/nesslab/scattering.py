@@ -13,7 +13,8 @@ The band overlap of sites ``(x, y)`` is a sum of Fourier moments over
 the field's breaking of translation invariance, which vanishes at zero
 field.  ``band_moments`` samples the moments' kernels, each bounded at
 every finite field, and the bound-state kernel on one graded
-Gauss-Kronrod mesh, and certifies them together.  ``BandMoments.overlap``
+Gauss-Kronrod mesh of ``[0, pi/2]``, each node standing for itself and
+its mirror ``pi - t``, and certifies them together.  ``BandMoments.overlap``
 sums the moments into the two parts' tables, and ``bound_weight`` adds
 the closed-form rest of the bound-state weight, so a window is one
 certified sampling.
@@ -155,27 +156,29 @@ class BandMoments:
         return (toeplitz[q, d] + hankel[q, s]) / (2.0 * _PI)
 
 
-def _moment_mesh(lam: float, beta_r: float, m_top: int) -> np.ndarray:
-    """Panel edges on ``[0, pi]`` for band moments up to frequency ``m_top``.
+def _moment_mesh(lam: float, beta_r: float, m_top: int, floor: float) -> np.ndarray:
+    """Panel edges on ``[0, pi/2]`` for band moments up to frequency ``m_top``.
 
     ``graded_mesh`` from ``asinh|lam|``, where the field kernels and the
     bound-state kernels both have their poles, ``+-i asinh|lam|`` off
-    ``t = 0`` and ``t = pi``, in panels no longer than
-    ``min(pi/16, 4/m_top)`` for the oscillation, so all requests up to
-    frequency 20 share one mesh.
+    ``t = 0`` and ``t = pi``, which the half band folds onto ``t = 0``,
+    but no deeper than ``floor`` of ``_moment_floor``; in panels no longer
+    than ``min(pi/16, 4/m_top)`` for the oscillation, so all requests up
+    to frequency 20 share one mesh.
     """
-    return graded_mesh(math.asinh(abs(lam)), beta_r, _PI, 4.0 / max(m_top, 1))
+    depth = max(math.asinh(abs(lam)), 8.0 * floor)
+    return graded_mesh(depth, beta_r, 0.5 * _PI, 4.0 / max(m_top, 1))
 
 
 def _moment_weights(lam: float, m: np.ndarray) -> np.ndarray:
     """How each moment of ``_moment_integrands`` enters a matrix element, ``(G, M)``.
 
-    One plane moment per reservoir, two cross moments and three scattered
-    moments, each at ``1/2pi``; the bound-state integral, at frequency 0
-    alone, at ``(2/pi) |lam| / sqrt(1 + lam^2)``, its factor in
-    ``bound_weight`` at ``nu = 0``, which bounds it at every ``nu``.
+    At either half, one plane moment per reservoir, two cross moments and
+    three scattered moments, each at ``1/2pi``; the bound-state integral,
+    at frequency 0 alone, at ``(2/pi) |lam| / sqrt(1 + lam^2)``, its factor
+    in ``bound_weight`` at ``nu = 0``, which bounds it at every ``nu``.
     """
-    band = np.repeat(np.array([1.0, 2.0, 3.0]) / (2.0 * _PI), 2)[:, None] * np.ones(m.size)
+    band = np.tile(np.repeat(np.array([1.0, 2.0, 3.0]) / (2.0 * _PI), 2), 2)[:, None] * np.ones(m.size)
     if lam == 0.0:
         return band
     bound = np.zeros((1, m.size))
@@ -183,8 +186,36 @@ def _moment_weights(lam: float, m: np.ndarray) -> np.ndarray:
     return np.concatenate([band, bound])
 
 
+# largest magnitudes of the band kernels of _moment_integrands at every
+# field: plane, cross and scattered, per reservoir, at t and at pi - t
+_BAND_BOUNDS = np.tile(np.repeat([1.0, 0.5, 1.0], 2), 2)
+# share of abs_tol that the end panel below the grading floor may hold
+_END_SHARE = 1e-11
+
+
+def _moment_floor(lam: float, betas: np.ndarray, weights: np.ndarray, abs_tol: float) -> float:
+    """Where the grading of ``_moment_mesh`` stops toward ``t = 0``, or 0 if it need not.
+
+    Every kernel of ``_moment_integrands`` is bounded at every finite
+    field: ``|plane| <= 1``, ``|cross| <= 1/2`` and ``|scattered| <= 1`` at
+    either half, and the folded bound-state row by
+    ``(beta_l + beta_r)/2``, because ``rho(cos t) + rho(-cos t) = 1``.  So
+    on the end panel ``[0, F]`` the integral of kernel ``g`` and its
+    Kronrod sum, weighted by ``w_g``, differ by at most ``2 F w_g B_g``,
+    whatever its near-pole does inside.  ``F`` is where that bound, summed
+    over the kernels, is ``_END_SHARE`` of ``abs_tol``.  A field whose own
+    grading, from ``asinh|lam| / 8``, stops above ``F`` returns 0, and so
+    does zero field, which has no near-pole.
+    """
+    if lam == 0.0:
+        return 0.0
+    bounds = np.append(_BAND_BOUNDS, 0.5 * betas.sum())
+    floor = _END_SHARE * abs_tol / (2.0 * float(weights[:, 0] @ bounds))
+    return floor if 8.0 * floor > math.asinh(abs(lam)) else 0.0
+
+
 def _bound_kernels(lam: float, betas: np.ndarray, t: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """The bound-state kernel at nodes ``t``, both reservoirs' summed, shape ``(1, N)``.
+    """The bound-state kernel at nodes ``t`` and ``pi - t``, all summed, shape ``(1, N)``.
 
     Reservoir overlaps via the half-line sine transform: the eigenvector
     tail on sites >= nu+1 transforms to (e^{-alpha nu}/nu_norm) S(q, k),
@@ -198,26 +229,25 @@ def _bound_kernels(lam: float, betas: np.ndarray, t: np.ndarray, rho: np.ndarray
       rho(cos k) - rho(1) = rho(cos k) rho(-1) (1 - exp(-x)),  x = 2 beta v^2,
       S^2 = r w^2 c^2 / (gap^2 + c^2)^2,  c = 2 sqrt(r) v,
     with v, w = sin(k/2), cos(k/2); their product is the bounded kernel
-    below, in which only ratios of the small quantities enter.  At nodes
-    ``t`` it is sampled at ``k = t`` for ``lam > 0``, where ``rho`` is
-    ``rho(cos t)``, and at ``k = pi - t`` for ``lam < 0``, which swaps
-    ``v`` and ``w`` and reads ``rho(-cos t)``.  The weight reads the two
-    reservoirs' integrals only as their sum, so their thermal factors are
-    added node by node, times the one ``w^2 (c / hypot(gap, c))^4``, and
-    integrated once.
+    below, in which only ratios of the small quantities enter.  A node
+    ``t`` of the half band stands for ``k = t`` and ``k = pi - t``; the
+    second swaps ``v`` and ``w`` and reads ``rho(-cos t)``, which ``rho``,
+    shape ``(2, 2, N)`` by half and reservoir, holds.  The weight reads the
+    integral only as the sum over both reservoirs and both halves, so the
+    four thermal factors, each times its half's ``w^2 (c / hypot(gap, c))^4``,
+    are added node by node and integrated once.
     """
     alpha = math.asinh(abs(lam))
     r, gap = math.exp(-alpha), -math.expm1(-alpha)  # gap = 1 - r without cancellation
-    v, w = np.sin(0.5 * t), np.cos(0.5 * t)
+    v = np.stack([np.sin(0.5 * t), np.cos(0.5 * t)])  # at k = t, then at k = pi - t
+    w = v[::-1]
     betas = betas[:, None]
-    if lam < 0.0:
-        v, w, rho = w, v, planck_density(betas, -np.cos(t))
     c = (2.0 * math.sqrt(r)) * v
-    x = 2.0 * betas * v * v
+    x = 2.0 * betas * (v * v)[:, None]
     safe = np.where(x > 0.0, x, 1.0)
     expm1_ratio = np.where(x > 0.0, -np.expm1(-safe) / safe, 1.0)  # (1 - e^{-x})/x
     thermal = planck_density(betas, -1.0) * rho * (0.5 * betas) * expm1_ratio
-    return thermal.sum(axis=0, keepdims=True) * (w**2 * (c / np.hypot(gap, c)) ** 4)
+    return (thermal.sum(axis=1) * (w**2 * (c / np.hypot(gap, c)) ** 4)).sum(axis=0, keepdims=True)
 
 
 def _frequency_basis(m: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -271,25 +301,32 @@ def _frequency_basis(m: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _moment_integrands(
     lam: float, betas: np.ndarray, m: np.ndarray, t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The band-moment and bound-state kernels and the frequency basis at nodes ``t``.
+    """The band-moment and bound-state kernels at nodes ``t`` and ``pi - t``, and the basis at ``t``.
 
-    The kernels are real, shape ``(7, N)``: the plane, cross and scattered
-    kernels of ``BandMoments``, each for ``beta_l`` then ``beta_r``, then
-    the bound-state kernel of ``_bound_kernels``, left out at zero field.
-    The basis is ``_frequency_basis``, shape ``(M, N)``, mostly built by
+    A node ``t`` of ``[0, pi/2]`` stands for itself and its mirror
+    ``pi - t``, where ``cos`` changes sign, ``sin`` and so every field ratio
+    are unchanged, and ``e^{im(pi - t)} = (-1)^m conj e^{imt}``: one basis
+    serves both halves, and ``band_moments`` combines their sums.  The
+    kernels are real, shape ``(13, N)``: the plane, cross and scattered
+    kernels of ``BandMoments``, each for ``beta_l`` then ``beta_r``, at
+    ``t``, the same six at ``pi - t``, then the bound-state kernel of
+    ``_bound_kernels``, both halves folded, left out at zero field.  The
+    basis is ``_frequency_basis``, shape ``(M, N)``, mostly built by
     products.
     The field kernels are ``sign(lam) q e / r`` and ``e^2 / r`` in the
     ratios ``numerics.field_ratios(sin t, |lam|)``: no field is squared,
     so they stay finite from the smallest subnormal field to the largest
-    double.  Their near-poles at distance ~asinh|lam| off both endpoints
-    are resolved by the grading of ``_moment_mesh``.
+    double.  Their near-poles at distance ~asinh|lam| off ``t = 0`` are
+    resolved by the grading of ``_moment_mesh``.
     """
-    rho = planck_density(betas[:, None], np.cos(t))
+    cos = np.cos(t)
+    rho = planck_density(betas[:, None], np.stack([cos, -cos])[:, None])  # (half, reservoir, N)
     _, q, e, r = field_ratios(np.sin(t), abs(lam))
-    kernels = [rho, rho * (math.copysign(1.0, lam) * q * e / r), rho * (e * e / r)]
+    fields = np.stack([np.ones_like(t), math.copysign(1.0, lam) * q * e / r, e * e / r])
+    kernels = (rho[:, None] * fields[:, None]).reshape(-1, t.size)  # by half, family, reservoir
     if lam != 0.0:
-        kernels.append(_bound_kernels(lam, betas, t, rho))
-    return np.concatenate(kernels), _frequency_basis(m, t)
+        kernels = np.concatenate([kernels, _bound_kernels(lam, betas, t, rho)])
+    return kernels, _frequency_basis(m, t)
 
 
 def band_moments(
@@ -302,24 +339,42 @@ def band_moments(
 
     The moments are computed at frequency 0 and every ``|m|`` given;
     ``B(-m) = conj B(m)``.  The kernels and the frequency basis of
-    ``_moment_integrands`` are sampled once on the graded mesh of
-    ``_moment_mesh``, at every finite field alike, and
+    ``_moment_integrands`` are sampled once on the graded half-band mesh
+    of ``_moment_mesh``, at every finite field alike, and
     ``numerics.refine_panels`` contracts them panel by panel in one batched
-    product and certifies them, each family and reservoir a group weighted
-    by ``_moment_weights``.  The estimate, the Gauss gaps maximized over the
-    frequencies plus the summation roundoff (about 9e-16), bounds the error
-    of any matrix element; above ``spec.abs_tol`` the mesh is refined or
-    NonConvergence raised, as ``refine_panels`` says.
+    product and certifies them, each family, reservoir and half a group
+    weighted by ``_moment_weights``; a moment is then the near half's sum
+    plus ``(-1)^m`` times the conjugate of the far half's.  At frequency 0
+    both reservoirs get the mean of their two moments, which are equal, as
+    ``rho(cos t) + rho(-cos t) = 1``; so at a huge field, where the
+    scattered kernels are the plane ones, ``s(x, x)`` cancels to exactly
+    its bound-state part, whatever the temperatures.  The estimate,
+    the Gauss gaps maximized over the frequencies plus the summation
+    roundoff (about 9e-16), plus the end panel's bound where
+    ``_moment_floor`` stops the grading, bounds the error of any matrix
+    element; above ``spec.abs_tol`` the mesh is refined or NonConvergence
+    raised, as ``refine_panels`` says.
     """
     spec = spec if spec is not None else QuadratureSpec()
-    m = np.unique(np.abs(np.concatenate([[0], *(np.ravel(f) for f in frequencies)]))).astype(int)
+    read = [np.abs(np.ravel(f)) for f in frequencies]
+    seen = np.zeros(max((int(f.max()) for f in read if f.size), default=0) + 1, dtype=bool)
+    seen[0] = True
+    for f in read:
+        seen[f] = True
+    m = np.flatnonzero(seen)
     betas = np.array([th.beta_l, th.beta_r])
-    sample = partial(_moment_integrands, lam, betas, m)
-    edges = _moment_mesh(lam, th.beta_r, int(m[-1]))
     weights = _moment_weights(lam, m)
-    moments, error, _ = refine_panels(sample, edges, weights, spec, f"band moments at lam={lam!r}")
-    bound = float(moments[6, 0].real) if lam != 0.0 else None
-    return BandMoments(m, *moments[:6].reshape(3, 2, -1), bound, error)
+    floor = _moment_floor(lam, betas, weights, spec.abs_tol)
+    sample = partial(_moment_integrands, lam, betas, m)
+    edges = _moment_mesh(lam, th.beta_r, int(m[-1]), floor)
+    sums, error, _ = refine_panels(sample, edges, weights, spec, f"band moments at lam={lam!r}")
+    far, odd = sums[6:12].conj(), m % 2 == 1
+    far[:, odd] = -far[:, odd]
+    moments = (sums[:6] + far).reshape(3, 2, -1)
+    moments[:, :, 0] = 0.5 * moments[:, :, 0].sum(axis=1, keepdims=True)
+    bound = float(sums[12, 0].real) if lam != 0.0 else None
+    end = _END_SHARE * spec.abs_tol if floor else 0.0
+    return BandMoments(m, *moments, bound, error + end)
 
 
 def ac_overlap(

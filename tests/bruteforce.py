@@ -19,6 +19,7 @@ from operator import mul
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg.blas import dgemm, zgemm
 
 from nesslab.model import OperatorKind, operator_stencil, planck_density
 from nesslab.numerics import QuadratureSpec, graded_mesh, panel_rule, refine_panels
@@ -372,18 +373,20 @@ def _cos_sin(x: Decimal, tiny: Decimal) -> tuple[Decimal, Decimal]:
 
 
 def kronrod_sums_decimal(lam: float, betas, m, t, wk, digits: int = 30) -> list:
-    """Band-moment Kronrod sums on the nodes ``t`` with weights ``wk``, at ``digits`` digits.
+    """Band-moment Kronrod sums on the nodes ``t`` and ``pi - t`` with weights ``wk``, at ``digits`` digits.
 
-    ``sum_n wk[n] kernel(t[n]) e^{i m t[n]}`` for the plane, cross and
-    scattered kernels of ``scattering.BandMoments`` (rows as there: family
-    then reservoir), from their definitions, ``1 / (1 + e^{beta cos t})``,
-    ``lam sin t / (sin^2 t + lam^2)`` and ``lam^2 / (sin^2 t + lam^2)``,
-    with every node and weight the exact value of its double.  The weighted
-    kernels, cosine and sine (by their series) are evaluated in decimal
-    arithmetic ten digits beyond ``digits`` and rounded to integers in
-    units of ``2^-(4 digits)``; the frequencies are then powers of
-    ``e^{it}`` by recurrence in those units, and each sum over the nodes is
-    exact in integers.  Returns rows of ``(re, im)`` pairs of Decimals,
+    ``sum_n wk[n] (kernel(t[n]) e^{i m t[n]} + kernel(pi - t[n]) e^{i m (pi - t[n])})``
+    for the plane, cross and scattered kernels of ``scattering.BandMoments``
+    (rows as there: family then reservoir), from their definitions,
+    ``1 / (1 + e^{beta cos t})``, ``lam sin t / (sin^2 t + lam^2)`` and
+    ``lam^2 / (sin^2 t + lam^2)``, with every node and weight the exact
+    value of its double and ``pi - t[n]`` exact too: there ``cos`` changes
+    sign, ``sin`` does not, and ``e^{i m (pi - t)} = (-1)^m conj e^{imt}``.
+    The weighted kernels, cosine and sine (by their series) are evaluated
+    in decimal arithmetic ten digits beyond ``digits`` and rounded to
+    integers in units of ``2^-(4 digits)``; the frequencies are then powers
+    of ``e^{it}`` by recurrence in those units, and each sum over the nodes
+    is exact in integers.  Returns rows of ``(re, im)`` pairs of Decimals,
     shape ``(6, len(m))``.
     """
     m = [int(k) for k in m]
@@ -400,10 +403,13 @@ def kronrod_sums_decimal(lam: float, betas, m, t, wk, digits: int = 30) -> list:
         kernels, cos, sin = [], [], []
         for node, weight in zip(np.ravel(t).tolist(), np.ravel(wk).tolist()):
             c, s = _cos_sin(Decimal(node), tiny)
-            rho = [1 / (1 + (Decimal(beta) * c).exp()) for beta in betas]
             d = s * s + lam_d * lam_d
             field = (lam_d * s / d, lam_d * lam_d / d)
-            kernels.append([fixed(Decimal(weight) * r * f) for f in (1, *field) for r in rho])
+            row = []
+            for sign in (1, -1):  # at t, then at pi - t
+                rho = [1 / (1 + (Decimal(beta) * sign * c).exp()) for beta in betas]
+                row += [fixed(Decimal(weight) * r * f) for f in (1, *field) for r in rho]
+            kernels.append(row)
             cos.append(fixed(c))
             sin.append(fixed(s))
         rows = list(zip(*kernels))
@@ -411,7 +417,9 @@ def kronrod_sums_decimal(lam: float, betas, m, t, wk, digits: int = 30) -> list:
         sums = {}
         for k in range(max(m) + 1):
             if k in m:
-                sums[k] = [(sum(map(mul, row, re)), sum(map(mul, row, im))) for row in rows]
+                half = [(sum(map(mul, row, re)), sum(map(mul, row, im))) for row in rows]
+                sign = -1 if k % 2 else 1
+                sums[k] = [(a + sign * c, b - sign * d) for (a, b), (c, d) in zip(half[:6], half[6:])]
             re, im = (
                 [(a * c - b * s) >> bits for a, b, c, s in zip(re, im, cos, sin)],
                 [(a * s + b * c) >> bits for a, b, c, s in zip(re, im, cos, sin)],
@@ -449,6 +457,19 @@ def dense_hamiltonians(M: int, params) -> dict:
     return hams
 
 
+def _product(a, b):
+    """``a @ b`` of two real or two complex matrices by scipy's ``dgemm`` or ``zgemm``.
+
+    The OpenBLAS the oracle's eigensolves and products load, so a twin
+    never wakes numpy's second thread pool beside it.  A C-ordered operand
+    is passed as its transpose with the transpose flag, which ``gemm``
+    reads in place.
+    """
+    gemm = zgemm if np.iscomplexobj(a) else dgemm
+    (a, ta), (b, tb) = ((x, 0) if x.flags.f_contiguous else (x.T, 1) for x in (a, b))
+    return gemm(1.0, a, b, trans_a=ta, trans_b=tb)
+
+
 def dense_initial_state(h_d, M: int, nu: int, beta_l: float, beta_r: float):
     """Decoupled initial two-point matrix, one dense eigensolve per block.
 
@@ -460,7 +481,7 @@ def dense_initial_state(h_d, M: int, nu: int, beta_l: float, beta_r: float):
     state = np.zeros((n, n))
     for block, beta in ((slice(0, n_res), beta_l), (slice(n - n_res, n), beta_r)):
         w, u = eigh(h_d[block, block])
-        state[block, block] = (u * fermi(beta, w)) @ u.T
+        state[block, block] = _product(u * fermi(beta, w), u.T)
     mid = slice(n_res, n - n_res)
     state[mid, mid] = 0.5 * np.eye(2 * nu + 1)
     return state
@@ -508,8 +529,9 @@ def unsplit_initial_state(sys, th):
 
 
 def _real_matmul(mat, z):
-    """``mat @ z`` for a real ``mat``, one real product per part of ``z``."""
-    return mat @ z.real + 1j * (mat @ z.imag)
+    """``mat @ z`` for a real ``mat`` and a complex ``z``, its parts as interleaved real columns."""
+    real = _product(mat, np.ascontiguousarray(z).view(float))
+    return np.ascontiguousarray(real).view(complex)
 
 
 def unsplit_evolve(sys, state, x, y, times, split=True):
@@ -559,6 +581,6 @@ def unsplit_wave_action(sys, x, t, k_grid):
         psi -= bound[1] * bound[1][x + sys.M]
     wm, um = unsplit_factorization(sys, OperatorKind.MAGNETIC)
     w0, u0 = unsplit_factorization(sys, OperatorKind.XY)
-    phi = um @ (np.exp(1j * t * wm) * (um.T @ psi))
-    chi = u0 @ (np.exp(-1j * t * w0) * (u0.T @ phi))
-    return np.exp(1j * np.outer(k_grid, np.arange(-sys.M, sys.M + 1))) @ chi
+    phi = _real_matmul(um, np.exp(1j * t * wm)[:, None] * _product(um.T, psi[:, None]))
+    chi = _real_matmul(u0, np.exp(-1j * t * w0)[:, None] * _real_matmul(u0.T, phi))
+    return _product(np.exp(1j * np.outer(k_grid, np.arange(-sys.M, sys.M + 1))), chi)[:, 0]

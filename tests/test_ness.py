@@ -210,6 +210,15 @@ class TestAgainstDirectOverlap:
             assert abs(value - overlap_direct(lam, 1.0, 2.0, x, y)) < 1e-13
         assert s_element(params, th12, 0, 0) == 0.5
 
+    @pytest.mark.parametrize("betas", [(0.5, 3.0), (2.0, 3.0), (3.0, 10.0), (1.0, 1.000000001)])
+    def test_huge_field_diagonal_at_any_temperatures(self, betas):
+        # the band part of s(0, 0) cancels exactly, because both reservoirs
+        # read one moment at frequency 0; summed per reservoir, it missed
+        # by an ulp at these temperatures
+        th = ThermalConfig(*betas)
+        for lam in (1e200, -1e250, 1.7e308):
+            assert s_element(ModelParams(lam), th, 0, 0) == 0.5
+
     def test_largest_field_below_overflow(self, th12):
         value = ac_overlap(ModelParams(7e153), th12, -5, 9)
         assert abs(value - overlap_direct(7e153, 1.0, 2.0, -5, 9)) < 1e-13

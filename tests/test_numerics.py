@@ -373,8 +373,8 @@ class TestScalarFamilySums:
         call = partial(scattering._pp_weight_cached.__wrapped__, ModelParams(lam), th12, QuadratureSpec())
         values, kernels, basis, wk = self.certify(monkeypatch, scattering, call)
         assert basis.shape == (1, wk.size) and np.all(basis == 1.0)
-        assert values.shape == (7, 1) and not np.any(values.imag)
-        self.assert_exact(values[6:, 0].real, kernels[6:], wk)
+        assert values.shape == (13, 1) and not np.any(values.imag)
+        self.assert_exact(values[12:, 0].real, kernels[12:], wk)
 
     @pytest.mark.parametrize("lam", FIELDS)
     def test_bound_rows_match_the_standalone_sampler(self, th12, lam):
@@ -448,7 +448,7 @@ class TestCancellingFamilySums:
         params = ModelParams(lam)
         call = partial(scattering._pp_weight_cached.__wrapped__, params, th12, QuadratureSpec())
         values, kernels, _, wk = TestScalarFamilySums.certify(monkeypatch, scattering, call)
-        self.assert_within_magnitude(values[6:, 0].real, kernels[6:], wk, numerics._ROUNDOFF)
+        self.assert_within_magnitude(values[12:, 0].real, kernels[12:], wk, numerics._ROUNDOFF)
 
 
 class TestPanelRule:

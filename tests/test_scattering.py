@@ -36,8 +36,16 @@ from bruteforce import (
 )
 
 # the fields of the benchmark's window pool, perfbench/refs/window.json
-WINDOW_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "window.json"
-WINDOW_FIELDS = [f["lam"] for f in json.loads(WINDOW_REFS.read_text())["fields"]]
+WINDOW_REFS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "window.json").read_text())
+WINDOW_FIELDS = [f["lam"] for f in WINDOW_REFS["fields"]]
+
+
+def window_tasks() -> list:
+    """``(field, half-width)`` of every window task, at the half-width the benchmark pins."""
+    decades = {}
+    for f in WINDOW_REFS["fields"]:
+        decades.setdefault(f["stratum"].rsplit(":", 1)[0], []).append(f)
+    return [(f, 2 + (d + k) % 7) for d, fields in enumerate(decades.values()) for k, f in enumerate(fields)]
 
 # 40-digit mpmath values of the weight at th = (1, 2), nu = 0, printed by
 # tests/reference_mp.py; adaptive quadrature missed every field from 1e-6
@@ -175,7 +183,7 @@ class TestBandMoments:
     def test_refines_a_coarse_mesh(self, th12, monkeypatch):
         lam = 0.05
         graded = band_moments(lam, th12, range(7))
-        monkeypatch.setattr(scattering, "_moment_mesh", lambda *args: np.array([0.0, math.pi]))
+        monkeypatch.setattr(scattering, "_moment_mesh", lambda *args: np.array([0.0, 0.5 * math.pi]))
         with pytest.raises(NonConvergence):
             band_moments(lam, th12, range(7), QuadratureSpec(max_subdivisions=3))
         refined = band_moments(lam, th12, range(7))
@@ -240,16 +248,26 @@ class TestToeplitzHankel:
         assert np.array_equal(m, m.conj().T)
 
 
+def first_mesh(lam: float, th: ThermalConfig, m: np.ndarray) -> np.ndarray:
+    """The half-band mesh ``band_moments`` starts from for frequencies ``m``."""
+    betas = np.array([th.beta_l, th.beta_r])
+    weights = scattering._moment_weights(lam, m)
+    floor = scattering._moment_floor(lam, betas, weights, QuadratureSpec().abs_tol)
+    return scattering._moment_mesh(lam, th.beta_r, int(m[-1]), floor)
+
+
 class TestFactoredMoments:
     """The kernel-times-basis product against its product-array twin and exact sums."""
 
     @pytest.mark.parametrize("lam", [*WINDOW_FIELDS, 5e-324, 1e300])
     def test_match_the_product_array_twin(self, th12, lam):
         # weighted as the estimate weighs them: each group's largest miss
-        # times its weight, summed over the groups
+        # times its weight, summed over the groups; the twin samples the
+        # whole band, on the half-band mesh and its mirror image
         m = np.arange(17)  # every frequency of a half-width-8 window
         mom = band_moments(lam, th12, m)
-        edges = scattering._moment_mesh(lam, th12.beta_r, int(m[-1]))
+        half = first_mesh(lam, th12, m)
+        edges = np.concatenate([half, math.pi - half[-2::-1]])
         twin = moment_products(lam, [th12.beta_l, th12.beta_r], m, edges)
         factored = np.stack([mom.plane, mom.cross, mom.scattered])
         miss = np.abs(factored - twin).max(axis=2).sum(axis=1)
@@ -257,29 +275,29 @@ class TestFactoredMoments:
 
     @pytest.mark.parametrize("lam, width", [(1e-4, 2), (1e-4, 8), (0.5, 8), (0.5, 64), (0.5, 128)])
     def test_kronrod_sums_within_roundoff(self, th12, lam, width):
-        # 30-digit sums on the same nodes: the weighted miss of the band
-        # moments, summed over the groups, stays within their share of the
-        # estimate's roundoff term.  The moments are certified as
-        # band_moments certifies them, on its first mesh
+        # 30-digit sums on the same nodes and their mirror images: the
+        # weighted miss of the band moments, summed over the families and
+        # reservoirs, stays within the band groups' share of the estimate's
+        # roundoff term.  The moments are certified as band_moments
+        # certifies them, on its first mesh
         m = np.arange(2 * width + 1)
         weights = scattering._moment_weights(lam, m)
         sample = partial(scattering._moment_integrands, lam, np.array([1.0, 2.0]), m)
-        edges = scattering._moment_mesh(lam, th12.beta_r, int(m[-1]))
-        values, _, panels = refine_panels(sample, edges, weights, QuadratureSpec(), "moments")
+        edges = first_mesh(lam, th12, m)
+        values, error, panels = refine_panels(sample, edges, weights, QuadratureSpec(), "moments")
         mom = band_moments(lam, th12, m)
-        assert panels == edges.size - 1
-        assert np.array_equal(values[:6].reshape(3, 2, -1), [mom.plane, mom.cross, mom.scattered])
+        assert panels == edges.size - 1 and mom.error_estimate == error
         t, wk, _ = panel_rule(edges)
         exact = kronrod_sums_decimal(lam, (th12.beta_l, th12.beta_r), m, t, wk)
+        moments = np.concatenate([mom.plane, mom.cross, mom.scattered])
         miss = np.array(
             [
                 [abs(complex(Decimal(v.real) - re, Decimal(v.imag) - im)) for v, (re, im) in zip(*rows)]
-                for rows in zip(values, exact)
+                for rows in zip(moments, exact)
             ]
         )
-        weights, values = weights[:6], values[:6]
-        roundoff = 8.0 * sys.float_info.epsilon * (weights * np.abs(values)).max(axis=1).sum()
-        assert (weights * miss).max(axis=1).sum() <= roundoff
+        roundoff = 8.0 * sys.float_info.epsilon * (weights[:12] * np.abs(values[:12])).max(axis=1).sum()
+        assert (weights[:6] * miss).max(axis=1).sum() <= roundoff
 
     @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs a 64-bit long double")
     @pytest.mark.parametrize(
@@ -297,12 +315,35 @@ class TestFactoredMoments:
         left, right = np.meshgrid(sites, sites) if window else (np.array(x), np.array(y))
         read = np.concatenate([[0], np.ravel(right - left), np.ravel(left + right)])
         m = np.unique(np.abs(read))
-        t = panel_rule(scattering._moment_mesh(0.5, th12.beta_r, int(m[-1])))[0].ravel()
+        t = panel_rule(first_mesh(0.5, th12, m))[0].ravel()
         reference = np.exp(1j * np.multiply.outer(m.astype(np.longdouble), t.astype(np.longdouble)))
         basis = np.abs(scattering._frequency_basis(m, t) - reference).max()
         exponential = np.abs(np.exp(1j * np.multiply.outer(m, t)) - reference).max()
         width = math.isqrt(int(m[-1]) + 1)
         assert basis <= exponential and basis < (m[-1] // width + width) * sys.float_info.epsilon
+
+
+class TestWindowPool:
+    """Every window of the benchmark's pool against its mpmath reference."""
+
+    # the worst element's miss over its tolerance when the band moments
+    # sampled the whole band; a window's err_to_tol_max may not rise above it
+    WORST = 1.5946188402400507e-6
+
+    @pytest.mark.parametrize(
+        "field, w", window_tasks(), ids=[f"{f['lam']!r}-w{w}" for f, w in window_tasks()]
+    )
+    def test_within_tolerance(self, field, w):
+        block = correlation_block(ModelParams(field["lam"]), ThermalConfig(*WINDOW_REFS["thermal"]), -w, w)
+        # the references hold the upper triangle of the pinned window in row
+        # order; this window's rows and columns sit `off` into it
+        top, off = 2 * WINDOW_REFS["half_width"] + 1, WINDOW_REFS["half_width"] - w
+        i, j = np.triu_indices(2 * w + 1)
+        a, b = i + off, j + off
+        at = a * top - a * (a - 1) // 2 + b - a
+        ref = np.array(field["re"])[at] + 1j * np.array(field["im"])[at]
+        miss = np.abs(block.matrix[i, j] - ref) / np.array(field["tol"])[at]
+        assert miss.max() <= self.WORST
 
 
 class TestPpWeight:
