@@ -5,7 +5,7 @@ chain is truncated to a window ``[-M, M]`` with open ends, the Hamiltonians
 are read off the shared stencil as Jacobi (tridiagonal) matrices, each
 diagonal from one elementwise stencil call on the window's sites ``(x, x)``
 and each off-diagonal from one on its bonds ``(x, x + 1)``, and
-diagonalized exactly by LAPACK's tridiagonal eigensolver, the decoupled
+diagonalized exactly through LAPACK's tridiagonal eigensolver, the decoupled
 initial state is held as one reservoir's eigenpairs with their Planck
 weights at the two temperatures, and correlations are evolved exactly from
 that factored state alone.  Each parity block's first coordinate is
@@ -30,8 +30,12 @@ block that is symmetric again (the field-free odd block, a reservoir's odd
 block of odd size) is split again, down to blocks that are not.  A
 symmetric block of even size with a zero diagonal (a bipartite chain: the
 free chain, a reservoir) solves its even half alone, and its odd half is
-the exact sublattice image of it.  ``_fold`` and ``_unfold`` map site
-arrays to the two blocks and back; a solve's ``to_modes`` and
+the exact sublattice image of it.  The even block of the field and free
+Hamiltonians is the centre coordinate joined to the odd block, the free
+chain: in that chain's modes it is an arrowhead, whose eigenvectors follow
+from LAPACK's eigenvalues of the block on the chain's stored solve
+(``Arrowhead``), with no second vector solve.  ``_fold`` and ``_unfold``
+map site arrays to the two blocks and back; a solve's ``to_modes`` and
 ``from_modes`` map them to its eigenbasis and back through every level.
 A window solves each distinct block once: the odd blocks of the field and
 free Hamiltonians are one free chain, and at ``nu = 0`` that chain is also
@@ -55,11 +59,12 @@ from .model import ModelParams, OperatorKind, ThermalConfig, operator_stencil, p
 
 # half-width caps: below 10 the guard window is empty, and the cap of 5000
 # bounds memory.  At M = 5000 and lam = 0.4, after the verify sequence on
-# the longest late-time grid, a window holds 0.65 GiB at nu = 0 and 0.77
-# and 0.79 GiB at nu = 1 and 100: 0.47 GiB of eigenvectors, most of them
-# the field and free even blocks (about n^2 / 4 floats each), and the
-# store's phases and first frames.  Beyond it the window stops being a
-# sane oracle
+# the longest late-time grid, a window's arrays, each buffer counted once,
+# come to 0.46 GiB at nu = 0 and 0.58 and 0.60 GiB at nu = 1 and 100:
+# 0.28-0.37 GiB of eigenvectors, most of them the field's even block (about
+# n^2 / 4 floats), and the store's phases and first frames; the processes
+# peaked at 0.86, 1.01 and 1.04-1.09 GiB RSS.  Beyond it the window stops
+# being a sane oracle
 _MIN_HALF_WIDTH = 10
 _MAX_HALF_WIDTH = 5000
 
@@ -170,7 +175,7 @@ class Split(NamedTuple):
     Its modes are those of the even block, then those of the odd block.
     """
 
-    even: Eigenpairs | Split
+    even: Eigenpairs | Split | Arrowhead
     odd: Eigenpairs | Split
 
     @property
@@ -183,6 +188,180 @@ class Split(NamedTuple):
     def from_modes(self, a: np.ndarray) -> np.ndarray:
         parts = np.split(a, [len(a) - len(a) // 2])  # the even block's modes first
         return _unfold(*(block.from_modes(p) for block, p in zip(self, parts)))
+
+
+class Arrowhead(NamedTuple):
+    """A Jacobi block ``[[a, b e_1^T], [b e_1, T]]`` solved on the stored solve of its tail ``T``.
+
+    In the tail's eigenbasis the block is the arrowhead ``[[a, z^T], [z,
+    diag(w)]]``, ``z = b u`` with ``u`` the tail modes' first components,
+    and its eigenvector of energy ``E`` is ``[1; z / (E - w)]`` normalised.
+    ``head`` holds their first components and ``vectors`` their tail-mode
+    components ``(n - 1, n)``, the tail's modes as rows.
+    """
+
+    energies: np.ndarray
+    head: np.ndarray
+    vectors: np.ndarray
+    tail: Eigenpairs | Split
+
+    def to_modes(self, z: np.ndarray) -> np.ndarray:
+        modes = np.multiply.outer(self.head, z[0])
+        modes += _real_apply(self.vectors.T, self.tail.to_modes(z[1:]))
+        return modes
+
+    def tail_rows(self, a: np.ndarray) -> np.ndarray:
+        """The block's first coordinate, then its tail-mode amplitudes, of the mode amplitudes ``a``."""
+        return np.concatenate([_real_apply(self.head[None], a), _real_apply(self.vectors, a)])
+
+    def from_modes(self, a: np.ndarray) -> np.ndarray:
+        rows = self.tail_rows(a)
+        rows[1:] = self.tail.from_modes(rows[1:])
+        return rows
+
+
+# roots an arrowhead's secular equation solves at a time: their pole
+# differences, as (roots, n) floats, are each about 1 MB
+_SECULAR_ELEMENTS = 2**17
+# evaluations a root may take before ConsistencyError: from LAPACK's
+# eigenvalues no root has taken more than four, over fields from 0 to the
+# largest float and half-widths from 10 to the cap
+_SECULAR_STEPS = 100
+_EPS = np.finfo(float).eps
+
+
+def _arrowhead(diag: np.ndarray, off: np.ndarray, tail: Eigenpairs | Split) -> Arrowhead:
+    """Eigenpairs of the Jacobi block ``(diag, off)``, whose tail ``(diag[1:], off[1:])`` is solved.
+
+    The energies solve the secular equation ``f(E) = E - a - sum z_i^2 / (E
+    - w_i) = 0``.  The tail's levels strictly interlace them (every ``z_i``
+    is nonzero, the tail being unreduced): root ``j`` lies between the
+    sorted levels ``j - 1`` and ``j``, the outer roots within Weyl's bound
+    ``|z|`` of the diagonal's range, and ``f`` rises through each interval.
+    Each root is taken in the shift ``tau = E - w_p`` from the end ``p`` of
+    its interval that it is nearer, the one the sign of ``f`` at the
+    midpoint picks, with the differences ``w_i - w_p`` formed directly, so a
+    root within rounding of its level keeps its relative accuracy, and so
+    does its vector.  ``_secular_roots`` solves for it in its interval,
+    starting from LAPACK's eigenvalue of the block itself where that lies
+    inside.  Each vector is ``[1; z / (E - w)]`` normalised, scaled first by
+    ``|tau / z_p|`` where that is below 1, so that no component overflows.
+    The vectors are formed a few roots at a time, so no array beside them
+    as large is held.
+    """
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    tip, w = diag[0], tail.energies
+    n = len(w)
+    z = off[0] * tail.to_modes(np.eye(n, 1))[:, 0]
+    z2 = z * z
+    order = np.argsort(w)
+    levels = w[order]
+    reach = np.sqrt(np.sum(z2))
+    # the outer roots' bounds in tau, widened past their rounding
+    ends = np.array([min(tip - levels[0], 0.0) - reach, max(tip - levels[-1], 0.0) + reach])
+    with np.errstate(over="ignore"):
+        ends = np.clip((1 + 8 * _EPS) * ends, -np.finfo(float).max, np.finfo(float).max)
+    roots = eigvalsh_tridiagonal(diag, off)
+    energies, head, rows = np.empty(n + 1), np.empty(n + 1), np.empty((n + 1, n))
+    step = max(1, _SECULAR_ELEMENTS // n)
+    buffer = np.empty((step, n))
+    for lo in range(0, n + 1, step):
+        j = np.arange(lo, min(lo + step, n + 1))
+        # the chunk's rows hold w_i - w_p until they hold its vectors
+        shifts, work, k = rows[lo : lo + len(j)], buffer[: len(j)], np.arange(len(j))
+        inner = (0 < j) & (j < n)
+        below = levels[np.maximum(j - 1, 0)]
+        width = np.where(inner, levels[np.minimum(j, n - 1)] - below, 1.0)
+        # f at each inner interval's midpoint; the outer rows are not read
+        np.subtract((below + width / 2)[:, None], w, out=work)
+        with np.errstate(divide="ignore"):
+            np.reciprocal(work, out=work)
+        upper = inner & (below + width / 2 - tip < _real_apply(work, z2))
+        # True: the root lies above its level p, in (0, high); else in (low, 0)
+        above = (j == n) | (inner & ~upper)
+        pole = order[np.where(above, j - 1, j)]
+        low = np.where(above, 0.0, np.where(inner, -width, ends[0]))
+        high = np.where(above, np.where(inner, width, ends[1]), 0.0)
+        np.subtract(w, w[pole, None], out=shifts)
+        start = roots[j] - w[pole]
+        start = np.where((low < start) & (start < high), start, low / 2 + high / 2)
+        tau = _secular_roots(start, low, high, w[pole] - tip, pole, shifts, z2, work)
+        energies[j] = w[pole] + tau
+        # the vector [1; z / (E - w)] times scale = min(1, |tau / z_p|), its
+        # level's component sign(z_p tau) min(1, |z_p / tau|) set apart
+        with np.errstate(over="ignore"):
+            scale = np.minimum(1.0, np.abs(tau / z[pole]))
+            own = np.sign(z[pole]) * np.sign(tau) * np.minimum(1.0, np.abs(z[pole] / tau))
+        np.subtract(tau[:, None], shifts, out=shifts)  # E - w_i
+        shifts[k, pole] = np.inf
+        np.divide(z, shifts, out=shifts)
+        norm = np.sqrt(scale * scale * (1.0 + np.einsum("ij,ij->i", shifts, shifts)) + own * own)
+        head[j] = scale / norm
+        shifts *= (scale / norm)[:, None]
+        shifts[k, pole] = own / norm
+    return Arrowhead(energies, head, rows.T, tail)
+
+
+def _secular_roots(tau, low, high, gap, pole, shifts, z2, buffer) -> np.ndarray:
+    """The roots in ``(low, high)`` of ``phi(tau) = tau h(tau) - z_p^2``, one a row, from ``tau``.
+
+    ``h(tau) = tau + gap - sum_{i != p} z_i^2 / (tau - shifts_i)``, with
+    ``gap = w_p - a`` and ``shifts_i = w_i - w_p``, so ``phi = tau f(w_p +
+    tau)``.  It has no pole at the level ``tau = 0``, where it is
+    ``-z_p^2``, and near it it is nearly linear, so Newton's method on it
+    reaches a root within rounding of the level in a step or two even from
+    a start on the level or on its far side, where Newton's method on ``f``
+    fails.  Each interval, ``(0, high)`` or ``(low, 0)``, holds one root,
+    with ``phi < 0`` between it and the level.  Every evaluation narrows
+    the interval to the root's side of ``tau``, as the sign of ``phi``
+    shows, and a Newton step that leaves it is replaced by bisection.  A
+    root is done, after one last Newton step that stays inside, once
+    ``|phi|`` is within the rounding of its terms and of ``tau``, or once
+    its interval is four ulps wide; one not done in ``_SECULAR_STEPS``
+    evaluations raises ``ConsistencyError``.  ``phi`` and ``phi'`` are
+    divided by ``max(1, |tau|)``, so that they overflow at no finite field.
+    ``buffer`` holds at least as many rows as ``tau``.
+    """
+    rising = high > 0
+    zp2, reach = z2[pole], np.sqrt(np.sum(z2))
+    active = np.arange(len(tau))
+    for _ in range(_SECULAR_STEPS):
+        if not active.size:
+            return tau
+        a, t = active, tau[active]
+        work = buffer[: a.size]
+        np.subtract(t[:, None], shifts if a.size == len(tau) else shifts[a], out=work)  # E - w_i
+        work[np.arange(a.size), pole[a]] = np.inf  # the level's own term apart
+        np.reciprocal(work, out=work)
+        h = t + gap[a] - _real_apply(work, z2)
+        np.square(work, out=work)
+        slope = 1.0 + _real_apply(work, z2)  # h'
+        # a term that overflows fails its test: the step is not inside, and
+        # the root is not done
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            scale = np.maximum(1.0, np.abs(t))
+            u = t / scale
+            phi = u * h - zp2[a] / scale
+            dphi = h / scale + u * slope
+            # the rounding of phi's terms, the sum of |z_i^2 / (t - shifts_i)|
+            # bounded by Cauchy-Schwarz, and of t itself
+            terms = np.maximum(np.maximum(np.abs(t), np.abs(gap[a])), reach * np.sqrt(slope - 1.0))
+            noise = 24 * _EPS * np.abs(u) * terms + 8 * _EPS * zp2[a] / scale
+            done = np.abs(phi) <= noise + 2 * np.spacing(np.abs(t)) * np.abs(dphi)
+            beyond = (phi < 0) == rising[a]  # the root lies above t
+            low[a] = np.where(beyond, t, low[a])
+            high[a] = np.where(beyond, high[a], t)
+            # t - phi / phi', with no cancellation between t and the step
+            newton = (u * t * slope + zp2[a] / scale) / dphi
+            ulps = np.spacing(np.maximum(np.abs(low[a]), np.abs(high[a])))
+        inside = (low[a] < newton) & (newton < high[a])
+        tau[a] = np.where(inside, newton, np.where(done, t, low[a] / 2 + high[a] / 2))
+        done |= high[a] - low[a] <= 4 * ulps
+        active = a[~done]
+    if active.size:
+        raise ConsistencyError("arrowhead root not found in its interlacing interval")
+    return tau
 
 
 def _sublattice_image(solve: Eigenpairs) -> Eigenpairs:
@@ -239,7 +418,9 @@ class TruncatedSystem:
     matrix, of lengths ``n_sites`` and ``n_sites - 1``.  The solves of its
     even and odd parity blocks, and the reservoir's of ``initial_two_point``,
     are kept in one store keyed by block content, so a block that several
-    matrices share is solved once and every reader holds the same arrays.
+    matrices share is solved once and every reader holds the same arrays;
+    an even block solved as an ``Arrowhead`` holds the stored solve of its
+    odd block.
     The latest initial state is cached with its temperature pair, and the
     latest late-time grid in one ``_GridStore``: its ``t_star``, the phases
     ``exp(i w t)`` of each parity block on it, and the first-coordinate
@@ -252,7 +433,7 @@ class TruncatedSystem:
     M: int
     params: ModelParams
     hamiltonians: dict[OperatorKind, tuple[np.ndarray, np.ndarray]]
-    _solves: dict[tuple[bytes, bytes], Eigenpairs | Split] = field(default_factory=dict)
+    _solves: dict[tuple[bytes, bytes], Eigenpairs | Split | Arrowhead] = field(default_factory=dict)
     _state_cache: dict[tuple[float, float], DecoupledState] = field(default_factory=dict)
     _grid_store: _GridStore | None = None
     _steppings: dict[int, _Stepping] = field(default_factory=dict)
@@ -270,20 +451,29 @@ class TruncatedSystem:
             raise DomainError(f"site {x} outside window [-{self.M}, {self.M}]")
         return x + self.M
 
-    def _solve(self, diag: np.ndarray, off: np.ndarray) -> Eigenpairs | Split:
-        """The stored solve of one Jacobi block, solved on first use."""
+    def _solve(
+        self, diag: np.ndarray, off: np.ndarray, tail: Eigenpairs | Split | None = None
+    ) -> Eigenpairs | Split | Arrowhead:
+        """The stored solve of one Jacobi block, solved on first use; an ``Arrowhead`` on ``tail`` if given."""
         key = (diag.tobytes(), off.tobytes())
         if key not in self._solves:
-            self._solves[key] = _split_eigh(diag, off)
+            self._solves[key] = _split_eigh(diag, off) if tail is None else _arrowhead(diag, off, tail)
         return self._solves[key]
 
     def factorization(self, kind: OperatorKind) -> Split:
         """The solves of the even and odd blocks of ``kind``, as a ``Split``.
 
         The even block has ``M + 1`` parity coordinates (the centre site
-        first), the odd block ``M``.
+        first), the odd block ``M``, and the even block's tail, past the
+        centre, is the odd block.  When the centre's hop and every hop of
+        the odd block are nonzero (the field and free Hamiltonians), each
+        odd mode reaches the centre, and the even block is solved as an
+        ``Arrowhead`` on the odd block's solve.
         """
-        return Split(*(self._solve(*block) for block in _parity_split(*self.hamiltonians[kind])))
+        even, odd = _parity_split(*self.hamiltonians[kind])
+        tail = self._solve(*odd)
+        arrow = even[1][0] != 0.0 and np.all(odd[1] != 0.0)
+        return Split(self._solve(*even, tail if arrow else None), tail)
 
     def bound_data(self) -> tuple[float, np.ndarray] | None:
         """Out-of-band eigenpair of the field Hamiltonian, if resolved.
@@ -397,9 +587,14 @@ class DecoupledState(NamedTuple):
         """
         sample = np.einsum("it,it->t", fx.sample.conj(), fy.sample)
         weights = np.stack([self.left, self.right])
-        # one reservoir's products held at a time: each is as large as a part
-        right_l, right_r = _real_apply(weights, (fx.even + fx.odd).conj() * (fy.even + fy.odd))
-        left_l, left_r = _real_apply(weights, (fx.even - fx.odd).conj() * (fy.even - fy.odd))
+        # one reservoir's products at a time, formed in place in two buffers as large as a part
+        x, y = np.empty_like(fx.even), np.empty_like(fy.even)
+        overlaps = []
+        for combine in (np.add, np.subtract):  # the right reservoir, then the left
+            np.conjugate(combine(fx.even, fx.odd, out=x), out=x)
+            x *= combine(fy.even, fy.odd, out=y)
+            overlaps.append(_real_apply(weights, x))
+        (right_l, right_r), (left_l, left_r) = overlaps
         return 0.5 * (sample + left_l + right_r), 0.5 * (sample + left_r + right_l)
 
 
@@ -491,7 +686,7 @@ def _checked_times(sys: TruncatedSystem, x: int, y: int, times) -> np.ndarray:
 
 
 def _evolve(
-    block: Eigenpairs | Split,
+    block: Eigenpairs | Split | Arrowhead,
     parity: int,
     state: DecoupledState,
     coords: np.ndarray,
@@ -506,7 +701,9 @@ def _evolve(
     projected onto the reservoir modes, in place; no frame is unfolded to
     the window's sites.  At ``nu = 0`` the odd block is the reservoir's own
     solve and has no sample coordinates, so the rows are its evolved mode
-    amplitudes: phases, with no product and no projection.  ``phases``
+    amplitudes: phases, with no product and no projection.  The even block
+    is then an ``Arrowhead`` on that solve, whose first components and
+    tail-mode components give the rows in one product each.  ``phases``
     holds each block's ``exp(i w t)`` on ``times`` (0 even, 1 odd), and a
     block's is added on first use.  The modes ``drop`` indexes are left out.
     """
@@ -517,6 +714,8 @@ def _evolve(
         amplitudes[drop] = 0.0
     if block is state.modes:
         return amplitudes
+    if isinstance(block, Arrowhead) and block.tail is state.modes:
+        return block.tail_rows(amplitudes)
     frame = block.from_modes(amplitudes)
     k = len(frame) - len(state.left)
     frame[k:] = state.modes.to_modes(frame[k:])

@@ -508,17 +508,22 @@ class TestSiteReuse:
 
 @pytest.fixture
 def solves(monkeypatch):
-    # the content of every block handed to the tridiagonal eigensolver
+    # the content of every block handed to a tridiagonal eigensolver, its
+    # selection, and whether eigenvectors were formed (False: an eigenvalue pass)
     import scipy.linalg
 
     calls = []
-    solve = scipy.linalg.eigh_tridiagonal
 
-    def counted(d, e, *args, **kwargs):
-        calls.append((d.tobytes(), e.tobytes(), kwargs.get("select", "a")))
-        return solve(d, e, *args, **kwargs)
+    def counting(solve, vectors):
+        def counted(d, e, *args, **kwargs):
+            formed = vectors and not kwargs.get("eigvals_only", False)
+            calls.append((d.tobytes(), e.tobytes(), kwargs.get("select", "a"), formed))
+            return solve(d, e, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+        return counted
+
+    for name, vectors in (("eigh_tridiagonal", True), ("eigvalsh_tridiagonal", False)):
+        monkeypatch.setattr(scipy.linalg, name, counting(getattr(scipy.linalg, name), vectors))
     return calls
 
 
@@ -557,22 +562,27 @@ class TestSharedSolves:
         solved = list(solves)
         verify(ThermalConfig(1.0, 3.0))  # solves nothing
         assert solves == solved
-        assert len(set(solved)) == len(solved)
+        # keyed by block and selection alone: an eigenvalue pass and a vector
+        # solve of one block are that block solved twice
+        assert len({call[:3] for call in solved}) == len(solved)
         for kind in OperatorKind:
             sys.factorization(kind)
-        assert len(set(solves)) == len(solves)
+        assert len({call[:3] for call in solves}) == len(solves)
 
     def test_zero_field_shares_the_even_block_too(self, th12, solves):
         # at lam = 0 the field and free Hamiltonians are one matrix: two
         # even blocks, one odd block that is the reservoir
         sys = build_truncation(64, ModelParams(0.0))
-        for kind in OperatorKind:
-            sys.factorization(kind)
+        xy, decoupled, magnetic = (sys.factorization(kind) for kind in OperatorKind)
         initial_two_point(sys, th12)
         assert len(sys._solves) == 3
-        # the odd chain splits once, and its odd half is the even half's
-        # sublattice image
-        assert len(solves) == len(set(solves)) == 3
+        assert magnetic.even is xy.even and isinstance(magnetic.even, oracle.Arrowhead)
+        assert not isinstance(decoupled.even, oracle.Arrowhead)  # its centre is cut off
+        # the odd chain splits once and its odd half is the even half's
+        # sublattice image; the shared even block is an arrowhead on that
+        # chain, one eigenvalue pass; the decoupled even block is solved whole
+        assert len(solves) == len({call[:3] for call in solves}) == 3
+        assert sorted(formed for *_, formed in solves) == [False, True, True]
 
 
 def _jacobi(d, e):
@@ -677,24 +687,188 @@ class TestJacobiSteps:
             assert not np.any(part.sample[3:])  # the sample's odd coordinates
 
     def test_verify_case_at_zero_sample(self, th12, solves, monkeypatch):
-        # two eigensolves (the field's even block, half the free chain) and
-        # one dense evolution (the even block's first coordinate)
+        # one vector solve (half the free chain, the reservoir), one
+        # eigenvalue pass (the field's even block, an arrowhead on that
+        # chain), and no dense product through a solve's eigenvectors: the
+        # even block's first coordinate reaches the reservoir modes through
+        # the arrowhead's own tail-mode components
         products = []
-        from_modes = oracle.Eigenpairs.from_modes
 
-        def counted(self, a):
-            if a.ndim == 2 and a.shape[1] > 1:
-                products.append(a.shape)
-            return from_modes(self, a)
+        def counting(method):
+            def counted(self, a):
+                if a.ndim == 2 and a.shape[1] > 1:
+                    products.append(a.shape)
+                return method(self, a)
 
-        monkeypatch.setattr(oracle.Eigenpairs, "from_modes", counted)
+            return counted
+
+        for name in ("to_modes", "from_modes"):
+            monkeypatch.setattr(oracle.Eigenpairs, name, counting(getattr(oracle.Eigenpairs, name)))
         sys = build_truncation(128, ModelParams(0.6))
         initial_two_point(sys, th12)
         ness_estimate(sys, th12, 0, 0, 100.0)
         ness_estimate(sys, th12, 0, 1, 100.0)
         oracle_flux(sys, th12, 100.0)
-        assert len(solves) == 2
-        assert products == [(129, 21)]
+        assert [formed for *_, formed in solves] == [True, False]
+        assert products == []
+
+
+class TestArrowheadTwin:
+    """The field's even block solved as an arrowhead on its odd block, against LAPACK's vectors."""
+
+    @pytest.mark.parametrize("m", [40, 41])
+    @pytest.mark.parametrize("nu", [0, 1, 2, 3])
+    def test_one_solve_at_every_sample(self, nu, m, th12):
+        # the block does not depend on nu, and neither does its solve; its
+        # tail is the reservoir at nu = 0 alone
+        params = ModelParams(0.3, nu)
+        sys, zero = build_truncation(m, params), build_truncation(m, ModelParams(0.3))
+        arrow = sys.factorization(OperatorKind.MAGNETIC).even
+        assert isinstance(arrow, oracle.Arrowhead)
+        for got, ref in zip(arrow[:3], zero.factorization(OperatorKind.MAGNETIC).even):
+            assert np.array_equal(got, ref)
+        assert (arrow.tail is initial_two_point(sys, th12).modes) == (nu == 0)
+
+    @pytest.mark.parametrize("m", [40, 41, 400, 601])
+    @pytest.mark.parametrize("lam", [*STEP_FIELDS, 1e-300, -1e-300, 5e-324])
+    def test_matches_the_vector_solve(self, lam, m):
+        # measured over these cases: energies 6.7e-16 and residuals 6.0e-16
+        # of max(1, |lam|), orthogonality 9.3e-15 (at lam = 1e-300, M = 601;
+        # LAPACK's own 3.9e-15), vectors 4.8e-12 from LAPACK's (lam = 30,
+        # M = 601), which is LAPACK's rounding over the band edge's level
+        # gaps of about 1e-5
+        from scipy.linalg import eigh_tridiagonal
+
+        sys = build_truncation(m, ModelParams(lam))
+        solve = sys.factorization(OperatorKind.MAGNETIC)
+        arrow = solve.even
+        assert isinstance(arrow, oracle.Arrowhead) and arrow.tail is solve.odd
+        assert arrow.vectors.shape == (m, m + 1)
+        d, e = oracle._parity_split(*sys.hamiltonians[OperatorKind.MAGNETIC])[0]
+        energies, vectors = eigh_tridiagonal(d, e)
+        scale = max(1.0, abs(lam))
+        assert np.max(np.abs(arrow.energies - energies)) < 1e-14 * scale
+        v = arrow.from_modes(np.eye(m + 1))
+        _assert_eigenpairs(d, e, arrow.energies, v, scale)
+        # the first components and tail-mode components, up to each vector's sign
+        ref = np.vstack([vectors[:1], arrow.tail.to_modes(vectors[1:])])
+        got = np.vstack([arrow.head, arrow.vectors])
+        ref *= np.sign(np.sum(ref * got, axis=0))
+        assert np.max(np.abs(got - ref)) < 1e-10
+
+    @pytest.mark.parametrize("m", [10, 40, 41])
+    @pytest.mark.parametrize("lam", [1e12, -1e12, 1e300, -1e300])
+    def test_huge_fields(self, lam, m):
+        # each band root sits about z_p^2 / |lam| from its level, below an
+        # ulp of it, where LAPACK's eigenvalue is the level itself or an ulp
+        # off it.  LAPACK's eigenvalue errors, about eps |lam|, exceed the
+        # level gaps here, so its vectors are no reference: each pair is
+        # held to its own residual.  Measured: residuals 5.0e-16 of
+        # max(1, |E|), orthogonality 2.0e-15, energies 1.5e-16 of |lam|
+        # from LAPACK's
+        from scipy.linalg import eigvalsh_tridiagonal
+
+        sys = build_truncation(m, ModelParams(lam))
+        arrow = sys.factorization(OperatorKind.MAGNETIC).even
+        d, e = oracle._parity_split(*sys.hamiltonians[OperatorKind.MAGNETIC])[0]
+        energies = np.sort(arrow.energies)
+        assert np.max(np.abs(energies - eigvalsh_tridiagonal(d, e))) < 1e-14 * abs(lam)
+        assert np.all(np.diff(energies) > 0)
+        _assert_eigenpairs(d, e, arrow.energies, arrow.from_modes(np.eye(m + 1)))
+        # a band root's first component, about z_p / lam, against the
+        # one-pole estimate |z_p / (w_p - lam - sum_{i != p} z_i^2 / (w_p -
+        # w_i))|, exact to relative order (z / lam)^2
+        w, z = arrow.tail.energies, e[0] * arrow.tail.to_modes(np.eye(m, 1))[:, 0]
+        band = np.argsort(np.abs(arrow.energies))[:m]
+        for k, q in zip(band, np.argmin(np.abs(arrow.energies[band, None] - w), axis=1)):
+            rest = np.sum(np.delete(z * z, q) / (w[q] - np.delete(w, q)))
+            assert arrow.head[k] == pytest.approx(abs(z[q] / (w[q] - d[0] - rest)), rel=1e-13)
+
+    @pytest.mark.parametrize("lam", [1.7976931348623157e308, -1.7976931348623157e308])
+    def test_largest_float_field(self, lam):
+        # no term of the solve overflows.  The band roots' shifts, about
+        # 1e-312, and first components are subnormal floats with fewer
+        # significant bits: residuals measured 1.2e-14 of max(1, |E|) at
+        # M = 40 (1.4e-14 at 41, 8.1e-13 at 601), orthogonality 1.8e-15
+        sys = build_truncation(40, ModelParams(lam))
+        arrow = sys.factorization(OperatorKind.MAGNETIC).even
+        d, e = oracle._parity_split(*sys.hamiltonians[OperatorKind.MAGNETIC])[0]
+        assert np.all(np.diff(np.sort(arrow.energies)) > 0)
+        _assert_eigenpairs(d, e, arrow.energies, arrow.from_modes(np.eye(41)), rtol=1e-13)
+
+    def test_at_the_cap(self):
+        # M = 5000 at lam = 1e6: the band-edge roots sit about 1e-16 from
+        # their levels.  The lowest, central and highest eight pairs,
+        # measured: residuals 2.5e-16 of max(1, |E|), orthogonality 4.1e-15,
+        # energies 3.4e-15 from LAPACK's
+        from scipy.linalg import eigvalsh_tridiagonal
+
+        sys = build_truncation(5000, ModelParams(1e6))
+        arrow = sys.factorization(OperatorKind.MAGNETIC).even
+        d, e = oracle._parity_split(*sys.hamiltonians[OperatorKind.MAGNETIC])[0]
+        order = np.argsort(arrow.energies)
+        assert np.max(np.abs(arrow.energies[order] - eigvalsh_tridiagonal(d, e))) < 1e-14 * 1e6
+        pick = np.r_[order[:8], order[2496:2504], order[-8:]]
+        eye = np.zeros((5001, pick.size))
+        eye[pick, np.arange(pick.size)] = 1.0
+        _assert_eigenpairs(d, e, arrow.energies[pick], arrow.from_modes(eye))
+
+    @pytest.mark.parametrize("lam", [0.3, 1e6, 1e300])
+    @pytest.mark.parametrize("start", ["top", "zero", "level", "mirror"])
+    def test_any_start_converges(self, start, lam, monkeypatch):
+        # LAPACK's eigenvalues only start the iteration: started from the
+        # top root, from 0, from each root's nearest level or from its
+        # mirror image across that level, every root converges to the same
+        # pair.  Measured: energies 1.4e-17 of max(1, |lam|), first
+        # components 4.2e-16 relative, tail-mode components 2.2e-16
+        import scipy.linalg
+
+        ref = build_truncation(40, ModelParams(lam)).factorization(OperatorKind.MAGNETIC).even
+        solve = scipy.linalg.eigvalsh_tridiagonal
+
+        def starts(d, e):
+            roots, levels = solve(d, e), solve(d[1:], e[1:])
+            near = levels[np.argmin(np.abs(roots[:, None] - levels), axis=1)]
+            return {
+                "top": np.full(roots.size, roots[-1]),
+                "zero": np.zeros(roots.size),
+                "level": near,
+                "mirror": 2 * near - roots,
+            }[start]
+
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", starts)
+        arrow = build_truncation(40, ModelParams(lam)).factorization(OperatorKind.MAGNETIC).even
+        assert np.max(np.abs(arrow.energies - ref.energies)) < 1e-15 * max(1.0, abs(lam))
+        # the first components relatively: at lam = 1e300 they are about 1e-301
+        assert np.max(np.abs(arrow.head / ref.head - 1)) < 1e-13
+        assert np.max(np.abs(arrow.vectors - ref.vectors)) < 1e-13
+
+    def test_root_not_found_rejected(self, monkeypatch):
+        import scipy.linalg
+
+        solve = scipy.linalg.eigvalsh_tridiagonal
+        # every root started from the top one, with one evaluation allowed
+        monkeypatch.setattr(
+            scipy.linalg, "eigvalsh_tridiagonal", lambda d, e: np.full(d.size, solve(d, e)[-1])
+        )
+        monkeypatch.setattr(oracle, "_SECULAR_STEPS", 1)
+        sys = build_truncation(40, ModelParams(0.3))
+        with pytest.raises(ConsistencyError, match="interlacing"):
+            sys.factorization(OperatorKind.MAGNETIC)
+
+
+def _assert_eigenpairs(d, e, energies, v, scale=None, rtol=1e-14):
+    """Orthonormal columns ``v``, eigenvectors of the Jacobi matrix ``(d, e)`` of ``energies``.
+
+    Their residuals are held within ``rtol`` of ``scale``, or of each ``max(1, |E|)``.
+    """
+    # on the oracle's BLAS: numpy's would spin against it
+    assert np.max(np.abs(oracle._real_apply(v.T, v) - np.eye(v.shape[1]))) < 1e-13
+    tv = d[:, None] * v
+    tv[1:] += e[:, None] * v[:-1]
+    tv[:-1] += e[:, None] * v[1:]
+    bound = np.maximum(1.0, np.abs(energies)) if scale is None else scale
+    assert np.all(np.max(np.abs(tv - v * energies), axis=0) < rtol * bound)
 
 
 # (lam, nu, (beta_l, beta_r), M): the cases of ROADMAP item 9 with M <= 600,
