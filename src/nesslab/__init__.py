@@ -37,16 +37,6 @@ from .numerics import (
     adaptive_integrate,
     geometric_sine_sum,
 )
-from .oracle import (
-    EvolutionTrace,
-    TruncatedSystem,
-    build_truncation,
-    evolve_with_state,
-    initial_two_point,
-    ness_estimate,
-    numeric_wave_action,
-    oracle_flux,
-)
 from .scattering import (
     ac_overlap,
     magnetic_correction,
@@ -70,6 +60,30 @@ from .transport import (
 )
 
 __version__ = "0.1.0"
+
+# the lattice oracle's names, loaded from nesslab.oracle on first use, so a
+# process that runs the closed forms alone never compiles that module
+_ORACLE_NAMES = frozenset(
+    {
+        "EvolutionTrace",
+        "TruncatedSystem",
+        "build_truncation",
+        "evolve_with_state",
+        "initial_two_point",
+        "ness_estimate",
+        "numeric_wave_action",
+        "oracle_flux",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BoundState",

@@ -32,11 +32,12 @@ symmetric block of even size with a zero diagonal (a bipartite chain: the
 free chain, a reservoir) solves its even half alone, and its odd half is
 the exact sublattice image of it.  The even block of the field and free
 Hamiltonians is the centre coordinate joined to the odd block, the free
-chain: in that chain's modes it is an arrowhead, whose eigenvectors follow
-from LAPACK's eigenvalues of the block on the chain's stored solve
-(``Arrowhead``), with no second vector solve.  ``_fold`` and ``_unfold``
-map site arrays to the two blocks and back; a solve's ``to_modes`` and
-``from_modes`` map them to its eigenbasis and back through every level.
+chain: in that chain's modes it is an arrowhead, whose energies are the
+roots of its secular equation and whose eigenvectors follow from them on
+the chain's stored solve (``Arrowhead``), with no second LAPACK call.
+``_fold`` and ``_unfold`` map site arrays to the two blocks and back; a
+solve's ``to_modes`` and ``from_modes`` map them to its eigenbasis and
+back through every level.
 A window solves each distinct block once: the odd blocks of the field and
 free Hamiltonians are one free chain, and at ``nu = 0`` that chain is also
 the decoupled odd block and the reservoir.
@@ -223,11 +224,12 @@ class Arrowhead(NamedTuple):
 # roots an arrowhead's secular equation solves at a time: their pole
 # differences, as (roots, n) floats, are each about 1 MB
 _SECULAR_ELEMENTS = 2**17
-# evaluations a root may take before ConsistencyError: from LAPACK's
-# eigenvalues no root has taken more than four, over fields from 0 to the
-# largest float and half-widths from 10 to the cap
+# evaluations a root may take after its midpoint pass before
+# ConsistencyError: none has taken more than eight, over fields from 0 to
+# the largest float and half-widths from 10 to the cap
 _SECULAR_STEPS = 100
 _EPS = np.finfo(float).eps
+_INSIDE_MAX = np.nextafter(np.finfo(float).max, 0.0)
 
 
 def _arrowhead(diag: np.ndarray, off: np.ndarray, tail: Eigenpairs | Split) -> Arrowhead:
@@ -238,19 +240,19 @@ def _arrowhead(diag: np.ndarray, off: np.ndarray, tail: Eigenpairs | Split) -> A
     is nonzero, the tail being unreduced): root ``j`` lies between the
     sorted levels ``j - 1`` and ``j``, the outer roots within Weyl's bound
     ``|z|`` of the diagonal's range, and ``f`` rises through each interval.
-    Each root is taken in the shift ``tau = E - w_p`` from the end ``p`` of
-    its interval that it is nearer, the one the sign of ``f`` at the
-    midpoint picks, with the differences ``w_i - w_p`` formed directly, so a
-    root within rounding of its level keeps its relative accuracy, and so
-    does its vector.  ``_secular_roots`` solves for it in its interval,
-    starting from LAPACK's eigenvalue of the block itself where that lies
-    inside.  Each vector is ``[1; z / (E - w)]`` normalised, scaled first by
-    ``|tau / z_p|`` where that is below 1, so that no component overflows.
-    The vectors are formed a few roots at a time, so no array beside them
-    as large is held.
+    One pass at each interval's midpoint sums the terms of ``f`` and ``f'``
+    of every level but the interval's ends.  The sign of ``f`` there picks
+    the end ``p`` that the root is nearer, and the root is taken in the
+    shift ``tau = E - w_p``, with the differences ``w_i - w_p`` formed
+    directly, so a root within rounding of its level keeps its relative
+    accuracy, and so does its vector.  The same pass starts it: at the
+    root of ``f``'s model with both ends' terms exact and the rest held at
+    their midpoint value and slope (an outer root has one end).
+    ``_secular_roots`` solves for it from there.  Each vector is ``[1; z /
+    (E - w)]`` normalised, scaled first by ``|tau / z_p|`` where that is
+    below 1, so that no component overflows.  The vectors are formed a few
+    roots at a time, so no array beside them as large is held.
     """
-    from scipy.linalg import eigvalsh_tridiagonal
-
     tip, w = diag[0], tail.energies
     n = len(w)
     z = off[0] * tail.to_modes(np.eye(n, 1))[:, 0]
@@ -262,7 +264,6 @@ def _arrowhead(diag: np.ndarray, off: np.ndarray, tail: Eigenpairs | Split) -> A
     ends = np.array([min(tip - levels[0], 0.0) - reach, max(tip - levels[-1], 0.0) + reach])
     with np.errstate(over="ignore"):
         ends = np.clip((1 + 8 * _EPS) * ends, -np.finfo(float).max, np.finfo(float).max)
-    roots = eigvalsh_tridiagonal(diag, off)
     energies, head, rows = np.empty(n + 1), np.empty(n + 1), np.empty((n + 1, n))
     step = max(1, _SECULAR_ELEMENTS // n)
     buffer = np.empty((step, n))
@@ -271,22 +272,27 @@ def _arrowhead(diag: np.ndarray, off: np.ndarray, tail: Eigenpairs | Split) -> A
         # the chunk's rows hold w_i - w_p until they hold its vectors
         shifts, work, k = rows[lo : lo + len(j)], buffer[: len(j)], np.arange(len(j))
         inner = (0 < j) & (j < n)
-        below = levels[np.maximum(j - 1, 0)]
-        width = np.where(inner, levels[np.minimum(j, n - 1)] - below, 1.0)
-        # f at each inner interval's midpoint; the outer rows are not read
-        np.subtract((below + width / 2)[:, None], w, out=work)
-        with np.errstate(divide="ignore"):
-            np.reciprocal(work, out=work)
-        upper = inner & (below + width / 2 - tip < _real_apply(work, z2))
+        # the interval's lower and upper levels; an outer root's one level is both
+        below, above = order[np.maximum(j - 1, 0)], order[np.minimum(j, n - 1)]
+        width = np.where(inner, w[above] - w[below], 1.0)
+        mid = w[below] + np.where(inner, width, np.where(j == 0, ends[0], ends[1])) / 2
+        np.subtract(mid[:, None], w, out=work)
+        work[k, below] = work[k, above] = np.inf  # the ends' terms apart
+        rest, slope = _rest_sums(work, z2)
+        end_terms = z2[below] / (mid - w[below]) + z2[above] / (mid - w[above])
         # True: the root lies above its level p, in (0, high); else in (low, 0)
-        above = (j == n) | (inner & ~upper)
-        pole = order[np.where(above, j - 1, j)]
-        low = np.where(above, 0.0, np.where(inner, -width, ends[0]))
-        high = np.where(above, np.where(inner, width, ends[1]), 0.0)
+        rising = (j == n) | (inner & (mid - tip - end_terms - rest >= 0))
+        pole, other = np.where(rising, below, above), np.where(rising, above, below)
+        low = np.where(rising, 0.0, np.where(inner, -width, ends[0]))
+        high = np.where(rising, np.where(inner, width, ends[1]), 0.0)
         np.subtract(w, w[pole, None], out=shifts)
-        start = roots[j] - w[pole]
+        gap = w[pole] - tip
+        # the other end's weight and shift; an outer root has none
+        far = np.where(inner, z2[other], 0.0)
+        delta = np.where(inner, shifts[k, other], np.inf)
+        start = _model_root(mid - w[pole], rising, rest, slope, gap, z2[pole], far, delta)
         start = np.where((low < start) & (start < high), start, low / 2 + high / 2)
-        tau = _secular_roots(start, low, high, w[pole] - tip, pole, shifts, z2, work)
+        tau = _secular_roots(start, low, high, gap, pole, other, far, delta, shifts, z2, work)
         energies[j] = w[pole] + tau
         # the vector [1; z / (E - w)] times scale = min(1, |tau / z_p|), its
         # level's component sign(z_p tau) min(1, |z_p / tau|) set apart
@@ -303,25 +309,70 @@ def _arrowhead(diag: np.ndarray, off: np.ndarray, tail: Eigenpairs | Split) -> A
     return Arrowhead(energies, head, rows.T, tail)
 
 
-def _secular_roots(tau, low, high, gap, pole, shifts, z2, buffer) -> np.ndarray:
+def _rest_sums(work: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``sum_i z_i^2 / x_i`` and ``sum_i z_i^2 / x_i^2`` of each row ``x`` of ``work``, which it overwrites.
+
+    One pass of the secular solve: a row's infinite entries are terms left out.
+    """
+    with np.errstate(divide="ignore"):
+        np.reciprocal(work, out=work)
+    value = _real_apply(work, z2)
+    np.square(work, out=work)
+    return value, _real_apply(work, z2)
+
+
+def _model_root(t, rising, rest, slope, gap, zp2, far, delta) -> np.ndarray:
+    """The root of ``f``'s model at ``t``, its two ends' terms exact and the rest linear, one a row.
+
+    The model of ``f(w_p + s)`` is ``c s + d - z_p^2 / s - far / (s -
+    delta)``, with ``c = 1 + slope`` and ``d = gap - rest - slope t``: the
+    terms of every other level held at their value ``-rest`` and slope at
+    ``t``.  Its root on the side of the level that ``rising`` names (above
+    it where True) starts from the root of the quadratic with the far
+    end's term held linear at ``t`` too, taken without cancellation, and
+    takes two Newton steps on ``s`` times the model, written as in
+    ``_secular_roots``.  Measured, they reach the model's root to rounding
+    wherever it lies within 1% of ``t``, and to 2e-6 from a midpoint.
+    """
+    c, d = 1.0 + slope, gap - rest - slope * t
+    side = np.where(rising, 1.0, -1.0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lean = far / (t - delta)
+        bend = lean / (t - delta)
+        # s (c' s + d') = z_p^2, its root on the side named, without cancellation
+        c1, d1 = c + bend, side * (d - lean - bend * t)
+        root = np.hypot(d1 / 2, np.sqrt(c1 * zp2))
+        s = side * np.where(d1 >= 0, zp2 / (root + d1 / 2), (root - d1 / 2) / c1)
+        for _ in range(2):
+            term = far / (s - delta)
+            scale = np.maximum(1.0, np.abs(s))
+            u = s / scale
+            dh = c + term / (s - delta)
+            s = (u * s * dh + zp2 / scale) / ((c * s + d - term) / scale + u * dh)
+    return s
+
+
+def _secular_roots(tau, low, high, gap, pole, other, far, delta, shifts, z2, buffer) -> np.ndarray:
     """The roots in ``(low, high)`` of ``phi(tau) = tau h(tau) - z_p^2``, one a row, from ``tau``.
 
     ``h(tau) = tau + gap - sum_{i != p} z_i^2 / (tau - shifts_i)``, with
     ``gap = w_p - a`` and ``shifts_i = w_i - w_p``, so ``phi = tau f(w_p +
     tau)``.  It has no pole at the level ``tau = 0``, where it is
-    ``-z_p^2``, and near it it is nearly linear, so Newton's method on it
-    reaches a root within rounding of the level in a step or two even from
-    a start on the level or on its far side, where Newton's method on ``f``
-    fails.  Each interval, ``(0, high)`` or ``(low, 0)``, holds one root,
-    with ``phi < 0`` between it and the level.  Every evaluation narrows
-    the interval to the root's side of ``tau``, as the sign of ``phi``
-    shows, and a Newton step that leaves it is replaced by bisection.  A
-    root is done, after one last Newton step that stays inside, once
-    ``|phi|`` is within the rounding of its terms and of ``tau``, or once
-    its interval is four ulps wide; one not done in ``_SECULAR_STEPS``
-    evaluations raises ``ConsistencyError``.  ``phi`` and ``phi'`` are
-    divided by ``max(1, |tau|)``, so that they overflow at no finite field.
-    ``buffer`` holds at least as many rows as ``tau``.
+    ``-z_p^2``.  Each interval, ``(0, high)`` or ``(low, 0)``, holds one
+    root, with ``phi < 0`` between it and the level.  ``other`` is the
+    interval's far end ``q`` (``p`` for an outer root), ``far`` its weight
+    ``z_q^2`` (0 for an outer root) and ``delta`` its shift.  Each
+    evaluation sums the terms of every other level, and the next ``tau`` is
+    the root of the model with the two ends' terms exact and the rest
+    linear in ``tau`` (``_model_root``).  Every evaluation narrows the
+    interval to the root's side of ``tau``, as the sign of ``phi`` shows,
+    and a step that leaves it is replaced by bisection.  A root is done,
+    after one last step that stays inside, once ``|phi|`` is within the
+    rounding of its terms and of ``tau``, or once its interval is four
+    ulps wide; one not done in ``_SECULAR_STEPS`` evaluations raises
+    ``ConsistencyError``.  ``phi`` and ``phi'`` are divided by ``max(1,
+    |tau|)``, so that they overflow at no finite field.  ``buffer`` holds
+    at least as many rows as ``tau``.
     """
     rising = high > 0
     zp2, reach = z2[pole], np.sqrt(np.sum(z2))
@@ -330,33 +381,36 @@ def _secular_roots(tau, low, high, gap, pole, shifts, z2, buffer) -> np.ndarray:
         if not active.size:
             return tau
         a, t = active, tau[active]
-        work = buffer[: a.size]
+        work, k = buffer[: a.size], np.arange(a.size)
         np.subtract(t[:, None], shifts if a.size == len(tau) else shifts[a], out=work)  # E - w_i
-        work[np.arange(a.size), pole[a]] = np.inf  # the level's own term apart
-        np.reciprocal(work, out=work)
-        h = t + gap[a] - _real_apply(work, z2)
-        np.square(work, out=work)
-        slope = 1.0 + _real_apply(work, z2)  # h'
+        work[k, pole[a]] = work[k, other[a]] = np.inf  # the ends' terms apart
+        rest, slope = _rest_sums(work, z2)
         # a term that overflows fails its test: the step is not inside, and
         # the root is not done
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            term = far[a] / (t - delta[a])
+            h = t + gap[a] - rest - term
+            dh = 1.0 + slope + term / (t - delta[a])  # h'
             scale = np.maximum(1.0, np.abs(t))
             u = t / scale
             phi = u * h - zp2[a] / scale
-            dphi = h / scale + u * slope
+            dphi = h / scale + u * dh
             # the rounding of phi's terms, the sum of |z_i^2 / (t - shifts_i)|
             # bounded by Cauchy-Schwarz, and of t itself
-            terms = np.maximum(np.maximum(np.abs(t), np.abs(gap[a])), reach * np.sqrt(slope - 1.0))
+            terms = np.maximum(np.maximum(np.abs(t), np.abs(gap[a])), reach * np.sqrt(dh - 1.0))
             noise = 24 * _EPS * np.abs(u) * terms + 8 * _EPS * zp2[a] / scale
             done = np.abs(phi) <= noise + 2 * np.spacing(np.abs(t)) * np.abs(dphi)
             beyond = (phi < 0) == rising[a]  # the root lies above t
             low[a] = np.where(beyond, t, low[a])
             high[a] = np.where(beyond, high[a], t)
-            # t - phi / phi', with no cancellation between t and the step
-            newton = (u * t * slope + zp2[a] / scale) / dphi
-            ulps = np.spacing(np.maximum(np.abs(low[a]), np.abs(high[a])))
-        inside = (low[a] < newton) & (newton < high[a])
-        tau[a] = np.where(inside, newton, np.where(done, t, low[a] / 2 + high[a] / 2))
+            # the largest float's spacing is infinite; its half's, doubled, is not
+            ulps = 2 * np.spacing(np.maximum(np.abs(low[a]), np.abs(high[a])) / 2)
+        model = _model_root(t, rising[a], rest, slope, gap[a], zp2[a], far[a], delta[a])
+        # an outer root at the largest fields rounds to its bound, the largest
+        # float: a step there is taken an ulp inside it
+        model = np.clip(model, -_INSIDE_MAX, _INSIDE_MAX)
+        inside = (low[a] < model) & (model < high[a])
+        tau[a] = np.where(inside, model, np.where(done, t, low[a] / 2 + high[a] / 2))
         done |= high[a] - low[a] <= 4 * ulps
         active = a[~done]
     if active.size:
