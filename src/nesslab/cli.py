@@ -39,7 +39,6 @@ import numpy as np
 
 from .model import ModelParams, ThermalConfig, bound_state
 from .ness import correlation_block, s_element, ti_commutator_direct
-from .oracle import build_truncation, ness_estimate, oracle_flux
 from .scattering import magnetic_correction
 from .transport import divergence_fit, flux_report, heat_flux, ti_commutator_element
 
@@ -150,6 +149,8 @@ def _cmd_ness_matrix(ns: argparse.Namespace):
 
 
 def _cmd_spectrum(ns: argparse.Namespace):
+    from .oracle import build_truncation
+
     lam = _single_lam(ns)
     sysm = build_truncation(ns.oracle_m, ModelParams(lam, ns.nu))
     data = sysm.bound_data()
@@ -184,6 +185,8 @@ def _cmd_ti_check(ns: argparse.Namespace):
 
 
 def _cmd_oracle_verify(ns: argparse.Namespace):
+    from .oracle import build_truncation, ness_estimate, oracle_flux
+
     params = ModelParams(_single_lam(ns), ns.nu)
     th = ThermalConfig(ns.beta_l, ns.beta_r)
     if not 0.0 < ns.tol < math.inf:

@@ -34,7 +34,8 @@ the exact sublattice image of it.  The even block of the field and free
 Hamiltonians is the centre coordinate joined to the odd block, the free
 chain: in that chain's modes it is an arrowhead, whose energies are the
 roots of its secular equation and whose eigenvectors follow from them on
-the chain's stored solve (``Arrowhead``), with no second LAPACK call.
+the chain's stored solve (``Arrowhead``), with no second LAPACK call: they
+are not held, but formed inside the products that read them.
 ``_fold`` and ``_unfold`` map site arrays to the two blocks and back; a
 solve's ``to_modes`` and ``from_modes`` map them to its eigenbasis and
 back through every level.
@@ -50,6 +51,7 @@ enforces a time horizon keeping the light cone safely inside the window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -61,11 +63,11 @@ from .model import ModelParams, OperatorKind, ThermalConfig, operator_stencil, p
 # half-width caps: below 10 the guard window is empty, and the cap of 5000
 # bounds memory.  At M = 5000 and lam = 0.4, after the verify sequence on
 # the longest late-time grid, a window's arrays, each buffer counted once,
-# come to 0.46 GiB at nu = 0 and 0.58 and 0.60 GiB at nu = 1 and 100:
-# 0.28-0.37 GiB of eigenvectors, most of them the field's even block (about
-# n^2 / 4 floats), and the store's phases and first frames; the processes
-# peaked at 0.86, 1.01 and 1.04-1.09 GiB RSS.  Beyond it the window stops
-# being a sane oracle
+# come to 0.27 GiB at nu = 0 and 0.40 and 0.42 GiB at nu = 1 and 100: the
+# store's phases and first frames, 0.18-0.24 GiB, and 0.09-0.18 GiB of
+# eigenvectors, the free chain's and the reservoir's (the field's even
+# block holds O(n) numbers); the processes peaked at 0.58, 0.76 and 0.84
+# GiB RSS.  Beyond it the window stops being a sane oracle
 _MIN_HALF_WIDTH = 10
 _MAX_HALF_WIDTH = 5000
 
@@ -197,23 +199,67 @@ class Arrowhead(NamedTuple):
     In the tail's eigenbasis the block is the arrowhead ``[[a, z^T], [z,
     diag(w)]]``, ``z = b u`` with ``u`` the tail modes' first components,
     and its eigenvector of energy ``E`` is ``[1; z / (E - w)]`` normalised.
-    ``head`` holds their first components and ``vectors`` their tail-mode
-    components ``(n - 1, n)``, the tail's modes as rows.
+    ``head`` holds their first components.  Their tail-mode components are
+    not held: root ``j`` keeps its level ``pole`` ``p``, its shift ``tau =
+    E - w_p`` and its level's component ``own``, and the products that read
+    the components form them from these, ``z`` and ``head`` (``_entries``),
+    a chunk of about ``_CHUNK_FLOATS`` at a time, as ``_arrowhead`` formed
+    them to normalise them: the same floats.
     """
 
     energies: np.ndarray
     head: np.ndarray
-    vectors: np.ndarray
     tail: Eigenpairs | Split
+    z: np.ndarray
+    pole: np.ndarray
+    tau: np.ndarray
+    own: np.ndarray
+
+    def _entries(self, w: np.ndarray, lo: int, hi: int, roots) -> np.ndarray:
+        """Tail-mode components ``lo:hi`` of the vectors ``roots``, one row a tail mode.
+
+        ``w`` is the tail's energies.  A component is ``z_i / (tau - (w_i -
+        w_p))`` times ``head``, the level's own set apart.
+        """
+        pole = self.pole[roots]
+        block = np.subtract(w[lo:hi, None], w[pole])
+        k = np.flatnonzero((lo <= pole) & (pole < hi))
+        _ratios(block, self.tau[roots], self.z[lo:hi, None], (pole[k] - lo, k))
+        block *= self.head[roots]
+        block[pole[k] - lo, k] = self.own[roots][k]
+        return block
 
     def to_modes(self, z: np.ndarray) -> np.ndarray:
         modes = np.multiply.outer(self.head, z[0])
-        modes += _real_apply(self.vectors.T, self.tail.to_modes(z[1:]))
+        if not z[1:].any():
+            return modes
+        tail, w = self.tail.to_modes(z[1:]), self.tail.energies
+        step = _CHUNK_FLOATS // len(w)
+        for lo in range(0, len(modes), step):
+            roots = slice(lo, lo + step)
+            modes[roots] += _real_apply(self._entries(w, 0, len(w), roots).T, tail)
         return modes
 
     def tail_rows(self, a: np.ndarray) -> np.ndarray:
-        """The block's first coordinate, then its tail-mode amplitudes, of the mode amplitudes ``a``."""
-        return np.concatenate([_real_apply(self.head[None], a), _real_apply(self.vectors, a)])
+        """The block's first coordinate, then its tail-mode amplitudes, of the mode amplitudes ``a``.
+
+        The tail-mode rows are formed a chunk at a time, each times ``a`` in
+        one product.  When at most half the rows of ``a`` are nonzero, only
+        those roots are formed and read.
+        """
+        roots = np.flatnonzero(np.any(a.reshape(len(a), -1), axis=1))
+        if 2 * roots.size > len(a):
+            roots = slice(None)
+        else:
+            a = a[roots]
+        w = self.tail.energies
+        rows = np.empty((len(w) + 1, *a.shape[1:]), np.result_type(a, float))
+        rows[0] = _real_apply(self.head[None, roots], a)[0]
+        step = _CHUNK_FLOATS // max(1, len(a))
+        for lo in range(0, len(w), step):
+            hi = min(lo + step, len(w))
+            rows[1 + lo : 1 + hi] = _real_apply(self._entries(w, lo, hi, roots), a)
+        return rows
 
     def from_modes(self, a: np.ndarray) -> np.ndarray:
         rows = self.tail_rows(a)
@@ -221,9 +267,17 @@ class Arrowhead(NamedTuple):
         return rows
 
 
-# roots an arrowhead's secular equation solves at a time: their pole
-# differences, as (roots, n) floats, are each about 1 MB
-_SECULAR_ELEMENTS = 2**17
+def _ratios(shifts: np.ndarray, tau: np.ndarray, z: np.ndarray, own) -> None:
+    """``z / (tau - shifts)`` in place, ``tau`` and ``z`` broadcast against ``shifts``, the entries ``own`` indexes 0."""
+    np.subtract(tau, shifts, out=shifts)
+    shifts[own] = np.inf
+    np.divide(z, shifts, out=shifts)
+
+
+# floats a chunked pass holds in one buffer, about 1 MB: an arrowhead's
+# roots solved at a time, its vector components formed at a time, and the
+# reservoir rows of one overlap step
+_CHUNK_FLOATS = 2**17
 # evaluations a root may take after its midpoint pass before
 # ConsistencyError: none has taken more than eight, over fields from 0 to
 # the largest float and half-widths from 10 to the cap
@@ -250,8 +304,12 @@ def _arrowhead(diag: np.ndarray, off: np.ndarray, tail: Eigenpairs | Split) -> A
     their midpoint value and slope (an outer root has one end).
     ``_secular_roots`` solves for it from there.  Each vector is ``[1; z /
     (E - w)]`` normalised, scaled first by ``|tau / z_p|`` where that is
-    below 1, so that no component overflows.  The vectors are formed a few
-    roots at a time, so no array beside them as large is held.
+    below 1, so that no component overflows.  The roots are solved a chunk
+    at a time, in two buffers of about ``_CHUNK_FLOATS``: the chunk's
+    shifts, which then hold its vectors' tail-mode components for their
+    norms.  Only ``O(n)`` numbers are kept: each root's level, shift, first
+    component and own component, from which ``Arrowhead`` forms the rest
+    again where a product reads them.
     """
     tip, w = diag[0], tail.energies
     n = len(w)
@@ -264,13 +322,14 @@ def _arrowhead(diag: np.ndarray, off: np.ndarray, tail: Eigenpairs | Split) -> A
     ends = np.array([min(tip - levels[0], 0.0) - reach, max(tip - levels[-1], 0.0) + reach])
     with np.errstate(over="ignore"):
         ends = np.clip((1 + 8 * _EPS) * ends, -np.finfo(float).max, np.finfo(float).max)
-    energies, head, rows = np.empty(n + 1), np.empty(n + 1), np.empty((n + 1, n))
-    step = max(1, _SECULAR_ELEMENTS // n)
-    buffer = np.empty((step, n))
+    energies, head, taus, owns = (np.empty(n + 1) for _ in range(4))
+    poles = np.empty(n + 1, dtype=np.intp)
+    step = _CHUNK_FLOATS // n
+    buffers = np.empty((2, step, n))
     for lo in range(0, n + 1, step):
         j = np.arange(lo, min(lo + step, n + 1))
-        # the chunk's rows hold w_i - w_p until they hold its vectors
-        shifts, work, k = rows[lo : lo + len(j)], buffer[: len(j)], np.arange(len(j))
+        # the chunk's shifts w_i - w_p, then its vectors' tail-mode components
+        shifts, work, k = buffers[0, : len(j)], buffers[1, : len(j)], np.arange(len(j))
         inner = (0 < j) & (j < n)
         # the interval's lower and upper levels; an outer root's one level is both
         below, above = order[np.maximum(j - 1, 0)], order[np.minimum(j, n - 1)]
@@ -293,20 +352,16 @@ def _arrowhead(diag: np.ndarray, off: np.ndarray, tail: Eigenpairs | Split) -> A
         start = _model_root(mid - w[pole], rising, rest, slope, gap, z2[pole], far, delta)
         start = np.where((low < start) & (start < high), start, low / 2 + high / 2)
         tau = _secular_roots(start, low, high, gap, pole, other, far, delta, shifts, z2, work)
-        energies[j] = w[pole] + tau
+        energies[j], poles[j], taus[j] = w[pole] + tau, pole, tau
         # the vector [1; z / (E - w)] times scale = min(1, |tau / z_p|), its
         # level's component sign(z_p tau) min(1, |z_p / tau|) set apart
         with np.errstate(over="ignore"):
             scale = np.minimum(1.0, np.abs(tau / z[pole]))
             own = np.sign(z[pole]) * np.sign(tau) * np.minimum(1.0, np.abs(z[pole] / tau))
-        np.subtract(tau[:, None], shifts, out=shifts)  # E - w_i
-        shifts[k, pole] = np.inf
-        np.divide(z, shifts, out=shifts)
+        _ratios(shifts, tau[:, None], z, (k, pole))
         norm = np.sqrt(scale * scale * (1.0 + np.einsum("ij,ij->i", shifts, shifts)) + own * own)
-        head[j] = scale / norm
-        shifts *= (scale / norm)[:, None]
-        shifts[k, pole] = own / norm
-    return Arrowhead(energies, head, rows.T, tail)
+        head[j], owns[j] = scale / norm, own / norm
+    return Arrowhead(energies, head, tail, z, poles, taus, owns)
 
 
 def _rest_sums(work: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -607,6 +662,41 @@ class _GridStore(NamedTuple):
     frames: dict[int, np.ndarray]
 
 
+class _Grid(NamedTuple):
+    """The late-time grid: ``count`` times from ``start`` to ``stop``, spaced as ``np.linspace`` spaces them."""
+
+    start: float
+    stop: float
+    count: int
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.linspace(self.start, self.stop, self.count)
+
+
+def _phases(energies: np.ndarray, times: np.ndarray | _Grid) -> np.ndarray:
+    """``exp(i w t)``, the ``energies`` as rows and the ``times`` as columns.
+
+    Caller-given times need not be uniform, and each entry is one complex
+    ``np.exp``.  On a ``_Grid``, arithmetic by construction, the table is
+    ``exp(i w t_s) exp(i w b dt q)`` at time ``t_{qb + s}``, ``b`` about the
+    square root of the count: two short tables of ``exp`` and one product
+    pass.  Both forms round the argument ``w t`` itself, to about ``eps |w|
+    t``.
+    """
+    if not isinstance(times, _Grid):
+        return np.exp(1j * np.outer(energies, times))
+    b = math.isqrt(times.count - 1) + 1
+    dt = (times.stop - times.start) / (times.count - 1)
+    near = np.exp(1j * np.outer(energies, times.times[:b]))
+    far = np.exp(1j * np.outer(energies, b * dt * np.arange(-(-times.count // b))))
+    table = np.empty((len(energies), times.count), complex)
+    for q, lo in enumerate(range(0, times.count, b)):
+        cols = min(b, times.count - lo)
+        np.multiply(far[:, q, None], near[:, :cols], out=table[:, lo : lo + cols])
+    return table
+
+
 class DecoupledState(NamedTuple):
     """Two-point matrix of the decoupled initial state, held factored.
 
@@ -637,17 +727,25 @@ class DecoupledState(NamedTuple):
         The right reservoir's amplitudes of a frame are ``(even + odd) /
         sqrt 2``, the left's ``(even - odd) / sqrt 2`` up to the sign of
         each odd mode, which cancels in ``conj(a) b``.  The sample rows
-        count over two.
+        count over two.  The weighted products are summed over the
+        reservoir modes a chunk of rows at a time, in two buffers of about
+        ``_CHUNK_FLOATS``.
         """
         sample = np.einsum("it,it->t", fx.sample.conj(), fy.sample)
-        weights = np.stack([self.left, self.right])
-        # one reservoir's products at a time, formed in place in two buffers as large as a part
-        x, y = np.empty_like(fx.even), np.empty_like(fy.even)
-        overlaps = []
-        for combine in (np.add, np.subtract):  # the right reservoir, then the left
-            np.conjugate(combine(fx.even, fx.odd, out=x), out=x)
-            x *= combine(fy.even, fy.odd, out=y)
-            overlaps.append(_real_apply(weights, x))
+        # F-ordered, so that a chunk of its columns is one too
+        weights = np.column_stack([self.left, self.right]).T
+        n, nt = fx.even.shape
+        step = min(n, max(1, _CHUNK_FLOATS // (2 * nt)))
+        # one reservoir's products of a chunk of modes at a time, formed in place in two buffers
+        x, y = np.empty((step, nt), complex), np.empty((step, nt), complex)
+        overlaps = np.zeros((2, 2, nt), complex)
+        for lo in range(0, n, step):
+            rows = slice(lo, min(lo + step, n))
+            xs, ys = x[: rows.stop - lo], y[: rows.stop - lo]
+            for combine, sums in zip((np.add, np.subtract), overlaps):  # the right reservoir, then the left
+                np.conjugate(combine(fx.even[rows], fx.odd[rows], out=xs), out=xs)
+                xs *= combine(fy.even[rows], fy.odd[rows], out=ys)
+                sums += _real_apply(weights[:, rows], xs)
         (right_l, right_r), (left_l, left_r) = overlaps
         return 0.5 * (sample + left_l + right_r), 0.5 * (sample + left_r + right_l)
 
@@ -756,13 +854,16 @@ def _evolve(
     the window's sites.  At ``nu = 0`` the odd block is the reservoir's own
     solve and has no sample coordinates, so the rows are its evolved mode
     amplitudes: phases, with no product and no projection.  The even block
-    is then an ``Arrowhead`` on that solve, whose first components and
-    tail-mode components give the rows in one product each.  ``phases``
-    holds each block's ``exp(i w t)`` on ``times`` (0 even, 1 odd), and a
-    block's is added on first use.  The modes ``drop`` indexes are left out.
+    is then an ``Arrowhead`` on that solve, and its ``tail_rows`` give the
+    rows: its first components in one product, and its tail-mode
+    components formed a chunk at a time inside the products that read
+    them.  ``phases`` holds each block's ``exp(i w t)`` on ``times`` (0
+    even, 1 odd), and a block's is added on first use (``_phases``: from
+    two short tables on the late-time ``_Grid``).  The modes ``drop``
+    indexes are left out.
     """
     if parity not in phases:
-        phases[parity] = np.exp(1j * np.outer(block.energies, times))
+        phases[parity] = _phases(block.energies, times)
     amplitudes = block.to_modes(coords) * phases[parity]
     if drop is not None:
         amplitudes[drop] = 0.0
@@ -1012,12 +1113,12 @@ def _late_means(
     # before the grid: its size grows with t_star
     _check_horizon(sys, x, y, t_star)
     _check_quarter(sys, x, y)
-    times = np.linspace(0.8 * t_star, t_star, int(round(0.2 * t_star)) + 1)
+    grid = _Grid(0.8 * t_star, t_star, int(round(0.2 * t_star)) + 1)
     state = initial_two_point(sys, th)
     if sys._grid_store is None or sys._grid_store.t_star != t_star:
         sys._grid_store = _GridStore(t_star, {}, {})
-    overlaps = state.pair_overlaps(*_pair_parts(sys, state, sys._grid_store, times, x, y))
-    return tuple(complex(np.mean(EvolutionTrace(times, v).values)) for v in overlaps)
+    overlaps = state.pair_overlaps(*_pair_parts(sys, state, sys._grid_store, grid, x, y))
+    return tuple(complex(np.mean(EvolutionTrace(grid.times, v).values)) for v in overlaps)
 
 
 def ness_estimate(

@@ -345,7 +345,7 @@ class TestOracleVerify:
         def unexpected(*args, **kwargs):
             raise AssertionError("build_truncation ran")
 
-        monkeypatch.setattr("nesslab.cli.build_truncation", unexpected)
+        monkeypatch.setattr("nesslab.oracle.build_truncation", unexpected)
         code, out, err = run_cli(capsys, "oracle-verify", "--tol", tol, "--format", "json")
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "ValueError"
@@ -450,7 +450,8 @@ class TestOutputDiscipline:
 class TestImportCost:
     def test_closed_forms_load_no_scipy(self):
         # scipy.integrate alone costs ~0.6 s of every start; only the
-        # oracle loads scipy, on first use
+        # oracle loads scipy, on first use, and neither the package nor the
+        # CLI imports the oracle before it is used
         script = """
 import math
 import sys
@@ -468,6 +469,7 @@ for lam in (0.5, 1e-12):
 nesslab.adaptive_integrate(math.cos, 0.0, 1.0)
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
+assert "nesslab.oracle" not in sys.modules
 assert nesslab.build_truncation(50, ModelParams(0.5)).bound_data() is not None
 print("ok")
 """
