@@ -8,15 +8,17 @@ and each off-diagonal from one on its bonds ``(x, x + 1)``, and
 diagonalized exactly through LAPACK's tridiagonal eigensolver, the decoupled
 initial state is held as one reservoir's eigenpairs with their Planck
 weights at the two temperatures, and correlations are evolved exactly from
-that factored state alone.  Each parity block's first coordinate is
-evolved and projected onto the reservoir modes once per time grid, and the
-sites within ``nu + 2`` of the centre follow from it by the Jacobi
-matrix's three-term recurrence, with the bound state carried exactly;
-farther sites are evolved directly.  A correlation is a weighted overlap
-of two sites' parts (``SiteParts``): no dense state is formed.  The
-late-time estimates keep the first-coordinate frames on the window for
-the next call on the same grid.  Large-time averages of these finite
-evolutions are the yardstick the analytic formulas are tested against.
+that factored state alone.  One reader, ``_site_parts``, gives a site's
+parts (``SiteParts``) on a store (``_GridStore``) that holds its time grid
+with what is evolved on it: each parity block's phases, and the first
+coordinate's frame, evolved and projected onto the reservoir modes once.
+A site within ``nu + 2`` of the centre is stepped from those frames by the
+Jacobi matrix's three-term recurrence, with the bound state carried
+exactly; a farther one is evolved directly.  A correlation is a weighted
+overlap of two sites' parts: no dense state is formed.  The window keeps
+its late-time store for the next call on the same grid.  Large-time
+averages of these finite evolutions are the yardstick the analytic
+formulas are tested against.
 ``scipy.linalg`` is imported by the functions that solve and multiply,
 so importing the package loads no scipy: the products run on the BLAS
 that the eigensolves load (``_real_apply``), and numpy's is left idle.
@@ -512,13 +514,6 @@ def _propagate(solve: Eigenpairs | Split, psi: np.ndarray, times) -> np.ndarray:
     return solve.from_modes(solve.to_modes(psi)[:, :, None] * phases[:, None, :])
 
 
-def _site_vectors(sys: TruncatedSystem, sites) -> np.ndarray:
-    psi = np.zeros((sys.n_sites, len(sites)))
-    for j, x in enumerate(sites):
-        psi[sys.index(x), j] = 1.0
-    return psi
-
-
 @dataclass(eq=False)
 class TruncatedSystem:
     """Window ``[-M, M]`` of the chain; immutable after construction.
@@ -531,7 +526,7 @@ class TruncatedSystem:
     an even block solved as an ``Arrowhead`` holds the stored solve of its
     odd block.
     The latest initial state is cached with its temperature pair, and the
-    latest late-time grid in one ``_GridStore``: its ``t_star``, the phases
+    latest late-time grid in one ``_GridStore``: the grid, the phases
     ``exp(i w t)`` of each parity block on it, and the first-coordinate
     frames of the blocks that step.  The frames do not depend on the
     temperatures: a state at any temperatures holds the same reservoir
@@ -648,20 +643,6 @@ class SiteParts(NamedTuple):
     sample: np.ndarray
 
 
-class _GridStore(NamedTuple):
-    """Evolutions on one time grid ending at ``t_star``.
-
-    ``phases`` holds each parity block's ``exp(i w t)`` on the grid (0
-    even, 1 odd), ``frames`` the band frame of the first coordinate of each
-    block that steps (``_stepped``), from which the parts of every site
-    within ``nu + 2`` of the centre follow.
-    """
-
-    t_star: float
-    phases: dict[int, np.ndarray]
-    frames: dict[int, np.ndarray]
-
-
 class _Grid(NamedTuple):
     """The late-time grid: ``count`` times from ``start`` to ``stop``, spaced as ``np.linspace`` spaces them."""
 
@@ -672,6 +653,21 @@ class _Grid(NamedTuple):
     @property
     def times(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
+
+
+class _GridStore(NamedTuple):
+    """The evolutions on one time grid, held with the grid.
+
+    ``times`` is the late-time ``_Grid`` or the caller's times.  ``phases``
+    holds each parity block's ``exp(i w t)`` on them (0 even, 1 odd), and
+    ``frames`` the band frame of the first coordinate of each block that
+    steps, from which ``_site_parts`` steps every site within ``nu + 2`` of
+    the centre; both are filled on first use.
+    """
+
+    times: np.ndarray | _Grid
+    phases: dict[int, np.ndarray]
+    frames: dict[int, np.ndarray]
 
 
 def _phases(energies: np.ndarray, times: np.ndarray | _Grid) -> np.ndarray:
@@ -805,12 +801,10 @@ class EvolutionTrace:
             raise ConsistencyError("correlation sample above 1 in magnitude")
 
 
-def _check_quarter(sys: TruncatedSystem, x: int, y: int) -> None:
+def _check_sites(sys: TruncatedSystem, x: int, y: int, t_max: float) -> None:
+    """Both late-time entry points' site checks: within a quarter of the window, then inside the horizon."""
     if max(abs(x), abs(y)) > sys.M / 4:
         raise DomainError(f"sites ({x}, {y}) beyond a quarter of the window")
-
-
-def _check_horizon(sys: TruncatedSystem, x: int, y: int, t_max: float) -> None:
     horizon = _REFLECTION_MARGIN * (
         sys.M - max(abs(x), abs(y), sys.params.nu + 2)
     )
@@ -832,8 +826,7 @@ def _checked_times(sys: TruncatedSystem, x: int, y: int, times) -> np.ndarray:
         or np.any(np.diff(times) <= 0.0)
     ):
         raise ValueError("times must be nonempty, finite, nonnegative and strictly increasing")
-    _check_quarter(sys, x, y)
-    _check_horizon(sys, x, y, float(times[-1]))
+    _check_sites(sys, x, y, float(times[-1]))
     return times
 
 
@@ -842,11 +835,10 @@ def _evolve(
     parity: int,
     state: DecoupledState,
     coords: np.ndarray,
-    times: np.ndarray,
-    phases: dict[int, np.ndarray],
+    store: _GridStore,
     drop: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Evolve coordinates ``coords`` (m, 1) through ``block``, parity block ``parity``.
+    """Evolve coordinates ``coords`` (m, 1) through ``block``, parity block ``parity``, on ``store``'s times.
 
     Returns the frame's rows as the state reads them, ``(k + M - nu, nt)``:
     its ``k`` coordinates inside the sample, then its outer coordinates
@@ -857,14 +849,13 @@ def _evolve(
     is then an ``Arrowhead`` on that solve, and its ``tail_rows`` give the
     rows: its first components in one product, and its tail-mode
     components formed a chunk at a time inside the products that read
-    them.  ``phases`` holds each block's ``exp(i w t)`` on ``times`` (0
-    even, 1 odd), and a block's is added on first use (``_phases``: from
-    two short tables on the late-time ``_Grid``).  The modes ``drop``
-    indexes are left out.
+    them.  A block's ``exp(i w t)`` is added to the store's ``phases`` on
+    first use (``_phases``: from two short tables on the late-time
+    ``_Grid``).  The modes ``drop`` indexes are left out.
     """
-    if parity not in phases:
-        phases[parity] = _phases(block.energies, times)
-    amplitudes = block.to_modes(coords) * phases[parity]
+    if parity not in store.phases:
+        store.phases[parity] = _phases(block.energies, store.times)
+    amplitudes = block.to_modes(coords) * store.phases[parity]
     if drop is not None:
         amplitudes[drop] = 0.0
     if block is state.modes:
@@ -883,26 +874,6 @@ def _parts(sys: TruncatedSystem, even: np.ndarray, odd: np.ndarray | None) -> Si
     if odd is None:
         odd = np.broadcast_to(0j, (len(even) - 1, even.shape[1]))
     return SiteParts(even[k:], odd[k - 1 :], np.concatenate([even[:k], odd[: k - 1]]))
-
-
-def _site_parts(
-    sys: TruncatedSystem,
-    state: DecoupledState,
-    x: int,
-    times: np.ndarray,
-    phases: dict[int, np.ndarray],
-) -> SiteParts:
-    """Evolve ``e_x`` directly through the parity blocks it touches and project it once.
-
-    The centre site has no odd part, so its odd block is neither evolved
-    nor projected.
-    """
-    blocks = zip(sys.factorization(OperatorKind.MAGNETIC), _fold(_site_vectors(sys, (x,))))
-    frames = [
-        _evolve(block, parity, state, coords, times, phases) if coords.any() else None
-        for parity, (block, coords) in enumerate(blocks)
-    ]
-    return _parts(sys, *frames)
 
 
 class _Stepping(NamedTuple):
@@ -953,8 +924,9 @@ def _recur(
 ) -> np.ndarray:
     """``scale`` times the frame of block coordinate ``steps``, stepped from coordinate 0's.
 
-    ``first`` is the band frame of coordinate 0 in ``_evolve`` rows, ``k``
-    sample rows ``S`` and then reservoir mode amplitudes ``R``.  A step is
+    ``first`` is the band frame of coordinate 0 that a ``_GridStore``
+    holds, in ``_evolve`` rows: ``k`` sample rows ``S`` and then reservoir
+    mode amplitudes ``R``.  A step is
     ``F_{j+1} = (h F_j - d_j F_j - e_{j-1} F_{j-1}) / e_j``, with ``(d, e)``
     the block's ``pair``, and ``h`` acts on the rows as
 
@@ -972,6 +944,9 @@ def _recur(
     step, since the recurrence grows their share by ``e^{asinh|lam|}`` a
     step, rounding included; ``carry @ carried`` is added back at the end.
     A step reads ``R_0`` once, and the frame is formed in three passes.
+    Every step re-stacks the time rows ``H``, so the cost grows with the
+    square of ``steps``: ``_site_parts`` steps only the sites within ``nu +
+    2`` of the centre.
     """
     (d, e), k, carry = stepping.pair, stepping.k, stepping.carry
     w, u = stepping.energies, stepping.contact
@@ -1009,82 +984,44 @@ def _recur(
     return frame
 
 
-def _stepped(
-    sys: TruncatedSystem,
-    state: DecoupledState,
-    solve: Split,
-    store: _GridStore,
-    times: np.ndarray,
-    parity: int,
-    j: int,
-    scale: float = 1.0,
-) -> np.ndarray:
-    """``scale`` times the frame of coordinate ``j`` of block ``parity``, in ``_evolve`` rows.
+def _site_parts(sys: TruncatedSystem, state: DecoupledState, store: _GridStore, x: int) -> SiteParts:
+    """The parts of site ``x`` on ``store``'s times.
 
-    ``solve`` is the field Hamiltonian's ``factorization``.
+    ``e_x`` folds to even coordinate ``|x|``, of weight 1 at the centre
+    and ``1 / sqrt 2`` elsewhere, and odd coordinate ``|x| - 1``, of weight
+    ``+-1 / sqrt 2`` with the sign of ``x`` (none at the centre).  Within
+    ``nu + 2`` of the centre (the sample and its contact pairs) a block's
+    coordinate is stepped from the first-coordinate frame the store holds,
+    evolved into it on first use; at ``nu = 0`` the odd block is the
+    reservoir's solve, and its coordinate is evolved as phases.  A farther
+    site is evolved directly: ``_recur``'s cost grows with the square of
+    the distance.  The parts do not depend on the sites read before.
 
-    The block's out-of-band eigenpairs ``(E_b, v)`` (the bound state, in
-    the even block) are carried exactly: the store holds the first
-    coordinate's frame evolved without them, ``_recur`` steps that band
-    frame, and ``v_j exp(i E_b t) B`` is added back, ``B`` being ``v`` in
-    the frame's rows.  Beyond the sample the block is the reservoir chain,
-    which the recurrence reads through the reservoir's solve.
+    Stepping carries the block's out-of-band eigenpairs ``(E_b, v)`` (the
+    bound state, in the even block) exactly: the store's first frame is
+    evolved without them, ``_recur`` steps that band frame, and ``v_j
+    exp(i E_b t) B`` is added back, ``B`` being ``v`` in the frame's rows.
     """
-    stepping = _stepping(sys, state, solve, parity)
-    outside = stepping.outside
-    if parity not in store.frames:
-        first = np.eye(len(stepping.pair[0]), 1)
-        block = solve[parity]
-        store.frames[parity] = _evolve(block, parity, state, first, times, store.phases, outside)
-    carried = stepping.vectors[j][:, None] * store.phases[parity][outside]
-    return _recur(stepping, store.frames[parity], j, carried, scale)
-
-
-def _stepped_parts(
-    sys: TruncatedSystem,
-    state: DecoupledState,
-    solve: Split,
-    store: _GridStore,
-    times: np.ndarray,
-    x: int,
-) -> SiteParts:
-    """The parts of a site within ``nu + 2`` of the centre, stepped from the store's frames.
-
-    ``e_{+-j}`` folds to ``1 / sqrt 2`` times even coordinate ``j`` and
-    ``+-1 / sqrt 2`` times odd coordinate ``j - 1``.  At ``nu = 0`` the odd
-    part stays the reservoir's phases (``_evolve``).
-    """
-    j = abs(x)
-    if j == 0:
-        return _parts(sys, _stepped(sys, state, solve, store, times, 0, 0), None)
-    if sys.params.nu == 0:
-        coords = _fold(_site_vectors(sys, (x,)))[1]
-        odd = _evolve(solve.odd, 1, state, coords, times, store.phases)
-    else:
-        sign = _SQRT_HALF if x > 0 else -_SQRT_HALF
-        odd = _stepped(sys, state, solve, store, times, 1, j - 1, sign)
-    return _parts(sys, _stepped(sys, state, solve, store, times, 0, j, _SQRT_HALF), odd)
-
-
-def _pair_parts(
-    sys: TruncatedSystem, state: DecoupledState, store: _GridStore, times, x: int, y: int
-) -> tuple[SiteParts, SiteParts]:
-    """The parts of ``x`` and ``y`` on ``store``'s grid ``times``.
-
-    A site within ``nu + 2`` of the centre (the sample and its contact
-    pairs) is stepped from the first-coordinate frames the store holds,
-    which are evolved into it on first use; a farther site is evolved
-    directly.  A site's parts do not depend on the sites read before.
-    """
-    near = sys.params.nu + 2
     solve = sys.factorization(OperatorKind.MAGNETIC)
-    parts = {
-        site: _stepped_parts(sys, state, solve, store, times, site)
-        if abs(site) <= near
-        else _site_parts(sys, state, site, times, store.phases)
-        for site in {x, y}
-    }
-    return parts[x], parts[y]
+    j = abs(x)
+    near = j <= sys.params.nu + 2
+    frames = []
+    odd_weight = math.copysign(_SQRT_HALF, x)
+    for parity, coord, weight in ((0, j, _SQRT_HALF if j else 1.0), (1, j - 1, odd_weight)):
+        if coord < 0:
+            frames.append(None)
+        elif near and (parity == 0 or sys.params.nu > 0):
+            stepping = _stepping(sys, state, solve, parity)
+            if parity not in store.frames:
+                first = np.eye(sys.M + 1 - parity, 1)
+                store.frames[parity] = _evolve(solve[parity], parity, state, first, store, stepping.outside)
+            carried = stepping.vectors[coord][:, None] * store.phases[parity][stepping.outside]
+            frames.append(_recur(stepping, store.frames[parity], coord, carried, weight))
+        else:
+            coords = np.zeros((sys.M + 1 - parity, 1))
+            coords[coord] = weight
+            frames.append(_evolve(solve[parity], parity, state, coords, store))
+    return _parts(sys, *frames)
 
 
 def evolve_with_state(
@@ -1092,8 +1029,9 @@ def evolve_with_state(
 ) -> EvolutionTrace:
     """Evolve ``(e_x, S(t) e_y)`` from the factored initial state ``state``."""
     times = _checked_times(sys, x, y, times)
-    store = _GridStore(float(times[-1]), {}, {})
-    values, _ = state.pair_overlaps(*_pair_parts(sys, state, store, times, x, y))
+    store = _GridStore(times, {}, {})
+    parts = {site: _site_parts(sys, state, store, site) for site in {x, y}}
+    values, _ = state.pair_overlaps(parts[x], parts[y])
     return EvolutionTrace(times, values)
 
 
@@ -1103,21 +1041,21 @@ def _late_means(
     """Means of ``pair_overlaps`` of ``(x, y)`` over ``[0.8 t_star, t_star]``.
 
     Both temperature orderings, on a roughly unit-spaced grid.  The
-    window's store is kept while ``t_star`` is unchanged, so the frames and
-    phases of the previous calls on this grid are reused; another ``t_star``
+    window's store is kept while its grid is unchanged, so the frames and
+    phases of the previous calls on this grid are reused; another grid
     replaces it.
     """
     t_star = float(t_star)
     if not (np.isfinite(t_star) and t_star >= _MIN_T_STAR):
-        raise ValueError(f"late-time estimate needs a finite t_star >= 100, got {t_star}")
+        raise ValueError(f"late-time estimate needs a finite t_star >= {_MIN_T_STAR:g}, got {t_star}")
     # before the grid: its size grows with t_star
-    _check_horizon(sys, x, y, t_star)
-    _check_quarter(sys, x, y)
+    _check_sites(sys, x, y, t_star)
     grid = _Grid(0.8 * t_star, t_star, int(round(0.2 * t_star)) + 1)
     state = initial_two_point(sys, th)
-    if sys._grid_store is None or sys._grid_store.t_star != t_star:
-        sys._grid_store = _GridStore(t_star, {}, {})
-    overlaps = state.pair_overlaps(*_pair_parts(sys, state, sys._grid_store, grid, x, y))
+    if sys._grid_store is None or sys._grid_store.times != grid:
+        sys._grid_store = _GridStore(grid, {}, {})
+    parts = {site: _site_parts(sys, state, sys._grid_store, site) for site in {x, y}}
+    overlaps = state.pair_overlaps(parts[x], parts[y])
     return tuple(complex(np.mean(EvolutionTrace(grid.times, v).values)) for v in overlaps)
 
 
@@ -1184,7 +1122,7 @@ def numeric_wave_action(
         raise TimeHorizonExceeded(
             f"time {t} beyond the two-way horizon {horizon} of the window"
         )
-    psi = _site_vectors(sys, (x,))
+    psi = np.eye(sys.n_sites, 1, -sys.index(x))
     bound = sys.bound_data()
     if bound is not None:
         _, vec = bound

@@ -296,9 +296,26 @@ def log_coefficient(th: ThermalConfig) -> float:
 
 
 def remainder_bound(th: ThermalConfig) -> float:
-    """Uniform bound on the remainder term of the log split."""
+    """Uniform bound on the remainder term of the log split.
+
+    ``(d + d cosh d cosh m + m sinh d sinh m) / 4``, with ``d`` the half
+    difference and ``m`` the mean of the inverse temperatures: 0 at equal
+    temperatures.  Where ``cosh m`` overflows, ``cosh m = sinh m = e^m / 2``
+    in floats, and the sum is ``d / 4 + e^{m/2} (e^{m/2} g / 8)`` with ``g
+    = d cosh d + m sinh d``; ``+inf`` beyond the largest float.
+    """
     d, m = th.delta, th.beta_mean
-    return 0.25 * (d + d * math.cosh(d) * math.cosh(m) + m * math.sinh(d) * math.sinh(m))
+    if d == 0.0:
+        return 0.0
+    try:
+        return 0.25 * (d + d * math.cosh(d) * math.cosh(m) + m * math.sinh(d) * math.sinh(m))
+    except OverflowError:
+        pass
+    try:
+        half = math.exp(0.5 * m)
+        return 0.25 * d + half * (half * (d * math.cosh(d) + m * math.sinh(d)) / 8.0)
+    except OverflowError:
+        return math.inf
 
 
 def log_decomposition(

@@ -267,6 +267,16 @@ class TestLogDecomposition:
     def test_remainder_bound_value(self, th12):
         assert abs(remainder_bound(th12) - 0.8726638434190023) < 1e-15
 
+    def test_remainder_bound_where_cosh_overflows(self):
+        # 40-digit mpmath: 4.537586780843784e302 at (720, 720 + 2e-12) and
+        # 1.23e436, beyond the largest float, at (700, 1000)
+        assert remainder_bound(ThermalConfig(1000.0, 1000.0)) == 0.0
+        big = remainder_bound(ThermalConfig(720.0, 720.0 + 2e-12))
+        assert abs(big / 4.537586780843784e302 - 1.0) < 1e-15
+        assert remainder_bound(ThermalConfig(700.0, 1000.0)) == math.inf
+        dec = log_decomposition(ModelParams(0.3), ThermalConfig(999.0, 1000.0))
+        assert abs(dec.F2) <= dec.c_bound == math.inf
+
     def test_remainder_within_bound(self, th12):
         for lam in (1e-4, 1e-2, 0.5, 2.0):
             dec = log_decomposition(ModelParams(lam), th12)
